@@ -13,8 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sling_bench::{params_for, sample_pairs, sling_config};
-use sling_core::cache::CachedQueries;
-use sling_core::{QueryWorkspace, SlingIndex};
+use sling_core::{QueryWorkspace, ShardedResultCache, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 use sling_graph::NodeId;
 
@@ -128,6 +127,7 @@ fn bench_query_cache(c: &mut Criterion) {
     let workload: Vec<(NodeId, NodeId)> = (0..1024)
         .map(|i| (hot[i % 32], hot[(i * 7 + 1) % 32]))
         .collect();
+    let engine = index.into_shared_engine();
     let mut group = c.benchmark_group("ablation/query_cache");
     group.sample_size(20);
     let mut ws = QueryWorkspace::new();
@@ -136,16 +136,20 @@ fn bench_query_cache(c: &mut Criterion) {
         b.iter(|| {
             let (u, v) = workload[cursor % workload.len()];
             cursor += 1;
-            std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v))
+            std::hint::black_box(engine.single_pair_with(&graph, &mut ws, u, v).unwrap())
         })
     });
-    let mut cache = CachedQueries::new(&index, 4096);
+    let cache = ShardedResultCache::with_capacity(4096);
     let mut cursor = 0usize;
     group.bench_function("lru_cached", |b| {
         b.iter(|| {
             let (u, v) = workload[cursor % workload.len()];
             cursor += 1;
-            std::hint::black_box(cache.single_pair(&graph, u, v))
+            std::hint::black_box(
+                engine
+                    .single_pair_cached(&graph, &mut ws, &cache, u, v)
+                    .unwrap(),
+            )
         })
     });
     group.finish();

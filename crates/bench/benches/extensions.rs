@@ -1,13 +1,12 @@
 //! Benchmarks for the extension query types (top-k join, threshold join,
-//! dynamic updates, disk-resident queries) — features beyond the paper's
+//! dynamic updates, out-of-core queries) — features beyond the paper's
 //! evaluation, measured so EXPERIMENTS.md can report their costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sling_bench::{params_for, sling_config};
 use sling_core::dynamic::{DynamicConfig, DynamicSling, StalePolicy};
 use sling_core::join::JoinStrategy;
-use sling_core::out_of_core::DiskHpStore;
-use sling_core::SlingIndex;
+use sling_core::{Residency, SharedEngine, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 use sling_graph::NodeId;
 
@@ -66,29 +65,30 @@ fn bench_dynamic_updates(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_disk_store(c: &mut Criterion) {
+fn bench_mapped_store(c: &mut Criterion) {
     let graph = by_name("as-sim").unwrap().build();
     let params = params_for(Tier::Small, Some(0.05));
     let index = SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap();
-    let path = std::env::temp_dir().join(format!("sling_bench_disk_{}", std::process::id()));
-    let store = DiskHpStore::create(&index, &path).unwrap();
+    let path = std::env::temp_dir().join(format!("sling_bench_mapped_{}", std::process::id()));
+    index.save(&path).unwrap();
+    let engine = SharedEngine::open(&graph, &path, Residency::Mapped).unwrap();
     let n = graph.num_nodes() as u32;
     let mut group = c.benchmark_group("extensions/out_of_core_query");
     group.sample_size(20);
     let mut i = 0u32;
-    group.bench_function("disk_single_pair", |b| {
+    group.bench_function("mapped_single_pair", |b| {
         b.iter(|| {
             let (u, v) = (i % n, (i * 31 + 5) % n);
             i += 1;
-            std::hint::black_box(store.single_pair(&graph, NodeId(u), NodeId(v)).unwrap())
+            std::hint::black_box(engine.single_pair(&graph, NodeId(u), NodeId(v)).unwrap())
         })
     });
     let mut i = 0u32;
-    group.bench_function("disk_single_source", |b| {
+    group.bench_function("mapped_single_source", |b| {
         b.iter(|| {
             let u = i % n;
             i += 1;
-            std::hint::black_box(store.single_source(&graph, NodeId(u)).unwrap())
+            std::hint::black_box(engine.single_source(&graph, NodeId(u)).unwrap())
         })
     });
     group.finish();
@@ -99,6 +99,6 @@ criterion_group!(
     benches,
     bench_joins,
     bench_dynamic_updates,
-    bench_disk_store
+    bench_mapped_store
 );
 criterion_main!(benches);

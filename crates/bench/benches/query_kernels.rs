@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sling_bench::{params_for, sample_pairs, sling_config};
 use sling_core::single_source::SingleSourceWorkspace;
-use sling_core::{QueryEngine, QueryWorkspace, SlingIndex};
+use sling_core::{QueryWorkspace, Residency, SharedEngine, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 use sling_graph::NodeId;
 
@@ -29,8 +29,9 @@ fn bench_query_kernels(c: &mut Criterion) {
     let path = dir.join("index.slng");
     index.save(&path).unwrap();
 
-    let mem = index.query_engine();
-    let mmap = QueryEngine::open_mmap(&graph, &path).unwrap();
+    let mem = SharedEngine::open(&graph, &path, Residency::Mem).unwrap();
+    let mmap = SharedEngine::open(&graph, &path, Residency::Mapped).unwrap();
+    let engines = [("mem", mem.view()), ("mmap", mmap.view())];
 
     let n = graph.num_nodes();
     let mixed = sample_pairs(n, 512, 3);
@@ -44,7 +45,7 @@ fn bench_query_kernels(c: &mut Criterion) {
 
     for (workload, pairs) in [("mixed", &mixed), ("hub", &hub_pairs)] {
         let mut group = c.benchmark_group(format!("kernels/single_pair_{workload}"));
-        for (backend, engine) in [("mem", &mem.erase()), ("mmap", &mmap.erase())] {
+        for (backend, engine) in &engines {
             let mut ws = QueryWorkspace::new();
             let mut cursor = 0usize;
             group.bench_with_input(
@@ -82,7 +83,7 @@ fn bench_query_kernels(c: &mut Criterion) {
 
     let sources: Vec<NodeId> = (0..64u32).map(|i| NodeId((i * 97) % n as u32)).collect();
     let mut group = c.benchmark_group("kernels/single_source");
-    for (backend, engine) in [("mem", &mem.erase()), ("mmap", &mmap.erase())] {
+    for (backend, engine) in &engines {
         let mut ws = SingleSourceWorkspace::new();
         let mut out = Vec::new();
         let mut cursor = 0usize;

@@ -16,7 +16,7 @@
 //!   fig7          top-k precision, k = 400..2000
 //!   fig9          parallel preprocessing speed-up (thread sweep)
 //!   fig10         out-of-core preprocessing vs memory buffer size
-//!   extensions    costs of the beyond-paper features (top-k, joins, dynamic, cache, disk)
+//!   extensions    costs of the beyond-paper features (top-k, joins, dynamic, cache, out-of-core)
 //!   all           everything above
 //!
 //! Options:
@@ -600,13 +600,12 @@ fn fig10(opts: &Options) {
 
 /// `extensions` — measured costs of the features beyond the paper's
 /// evaluation (top-k strategies, similarity joins, dynamic maintenance,
-/// query cache, disk-resident queries). Feeds the "Extensions" section of
+/// query cache, out-of-core queries). Feeds the "Extensions" section of
 /// EXPERIMENTS.md.
 fn extensions(opts: &Options) {
-    use sling_core::cache::CachedQueries;
     use sling_core::dynamic::{DynamicConfig, DynamicSling, StalePolicy};
     use sling_core::join::JoinStrategy;
-    use sling_core::out_of_core::DiskHpStore;
+    use sling_core::{Residency, ShardedResultCache, SharedEngine};
     use sling_graph::NodeId;
 
     println!("\n== extensions: costs of the beyond-paper query types ==");
@@ -716,16 +715,25 @@ fn extensions(opts: &Options) {
         let workload: Vec<(NodeId, NodeId)> = (0..if opts.quick { 512 } else { 4096 })
             .map(|i| (hot[i % 32], hot[(i * 7 + 1) % 32]))
             .collect();
+        // Out-of-core engine: the index file mapped, O(n) resident.
+        let path = std::env::temp_dir().join(format!("sling_repro_mapped_{}", std::process::id()));
+        index.save(&path).unwrap();
+        let mapped = SharedEngine::open(&graph, &path, Residency::Mapped).unwrap();
+
         let mut ws = sling_core::QueryWorkspace::new();
         let (_, t_uncached) = time(|| {
             for &(u, v) in &workload {
-                std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v));
+                std::hint::black_box(mapped.single_pair_with(&graph, &mut ws, u, v).unwrap());
             }
         });
-        let mut cache = CachedQueries::new(&index, 4096);
+        let cache = ShardedResultCache::with_capacity(4096);
         let (_, t_cached) = time(|| {
             for &(u, v) in &workload {
-                std::hint::black_box(cache.single_pair(&graph, u, v));
+                std::hint::black_box(
+                    mapped
+                        .single_pair_cached(&graph, &mut ws, &cache, u, v)
+                        .unwrap(),
+                );
             }
         });
         println!(
@@ -735,25 +743,22 @@ fn extensions(opts: &Options) {
             100.0 * cache.stats().hit_rate(),
         );
 
-        // Disk-resident queries.
-        let path = std::env::temp_dir().join(format!("sling_repro_disk_{}", std::process::id()));
-        let store = DiskHpStore::create(&index, &path).unwrap();
         let pairs = sample_pairs(n, if opts.quick { 64 } else { 512 }, 17);
-        let (_, t_disk) = time(|| {
+        let (_, t_mapped) = time(|| {
             for &(u, v) in &pairs {
-                std::hint::black_box(store.single_pair(&graph, u, v).unwrap());
+                std::hint::black_box(mapped.single_pair(&graph, u, v).unwrap());
             }
         });
-        let (_, t_disk_ss) = time(|| {
+        let (_, t_mapped_ss) = time(|| {
             for &u in sources.iter().take(16) {
-                std::hint::black_box(store.single_source(&graph, u).unwrap());
+                std::hint::black_box(mapped.single_source(&graph, u).unwrap());
             }
         });
         println!(
-            "disk store                single-pair {:>9}/q   single-source {:>9}/q   resident {} KB",
-            fmt_secs(t_disk / pairs.len() as f64),
-            fmt_secs(t_disk_ss / 16.0),
-            store.resident_bytes() / 1024,
+            "mapped engine             single-pair {:>9}/q   single-source {:>9}/q   resident {} KB",
+            fmt_secs(t_mapped / pairs.len() as f64),
+            fmt_secs(t_mapped_ss / 16.0),
+            mapped.resident_bytes() / 1024,
         );
         std::fs::remove_file(&path).ok();
     }

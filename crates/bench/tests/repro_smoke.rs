@@ -73,7 +73,7 @@ fn extensions_report_runs() {
     let out = run(&["extensions", "--quick", "--dataset", "as-sim"]);
     assert!(out.contains("top-k"), "{out}");
     assert!(out.contains("dynamic"), "{out}");
-    assert!(out.contains("disk store"), "{out}");
+    assert!(out.contains("mapped engine"), "{out}");
 }
 
 #[test]

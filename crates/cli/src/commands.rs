@@ -9,17 +9,15 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sling_core::disk_query::BufferedDiskStore;
 use sling_core::lifecycle::{GenId, GenerationStore};
 use sling_core::obs::{MetricsRegistry, StageNanos};
-use sling_core::out_of_core::DiskHpStore;
 use sling_core::workload::{
     adversarial_cold_scan, characterize, diurnal_burst, read_trace_file, read_trace_tolerant,
     zipf_sweep, SynthOpts, Trace, TraceKey, TraceRecord, TraceVerb, TraceWriter,
 };
 use sling_core::{
-    Admission, HpStore, QueryEngine, QueryWorkspace, ShardedResultCache, SharedEngine, SlingConfig,
-    SlingError, SlingIndex,
+    Admission, IndexStore, QueryEngine, QueryWorkspace, Residency, ShardedResultCache,
+    SharedEngine, SlingConfig, SlingIndex,
 };
 use sling_graph::traversal::double_sweep_diameter;
 use sling_graph::{
@@ -47,14 +45,14 @@ COMMANDS:
   query GRAPH INDEX source U [--top K]    single-source scores / top-k
   join GRAPH INDEX --tau T [--limit L]    all pairs with score >= T
 
-  query and join accept --index-backend {mem,mmap,mmap-compressed,disk}:
-    mem              decode the whole index into memory (default)
-    mmap             zero-copy memory-mapped reads from a SLNGIDX1 file
-    mmap-compressed  block-decoded memory-mapped reads from a SLNGIDX2/3
-                     file (see compact), with a decoded-block cache
-    disk             positioned reads (any format) with an LRU buffer
-                     pool (--buffer-entries N)
-  All backends return identical scores (bit-identical for lossless files).
+  query, join, batch, serve and bench-serve accept --index-backend {mem,mmap}:
+    mem   decode the whole index into memory (default)
+    mmap  map the file and read entries out of the page cache, keeping
+          only O(n) metadata resident; the format is read from the file
+          header (SLNGIDX1 is read in place, SLNGIDX2/3 block by block
+          through a decoded-block cache)
+  Any index format works with either backend, and both return identical
+  scores (bit-identical for lossless files).
   compact INDEX --out FILE [--quantize] [--block-entries N] [--format v2|v3]
                                           convert to a block-compressed format
                                           (SLNGIDX3 by default) with a
@@ -163,8 +161,9 @@ COMMANDS:
   bench-query GRAPH INDEX [--quick] [--out FILE] [--pairs N]
         [--sources N] [--threads T] [--seed S] [--trace]
                                           pinned single-pair / single-source /
-                                          top-k / batch workloads across all
-                                          seven storage backends; writes the
+                                          top-k / batch workloads on mem, mmap
+                                          (v1), and mmap over lossless and
+                                          quantized v3 files; writes the
                                           machine-readable BENCH_query.json
                                           perf baseline (default --out);
                                           --trace appends the per-stage
@@ -335,60 +334,25 @@ fn load_index(graph: &DiGraph, path: &str) -> Result<SlingIndex, String> {
     SlingIndex::from_bytes(graph, &bytes).map_err(|e| e.to_string())
 }
 
-/// Storage backend selected by `--index-backend`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum IndexBackend {
-    Mem,
-    Mmap,
-    MmapCompressed,
-    Disk,
-}
-
-fn parse_backend(args: &Args) -> Result<IndexBackend, String> {
+/// Residency selected by `--index-backend` (`mem` by default).
+fn parse_backend(args: &Args) -> Result<Residency, String> {
     match args.flag("index-backend").unwrap_or("mem") {
-        "mem" => Ok(IndexBackend::Mem),
-        "mmap" => Ok(IndexBackend::Mmap),
-        "mmap-compressed" => Ok(IndexBackend::MmapCompressed),
-        "disk" => Ok(IndexBackend::Disk),
-        other => Err(format!(
-            "unknown --index-backend {other:?} (mem|mmap|mmap-compressed|disk)"
-        )),
+        "mem" => Ok(Residency::Mem),
+        "mmap" => Ok(Residency::Mapped),
+        other => Err(format!("unknown --index-backend {other:?} (mem|mmap)")),
     }
 }
 
-/// Run `f` against a query engine over the selected backend. The three
-/// backends serve the same persisted index and return identical scores;
-/// only the residency profile differs (full decode vs page cache vs
-/// buffer pool).
-fn with_backend<R>(
-    backend: IndexBackend,
+/// Open `index_path` for querying `graph` — every command that serves
+/// queries from an index file goes through here. Both residencies read
+/// every format and return identical scores; only the residency profile
+/// differs (full decode vs page cache).
+fn open_engine(
     graph: &DiGraph,
     index_path: &str,
-    buffer_entries: usize,
-    f: impl Fn(&QueryEngine<'_, &dyn HpStore>) -> Result<R, String>,
-) -> Result<R, String> {
-    match backend {
-        IndexBackend::Mem => {
-            let index = load_index(graph, index_path)?;
-            f(&index.query_engine().erase())
-        }
-        IndexBackend::Mmap => {
-            let engine = QueryEngine::open_mmap(graph, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            f(&engine.erase())
-        }
-        IndexBackend::MmapCompressed => {
-            let engine = QueryEngine::open_mmap_compressed(graph, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            f(&engine.erase())
-        }
-        IndexBackend::Disk => {
-            let store =
-                DiskHpStore::open(graph, index_path).map_err(|e| format!("{index_path}: {e}"))?;
-            let buffered = BufferedDiskStore::new(&store, buffer_entries);
-            f(&buffered.query_engine().erase())
-        }
-    }
+    residency: Residency,
+) -> Result<SharedEngine<IndexStore>, String> {
+    SharedEngine::open(graph, index_path, residency).map_err(|e| format!("{index_path}: {e}"))
 }
 
 fn parse_node(raw: &str, n: usize) -> Result<NodeId, String> {
@@ -406,42 +370,39 @@ pub fn cmd_query(args: &Args) -> Result<String, String> {
     let index_path = args.positional(1, "index")?;
     let mode = args.positional(2, "pair|source")?;
     let backend = parse_backend(args)?;
-    let buffer_entries: usize = args.flag_parse("buffer-entries", 1usize << 20)?;
     let g = load_graph(graph_path)?;
     match mode {
         "pair" => {
             let u = parse_node(args.positional(3, "u")?, g.num_nodes())?;
             let v = parse_node(args.positional(4, "v")?, g.num_nodes())?;
-            with_backend(backend, &g, index_path, buffer_entries, |engine| {
-                let start = std::time::Instant::now();
-                let s = engine.single_pair(&g, u, v).map_err(|e| e.to_string())?;
-                Ok(format!(
-                    "s({}, {}) = {s:.6}   [{:.1?}, {backend:?} backend]",
-                    u.0,
-                    v.0,
-                    start.elapsed()
-                ))
-            })
+            let engine = open_engine(&g, index_path, backend)?;
+            let start = std::time::Instant::now();
+            let s = engine.single_pair(&g, u, v).map_err(|e| e.to_string())?;
+            Ok(format!(
+                "s({}, {}) = {s:.6}   [{:.1?}, {backend:?} backend]",
+                u.0,
+                v.0,
+                start.elapsed()
+            ))
         }
         "source" => {
             let u = parse_node(args.positional(3, "u")?, g.num_nodes())?;
             let k: usize = args.flag_parse("top", 10usize)?;
-            with_backend(backend, &g, index_path, buffer_entries, |engine| {
-                let start = std::time::Instant::now();
-                let top = engine.top_k(&g, u, k).map_err(|e| e.to_string())?;
-                let elapsed = start.elapsed();
-                let mut out = String::new();
-                writeln!(
-                    out,
-                    "top {} similar to node {}   [{:.1?}, {backend:?} backend]",
-                    k, u.0, elapsed
-                )
-                .unwrap();
-                for (v, s) in top {
-                    writeln!(out, "  {:>8}  {s:.6}", v.0).unwrap();
-                }
-                Ok(out)
-            })
+            let engine = open_engine(&g, index_path, backend)?;
+            let start = std::time::Instant::now();
+            let top = engine.top_k(&g, u, k).map_err(|e| e.to_string())?;
+            let elapsed = start.elapsed();
+            let mut out = String::new();
+            writeln!(
+                out,
+                "top {} similar to node {}   [{:.1?}, {backend:?} backend]",
+                k, u.0, elapsed
+            )
+            .unwrap();
+            for (v, s) in top {
+                writeln!(out, "  {:>8}  {s:.6}", v.0).unwrap();
+            }
+            Ok(out)
         }
         other => Err(format!("unknown query mode {other:?} (pair|source)")),
     }
@@ -454,22 +415,21 @@ pub fn cmd_join(args: &Args) -> Result<String, String> {
     let tau: f64 = args.flag_required("tau")?;
     let limit: usize = args.flag_parse("limit", 50usize)?;
     let backend = parse_backend(args)?;
-    let buffer_entries: usize = args.flag_parse("buffer-entries", 1usize << 20)?;
     let g = load_graph(graph_path)?;
-    with_backend(backend, &g, index_path, buffer_entries, |engine| {
-        let pairs = engine
-            .threshold_join(&g, tau, sling_core::join::JoinStrategy::InvertedLists)
-            .map_err(|e| e.to_string())?;
-        let mut out = String::new();
-        writeln!(out, "{} pairs with s >= {tau}", pairs.len()).unwrap();
-        for p in pairs.iter().take(limit) {
-            writeln!(out, "  ({:>6}, {:>6})  {:.6}", p.u.0, p.v.0, p.score).unwrap();
-        }
-        if pairs.len() > limit {
-            writeln!(out, "  ... {} more (raise --limit)", pairs.len() - limit).unwrap();
-        }
-        Ok(out)
-    })
+    let engine = open_engine(&g, index_path, backend)?;
+    let pairs = engine
+        .view()
+        .threshold_join(&g, tau, sling_core::join::JoinStrategy::InvertedLists)
+        .map_err(|e| e.to_string())?;
+    let mut out = String::new();
+    writeln!(out, "{} pairs with s >= {tau}", pairs.len()).unwrap();
+    for p in pairs.iter().take(limit) {
+        writeln!(out, "  ({:>6}, {:>6})  {:.6}", p.u.0, p.v.0, p.score).unwrap();
+    }
+    if pairs.len() > limit {
+        writeln!(out, "  ... {} more (raise --limit)", pairs.len() - limit).unwrap();
+    }
+    Ok(out)
 }
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -619,36 +579,6 @@ pub fn cmd_batch(args: &Args) -> Result<String, String> {
             })
             .collect()
     };
-    match backend {
-        IndexBackend::Mem => {
-            let index = load_index(&g, index_path)?;
-            run_batch(index.into_shared_engine(), &g, &pairs, threads, cache_cap)
-        }
-        IndexBackend::Mmap => {
-            let engine = SharedEngine::open_mmap(&g, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            run_batch(engine, &g, &pairs, threads, cache_cap)
-        }
-        IndexBackend::MmapCompressed => {
-            let engine = SharedEngine::open_mmap_compressed(&g, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            run_batch(engine, &g, &pairs, threads, cache_cap)
-        }
-        IndexBackend::Disk => {
-            let store =
-                DiskHpStore::open(&g, index_path).map_err(|e| format!("{index_path}: {e}"))?;
-            run_batch(store.into_shared_engine(), &g, &pairs, threads, cache_cap)
-        }
-    }
-}
-
-fn run_batch<S: HpStore + Sync>(
-    engine: SharedEngine<S>,
-    g: &DiGraph,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-    cache_cap: usize,
-) -> Result<String, String> {
     // Canonicalize up front so the cached and cacheless paths compute
     // the same (min, max) orientation — SimRank is symmetric, but float
     // merge order is not, and answers must not depend on --cache.
@@ -656,17 +586,17 @@ fn run_batch<S: HpStore + Sync>(
         .iter()
         .map(|&(u, v)| if u.0 <= v.0 { (u, v) } else { (v, u) })
         .collect();
-    let pairs = &pairs[..];
+    let engine = open_engine(&g, index_path, backend)?;
     let start = std::time::Instant::now();
     let (scores, cache_line) = if cache_cap > 0 {
         let cache = ShardedResultCache::with_capacity(cache_cap);
         let scores = engine
-            .batch_single_pair_cached(g, pairs, threads, &cache)
+            .batch_single_pair_cached(&g, &pairs, threads, &cache)
             .map_err(|e| e.to_string())?;
         (scores, format_cache_stats(cache.stats()))
     } else {
         let scores = engine
-            .batch_single_pair(g, pairs, threads)
+            .batch_single_pair(&g, &pairs, threads)
             .map_err(|e| e.to_string())?;
         (scores, "cache: off".to_string())
     };
@@ -802,40 +732,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
             Ok(path) => Some(Arc::new(load_graph(path)?)),
             Err(_) => None,
         };
-        return match backend {
-            IndexBackend::Mem => serve_root(
-                store,
-                fallback,
-                |g, p| SlingIndex::load(g, p).map(SlingIndex::into_shared_engine),
-                listener,
-                config,
-                snapshot,
-            ),
-            IndexBackend::Mmap => serve_root(
-                store,
-                fallback,
-                |g, p| SharedEngine::open_mmap(g, p),
-                listener,
-                config,
-                snapshot,
-            ),
-            IndexBackend::MmapCompressed => serve_root(
-                store,
-                fallback,
-                |g, p| SharedEngine::open_mmap_compressed(g, p),
-                listener,
-                config,
-                snapshot,
-            ),
-            IndexBackend::Disk => serve_root(
-                store,
-                fallback,
-                |g, p| DiskHpStore::open(g, p).map(DiskHpStore::into_shared_engine),
-                listener,
-                config,
-                snapshot,
-            ),
-        };
+        return serve_root(store, fallback, backend, listener, config, snapshot);
     }
     // Pinned single-index serving: there is nothing to watch, so a
     // watch flag here means the operator expected hot reload and must
@@ -850,43 +747,32 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
     let graph_path = args.positional(0, "graph")?;
     let index_path = args.positional(1, "index")?;
     let g = load_graph(graph_path)?;
-    match backend {
-        IndexBackend::Mem => {
-            let index = load_index(&g, index_path)?;
-            serve_and_join(index.into_shared_engine(), g, listener, config, snapshot)
-        }
-        IndexBackend::Mmap => {
-            let engine = SharedEngine::open_mmap(&g, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            serve_and_join(engine, g, listener, config, snapshot)
-        }
-        IndexBackend::MmapCompressed => {
-            let engine = SharedEngine::open_mmap_compressed(&g, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            serve_and_join(engine, g, listener, config, snapshot)
-        }
-        IndexBackend::Disk => {
-            let store =
-                DiskHpStore::open(&g, index_path).map_err(|e| format!("{index_path}: {e}"))?;
-            serve_and_join(store.into_shared_engine(), g, listener, config, snapshot)
-        }
+    let engine = open_engine(&g, index_path, backend)?;
+    let handle = serve(Arc::new(engine), Arc::new(g), listener, config)
+        .map_err(|e| format!("failed to start server: {e}"))?;
+    if let Some(opts) = snapshot {
+        spawn_metrics_snapshot(handle.metrics_registry(), opts);
     }
+    match handle.local_addr() {
+        Some(addr) => println!("sling-server listening on {addr} (send SHUTDOWN to stop)"),
+        None => println!("sling-server listening on unix socket (send SHUTDOWN to stop)"),
+    }
+    let report = handle.join();
+    Ok(format_server_report("server shut down", &report))
 }
 
 /// Serve the promoted generation of a store, hot-swapping on promotion.
-fn serve_root<S, F>(
+/// Every generation is opened with `residency`, whatever its format.
+fn serve_root(
     store: GenerationStore,
     fallback_graph: Option<Arc<DiGraph>>,
-    open: F,
+    residency: Residency,
     listener: Listener,
     config: ServerConfig,
     snapshot: Option<SnapshotOpts>,
-) -> Result<String, String>
-where
-    S: HpStore + Send + Sync + 'static,
-    F: Fn(&DiGraph, &Path) -> Result<SharedEngine<S>, SlingError> + Send + Sync + 'static,
-{
+) -> Result<String, String> {
     let root = store.root().display().to_string();
+    let open = move |g: &DiGraph, p: &Path| SharedEngine::open(g, p, residency);
     let reloadable = ReloadableEngine::watching_store(store, fallback_graph, open)
         .map_err(|e| format!("{root}: {e}"))?;
     let info = reloadable.info();
@@ -912,26 +798,6 @@ where
              (send SHUTDOWN to stop)",
             info.generation
         ),
-    }
-    let report = handle.join();
-    Ok(format_server_report("server shut down", &report))
-}
-
-fn serve_and_join<S: HpStore + Send + Sync + 'static>(
-    engine: SharedEngine<S>,
-    graph: DiGraph,
-    listener: Listener,
-    config: ServerConfig,
-    snapshot: Option<SnapshotOpts>,
-) -> Result<String, String> {
-    let handle = serve(Arc::new(engine), Arc::new(graph), listener, config)
-        .map_err(|e| format!("failed to start server: {e}"))?;
-    if let Some(opts) = snapshot {
-        spawn_metrics_snapshot(handle.metrics_registry(), opts);
-    }
-    match handle.local_addr() {
-        Some(addr) => println!("sling-server listening on {addr} (send SHUTDOWN to stop)"),
-        None => println!("sling-server listening on unix socket (send SHUTDOWN to stop)"),
     }
     let report = handle.join();
     Ok(format_server_report("server shut down", &report))
@@ -1203,8 +1069,8 @@ impl ReplayRun {
 /// through a result cache, at `speed`× recorded pacing (0 = as fast as
 /// possible). Every `spot_every`-th pair answer is recomputed uncached
 /// and must be bit-identical — the replay-correctness check.
-fn replay_records<S: HpStore + Sync>(
-    engine: &SharedEngine<S>,
+fn replay_records(
+    engine: &SharedEngine<IndexStore>,
     g: &DiGraph,
     records: &[TraceRecord],
     cache: Option<&ShardedResultCache>,
@@ -1354,8 +1220,7 @@ pub fn cmd_replay(args: &Args) -> Result<String, String> {
     if n < 2 {
         return Err("replay needs a graph with at least 2 nodes".to_string());
     }
-    let index = load_index(&g, index_path)?;
-    let engine = index.into_shared_engine();
+    let engine = open_engine(&g, index_path, Residency::Mem)?;
 
     if args.switch("suite") {
         return replay_suite(args, &engine, &g);
@@ -1428,9 +1293,9 @@ const REPLAY_SUITE: &[(&str, Admission)] = &[
     ("adversarial_cold_scan", Admission::TinyLfu),
 ];
 
-fn replay_suite<S: HpStore + Sync>(
+fn replay_suite(
     args: &Args,
-    engine: &SharedEngine<S>,
+    engine: &SharedEngine<IndexStore>,
     g: &DiGraph,
 ) -> Result<String, String> {
     let n = g.num_nodes() as u32;
@@ -1587,26 +1452,24 @@ pub fn cmd_bench_serve(args: &Args) -> Result<String, String> {
         return Err(format!("--hot must lie in [0,1], got {}", opts.hot));
     }
     let g = load_graph(graph_path)?;
-    match backend {
-        IndexBackend::Mem => {
-            let index = load_index(&g, index_path)?;
-            bench_serve_entry(Arc::new(index.into_shared_engine()), Arc::new(g), &opts)
-        }
-        IndexBackend::Mmap => {
-            let engine = SharedEngine::open_mmap(&g, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            bench_serve_entry(Arc::new(engine), Arc::new(g), &opts)
-        }
-        IndexBackend::MmapCompressed => {
-            let engine = SharedEngine::open_mmap_compressed(&g, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            bench_serve_entry(Arc::new(engine), Arc::new(g), &opts)
-        }
-        IndexBackend::Disk => {
-            let store =
-                DiskHpStore::open(&g, index_path).map_err(|e| format!("{index_path}: {e}"))?;
-            bench_serve_entry(Arc::new(store.into_shared_engine()), Arc::new(g), &opts)
-        }
+    let engine = Arc::new(open_engine(&g, index_path, backend)?);
+    let graph = Arc::new(g);
+    match &opts.out {
+        None => bench_serve_run(
+            engine,
+            graph,
+            ServeTransport::Tcp,
+            opts.connections,
+            opts.threads,
+            opts.requests,
+            opts.hot,
+            opts.hot_keys,
+            opts.seed,
+            opts.trace,
+            opts.config.clone(),
+        )
+        .map(|(human, _)| human),
+        Some(path) => bench_serve_sweep(engine, graph, &opts, path),
     }
 }
 
@@ -1704,35 +1567,11 @@ fn stats_value(stats: &str, key: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn bench_serve_entry<S: HpStore + Send + Sync + 'static>(
-    engine: Arc<SharedEngine<S>>,
-    graph: Arc<DiGraph>,
-    opts: &ServeBenchOpts,
-) -> Result<String, String> {
-    match &opts.out {
-        None => bench_serve_run(
-            engine,
-            graph,
-            ServeTransport::Tcp,
-            opts.connections,
-            opts.threads,
-            opts.requests,
-            opts.hot,
-            opts.hot_keys,
-            opts.seed,
-            opts.trace,
-            opts.config.clone(),
-        )
-        .map(|(human, _)| human),
-        Some(path) => bench_serve_sweep(engine, graph, opts, path),
-    }
-}
-
 /// The committed-baseline sweep behind `bench-serve --out`: worker
 /// scaling over TCP, then the ≥1k mostly-idle-connection runs the epoll
 /// rewrite exists for, on both transports.
-fn bench_serve_sweep<S: HpStore + Send + Sync + 'static>(
-    engine: Arc<SharedEngine<S>>,
+fn bench_serve_sweep(
+    engine: Arc<SharedEngine<IndexStore>>,
     graph: Arc<DiGraph>,
     opts: &ServeBenchOpts,
     out_path: &str,
@@ -1873,8 +1712,8 @@ fn open_idle_sock(
     }
 }
 
-fn bench_serve_run<S: HpStore + Send + Sync + 'static>(
-    engine: Arc<SharedEngine<S>>,
+fn bench_serve_run(
+    engine: Arc<SharedEngine<IndexStore>>,
     graph: Arc<DiGraph>,
     transport: ServeTransport,
     connections: usize,
@@ -2122,14 +1961,14 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         "query" => cmd_query(&Args::parse(
             rest.iter().cloned(),
             Spec {
-                value_flags: &["top", "index-backend", "buffer-entries"],
+                value_flags: &["top", "index-backend"],
                 switches: &[],
             },
         )?),
         "join" => cmd_join(&Args::parse(
             rest.iter().cloned(),
             Spec {
-                value_flags: &["tau", "limit", "index-backend", "buffer-entries"],
+                value_flags: &["tau", "limit", "index-backend"],
                 switches: &[],
             },
         )?),
@@ -2741,9 +2580,9 @@ fn record(
 /// other backend must reproduce them bit-for-bit before being timed —
 /// a perf number for a kernel that silently diverged is worse than no
 /// number.
-fn bench_one_backend<S: HpStore + Sync>(
+fn bench_one_backend(
     backend: &'static str,
-    engine: &QueryEngine<'_, S>,
+    engine: &QueryEngine<'_, &IndexStore>,
     g: &DiGraph,
     w: &BenchWorkloads,
     spot: &mut Vec<f64>,
@@ -2879,7 +2718,8 @@ fn bench_one_backend<S: HpStore + Sync>(
 }
 
 /// `sling bench-query` — pinned single-pair / single-source / top-k /
-/// batch workloads across all seven storage backends, emitting the
+/// batch workloads on the in-memory and mapped backends (mapped over a
+/// v1, a lossless v3 and a quantized v3 file), emitting the
 /// machine-readable `BENCH_query.json` perf baseline (throughput plus
 /// p50/p99 latency per backend × workload) that CI and later perf PRs
 /// are judged against. `--quick` shrinks the workloads for smoke runs.
@@ -2934,24 +2774,30 @@ pub fn cmd_bench_query(args: &Args) -> Result<String, String> {
         trace,
     };
 
-    // Persist every format generation the seven backends serve, under a
-    // temp dir that is removed on *every* exit path (a failing backend
-    // must not leak index-sized files per invocation).
+    // Persist the v1 and v3 files the four backends serve, under a temp
+    // dir that is removed on *every* exit path (a failing backend must
+    // not leak index-sized files per invocation).
     let dir = std::env::temp_dir().join(format!("sling_bench_query_{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+    let backends: [&'static str; 4] = [
+        "mem",
+        "mmap",
+        "mmap-compressed",
+        "mmap-compressed-quantized",
+    ];
     let run_all = || -> Result<(Vec<BenchRecord>, Vec<TraceRow>), String> {
         let v1 = dir.join("bench.slng");
-        let v2 = dir.join("bench.slng3");
-        let v2q = dir.join("bench.q.slng3");
+        let v3 = dir.join("bench.slng3");
+        let v3q = dir.join("bench.q.slng3");
         index.save(&v1).map_err(|e| e.to_string())?;
-        // Compressed backends serve the current best compressed format
+        // The compressed rows serve the current best compressed format
         // (SLNGIDX3); v2 files go through the identical blocked readers.
         index
-            .save_v3(&v2, &sling_core::CompressOptions::default())
+            .save_v3(&v3, &sling_core::CompressOptions::default())
             .map_err(|e| e.to_string())?;
         index
             .save_v3(
-                &v2q,
+                &v3q,
                 &sling_core::CompressOptions {
                     quantize_values: true,
                     ..Default::default()
@@ -2961,93 +2807,23 @@ pub fn cmd_bench_query(args: &Args) -> Result<String, String> {
         let mut results: Vec<BenchRecord> = Vec::new();
         let mut traces: Vec<TraceRow> = Vec::new();
         let mut spot: Vec<f64> = Vec::new();
-        {
-            let engine = index.query_engine();
+        // Quantized values differ from the lossless spot answers by
+        // design; that row checks internal consistency only.
+        let mut q_spot: Vec<f64> = Vec::new();
+        let files = [
+            (&v1, Residency::Mem),
+            (&v1, Residency::Mapped),
+            (&v3, Residency::Mapped),
+            (&v3q, Residency::Mapped),
+        ];
+        for (backend, (path, residency)) in backends.into_iter().zip(files) {
+            let engine = SharedEngine::open(&g, path, residency).map_err(|e| e.to_string())?;
             bench_one_backend(
-                "mem",
-                &engine,
+                backend,
+                &engine.view(),
                 &g,
                 &workloads,
-                &mut spot,
-                &mut results,
-                &mut traces,
-            )?;
-        }
-        {
-            let engine = QueryEngine::open_mmap(&g, &v1).map_err(|e| e.to_string())?;
-            bench_one_backend(
-                "mmap",
-                &engine,
-                &g,
-                &workloads,
-                &mut spot,
-                &mut results,
-                &mut traces,
-            )?;
-        }
-        {
-            let engine = QueryEngine::open_mmap_compressed(&g, &v2).map_err(|e| e.to_string())?;
-            bench_one_backend(
-                "mmap-compressed",
-                &engine,
-                &g,
-                &workloads,
-                &mut spot,
-                &mut results,
-                &mut traces,
-            )?;
-        }
-        {
-            // Quantized values differ from the lossless spot answers by
-            // design; check internal consistency only.
-            let engine = QueryEngine::open_mmap_compressed(&g, &v2q).map_err(|e| e.to_string())?;
-            let mut q_spot = Vec::new();
-            bench_one_backend(
-                "mmap-compressed-quantized",
-                &engine,
-                &g,
-                &workloads,
-                &mut q_spot,
-                &mut results,
-                &mut traces,
-            )?;
-        }
-        {
-            let store = DiskHpStore::open(&g, &v1).map_err(|e| e.to_string())?;
-            let engine = store.query_engine();
-            bench_one_backend(
-                "disk",
-                &engine,
-                &g,
-                &workloads,
-                &mut spot,
-                &mut results,
-                &mut traces,
-            )?;
-        }
-        {
-            let store = DiskHpStore::open(&g, &v2).map_err(|e| e.to_string())?;
-            let engine = store.query_engine();
-            bench_one_backend(
-                "disk-compressed",
-                &engine,
-                &g,
-                &workloads,
-                &mut spot,
-                &mut results,
-                &mut traces,
-            )?;
-        }
-        {
-            let store = DiskHpStore::open(&g, &v1).map_err(|e| e.to_string())?;
-            let buffered = BufferedDiskStore::new(&store, 1 << 20);
-            let engine = buffered.query_engine();
-            bench_one_backend(
-                "disk-buffered",
-                &engine,
-                &g,
-                &workloads,
-                &mut spot,
+                if path == &v3q { &mut q_spot } else { &mut spot },
                 &mut results,
                 &mut traces,
             )?;
@@ -3066,21 +2842,13 @@ pub fn cmd_bench_query(args: &Args) -> Result<String, String> {
             .map(|r| r.qps())
             .unwrap_or(0.0)
     };
-    let speedups: Vec<(&str, f64)> = [
-        "mem",
-        "mmap",
-        "mmap-compressed",
-        "mmap-compressed-quantized",
-        "disk",
-        "disk-compressed",
-        "disk-buffered",
-    ]
-    .iter()
-    .map(|&b| {
-        let mat = qps_of(b, "single_pair_materialized");
-        (b, qps_of(b, "single_pair_hub") / mat.max(1e-12))
-    })
-    .collect();
+    let speedups: Vec<(&str, f64)> = backends
+        .iter()
+        .map(|&b| {
+            let mat = qps_of(b, "single_pair_materialized");
+            (b, qps_of(b, "single_pair_hub") / mat.max(1e-12))
+        })
+        .collect();
 
     // Machine-readable report: one result object per line.
     let mut json = String::new();
@@ -3304,18 +3072,16 @@ mod tests {
             idx.display()
         ))
         .unwrap();
-        for backend in ["mmap", "disk"] {
-            let got = run_str(&format!(
-                "query {} {} pair 3 77 --index-backend {backend}",
-                g.display(),
-                idx.display()
-            ))
-            .unwrap();
-            assert_eq!(score_of(&mem), score_of(&got), "{backend} diverged");
-            assert!(got.contains("backend"), "{got}");
-        }
+        let got = run_str(&format!(
+            "query {} {} pair 3 77 --index-backend mmap",
+            g.display(),
+            idx.display()
+        ))
+        .unwrap();
+        assert_eq!(score_of(&mem), score_of(&got), "mmap diverged");
+        assert!(got.contains("Mapped backend"), "{got}");
         // Source mode and join run on every backend too.
-        for backend in ["mem", "mmap", "disk"] {
+        for backend in ["mem", "mmap"] {
             let src = run_str(&format!(
                 "query {} {} source 0 --top 3 --index-backend {backend}",
                 g.display(),
@@ -3331,14 +3097,72 @@ mod tests {
             .unwrap();
             assert!(join.contains("pairs with s >= 0.2"), "{join}");
         }
-        // Unknown backend is rejected.
-        assert!(run_str(&format!(
-            "query {} {} pair 0 1 --index-backend floppy",
-            g.display(),
-            idx.display()
+        // Unknown backends are rejected, the retired ones included.
+        for backend in ["floppy", "disk", "mmap-compressed"] {
+            let err = run_str(&format!(
+                "query {} {} pair 0 1 --index-backend {backend}",
+                g.display(),
+                idx.display()
+            ))
+            .unwrap_err();
+            assert!(err.contains("(mem|mmap)"), "{backend}: {err}");
+        }
+    }
+
+    #[test]
+    fn mmap_backend_answers_on_every_format() {
+        let dir = tmpdir("mmap_formats");
+        let g = dir.join("g.bin");
+        let v1 = dir.join("idx.slng");
+        run_str(&format!(
+            "generate --ba 200,3 --seed 12 --out {}",
+            g.display()
         ))
-        .unwrap_err()
-        .contains("index-backend"));
+        .unwrap();
+        run_str(&format!(
+            "build {} --out {} --eps 0.1 --seed 6",
+            g.display(),
+            v1.display()
+        ))
+        .unwrap();
+        let v2 = dir.join("idx.v2.slng");
+        let v3 = dir.join("idx.v3.slng");
+        let v3q = dir.join("idx.v3q.slng");
+        for (out, flags) in [(&v2, "--format v2"), (&v3, ""), (&v3q, "--quantize")] {
+            run_str(&format!(
+                "compact {} --out {} {flags}",
+                v1.display(),
+                out.display()
+            ))
+            .unwrap();
+        }
+        let score_of = |out: &str| out.split("   [").next().unwrap().to_string();
+        let value_of = |out: &str| -> f64 {
+            let score = score_of(out);
+            score.split('=').nth(1).unwrap().trim().parse().unwrap()
+        };
+        let mem = run_str(&format!("query {} {} pair 3 77", g.display(), v1.display())).unwrap();
+        for (path, lossless) in [(&v1, true), (&v2, true), (&v3, true), (&v3q, false)] {
+            let got = run_str(&format!(
+                "query {} {} pair 3 77 --index-backend mmap",
+                g.display(),
+                path.display()
+            ))
+            .unwrap();
+            if lossless {
+                assert_eq!(score_of(&mem), score_of(&got), "{path:?}");
+            } else {
+                let (s, want) = (value_of(&got), value_of(&mem));
+                assert!((s - want).abs() < 1e-6, "{path:?}: {s} vs {want}");
+            }
+            let top = run_str(&format!(
+                "query {} {} source 3 --top 4 --index-backend mmap",
+                g.display(),
+                path.display()
+            ))
+            .unwrap();
+            assert!(top.contains("top 4 similar to node 3"), "{top}");
+        }
     }
 
     #[test]
@@ -3381,51 +3205,27 @@ mod tests {
             .unwrap();
         assert!(ratio < 0.8, "lossless compaction too weak: {ratio}");
 
-        // Scores through the compressed backend match the mem backend
-        // byte for byte in the formatted output.
+        // Scores through the compressed file match the v1 file byte for
+        // byte in the formatted output, mapped or decoded.
         let score_of = |out: &str| out.split("   [").next().unwrap().to_string();
         let mem = run_str(&format!("query {} {} pair 3 77", g.display(), v1.display())).unwrap();
-        let comp = run_str(&format!(
-            "query {} {} pair 3 77 --index-backend mmap-compressed",
-            g.display(),
-            v2.display()
-        ))
-        .unwrap();
-        assert_eq!(score_of(&mem), score_of(&comp));
-        // The disk backend reads v2 blocks transparently; mem decodes v2.
-        for backend in ["mem", "disk"] {
+        for backend in ["mem", "mmap"] {
             let got = run_str(&format!(
                 "query {} {} pair 3 77 --index-backend {backend}",
                 g.display(),
                 v2.display()
             ))
             .unwrap();
-            assert_eq!(score_of(&mem), score_of(&got), "{backend} on v2 diverged");
+            assert_eq!(score_of(&mem), score_of(&got), "{backend} on v3 diverged");
         }
         // Batch over the compressed engine.
         let out = run_str(&format!(
-            "batch {} {} --random 100 --threads 2 --index-backend mmap-compressed",
+            "batch {} {} --random 100 --threads 2 --index-backend mmap",
             g.display(),
             v2.display()
         ))
         .unwrap();
         assert!(out.contains("scored 100 pairs"), "{out}");
-
-        // Wrong pairing of file and backend gives a pointed error.
-        let err = run_str(&format!(
-            "query {} {} pair 0 1 --index-backend mmap-compressed",
-            g.display(),
-            v1.display()
-        ))
-        .unwrap_err();
-        assert!(err.contains("compact"), "{err}");
-        let err = run_str(&format!(
-            "query {} {} pair 0 1 --index-backend mmap",
-            g.display(),
-            v2.display()
-        ))
-        .unwrap_err();
-        assert!(err.contains("mmap-compressed"), "{err}");
 
         // Quantized compact shrinks further and is flagged.
         let vq = dir.join("idx.q.slng2");
@@ -3461,7 +3261,7 @@ mod tests {
         .unwrap();
         assert!(report.contains("SLNGIDX2 index"), "{report}");
         let got = run_str(&format!(
-            "query {} {} pair 3 77 --index-backend mmap-compressed",
+            "query {} {} pair 3 77 --index-backend mmap",
             g.display(),
             v2_old.display()
         ))
@@ -3607,7 +3407,7 @@ mod tests {
             idx.display()
         ))
         .unwrap();
-        for backend in ["mem", "mmap", "disk"] {
+        for backend in ["mem", "mmap"] {
             let out = run_str(&format!(
                 "batch {} {} --random 200 --threads 4 --index-backend {backend}",
                 g.display(),
@@ -3780,19 +3580,16 @@ mod tests {
         ))
         .unwrap();
         // --trace appends the per-workload stage-time table (4 traced
-        // workloads x 7 backends).
+        // workloads x 4 backends).
         assert!(out.contains("kernel stage-time breakdown"), "{out}");
-        assert_eq!(out.matches("single_source").count(), 7 + 7, "{out}");
-        // All seven backends report, and the streaming-vs-materializing
+        assert_eq!(out.matches("single_source").count(), 4 + 4, "{out}");
+        // All four backends report, and the streaming-vs-materializing
         // comparison is part of the summary.
         for backend in [
             "mem",
             "mmap",
             "mmap-compressed",
             "mmap-compressed-quantized",
-            "disk",
-            "disk-compressed",
-            "disk-buffered",
         ] {
             assert!(out.contains(backend), "{backend} missing: {out}");
         }
@@ -3805,9 +3602,9 @@ mod tests {
         );
         assert!(json.contains("\"streaming_speedup_hub\""), "{json}");
         assert!(json.contains("\"p99_us\""), "{json}");
-        // Every backend × workload cell is present: 7 backends × 6
+        // Every backend × workload cell is present: 4 backends × 6
         // workloads.
-        assert_eq!(json.matches("\"qps\":").count(), 42, "{json}");
+        assert_eq!(json.matches("\"qps\":").count(), 24, "{json}");
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! skew-balancing scheme as [`crate::parallel`] — and every output slot
 //! is written by exactly one worker, so results are deterministic and
 //! identical to the serial path. The cores are generic over
-//! [`HpStore`]`: Sync`, so batches run against the in-memory arena, the
-//! mmap backend, or a buffer-pooled disk store alike; a failing store
-//! read aborts the batch with the first error observed.
+//! [`HpStore`]`: Sync`, so batches run against the in-memory arena and
+//! the mapped backends alike; a failing store read aborts the batch
+//! with the first error observed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -1,6 +1,6 @@
 //! Result caching for single-pair queries: a reusable intrusive-list
-//! LRU, a single-threaded memoizing front-end, and a sharded global
-//! cache for concurrent serving.
+//! LRU, frequency-sketch admission, and a sharded global cache for
+//! concurrent serving.
 //!
 //! SimRank workloads in the applications the paper motivates (link
 //! prediction, collaborative filtering, "who to follow") exhibit heavy
@@ -15,10 +15,11 @@
 //! * [`LruList`] *(crate-internal)* — an open-hash map over an intrusive
 //!   doubly-linked LRU list, built on the workspace's [`FxHashMap`]; all
 //!   operations `O(1)` expected, no external LRU crate. It backs every
-//!   LRU in the crate: both cache types below and the
-//!   [`crate::disk_query::BufferedDiskStore`] buffer pool.
-//! * [`CachedQueries`] — the single-threaded memoizing query front-end
-//!   (one owner, `&mut self`), generic over the storage backend.
+//!   LRU in the crate: the result cache below and the decoded-block and
+//!   restore caches in [`crate::store`].
+//! * [`FrequencySketch`] — the count-min sketch behind
+//!   [`Admission::TinyLfu`], which keeps one-touch scans from churning
+//!   the hot entries of an LRU.
 //! * [`ShardedResultCache`] — a `Sync` global result cache: N
 //!   power-of-two shards, each an independently locked [`LruList`], with
 //!   [`AtomicCacheStats`] counters that stay exact under concurrency.
@@ -38,10 +39,8 @@ use parking_lot::Mutex;
 use sling_graph::{DiGraph, FxHashMap, NodeId};
 
 use crate::error::SlingError;
-use crate::hp::HpArena;
-use crate::index::{QueryWorkspace, SlingIndex};
-use crate::single_pair::single_pair_core;
-use crate::store::{EngineRef, HpStore, QueryEngine, SharedEngine};
+use crate::index::QueryWorkspace;
+use crate::store::{HpStore, SharedEngine};
 
 /// Running hit/miss counters (a point-in-time snapshot; see
 /// [`AtomicCacheStats`] for the concurrent accumulator).
@@ -127,9 +126,9 @@ struct Slot<K, V> {
 
 /// Open-hash map over an intrusive doubly-linked LRU list.
 ///
-/// The one LRU implementation in the crate: [`CachedQueries`] and each
-/// [`ShardedResultCache`] shard key it by canonical pair, the
-/// [`crate::disk_query::BufferedDiskStore`] buffer pool keys it by node.
+/// The one LRU implementation in the crate: each [`ShardedResultCache`]
+/// shard keys it by canonical pair, the restore cache by node, and the
+/// decoded-block cache by block.
 /// Slots are recycled through a free list, links are `u32` indices into
 /// one slab — no per-entry allocation, `O(1)` expected `get` / `insert` /
 /// `pop_lru`.
@@ -273,9 +272,8 @@ impl<K: Copy + Eq + Hash, V: Default> LruList<K, V> {
 }
 
 /// Cache admission policy for the LRU-backed caches
-/// ([`ShardedResultCache`], [`crate::store::RestoreCache`], the
-/// [`crate::disk_query::BufferedDiskStore`] buffer pool — all sharing
-/// [`LruList`]).
+/// ([`ShardedResultCache`] and [`crate::store::RestoreCache`], both
+/// built on [`LruList`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Admission {
     /// Plain LRU: every insert is admitted, evicting the tail.
@@ -436,8 +434,8 @@ pub(crate) fn pair_hash(key: (u32, u32)) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hash a node-id key for the frequency sketch (the node-keyed caches:
-/// restore lists, disk buffer pool).
+/// Hash a node-id key for the frequency sketch (the node-keyed restore
+/// cache).
 #[inline]
 pub(crate) fn node_hash(v: u32) -> u64 {
     pair_hash((0, v))
@@ -488,129 +486,17 @@ struct EpochSlot {
     value: f64,
 }
 
-/// A single-pair query front-end that memoizes results in an LRU cache.
-///
-/// Single-owner (`&mut self`); for a cache shared across threads use
-/// [`ShardedResultCache`]. Generic over the storage backend: wrap an
-/// in-memory index with [`CachedQueries::new`], or any [`QueryEngine`]
-/// (mmap, buffered disk) with [`CachedQueries::for_engine`] — result
-/// caching is most valuable exactly when a miss costs disk IO.
-///
-/// ```
-/// use sling_core::cache::CachedQueries;
-/// use sling_core::{SlingConfig, SlingIndex};
-/// use sling_graph::generators::two_cliques_bridge;
-///
-/// let g = two_cliques_bridge(4);
-/// let index = SlingIndex::build(&g, &SlingConfig::from_epsilon(0.6, 0.1)).unwrap();
-/// let mut cache = CachedQueries::new(&index, 1024);
-/// let first = cache.single_pair(&g, 0u32.into(), 1u32.into());
-/// let again = cache.single_pair(&g, 1u32.into(), 0u32.into()); // symmetric hit
-/// assert_eq!(first, again);
-/// assert_eq!(cache.stats().hits, 1);
-/// ```
-pub struct CachedQueries<'i, S: HpStore = HpArena> {
-    engine: EngineRef<'i, S>,
-    capacity: usize,
-    lru: LruList<(u32, u32), f64>,
-    ws: QueryWorkspace,
-    stats: CacheStats,
-}
-
-impl<'i> CachedQueries<'i, HpArena> {
-    /// Cache holding up to `capacity` pair results (capacity ≥ 1) over
-    /// the in-memory index.
-    pub fn new(index: &'i SlingIndex, capacity: usize) -> Self {
-        Self::with_engine_ref(index.engine_ref(), capacity)
-    }
-}
-
-impl<'i, S: HpStore> CachedQueries<'i, S> {
-    /// Cache over any query engine (mmap, disk, buffered).
-    pub fn for_engine<'e>(engine: &'i QueryEngine<'e, S>, capacity: usize) -> Self {
-        Self::with_engine_ref(engine.engine_ref(), capacity)
-    }
-
-    fn with_engine_ref(engine: EngineRef<'i, S>, capacity: usize) -> Self {
-        CachedQueries {
-            engine,
-            capacity: capacity.max(1),
-            lru: LruList::new(),
-            ws: QueryWorkspace::new(),
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Entries currently resident.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
-    }
-
-    /// Drop all cached entries (counters are kept).
-    pub fn clear(&mut self) {
-        self.lru.clear();
-    }
-
-    /// Cached single-pair query. Self-pairs are answered without caching.
-    ///
-    /// # Panics
-    /// Panics if the backing store fails mid-read (impossible for the
-    /// in-memory backend); disk-backed callers who need to handle IO
-    /// errors should use [`CachedQueries::try_single_pair`].
-    pub fn single_pair(&mut self, graph: &DiGraph, u: NodeId, v: NodeId) -> f64 {
-        self.try_single_pair(graph, u, v)
-            .expect("HP store failed during cached query")
-    }
-
-    /// Cached single-pair query, surfacing backend read errors.
-    pub fn try_single_pair(
-        &mut self,
-        graph: &DiGraph,
-        u: NodeId,
-        v: NodeId,
-    ) -> Result<f64, SlingError> {
-        if u == v {
-            return single_pair_core(self.engine, graph, &mut self.ws, u, v);
-        }
-        let key = pair_key(u, v);
-        if let Some(&value) = self.lru.get(&key) {
-            self.stats.hits += 1;
-            return Ok(value);
-        }
-        self.stats.misses += 1;
-        let value = single_pair_core(self.engine, graph, &mut self.ws, u, v)?;
-        if self.lru.len() >= self.capacity {
-            self.lru.pop_lru();
-            self.stats.evictions += 1;
-        }
-        self.lru.insert(key, value);
-        Ok(value)
-    }
-}
-
 /// Sharded global LRU result cache for concurrent serving.
 ///
-/// The single-threaded [`CachedQueries`] front-end cannot back a server:
-/// every worker would serialize on one lock and one workspace. This cache
-/// is pure shared state — `get`/`insert` take `&self` — split into a
-/// power-of-two number of shards, each an independently locked
+/// The cache is pure shared state — `get`/`insert` take `&self` — split
+/// into a power-of-two number of shards, each an independently locked
 /// [`LruList`], so concurrent queries for different keys proceed in
 /// parallel and hot-key traffic contends only on its own shard. Counters
 /// are [`AtomicCacheStats`], exact under concurrency.
 ///
 /// The cache stores canonical symmetric pairs and is backend-agnostic:
-/// any number of threads querying one [`SharedEngine`] (in-memory, mmap,
-/// disk) can share it — see [`SharedEngine::single_pair_cached`] and the
+/// any number of threads querying one [`SharedEngine`] (in-memory or
+/// mapped) can share it — see [`SharedEngine::single_pair_cached`] and the
 /// cached batch path. Since the index is immutable, a racing insert of
 /// the same key writes the same bits; the first insert wins and later
 /// ones are dropped.
@@ -1000,6 +886,8 @@ impl<S: HpStore> SharedEngine<S> {
 mod tests {
     use super::*;
     use crate::config::SlingConfig;
+    use crate::hp::HpArena;
+    use crate::index::SlingIndex;
     use sling_graph::generators::two_cliques_bridge;
 
     const C: f64 = 0.6;
@@ -1008,88 +896,6 @@ mod tests {
         let g = two_cliques_bridge(5);
         let idx = SlingIndex::build(&g, &SlingConfig::from_epsilon(C, 0.05).with_seed(3)).unwrap();
         (g, idx)
-    }
-
-    #[test]
-    fn cached_answers_match_uncached() {
-        let (g, idx) = setup();
-        let mut cache = CachedQueries::new(&idx, 64);
-        for u in g.nodes() {
-            for v in g.nodes() {
-                let want = idx.single_pair(&g, u, v);
-                // The cache canonicalizes the pair order, so a query made
-                // in the other order can differ by float merge order.
-                let got = cache.single_pair(&g, u, v);
-                assert!((got - want).abs() < 1e-12, "{got} vs {want}");
-                // Second read must hit and return the identical value.
-                assert_eq!(cache.single_pair(&g, u, v), got);
-            }
-        }
-        assert!(cache.stats().hits >= cache.stats().misses);
-    }
-
-    #[test]
-    fn symmetric_keys_share_entries() {
-        let (g, idx) = setup();
-        let mut cache = CachedQueries::new(&idx, 8);
-        let a = cache.single_pair(&g, NodeId(1), NodeId(2));
-        let b = cache.single_pair(&g, NodeId(2), NodeId(1));
-        assert_eq!(a, b);
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn lru_evicts_oldest() {
-        let (g, idx) = setup();
-        let mut cache = CachedQueries::new(&idx, 2);
-        cache.single_pair(&g, NodeId(0), NodeId(1)); // miss {0,1}
-        cache.single_pair(&g, NodeId(0), NodeId(2)); // miss {0,2}
-        cache.single_pair(&g, NodeId(0), NodeId(1)); // hit  {0,1} -> MRU
-        cache.single_pair(&g, NodeId(0), NodeId(3)); // miss, evicts {0,2}
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.len(), 2);
-        cache.single_pair(&g, NodeId(0), NodeId(1)); // still resident
-        assert_eq!(cache.stats().hits, 2);
-        cache.single_pair(&g, NodeId(0), NodeId(2)); // was evicted -> miss
-        assert_eq!(cache.stats().misses, 4);
-    }
-
-    #[test]
-    fn capacity_one_works() {
-        let (g, idx) = setup();
-        let mut cache = CachedQueries::new(&idx, 1);
-        for _ in 0..3 {
-            cache.single_pair(&g, NodeId(0), NodeId(1));
-            cache.single_pair(&g, NodeId(2), NodeId(3));
-        }
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().misses, 6, "capacity 1 thrashes");
-        assert_eq!(cache.stats().evictions, 5);
-    }
-
-    #[test]
-    fn self_pairs_bypass_cache() {
-        let (g, idx) = setup();
-        let mut cache = CachedQueries::new(&idx, 4);
-        assert_eq!(cache.single_pair(&g, NodeId(2), NodeId(2)), 1.0);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn clear_resets_entries_not_counters() {
-        let (g, idx) = setup();
-        let mut cache = CachedQueries::new(&idx, 8);
-        cache.single_pair(&g, NodeId(0), NodeId(1));
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 1);
-        // Re-query misses again (entry gone) and re-populates.
-        cache.single_pair(&g, NodeId(0), NodeId(1));
-        assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]

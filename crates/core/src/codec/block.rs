@@ -5,7 +5,7 @@
 //! fixed-size blocks of [`DEFAULT_BLOCK_ENTRIES`] entries (the last may
 //! be short). Each block is self-contained: decoding needs only the
 //! block's bytes and its expected entry count, never a neighbouring
-//! block — which is what lets the mmap and disk backends decode exactly
+//! block — which is what lets the compressed mmap backend decode exactly
 //! the blocks a query touches.
 //!
 //! ## Block layout

@@ -13,12 +13,13 @@
 //! ## Fault points
 //!
 //! The instrumented sites are named like metrics, `layer.operation`
-//! (see [`point`]): `disk.read` (positioned reads in `DiskHpStore`),
-//! `mmap.validate` (the raw-section validation sweep in `MmapHpArena`),
-//! `lifecycle.publish` / `lifecycle.promote` (the rename and `CURRENT`
-//! swap in `GenerationStore`), and `server.accept` / `server.read` /
+//! (see [`point`]; [`point::ALL`] lists them): `mmap.validate` (reading
+//! and validating one entry run in `MmapHpArena`), `lifecycle.publish` /
+//! `lifecycle.promote` (the rename and `CURRENT` swap in
+//! `GenerationStore`), and `server.accept` / `server.read` /
 //! `server.write` (the acceptor and per-connection IO in
-//! `sling-server`).
+//! `sling-server`). A spec naming any other point is rejected, so a
+//! stale schedule cannot install rules that never fire.
 //!
 //! ## Schedule grammar
 //!
@@ -26,7 +27,7 @@
 //! `point:action[:key=value]...`:
 //!
 //! ```text
-//! disk.read:error:every=3:times=10
+//! server.read:error:every=3:times=10
 //! server.write:delay:delay_us=2000:p=0.5:seed=7
 //! mmap.validate:corrupt:after=5:times=3
 //! server.read:short_read:p=0.25:seed=42
@@ -56,9 +57,7 @@ use std::time::Duration;
 /// Canonical fault-point names. Sites pass these to [`check`]; specs
 /// name them on the left of each rule.
 pub mod point {
-    /// Positioned entry/block reads in `DiskHpStore`.
-    pub const DISK_READ: &str = "disk.read";
-    /// Raw-section validation in `MmapHpArena::entries_ref`.
+    /// Reading and validating one entry run in `MmapHpArena`.
     pub const MMAP_VALIDATE: &str = "mmap.validate";
     /// The staging→final rename in `GenerationStore::publish_bytes`.
     pub const LIFECYCLE_PUBLISH: &str = "lifecycle.publish";
@@ -70,6 +69,16 @@ pub mod point {
     pub const SERVER_READ: &str = "server.read";
     /// Per-connection writes in the server event loop.
     pub const SERVER_WRITE: &str = "server.write";
+
+    /// Every instrumented point; a spec may name only these.
+    pub const ALL: [&str; 6] = [
+        MMAP_VALIDATE,
+        LIFECYCLE_PUBLISH,
+        LIFECYCLE_PROMOTE,
+        SERVER_ACCEPT,
+        SERVER_READ,
+        SERVER_WRITE,
+    ];
 }
 
 /// What an armed fault point should do to the operation that hit it.
@@ -81,8 +90,8 @@ pub enum FaultAction {
     ShortRead,
     /// Stall the operation for the given duration before proceeding.
     Delay(Duration),
-    /// Flip a byte in the buffer the site just produced, so the
-    /// validation layer above must detect it.
+    /// Corrupt what the site just produced, so the validation layer
+    /// above must detect it.
     Corrupt,
 }
 
@@ -209,7 +218,9 @@ pub fn injected_error(point: &str) -> io::Error {
 }
 
 /// Parse and install a fault schedule, replacing any previous one.
-/// See the module docs for the grammar. An empty spec disarms.
+/// See the module docs for the grammar. An empty spec disarms; a rule
+/// naming a point outside [`point::ALL`] is an error, and the schedule
+/// in force stays as it was.
 pub fn install_from_spec(spec: &str) -> Result<(), String> {
     let mut parsed = Vec::new();
     for rule_spec in spec.split(';') {
@@ -272,6 +283,12 @@ fn parse_rule(spec: &str) -> Result<Rule, String> {
         .next()
         .filter(|p| !p.is_empty())
         .ok_or_else(|| format!("fault rule {spec:?}: missing point name"))?;
+    if !point::ALL.contains(&point) {
+        return Err(format!(
+            "fault rule {spec:?}: unknown point {point:?} ({})",
+            point::ALL.join("|")
+        ));
+    }
     let action_name = parts
         .next()
         .filter(|a| !a.is_empty())
@@ -337,14 +354,6 @@ fn bad_value(spec: &str, key: &str, value: &str) -> String {
     format!("fault rule {spec:?}: bad value {value:?} for {key}")
 }
 
-/// Flip one byte of `buf` deterministically (position derived from the
-/// buffer length), for [`FaultAction::Corrupt`] sites.
-pub fn corrupt_buffer(buf: &mut [u8]) {
-    if let Some(byte) = buf.len().checked_sub(1).map(|last| last / 2) {
-        buf[byte] ^= 0xA5;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,14 +374,18 @@ mod tests {
     fn disarmed_registry_is_silent() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         clear();
-        assert_eq!(check(point::DISK_READ), None);
+        assert_eq!(check(point::MMAP_VALIDATE), None);
         assert_eq!(check("anything.else"), None);
     }
 
     #[test]
     fn every_selector_fires_on_schedule() {
-        with_spec("disk.read:error:every=3", || {
-            let fired: Vec<bool> = (0..9).map(|_| check(point::DISK_READ).is_some()).collect();
+        // Server points only: nothing else in this crate checks them, so
+        // the store tests running alongside never see these rules fire.
+        with_spec("server.read:error:every=3", || {
+            let fired: Vec<bool> = (0..9)
+                .map(|_| check(point::SERVER_READ).is_some())
+                .collect();
             assert_eq!(
                 fired,
                 [false, false, true, false, false, true, false, false, true]
@@ -382,8 +395,10 @@ mod tests {
 
     #[test]
     fn after_first_and_times_compose() {
-        with_spec("disk.read:error:after=2:first=3:times=2", || {
-            let fired: Vec<bool> = (0..8).map(|_| check(point::DISK_READ).is_some()).collect();
+        with_spec("server.read:error:after=2:first=3:times=2", || {
+            let fired: Vec<bool> = (0..8)
+                .map(|_| check(point::SERVER_READ).is_some())
+                .collect();
             // Hits 1-2 skipped, hits 3-5 eligible but capped at 2 firings.
             assert_eq!(
                 fired,
@@ -411,14 +426,14 @@ mod tests {
     #[test]
     fn actions_parse_and_report() {
         with_spec(
-            "mmap.validate:corrupt; server.write:delay:delay_us=5; disk.read:short_read",
+            "mmap.validate:corrupt; server.write:delay:delay_us=5; server.read:short_read",
             || {
                 assert_eq!(check(point::MMAP_VALIDATE), Some(FaultAction::Corrupt));
                 assert_eq!(
                     check(point::SERVER_WRITE),
                     Some(FaultAction::Delay(Duration::from_micros(5)))
                 );
-                assert_eq!(check(point::DISK_READ), Some(FaultAction::ShortRead));
+                assert_eq!(check(point::SERVER_READ), Some(FaultAction::ShortRead));
                 let stats = snapshot();
                 assert_eq!(stats.len(), 3);
                 assert!(stats.iter().all(|s| s.hits == 1 && s.fired == 1));
@@ -428,17 +443,17 @@ mod tests {
 
     #[test]
     fn check_io_resolves_error_and_short_read() {
-        with_spec("disk.read:error", || {
-            let err = check_io(point::DISK_READ).unwrap_err();
-            assert!(err.to_string().contains("injected fault at disk.read"));
+        with_spec("server.read:error", || {
+            let err = check_io(point::SERVER_READ).unwrap_err();
+            assert!(err.to_string().contains("injected fault at server.read"));
         });
-        with_spec("disk.read:short_read", || {
-            let err = check_io(point::DISK_READ).unwrap_err();
+        with_spec("server.read:short_read", || {
+            let err = check_io(point::SERVER_READ).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         });
-        with_spec("disk.read:corrupt", || {
+        with_spec("server.read:corrupt", || {
             assert_eq!(
-                check_io(point::DISK_READ).unwrap(),
+                check_io(point::SERVER_READ).unwrap(),
                 Some(FaultAction::Corrupt)
             );
         });
@@ -446,9 +461,9 @@ mod tests {
 
     #[test]
     fn injected_total_is_monotone() {
-        with_spec("disk.read:error", || {
+        with_spec("server.read:error", || {
             let before = injected_total();
-            let _ = check(point::DISK_READ);
+            let _ = check(point::SERVER_READ);
             assert!(injected_total() > before);
         });
     }
@@ -457,11 +472,11 @@ mod tests {
     fn bad_specs_are_rejected() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for bad in [
-            "disk.read",
-            "disk.read:explode",
-            "disk.read:error:p=2.0",
-            "disk.read:error:every=x",
-            "disk.read:error:frob=1",
+            "server.read",
+            "server.read:explode",
+            "server.read:error:p=2.0",
+            "server.read:error:every=x",
+            "server.read:error:frob=1",
             ":error",
         ] {
             assert!(install_from_spec(bad).is_err(), "spec {bad:?} accepted");
@@ -470,11 +485,25 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_buffer_flips_one_byte() {
-        let mut buf = vec![0u8; 8];
-        corrupt_buffer(&mut buf);
-        assert_eq!(buf.iter().filter(|&&b| b != 0).count(), 1);
-        let mut empty: Vec<u8> = Vec::new();
-        corrupt_buffer(&mut empty); // must not panic
+    fn unknown_points_are_rejected_with_the_valid_list() {
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        install_from_spec("server.read:delay:delay_us=0").unwrap();
+        // A point no site checks would install a rule that never fires;
+        // the retired positioned-read point is the case that matters.
+        assert!(install_from_spec("disk.read:error").is_err());
+        let err = install_from_spec("mmap.validate:error; disk.read:error").unwrap_err();
+        assert!(err.contains("unknown point \"disk.read\""), "{err}");
+        for p in point::ALL {
+            assert!(err.contains(p), "{err} does not list {p}");
+        }
+        // The failed install left the previous schedule in force.
+        assert_eq!(snapshot().len(), 1);
+        assert_eq!(snapshot()[0].point, point::SERVER_READ);
+        // Every listed point installs (as a zero delay, harmless to the
+        // tests running alongside).
+        for p in point::ALL {
+            install_from_spec(&format!("{p}:delay:delay_us=0")).unwrap();
+        }
+        clear();
     }
 }

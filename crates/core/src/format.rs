@@ -80,10 +80,9 @@
 //! to v2's.
 //!
 //! Each block is independently decodable (given the resident global
-//! dictionary for v3), so the compressed mmap and disk backends
-//! ([`crate::store::CompressedMmapArena`],
-//! [`crate::out_of_core::DiskHpStore`]) decode only the blocks a query's
-//! entry range touches. [`decode_meta`] validates everything **up to**
+//! dictionary for v3), so the compressed mmap backend
+//! ([`crate::store::CompressedMmapArena`]) decodes only the blocks a
+//! query's entry range touches. [`decode_meta`] validates everything **up to**
 //! the entry payload — including the block directory and the v3 global
 //! dictionary — and reports the payload geometry, which is all the
 //! zero-copy backends need; none ever decodes the full payload at open.
@@ -110,10 +109,6 @@ use crate::error::SlingError;
 use crate::hp::HpArena;
 use crate::index::{BuildStats, SlingIndex};
 
-const MAGIC_V1: &[u8; 8] = b"SLNGIDX1";
-const MAGIC_V2: &[u8; 8] = b"SLNGIDX2";
-const MAGIC_V3: &[u8; 8] = b"SLNGIDX3";
-
 /// Bit 0 of the v2 payload flags: values decode bit-identical to the
 /// encoded index.
 const FLAG_VALUES_EXACT: u8 = 1;
@@ -130,27 +125,41 @@ pub enum FormatVersion {
     V3,
 }
 
+impl FormatVersion {
+    /// Every generation, oldest first.
+    pub const ALL: [FormatVersion; 3] = [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3];
+
+    /// The 8-byte magic that opens a file of this generation — the one
+    /// table the header sniffer, the writers, and the lifecycle manifest
+    /// all read, so they cannot disagree on which generations exist.
+    pub fn magic(self) -> &'static [u8; 8] {
+        match self {
+            FormatVersion::V1 => b"SLNGIDX1",
+            FormatVersion::V2 => b"SLNGIDX2",
+            FormatVersion::V3 => b"SLNGIDX3",
+        }
+    }
+
+    /// The generation whose magic is exactly `magic`, if any.
+    pub fn from_magic(magic: &[u8]) -> Option<FormatVersion> {
+        Self::ALL
+            .into_iter()
+            .find(|v| v.magic().as_slice() == magic)
+    }
+}
+
 impl std::fmt::Display for FormatVersion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FormatVersion::V1 => write!(f, "SLNGIDX1"),
-            FormatVersion::V2 => write!(f, "SLNGIDX2"),
-            FormatVersion::V3 => write!(f, "SLNGIDX3"),
-        }
+        f.write_str(&String::from_utf8_lossy(self.magic()))
     }
 }
 
 /// Identify the format generation of an index byte image by its magic.
 pub fn detect_version(bytes: &[u8]) -> Result<FormatVersion, SlingError> {
-    if bytes.len() < 8 {
-        return Err(corrupt("truncated while reading magic"));
-    }
-    match &bytes[..8] {
-        m if m == MAGIC_V1 => Ok(FormatVersion::V1),
-        m if m == MAGIC_V2 => Ok(FormatVersion::V2),
-        m if m == MAGIC_V3 => Ok(FormatVersion::V3),
-        _ => Err(corrupt("bad magic")),
-    }
+    let magic = bytes
+        .get(..8)
+        .ok_or_else(|| corrupt("truncated while reading magic"))?;
+    FormatVersion::from_magic(magic).ok_or_else(|| corrupt("bad magic"))
 }
 
 /// True when any HP value is non-finite or wildly out of the unit range
@@ -755,7 +764,7 @@ impl SlingIndex {
         let n = self.num_nodes;
         let entries = self.hp.total_entries();
         let mut out = Vec::with_capacity(64 + n * 9 + entries * 14 + self.marks.local.len() * 4);
-        self.write_prefix(MAGIC_V1, &mut out);
+        self.write_prefix(FormatVersion::V1.magic(), &mut out);
         for &s in &self.hp.steps {
             out.put_u16_le(s);
         }
@@ -776,7 +785,7 @@ impl SlingIndex {
     pub fn to_bytes_v2(&self, opts: &CompressOptions) -> Vec<u8> {
         let n = self.num_nodes;
         let mut out = Vec::with_capacity(64 + n * 9 + self.marks.local.len() * 4);
-        self.write_prefix(MAGIC_V2, &mut out);
+        self.write_prefix(FormatVersion::V2.magic(), &mut out);
         let payload = encode_payload(
             &self.hp.steps,
             &self.hp.nodes,
@@ -806,7 +815,7 @@ impl SlingIndex {
     pub fn to_bytes_v3(&self, opts: &CompressOptions) -> Vec<u8> {
         let n = self.num_nodes;
         let mut out = Vec::with_capacity(64 + n * 9 + self.marks.local.len() * 4);
-        self.write_prefix(MAGIC_V3, &mut out);
+        self.write_prefix(FormatVersion::V3.magic(), &mut out);
         let payload = encode_payload_v3(
             &self.hp.steps,
             &self.hp.nodes,

@@ -373,7 +373,7 @@ pub(crate) fn resolve_stream_source<'s, S: HpStore>(
 ///
 /// Since the streaming kernels consume backend entries in place, these
 /// buffers are only written on the §5.2/§5.3 restore path and by
-/// backends that must materialize (disk reads, block-straddling runs) —
+/// backends that must materialize (block-straddling runs) —
 /// but one query against a hub node can still grow a buffer to the
 /// largest list in the index. Long-lived workers should call
 /// [`QueryWorkspace::trim_excess`] between requests so hub-sized

@@ -64,7 +64,7 @@
 //!
 //! The crate is layered like a small DBMS. At the bottom sits the
 //! [`store::HpStore`] trait — the read interface to the packed per-node
-//! hitting-probability sets — with four backends serving the *same*
+//! hitting-probability sets — with three backends serving the *same*
 //! persisted index with **identical scores**:
 //!
 //! | backend | residency | open cost | format |
@@ -72,7 +72,15 @@
 //! | [`hp::HpArena`] | full decode in RAM | `O(n/ε)` decode | v1 + v2 + v3 |
 //! | [`store::MmapHpArena`] | page cache, zero-copy | header + offsets only | v1 |
 //! | [`store::CompressedMmapArena`] | page cache + decoded-block cache | header + offsets + directory | v2 + v3 |
-//! | [`out_of_core::DiskHpStore`] (+ [`disk_query::BufferedDiskStore`] LRU pool) | `O(n)` metadata | header + offsets only | v1 + v2 + v3 |
+//!
+//! The two mapped backends are the one out-of-core path (§5.4): only
+//! the `O(n)` metadata is resident, and the OS page cache is the buffer
+//! pool. Callers that pick the backend at run time open every index
+//! through [`store::SharedEngine::open`]: [`store::Residency::Mem`]
+//! decodes any format into an arena, [`store::Residency::Mapped`]
+//! sniffs the header and maps the file with the backend for its
+//! format, and both return an engine over the enum-dispatched
+//! [`store::IndexStore`].
 //!
 //! Persistence is versioned ([`format`]): `SLNGIDX1` stores the entry
 //! payload as raw fixed-width sections (14 bytes/entry, decode-free);
@@ -109,8 +117,8 @@
 //! (after one branch-light validation sweep), a refcounted decoded
 //! block from the compressed backends — and the kernels consume it in
 //! place. An entry list is materialized into a [`QueryWorkspace`]
-//! buffer only when a backend must (positioned v1 disk reads,
-//! block-straddling runs) or when the §5.2/§5.3 restore actually
+//! buffer only when a backend must (block-straddling runs) or when the
+//! §5.2/§5.3 restore actually
 //! rewrites it; the engine's `restore_kind` classification
 //! ([`store::RestoreKind`]) costs two O(1) loads on build-time
 //! artifacts (the reduction bitmap and mark offsets). §5.2-reduced
@@ -140,7 +148,7 @@
 //!   methods are thin wrappers over the same generic core.
 //! * [`store::SharedEngine`] — the owned, `Send + Sync`,
 //!   `Arc`-shareable engine for long-lived processes: open an index once
-//!   (in-memory, mmap, or disk), share it across threads for the process
+//!   (in memory or mapped), share it across threads for the process
 //!   lifetime, and take [`store::SharedEngine::view`] when the full view
 //!   surface is needed. Workers keep per-thread workspaces, so the hot
 //!   path shares only immutable state.
@@ -233,7 +241,6 @@ pub mod cache;
 pub mod codec;
 pub mod config;
 pub mod correction;
-pub mod disk_query;
 pub mod dynamic;
 pub mod enhance;
 pub mod error;
@@ -272,7 +279,8 @@ pub use index::{QueryWorkspace, SlingIndex};
 pub use lifecycle::{GenId, GenerationStore, Manifest};
 pub use obs::{MetricsRegistry, QueryTrace, SlowQueryLog, SlowQueryRecord, StageNanos};
 pub use store::{
-    CompressedMmapArena, EntryAccess, HpStore, MmapHpArena, QueryEngine, RestoreCache, SharedEngine,
+    CompressedMmapArena, EntryAccess, HpStore, IndexStore, MmapHpArena, QueryEngine, Residency,
+    RestoreCache, SharedEngine,
 };
 pub use topk::select_top_k;
 pub use walk::WalkEngine;

@@ -265,7 +265,7 @@ impl GenerationStore {
         Ok(GenId(highest + 1))
     }
 
-    /// Publish a serialized index image (either format generation) as a
+    /// Publish a serialized index image (any format generation) as a
     /// new, un-promoted generation, optionally co-locating a graph
     /// snapshot. The write is crash-safe: everything lands in a
     /// `.partial-` staging directory, is fsynced, and only then renamed
@@ -331,7 +331,7 @@ impl GenerationStore {
     /// Publish an in-memory index (and optionally its graph) as a new
     /// generation. `SLNGIDX1` layout; use
     /// [`GenerationStore::publish_bytes`] with
-    /// [`SlingIndex::to_bytes_v2`] output for a compressed generation.
+    /// [`SlingIndex::to_bytes_v3`] output for a compressed generation.
     pub fn publish_index(
         &self,
         index: &SlingIndex,

@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! SLNGMANIFEST1
-//! format SLNGIDX1
+//! format SLNGIDX1            (the index file's magic: SLNGIDX1, 2 or 3)
 //! nodes 2000
 //! edges 7988
 //! epsilon 0.1
@@ -191,11 +191,10 @@ impl Manifest {
                 .ok_or_else(|| corrupt(format!("malformed line {line:?}")))?;
             let dup = match key {
                 "format" => format
-                    .replace(match value {
-                        "SLNGIDX1" => FormatVersion::V1,
-                        "SLNGIDX2" => FormatVersion::V2,
-                        other => return Err(corrupt(format!("unknown format {other:?}"))),
-                    })
+                    .replace(
+                        FormatVersion::from_magic(value.as_bytes())
+                            .ok_or_else(|| corrupt(format!("unknown format {value:?}")))?,
+                    )
                     .is_some(),
                 "nodes" => nodes.replace(parse_num::<usize>(key, value)?).is_some(),
                 "edges" => edges.replace(parse_num::<usize>(key, value)?).is_some(),
@@ -275,6 +274,24 @@ mod tests {
             let text = m.encode();
             assert_eq!(Manifest::parse(&text).unwrap(), m);
         }
+    }
+
+    #[test]
+    fn round_trips_every_format_generation() {
+        for format in FormatVersion::ALL {
+            let m = Manifest {
+                format,
+                ..sample(true)
+            };
+            let text = m.encode();
+            assert!(text.contains(&format!("format {format}\n")), "{text}");
+            assert_eq!(Manifest::parse(&text).unwrap(), m, "{format}");
+        }
+        // A generation the format table does not know is corruption.
+        let mut forged = String::from("SLNGMANIFEST1\nformat SLNGIDX9\n");
+        forged.push_str(&format!("checksum {:016x}\n", fnv1a(forged.as_bytes())));
+        let err = Manifest::parse(&forged).unwrap_err();
+        assert!(err.to_string().contains("unknown format"), "{err}");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   hotkeys.log        replayable traffic lines for cache warm-up
 //!                      (SLNGTRACE records; legacy "<u> <v>" still parses)
 //!   gen-0001/
-//!     index.slng       the index payload (SLNGIDX1 or SLNGIDX2)
+//!     index.slng       the index payload (SLNGIDX1, SLNGIDX2 or SLNGIDX3)
 //!     graph.bin        optional SLNGGRF1 graph snapshot
 //!     MANIFEST         checksummed text record (see below)
 //!   gen-0002/
@@ -42,7 +42,7 @@
 //!
 //! ```text
 //! SLNGMANIFEST1
-//! format SLNGIDX1 | SLNGIDX2
+//! format SLNGIDX1 | SLNGIDX2 | SLNGIDX3
 //! nodes <n>            edges <m>         — source-graph fingerprint
 //! epsilon <ε>          c <c>   seed <s>  — build configuration
 //! index_bytes <len>    index_fnv1a <hex> — payload digest
@@ -171,6 +171,28 @@ mod tests {
         store.promote(g2).unwrap();
         assert_eq!(store.current().unwrap(), Some(GenId(2)));
         assert!(store.load_graph(g2).unwrap().is_none());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn every_format_generation_publishes_and_promotes() {
+        use crate::codec::CompressOptions;
+        use crate::format::FormatVersion;
+        let g = two_cliques_bridge(5);
+        let idx = SlingIndex::build(&g, &cfg(7)).unwrap();
+        let root = tmp_root("formats");
+        let store = GenerationStore::open(&root).unwrap();
+        let opts = CompressOptions::default();
+        for (format, bytes) in [
+            (FormatVersion::V1, idx.to_bytes()),
+            (FormatVersion::V2, idx.to_bytes_v2(&opts)),
+            (FormatVersion::V3, idx.to_bytes_v3(&opts)),
+        ] {
+            let gen = store.publish_bytes(&bytes, None).unwrap();
+            assert_eq!(store.manifest(gen).unwrap().format, format);
+            store.promote(gen).unwrap();
+            assert_eq!(store.current().unwrap(), Some(gen));
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 

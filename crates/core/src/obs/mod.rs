@@ -38,10 +38,10 @@ pub struct KernelCounters {
     pub restore_cache_hits: AtomicU64,
     /// `RestoreCache` lookups that fell through to recomputation.
     pub restore_cache_misses: AtomicU64,
-    /// Compressed blocks decoded (v2/v3 mmap + disk backends).
+    /// Compressed blocks decoded (the v2/v3 mmap backend).
     pub block_decodes: AtomicU64,
-    /// Bytes fetched from backend storage (block payloads, positioned
-    /// disk reads) on behalf of queries.
+    /// Encoded block bytes decoded from backend storage on behalf of
+    /// queries.
     pub backend_bytes_read: AtomicU64,
     /// Intersect-merges dispatched to the galloping kernel (≥8× skew).
     pub merge_gallop: AtomicU64,
@@ -49,12 +49,6 @@ pub struct KernelCounters {
     pub merge_linear: AtomicU64,
     /// Frontier bitset words swept by Algorithm-6 propagation.
     pub frontier_words: AtomicU64,
-    /// `BufferedDiskStore` pool hits.
-    pub buffered_disk_hits: AtomicU64,
-    /// `BufferedDiskStore` pool misses (positioned read + admit).
-    pub buffered_disk_misses: AtomicU64,
-    /// `BufferedDiskStore` entries evicted to respect the budget.
-    pub buffered_disk_evictions: AtomicU64,
 }
 
 impl KernelCounters {
@@ -67,9 +61,6 @@ impl KernelCounters {
             merge_gallop: AtomicU64::new(0),
             merge_linear: AtomicU64::new(0),
             frontier_words: AtomicU64::new(0),
-            buffered_disk_hits: AtomicU64::new(0),
-            buffered_disk_misses: AtomicU64::new(0),
-            buffered_disk_evictions: AtomicU64::new(0),
         }
     }
 
@@ -203,12 +194,6 @@ pub fn register_process_metrics(reg: &MetricsRegistry) {
             "intersect-merges dispatched to the linear kernel",
         "sling_kernel_frontier_words_total" => frontier_words:
             "frontier bitset words swept by Algorithm-6 propagation",
-        "sling_buffered_disk_hits_total" => buffered_disk_hits:
-            "BufferedDiskStore pool hits",
-        "sling_buffered_disk_misses_total" => buffered_disk_misses:
-            "BufferedDiskStore pool misses",
-        "sling_buffered_disk_evictions_total" => buffered_disk_evictions:
-            "BufferedDiskStore pool evictions",
     });
     register_static_counters!(reg, LIFECYCLE, {
         "sling_lifecycle_publishes_total" => publishes:
@@ -268,7 +253,6 @@ mod tests {
             .is_some());
         let text = reg.render_prometheus();
         assert!(text.contains("sling_kernel_frontier_words_total"));
-        assert!(text.contains("sling_buffered_disk_hits_total"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! stages:
 //!
 //! * `entry_fetch` — resolving backend entry runs ([`EntryAccess`]
-//!   borrows, positioned disk reads, block decodes),
+//!   borrows, block decodes),
 //! * `restore` — the §5.2 recomputation / §5.3 mark expansion
 //!   (including `RestoreCache` resolution),
 //! * `merge` — the Algorithm-3 intersect-merge (linear or galloping),

@@ -1,42 +1,32 @@
-//! §5.4 — out-of-core index construction and disk-resident querying.
+//! §5.4 — out-of-core index construction.
 //!
-//! Construction: Algorithm 2's triples are streamed through the
-//! [`ExternalSorter`] with a
-//! caller-bounded memory buffer, then the globally sorted stream is
+//! Algorithm 2's triples are streamed through the [`ExternalSorter`] with
+//! a caller-bounded memory buffer, then the globally sorted stream is
 //! assembled directly into the packed arena — at no point does the
 //! unsorted triple set reside in memory. Only the `O(n)` correction
 //! factors and the final arena are memory-resident, mirroring the paper's
 //! description (Figure 10 sweeps the buffer size).
 //!
-//! Querying: [`DiskHpStore`] keeps the HP entries in a file and only the
-//! `O(n)` offsets, correction factors, and reduction bitmap in memory.
-//! A single-pair query reads the two `O(1/ε)`-sized entry runs with
-//! positioned reads — the constant-IO regime described in §5.4.
+//! Out-of-core *querying* needs no code of its own: the mapped backends
+//! in [`crate::store`] ([`crate::store::MmapHpArena`],
+//! [`crate::store::CompressedMmapArena`], opened by
+//! [`crate::store::SharedEngine::open`] with
+//! [`crate::store::Residency::Mapped`]) keep only the `O(n)` metadata
+//! resident and read each query's `O(1/ε)` entries out of the page cache.
 
-use std::fs::File;
 use std::io;
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::PathBuf;
 
-use bytes::Buf;
-use sling_graph::{DiGraph, NodeId};
+use sling_graph::DiGraph;
 
-use crate::codec::block::DecodedBlock;
-use crate::codec::CompressOptions;
 use crate::config::SlingConfig;
 use crate::correction::estimate_dk;
 use crate::enhance::MarkArena;
 use crate::error::SlingError;
 use crate::external_sort::ExternalSorter;
-use crate::format::PayloadGeometry;
 use crate::hp::{HpArena, HpEntry};
 use crate::index::{BuildStats, SlingIndex};
 use crate::local_update::reverse_hp_all;
-use crate::obs::{self, KernelCounters};
-use crate::store::{
-    decode_block_validated, push_block_range, BlockScratchCache, HpStore, QueryEngine,
-};
 use crate::walk::{task_rng, WalkEngine};
 
 /// Options for the out-of-core builder.
@@ -162,503 +152,6 @@ pub fn build_out_of_core(
     })
 }
 
-/// Disk-resident HP store over a persisted index file — either the raw
-/// `SLNGIDX1` layout or the block-compressed `SLNGIDX2` one: the entry
-/// payload stays on disk; only the `O(n)` offsets, correction factors,
-/// reduction bitmap, and §5.3 marks are memory-resident.
-///
-/// Implements [`HpStore`], so the whole generic query surface
-/// (Algorithms 3 and 6, top-k, joins, batches) runs against it through
-/// [`DiskHpStore::query_engine`] — for a v1 file each entry-list read
-/// costs three positioned reads (one per payload section); for a v2 file
-/// it costs one positioned read per covering block, decoded through a
-/// small scratch cache, the same constant-IO regime described in §5.4.
-/// Front it with [`crate::disk_query::BufferedDiskStore`] to amortize
-/// repeated reads of whole entry lists.
-pub struct DiskHpStore {
-    file: File,
-    offsets: Vec<u64>,
-    pub(crate) d: Vec<f64>,
-    pub(crate) reduced: Vec<bool>,
-    pub(crate) config: SlingConfig,
-    pub(crate) marks: MarkArena,
-    stats: BuildStats,
-    num_nodes: usize,
-    num_edges: usize,
-    entries: usize,
-    payload: DiskPayload,
-}
-
-/// Where the on-disk entry payload lives and how to read it.
-enum DiskPayload {
-    /// `SLNGIDX1`: three raw fixed-width sections, addressed per entry.
-    Raw {
-        steps_base: u64,
-        nodes_base: u64,
-        values_base: u64,
-    },
-    /// `SLNGIDX2`/`SLNGIDX3`: a resident block directory; whole blocks
-    /// are read with one `pread` each, decoded, and kept in a scratch
-    /// cache. `global_dict` is the resident v3 value dictionary (`None`
-    /// for v2).
-    Blocked {
-        block_entries: usize,
-        blocks_base: u64,
-        block_offsets: Vec<u64>,
-        global_dict: Option<Vec<f64>>,
-        cache: BlockScratchCache,
-    },
-}
-
-impl DiskHpStore {
-    /// Persist `index` to `path` (standard `SLNGIDX1` format) and return
-    /// a store reading from it.
-    pub fn create(index: &SlingIndex, path: impl AsRef<Path>) -> Result<Self, SlingError> {
-        let path = path.as_ref();
-        index.save(path)?;
-        Self::open_file(path)
-    }
-
-    /// Persist `index` to `path` in the block-compressed `SLNGIDX2`
-    /// format and return a store reading v2 blocks from it. With default
-    /// (lossless) options queries answer bit-identically to
-    /// [`DiskHpStore::create`].
-    pub fn create_compressed(
-        index: &SlingIndex,
-        path: impl AsRef<Path>,
-        opts: &CompressOptions,
-    ) -> Result<Self, SlingError> {
-        let path = path.as_ref();
-        index.save_v2(path, opts)?;
-        Self::open_file(path)
-    }
-
-    /// Persist `index` to `path` in the `SLNGIDX3` format (cross-block
-    /// value dictionary, varint block directory) and return a store
-    /// reading v3 blocks from it. With default (lossless) options
-    /// queries answer bit-identically to [`DiskHpStore::create`].
-    pub fn create_compressed_v3(
-        index: &SlingIndex,
-        path: impl AsRef<Path>,
-        opts: &CompressOptions,
-    ) -> Result<Self, SlingError> {
-        let path = path.as_ref();
-        index.save_v3(path, opts)?;
-        Self::open_file(path)
-    }
-
-    /// Open a persisted index file as a disk store, verifying its
-    /// `(n, m)` fingerprint against `graph`. Decodes the `O(n)` metadata
-    /// only — never the entry payload.
-    pub fn open(graph: &DiGraph, path: impl AsRef<Path>) -> Result<Self, SlingError> {
-        let store = Self::open_file(path)?;
-        if store.num_nodes != graph.num_nodes() || store.num_edges != graph.num_edges() {
-            return Err(SlingError::GraphMismatch {
-                expected_nodes: store.num_nodes,
-                found_nodes: graph.num_nodes(),
-            });
-        }
-        Ok(store)
-    }
-
-    fn open_file(path: impl AsRef<Path>) -> Result<Self, SlingError> {
-        let file = File::open(path.as_ref())?;
-        // Parse the metadata prefix through a short-lived mapping; the
-        // store itself keeps only the plain file handle for positioned
-        // reads.
-        let meta = {
-            // SAFETY: mapping dropped before this function returns; reads
-            // during decode are bound-checked against the mapped length.
-            let map = unsafe { memmap2::Mmap::map(&file) }?;
-            crate::format::decode_meta(&map)?
-        };
-        let payload = match meta.payload {
-            PayloadGeometry::Raw {
-                steps_base,
-                nodes_base,
-                values_base,
-            } => DiskPayload::Raw {
-                steps_base: steps_base as u64,
-                nodes_base: nodes_base as u64,
-                values_base: values_base as u64,
-            },
-            PayloadGeometry::Blocked(geo) => DiskPayload::Blocked {
-                block_entries: geo.block_entries,
-                blocks_base: geo.blocks_base as u64,
-                block_offsets: geo.block_offsets,
-                global_dict: geo.global_dict,
-                cache: BlockScratchCache::new(),
-            },
-        };
-        Ok(DiskHpStore {
-            file,
-            offsets: meta.hp_offsets,
-            d: meta.d,
-            reduced: meta.reduced,
-            config: meta.config,
-            marks: meta.marks,
-            stats: meta.stats,
-            num_nodes: meta.num_nodes,
-            num_edges: meta.num_edges,
-            entries: meta.entries,
-            payload,
-        })
-    }
-
-    /// Number of nodes covered.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Build statistics recorded in the index file.
-    pub fn stats(&self) -> BuildStats {
-        self.stats
-    }
-
-    /// Memory-resident bytes (excludes the entry file) — the quantity the
-    /// out-of-core mode is designed to bound.
-    pub fn resident_bytes(&self) -> usize {
-        let payload = match &self.payload {
-            DiskPayload::Raw { .. } => 0,
-            DiskPayload::Blocked {
-                block_entries,
-                block_offsets,
-                global_dict,
-                cache,
-                ..
-            } => {
-                block_offsets.len() * 8
-                    + global_dict.as_ref().map_or(0, |d| d.len() * 8)
-                    + cache.resident_bytes(*block_entries)
-            }
-        };
-        self.offsets.len() * 8
-            + self.d.len() * 8
-            + self.reduced.len()
-            + self.marks.resident_bytes()
-            + payload
-    }
-
-    /// Query engine over this store (single-pair, single-source, top-k,
-    /// joins, batches), sharing the store's metadata by reference.
-    pub fn query_engine(&self) -> QueryEngine<'_, &DiskHpStore> {
-        QueryEngine::from_parts(
-            self,
-            std::borrow::Cow::Borrowed(&self.config),
-            std::borrow::Cow::Borrowed(&self.d),
-            std::borrow::Cow::Borrowed(&self.reduced),
-            std::borrow::Cow::Borrowed(&self.marks),
-            self.stats,
-        )
-    }
-
-    /// Consume the store into an owned, `Arc`-shareable engine (see
-    /// [`crate::store::SharedEngine`]); positioned reads (`pread`) keep
-    /// `&self` queries thread-safe. The query-side metadata is cloned out
-    /// of the store — `O(n)`, the same residency class as the store
-    /// itself.
-    pub fn into_shared_engine(self) -> crate::store::SharedEngine<DiskHpStore> {
-        let (config, d, reduced, marks, stats) = (
-            self.config.clone(),
-            self.d.clone(),
-            self.reduced.clone(),
-            self.marks.clone(),
-            self.stats,
-        );
-        crate::store::SharedEngine::from_owned_parts(self, config, d, reduced, marks, stats)
-    }
-
-    /// Read, decode, validate, and cache block `b` of a v2 payload.
-    fn read_block(&self, b: usize) -> Result<Arc<DecodedBlock>, SlingError> {
-        let DiskPayload::Blocked {
-            block_entries,
-            blocks_base,
-            block_offsets,
-            global_dict,
-            cache,
-        } = &self.payload
-        else {
-            unreachable!("read_block called on a raw payload");
-        };
-        let num_blocks = block_offsets.len() - 1;
-        cache.get_or_decode(b, || {
-            let (lo, hi) = (block_offsets[b], block_offsets[b + 1]);
-            let mut raw = vec![0u8; (hi - lo) as usize];
-            let fault = crate::faults::check_io(crate::faults::point::DISK_READ)?;
-            self.file.read_exact_at(&mut raw, blocks_base + lo)?;
-            if fault == Some(crate::faults::FaultAction::Corrupt) {
-                crate::faults::corrupt_buffer(&mut raw);
-            }
-            decode_block_validated(
-                &raw,
-                b,
-                num_blocks,
-                *block_entries,
-                self.entries,
-                self.num_nodes,
-                global_dict.as_deref(),
-            )
-        })
-    }
-
-    /// Decode one bound-checked entry: three positioned reads (v1) or
-    /// one cached block decode (v2).
-    fn read_entry_at(&self, i: usize) -> Result<HpEntry, SlingError> {
-        if i >= self.entries {
-            return Err(SlingError::CorruptIndex(format!(
-                "disk entry index {i} past the {} stored entries",
-                self.entries
-            )));
-        }
-        let (steps_base, nodes_base, values_base) = match &self.payload {
-            DiskPayload::Blocked { block_entries, .. } => {
-                let b = i / block_entries;
-                let block = self.read_block(b)?;
-                let j = i - b * block_entries;
-                return Ok(HpEntry::new(
-                    block.steps[j],
-                    NodeId(block.nodes[j]),
-                    block.values[j],
-                ));
-            }
-            DiskPayload::Raw {
-                steps_base,
-                nodes_base,
-                values_base,
-            } => (*steps_base, *nodes_base, *values_base),
-        };
-        KernelCounters::bump_by(&obs::KERNEL.backend_bytes_read, 14);
-        let fault = crate::faults::check_io(crate::faults::point::DISK_READ)?;
-        let mut step_raw = [0u8; 2];
-        self.file
-            .read_exact_at(&mut step_raw, steps_base + i as u64 * 2)?;
-        let mut node_raw = [0u8; 4];
-        self.file
-            .read_exact_at(&mut node_raw, nodes_base + i as u64 * 4)?;
-        let mut value_raw = [0u8; 8];
-        self.file
-            .read_exact_at(&mut value_raw, values_base + i as u64 * 8)?;
-        if fault == Some(crate::faults::FaultAction::Corrupt) {
-            crate::faults::corrupt_buffer(&mut value_raw);
-        }
-        let node = u32::from_le_bytes(node_raw);
-        if node as usize >= self.num_nodes {
-            return Err(SlingError::CorruptIndex(format!(
-                "disk entry {i} references node {node} past n = {}",
-                self.num_nodes
-            )));
-        }
-        let value = f64::from_bits(u64::from_le_bytes(value_raw));
-        crate::store::check_value(i, value)?;
-        Ok(HpEntry::new(
-            u16::from_le_bytes(step_raw),
-            NodeId(node),
-            value,
-        ))
-    }
-
-    /// Read `H(v)`: three positioned section reads (v1), or one
-    /// positioned read per covering block (v2).
-    pub(crate) fn read_entries(&self, v: NodeId, out: &mut Vec<HpEntry>) -> Result<(), SlingError> {
-        out.clear();
-        let i = v.index();
-        let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
-        let count = hi - lo;
-        if count == 0 {
-            return Ok(());
-        }
-        let (steps_base, nodes_base, values_base) = match &self.payload {
-            DiskPayload::Blocked { block_entries, .. } => {
-                let be = *block_entries;
-                out.reserve(count);
-                for b in lo / be..=(hi - 1) / be {
-                    let block = self.read_block(b)?;
-                    push_block_range(&block, b, be, &(lo..hi), out);
-                }
-                return Ok(());
-            }
-            DiskPayload::Raw {
-                steps_base,
-                nodes_base,
-                values_base,
-            } => (*steps_base, *nodes_base, *values_base),
-        };
-        KernelCounters::bump_by(&obs::KERNEL.backend_bytes_read, count as u64 * 14);
-        let fault = crate::faults::check_io(crate::faults::point::DISK_READ)?;
-        let mut steps_raw = vec![0u8; count * 2];
-        self.file
-            .read_exact_at(&mut steps_raw, steps_base + lo as u64 * 2)?;
-        let mut nodes_raw = vec![0u8; count * 4];
-        self.file
-            .read_exact_at(&mut nodes_raw, nodes_base + lo as u64 * 4)?;
-        let mut values_raw = vec![0u8; count * 8];
-        self.file
-            .read_exact_at(&mut values_raw, values_base + lo as u64 * 8)?;
-        if fault == Some(crate::faults::FaultAction::Corrupt) {
-            crate::faults::corrupt_buffer(&mut values_raw);
-        }
-        let (mut s, mut nn, mut vv) = (
-            steps_raw.as_slice(),
-            nodes_raw.as_slice(),
-            values_raw.as_slice(),
-        );
-        for j in 0..count {
-            let step = s.get_u16_le();
-            let node = nn.get_u32_le();
-            let value = vv.get_f64_le();
-            if node as usize >= self.num_nodes {
-                return Err(SlingError::CorruptIndex(format!(
-                    "disk entry {} references node {node} past n = {}",
-                    lo + j,
-                    self.num_nodes
-                )));
-            }
-            crate::store::check_value(lo + j, value)?;
-            out.push(HpEntry::new(step, NodeId(node), value));
-        }
-        Ok(())
-    }
-
-    /// Single-pair query against the disk-resident entries (Algorithm 3
-    /// through the generic engine).
-    pub fn single_pair(&self, graph: &DiGraph, u: NodeId, v: NodeId) -> Result<f64, SlingError> {
-        self.query_engine().single_pair(graph, u, v)
-    }
-
-    /// `posix_fadvise(WILLNEED)` the byte ranges holding `H(v)` — the
-    /// three section ranges of a v1 payload, or the encoded bytes of the
-    /// covering v2 blocks — so a cold query's positioned reads hit
-    /// staged pages instead of paying one synchronous disk round-trip
-    /// per `pread`. Advisory only: failures and out-of-range ids are
-    /// ignored, and correctness never depends on it (a no-op off Linux).
-    pub fn prefetch_entries(&self, v: NodeId) {
-        if v.index() >= self.num_nodes {
-            return;
-        }
-        let (lo, hi) = (
-            self.offsets[v.index()] as usize,
-            self.offsets[v.index() + 1] as usize,
-        );
-        if lo >= hi || hi > self.entries {
-            return;
-        }
-        let count = (hi - lo) as u64;
-        match &self.payload {
-            DiskPayload::Raw {
-                steps_base,
-                nodes_base,
-                values_base,
-            } => {
-                for (base, width) in [(*steps_base, 2u64), (*nodes_base, 4), (*values_base, 8)] {
-                    fadvise_willneed(&self.file, base + lo as u64 * width, count * width);
-                }
-            }
-            DiskPayload::Blocked {
-                block_entries,
-                blocks_base,
-                block_offsets,
-                ..
-            } => {
-                let (b0, b1) = (lo / block_entries, (hi - 1) / block_entries);
-                if b1 + 1 >= block_offsets.len() {
-                    return;
-                }
-                let (start, end) = (block_offsets[b0], block_offsets[b1 + 1]);
-                fadvise_willneed(&self.file, blocks_base + start, end - start);
-            }
-        }
-    }
-}
-
-/// Advisory readahead hint for a positioned-read file range (the
-/// `pread` analogue of the mmap backends' `madvise(WILLNEED)`). Errors
-/// are deliberately dropped — the hint is best-effort.
-#[cfg(target_os = "linux")]
-fn fadvise_willneed(file: &File, offset: u64, len: u64) {
-    use std::os::unix::io::AsRawFd;
-    const POSIX_FADV_WILLNEED: i32 = 3;
-    extern "C" {
-        fn posix_fadvise(fd: i32, offset: i64, len: i64, advice: i32) -> i32;
-    }
-    if len == 0 || offset > i64::MAX as u64 || len > i64::MAX as u64 {
-        return;
-    }
-    // SAFETY: plain syscall on a live fd; advisory, no memory is touched.
-    let _ = unsafe {
-        posix_fadvise(
-            file.as_raw_fd(),
-            offset as i64,
-            len as i64,
-            POSIX_FADV_WILLNEED,
-        )
-    };
-}
-
-#[cfg(not(target_os = "linux"))]
-fn fadvise_willneed(_file: &File, _offset: u64, _len: u64) {}
-
-impl HpStore for DiskHpStore {
-    fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    fn total_entries(&self) -> usize {
-        self.entries
-    }
-
-    fn range(&self, v: NodeId) -> std::ops::Range<usize> {
-        let i = v.index();
-        self.offsets[i] as usize..self.offsets[i + 1] as usize
-    }
-
-    fn entries_into(&self, v: NodeId, out: &mut Vec<HpEntry>) -> Result<(), SlingError> {
-        self.read_entries(v, out)
-    }
-
-    fn entry_at(&self, i: usize) -> Result<HpEntry, SlingError> {
-        self.read_entry_at(i)
-    }
-
-    // contains_key: trait default (binary search through entry_at).
-
-    fn resident_bytes(&self) -> usize {
-        DiskHpStore::resident_bytes(self)
-    }
-
-    fn prefetch(&self, v: NodeId) {
-        self.prefetch_entries(v);
-    }
-
-    /// v2 runs covered by one block are served as a refcounted sub-range
-    /// of the cached decoded block (one `pread` on a cold block, zero
-    /// copies on a warm one). v1 payloads and straddling runs
-    /// materialize into `scratch` via positioned reads, as before.
-    fn entries_ref<'s>(
-        &'s self,
-        v: NodeId,
-        scratch: &'s mut Vec<HpEntry>,
-    ) -> Result<crate::store::EntryAccess<'s>, SlingError> {
-        use crate::store::{checked_range, EntryAccess};
-        if let DiskPayload::Blocked { block_entries, .. } = &self.payload {
-            let range = checked_range(self, v)?;
-            if range.is_empty() {
-                return Ok(EntryAccess::Slice(&[]));
-            }
-            let be = *block_entries;
-            let (b0, b1) = (range.start / be, (range.end - 1) / be);
-            if b0 == b1 {
-                let block = self.read_block(b0)?;
-                let (lo, hi) = (range.start - b0 * be, range.end - b0 * be);
-                if hi <= block.steps.len() {
-                    return Ok(EntryAccess::Block { block, lo, hi });
-                }
-            }
-        }
-        self.read_entries(v, scratch)?;
-        Ok(EntryAccess::Slice(scratch))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -705,90 +198,5 @@ mod tests {
         };
         let disk = build_out_of_core(&g, &config, &occ).unwrap();
         assert_eq!(mem.hp, disk.hp);
-    }
-
-    #[test]
-    fn disk_store_answers_like_the_index() {
-        let g = barabasi_albert(150, 2, 9).unwrap();
-        let config = cfg();
-        let idx = SlingIndex::build(&g, &config).unwrap();
-        let dir = tmp("store");
-        let store = DiskHpStore::create(&idx, dir.join("hp.bin")).unwrap();
-        for (u, v) in [(0u32, 1u32), (3, 77), (149, 10), (5, 5)] {
-            let a = idx.single_pair(&g, NodeId(u), NodeId(v));
-            let b = store.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
-            assert!((a - b).abs() < 1e-12, "({u},{v}): memory {a} vs disk {b}");
-        }
-        assert!(store.resident_bytes() < idx.resident_bytes());
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn compressed_disk_store_is_bit_identical_to_raw() {
-        let g = barabasi_albert(150, 2, 9).unwrap();
-        let config = cfg();
-        let idx = SlingIndex::build(&g, &config).unwrap();
-        let dir = tmp("store_v2");
-        let raw = DiskHpStore::create(&idx, dir.join("v1.bin")).unwrap();
-        // Small blocks so entry lists straddle block boundaries.
-        let opts = CompressOptions {
-            block_entries: 32,
-            quantize_values: false,
-        };
-        let v2 = DiskHpStore::create_compressed(&idx, dir.join("v2.bin"), &opts).unwrap();
-        assert!(
-            std::fs::metadata(dir.join("v2.bin")).unwrap().len()
-                < std::fs::metadata(dir.join("v1.bin")).unwrap().len()
-        );
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for v in g.nodes() {
-            raw.read_entries(v, &mut a).unwrap();
-            v2.read_entries(v, &mut b).unwrap();
-            assert_eq!(a, b, "H({v:?}) differs between raw and blocked disk");
-        }
-        for i in (0..raw.total_entries()).step_by(11) {
-            assert_eq!(raw.entry_at(i).unwrap(), v2.entry_at(i).unwrap());
-        }
-        for (u, w) in [(0u32, 1u32), (3, 77), (149, 10), (5, 5)] {
-            assert_eq!(
-                raw.single_pair(&g, NodeId(u), NodeId(w)).unwrap(),
-                v2.single_pair(&g, NodeId(u), NodeId(w)).unwrap(),
-                "({u},{w})"
-            );
-        }
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn compressed_disk_store_surfaces_truncation() {
-        let g = barabasi_albert(120, 3, 2).unwrap();
-        let idx = SlingIndex::build(&g, &cfg()).unwrap();
-        let dir = tmp("trunc_v2");
-        let path = dir.join("v2.bin");
-        let store =
-            DiskHpStore::create_compressed(&idx, &path, &CompressOptions::default()).unwrap();
-        // Chop the payload behind the store's back.
-        let len = std::fs::metadata(&path).unwrap().len();
-        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(len - len / 8).unwrap();
-        let mut failed = false;
-        for v in g.nodes() {
-            if store.single_pair(&g, v, NodeId(0)).is_err() {
-                failed = true;
-            }
-        }
-        assert!(failed, "no query noticed the truncated v2 payload");
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn disk_store_checks_node_range() {
-        let g = two_cliques_bridge(3);
-        let idx = SlingIndex::build(&g, &cfg()).unwrap();
-        let dir = tmp("range");
-        let store = DiskHpStore::create(&idx, dir.join("hp.bin")).unwrap();
-        assert!(store.single_pair(&g, NodeId(0), NodeId(100)).is_err());
-        std::fs::remove_dir_all(dir).ok();
     }
 }

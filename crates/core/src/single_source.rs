@@ -434,7 +434,7 @@ pub(crate) fn single_source_with_cutoff<S: HpStore>(
     };
     ws.query.trace.add_restore(t_restore);
     // Disjoint-field split: the entry run may borrow `query.buf_a`
-    // (restored heads/lists, disk scratch) and `query.stored` (tail
+    // (restored heads/lists, straddling-run scratch) and `query.stored` (tail
     // scratch) while `dense` mutates freely.
     let SingleSourceWorkspace { dense, query } = ws;
     let QueryWorkspace {

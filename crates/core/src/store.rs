@@ -16,9 +16,17 @@
 //!   table but never decodes the entry payload, so open cost is
 //!   independent of index size and queries read entries straight out of
 //!   the page cache;
-//! * [`crate::out_of_core::DiskHpStore`] (optionally fronted by the
-//!   [`crate::disk_query::BufferedDiskStore`] LRU buffer pool) — explicit
-//!   positioned reads with only `O(n)` metadata resident.
+//! * [`CompressedMmapArena`] — the same mapped view over the
+//!   block-compressed `SLNGIDX2`/`SLNGIDX3` files, decoding only the
+//!   blocks a query touches through a small decoded-block cache.
+//!
+//! The two mapped backends are the one out-of-core path: the OS page
+//! cache is the buffer pool, and only the `O(n)` metadata is resident.
+//! [`SharedEngine::open`] is the one opener that picks a backend at run
+//! time: [`Residency::Mem`] decodes any format into an arena, and
+//! [`Residency::Mapped`] sniffs the file header and maps it with the
+//! backend for its format. Either way the result is an engine over the
+//! enum-dispatched [`IndexStore`].
 //!
 //! [`QueryEngine`] bundles a store with the query-side metadata (config,
 //! correction factors, §5.2 reduction bitmap, §5.3 marks) and exposes the
@@ -26,7 +34,7 @@
 //! with identical scores across backends: same entries, same merge order,
 //! same floating-point arithmetic.
 
-use std::borrow::Cow;
+use std::io::Read;
 use std::ops::Range;
 use std::path::Path;
 
@@ -45,7 +53,7 @@ use crate::codec::{decode_block, decode_block_with_dict, expected_block_len};
 use crate::config::SlingConfig;
 use crate::enhance::MarkArena;
 use crate::error::SlingError;
-use crate::format::{decode_meta, BlockedGeometry, PayloadGeometry};
+use crate::format::{decode_meta, BlockedGeometry, FormatVersion, PayloadGeometry};
 use crate::hp::{HpArena, HpEntry};
 use crate::index::{BuildStats, QueryWorkspace, SlingIndex};
 use crate::join::{threshold_join_core, JoinPair, JoinStrategy};
@@ -58,10 +66,10 @@ use crate::topk::{select_top_k, single_source_truncated_core};
 ///
 /// Entry indices are *global*: node `v`'s run occupies `range(v)` of a
 /// conceptual array of `total_entries()` entries sorted by
-/// `(owner, step, node)`. Backends that read from untrusted bytes (mmap,
-/// disk) must bound-check every decoded entry (`node < num_nodes`), so
-/// the fallible methods return [`SlingError`] rather than panicking on a
-/// corrupt or truncated file.
+/// `(owner, step, node)`. Backends that read from untrusted bytes (the
+/// mapped ones) must bound-check every decoded entry
+/// (`node < num_nodes`), so the fallible methods return [`SlingError`]
+/// rather than panicking on a corrupt or truncated file.
 pub trait HpStore {
     /// Number of nodes covered by the store.
     fn num_nodes(&self) -> usize;
@@ -103,8 +111,8 @@ pub trait HpStore {
 
     /// Advise the backend that `H(v)` is about to be read, so out-of-core
     /// backends can stage the entry bytes *before* the scan loop instead
-    /// of paying one major fault (or one positioned read) per payload
-    /// section at decode time. Purely advisory — correctness never
+    /// of paying one major fault per payload section at decode time.
+    /// Purely advisory — correctness never
     /// depends on it — and a no-op for memory-resident backends. Server
     /// workers call this for a query's endpoints before querying.
     fn prefetch(&self, _v: NodeId) {}
@@ -113,7 +121,7 @@ pub trait HpStore {
     /// backend already holds the run in a directly consumable layout.
     ///
     /// `scratch` is a caller-owned buffer the backend *may* materialize
-    /// into (positioned disk reads, runs straddling block boundaries);
+    /// into (runs straddling block boundaries);
     /// backends with resident or mapped storage return a borrowed (or
     /// refcount-shared) [`EntryAccess`] and leave `scratch` untouched.
     /// Every returned view is fully validated (node bounds, value
@@ -146,12 +154,12 @@ pub trait HpStore {
 /// * [`EntryAccess::RawLe`] — raw little-endian section bytes straight
 ///   out of an `SLNGIDX1` mapping ([`MmapHpArena`]); entries are decoded
 ///   on the fly with unaligned loads, after one cheap validation sweep.
-/// * [`EntryAccess::Block`] — one decoded `SLNGIDX2` block covering the
-///   whole run ([`CompressedMmapArena`], v2 [`crate::out_of_core::DiskHpStore`]):
-///   shared by refcount out of the block scratch cache, no per-entry copy.
+/// * [`EntryAccess::Block`] — one decoded `SLNGIDX2`/`SLNGIDX3` block
+///   covering the whole run ([`CompressedMmapArena`]): shared by refcount
+///   out of the block scratch cache, no per-entry copy.
 /// * [`EntryAccess::Slice`] — entries the backend materialized into the
-///   caller's scratch buffer (positioned v1 disk reads, buffer-pool
-///   copies, multi-block runs, and the §5.2/§5.3 restored lists).
+///   caller's scratch buffer (multi-block runs and the §5.2/§5.3
+///   restored lists).
 ///
 /// All variants are sorted by `(step, node)` and pre-validated, so
 /// consumers may index the correction-factor array with the node ids.
@@ -472,10 +480,7 @@ pub(crate) use with_source;
 /// before trusting it: well-ordered and inside the entry array. A store
 /// whose offset table mutates underneath it (a file overwritten after
 /// open) must surface that as an error, not an out-of-bounds access.
-pub(crate) fn checked_range<S: HpStore + ?Sized>(
-    store: &S,
-    v: NodeId,
-) -> Result<Range<usize>, SlingError> {
+fn checked_range<S: HpStore + ?Sized>(store: &S, v: NodeId) -> Result<Range<usize>, SlingError> {
     let range = store.range(v);
     if range.start > range.end || range.end > store.total_entries() {
         return Err(SlingError::CorruptIndex(format!(
@@ -544,7 +549,7 @@ impl HpStore for HpArena {
 /// time; letting a non-finite value through would poison downstream
 /// score sorts (which rightly assume finite scores) with a panic instead
 /// of an error.
-pub(crate) fn check_value(i: usize, value: f64) -> Result<(), SlingError> {
+fn check_value(i: usize, value: f64) -> Result<(), SlingError> {
     if !value.is_finite() || !(0.0..=MAX_PROBABILITY).contains(&value) {
         return Err(SlingError::CorruptIndex(format!(
             "entry {i} holds a non-probability HP value {value}"
@@ -553,7 +558,7 @@ pub(crate) fn check_value(i: usize, value: f64) -> Result<(), SlingError> {
     Ok(())
 }
 
-impl<S: HpStore + ?Sized> HpStore for &S {
+impl<S: HpStore> HpStore for &S {
     fn num_nodes(&self) -> usize {
         (**self).num_nodes()
     }
@@ -592,6 +597,77 @@ impl<S: HpStore + ?Sized> HpStore for &S {
         scratch: &'s mut Vec<HpEntry>,
     ) -> Result<EntryAccess<'s>, SlingError> {
         (**self).entries_ref(v, scratch)
+    }
+}
+
+/// The store of an engine opened by [`SharedEngine::open`]: one of the
+/// three backends, chosen at open time and dispatched once per store
+/// call. Every variant answers bit-identically for a lossless file.
+pub enum IndexStore {
+    /// The decoded in-memory arena ([`Residency::Mem`]).
+    Mem(HpArena),
+    /// A mapped raw `SLNGIDX1` file.
+    Mmap(MmapHpArena),
+    /// A mapped block-compressed `SLNGIDX2`/`SLNGIDX3` file.
+    Compressed(CompressedMmapArena),
+}
+
+/// Run `$body` with `$s` bound to the concrete store of an
+/// [`IndexStore`].
+macro_rules! on_store {
+    ($store:expr, |$s:ident| $body:expr) => {
+        match $store {
+            IndexStore::Mem($s) => $body,
+            IndexStore::Mmap($s) => $body,
+            IndexStore::Compressed($s) => $body,
+        }
+    };
+}
+
+impl HpStore for IndexStore {
+    #[inline]
+    fn num_nodes(&self) -> usize {
+        on_store!(self, |s| HpStore::num_nodes(s))
+    }
+
+    #[inline]
+    fn total_entries(&self) -> usize {
+        on_store!(self, |s| HpStore::total_entries(s))
+    }
+
+    #[inline]
+    fn range(&self, v: NodeId) -> Range<usize> {
+        on_store!(self, |s| HpStore::range(s, v))
+    }
+
+    fn entries_into(&self, v: NodeId, out: &mut Vec<HpEntry>) -> Result<(), SlingError> {
+        on_store!(self, |s| s.entries_into(v, out))
+    }
+
+    fn entry_at(&self, i: usize) -> Result<HpEntry, SlingError> {
+        on_store!(self, |s| s.entry_at(i))
+    }
+
+    fn contains_key(&self, v: NodeId, step: u16, node: NodeId) -> Result<bool, SlingError> {
+        on_store!(self, |s| HpStore::contains_key(s, v, step, node))
+    }
+
+    fn resident_bytes(&self) -> usize {
+        on_store!(self, |s| HpStore::resident_bytes(s))
+    }
+
+    #[inline]
+    fn prefetch(&self, v: NodeId) {
+        on_store!(self, |s| s.prefetch(v))
+    }
+
+    #[inline]
+    fn entries_ref<'s>(
+        &'s self,
+        v: NodeId,
+        scratch: &'s mut Vec<HpEntry>,
+    ) -> Result<EntryAccess<'s>, SlingError> {
+        on_store!(self, |s| s.entries_ref(v, scratch))
     }
 }
 
@@ -723,8 +799,9 @@ impl MmapHpArena {
         } = &meta.payload
         else {
             return Err(SlingError::CorruptIndex(
-                "SLNGIDX2 index: open it with the mmap-compressed backend \
-                 (CompressedMmapArena), or convert with `sling compact`"
+                "block-compressed index: MmapHpArena maps SLNGIDX1 files only; open it \
+                 with CompressedMmapArena, or with SharedEngine::open, which picks the \
+                 backend from the header"
                     .to_string(),
             ));
         };
@@ -741,7 +818,7 @@ impl MmapHpArena {
     }
 
     /// Map and validate `path` without retaining the metadata. Prefer
-    /// [`QueryEngine::open_mmap`], which keeps the correction factors and
+    /// [`SharedEngine::open_mmap`], which keeps the correction factors and
     /// reduction bitmap needed to answer queries.
     pub fn open(path: impl AsRef<Path>) -> Result<MmapHpArena, SlingError> {
         Ok(Self::open_with_meta(path)?.0)
@@ -1008,7 +1085,7 @@ pub(crate) fn validate_raw_le(
 /// [`LruList`] holding a handful of `Arc`-shared decoded blocks.
 /// Everything cached has already been validated (node bounds, value
 /// range), so hits skip re-validation too.
-pub(crate) struct BlockScratchCache {
+struct BlockScratchCache {
     shards: Box<[Mutex<LruList<u64, Arc<DecodedBlock>>>]>,
     per_shard: usize,
 }
@@ -1025,7 +1102,7 @@ impl BlockScratchCache {
     /// thrashing the cache instead of paying a decode per query.
     const PER_SHARD: usize = 8;
 
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         BlockScratchCache {
             shards: (0..Self::SHARDS)
                 .map(|_| Mutex::new(LruList::new()))
@@ -1035,7 +1112,7 @@ impl BlockScratchCache {
     }
 
     /// Cached block `b`, or decode-and-admit through `decode`.
-    pub(crate) fn get_or_decode(
+    fn get_or_decode(
         &self,
         b: usize,
         decode: impl FnOnce() -> Result<DecodedBlock, SlingError>,
@@ -1060,7 +1137,7 @@ impl BlockScratchCache {
 
     /// Estimated heap bytes of the decoded blocks currently cached
     /// (14 bytes per decoded entry across the three columns).
-    pub(crate) fn resident_bytes(&self, block_entries: usize) -> usize {
+    fn resident_bytes(&self, block_entries: usize) -> usize {
         let cached: usize = self.shards.iter().map(|s| s.lock().len()).sum();
         cached * (block_entries * 14 + std::mem::size_of::<DecodedBlock>())
     }
@@ -1208,8 +1285,8 @@ impl RestoreCache {
 
     /// Admit a list restored under generation `epoch`, evicting LRU
     /// lists until it fits the shard's entry budget (an oversized list
-    /// is admitted alone — reuse is node-driven, exactly like the disk
-    /// buffer pool). A stale `epoch` — the engine was invalidated while
+    /// is admitted alone — reuse is node-driven). A stale `epoch` — the
+    /// engine was invalidated while
     /// the restore ran — drops the insert instead of admitting a list
     /// computed against retired state.
     pub(crate) fn insert_tagged(&self, v: NodeId, list: Arc<Vec<HpEntry>>, epoch: u64) {
@@ -1261,11 +1338,8 @@ impl RestoreCache {
 }
 
 /// Decode and fully validate one block's bytes: directory-consistent
-/// entry count, run shapes, node-id bounds, value range. The **single**
-/// validation path shared by the compressed mmap and disk backends —
-/// if it ever forked, the backends' bit-equivalence guarantee could
-/// silently diverge.
-pub(crate) fn decode_block_validated(
+/// entry count, run shapes, node-id bounds, value range.
+fn decode_block_validated(
     raw: &[u8],
     b: usize,
     num_blocks: usize,
@@ -1305,8 +1379,8 @@ pub(crate) fn decode_block_validated(
 }
 
 /// Append the part of global entry range `range` that falls inside
-/// block `b` to `out` (the gather loop both compressed backends share).
-pub(crate) fn push_block_range(
+/// block `b` to `out`.
+fn push_block_range(
     block: &DecodedBlock,
     b: usize,
     block_entries: usize,
@@ -1386,8 +1460,9 @@ impl CompressedMmapArena {
             },
             PayloadGeometry::Raw { .. } => {
                 return Err(SlingError::CorruptIndex(
-                    "SLNGIDX1 index: open it with the plain mmap backend, or convert \
-                     with `sling compact`"
+                    "SLNGIDX1 index: CompressedMmapArena maps block-compressed files only; \
+                     open it with MmapHpArena or SharedEngine::open, or convert it with \
+                     `sling compact`"
                         .to_string(),
                 ))
             }
@@ -1582,29 +1657,30 @@ impl HpStore for CompressedMmapArena {
 
 /// Query front-end generic over the storage backend.
 ///
-/// Owns (or borrows) the store plus the query-side metadata and exposes
-/// the full SLING query surface with `Result`-returning methods — the
-/// disk-backed stores can fail mid-query, so the engine API is fallible
-/// where [`SlingIndex`]'s in-memory convenience API is not. All backends
-/// return **identical** scores for the same persisted index.
+/// Holds a store plus borrowed query-side metadata and exposes the full
+/// SLING query surface with `Result`-returning methods — the file-backed
+/// stores can fail mid-query, so the engine API is fallible where
+/// [`SlingIndex`]'s in-memory convenience API is not. All backends
+/// return **identical** scores for the same persisted index. Obtain one
+/// from [`SlingIndex::query_engine`] or [`SharedEngine::view`].
 pub struct QueryEngine<'a, S: HpStore> {
     store: S,
-    config: Cow<'a, SlingConfig>,
-    d: Cow<'a, [f64]>,
-    reduced: Cow<'a, [bool]>,
-    marks: Cow<'a, MarkArena>,
+    config: &'a SlingConfig,
+    d: &'a [f64],
+    reduced: &'a [bool],
+    marks: &'a MarkArena,
     stats: BuildStats,
     restore: RestoreCache,
 }
 
 impl<'a, S: HpStore> QueryEngine<'a, S> {
-    /// Assemble an engine from parts (used by the backend constructors).
-    pub(crate) fn from_parts(
+    /// Assemble an engine from parts (used by the view constructors).
+    fn from_parts(
         store: S,
-        config: Cow<'a, SlingConfig>,
-        d: Cow<'a, [f64]>,
-        reduced: Cow<'a, [bool]>,
-        marks: Cow<'a, MarkArena>,
+        config: &'a SlingConfig,
+        d: &'a [f64],
+        reduced: &'a [bool],
+        marks: &'a MarkArena,
         stats: BuildStats,
     ) -> Self {
         QueryEngine {
@@ -1621,10 +1697,10 @@ impl<'a, S: HpStore> QueryEngine<'a, S> {
     pub(crate) fn engine_ref(&self) -> EngineRef<'_, S> {
         EngineRef {
             store: &self.store,
-            config: &self.config,
-            d: &self.d,
-            reduced: &self.reduced,
-            marks: &self.marks,
+            config: self.config,
+            d: self.d,
+            reduced: self.reduced,
+            marks: self.marks,
             restore_cache: Some(&self.restore),
         }
     }
@@ -1634,26 +1710,9 @@ impl<'a, S: HpStore> QueryEngine<'a, S> {
         &self.store
     }
 
-    /// Type-erased view of this engine, for callers (like the CLI) that
-    /// pick the backend at runtime.
-    pub fn erase(&self) -> QueryEngine<'_, &dyn HpStore> {
-        QueryEngine {
-            store: &self.store as &dyn HpStore,
-            config: Cow::Borrowed(&self.config),
-            d: Cow::Borrowed(&self.d),
-            reduced: Cow::Borrowed(&self.reduced),
-            marks: Cow::Borrowed(&self.marks),
-            stats: self.stats,
-            // The erased view gets its own memo: the cache is not
-            // `Clone`, and an erased engine is typically the long-lived
-            // handle anyway.
-            restore: RestoreCache::new(),
-        }
-    }
-
     /// The configuration the index was built with.
     pub fn config(&self) -> &SlingConfig {
-        &self.config
+        self.config
     }
 
     /// Build statistics recorded in the index.
@@ -1666,7 +1725,7 @@ impl<'a, S: HpStore> QueryEngine<'a, S> {
         self.reduced.len()
     }
 
-    /// Heap-resident bytes: store + metadata. For the mmap backend this
+    /// Heap-resident bytes: store + metadata. For the mmap backends this
     /// is `O(n)` metadata only — the entry payload stays in the page
     /// cache.
     pub fn resident_bytes(&self) -> usize {
@@ -1848,47 +1907,6 @@ impl<S: HpStore + Sync> QueryEngine<'_, S> {
     }
 }
 
-impl QueryEngine<'static, MmapHpArena> {
-    /// Open a persisted index as a zero-copy mmap engine, verifying it
-    /// matches `graph`. Open cost is header + offset-table validation
-    /// plus the `O(n)` query-side metadata (correction factors, reduction
-    /// bitmap, marks) — the entry payload is never decoded.
-    pub fn open_mmap(
-        graph: &DiGraph,
-        path: impl AsRef<Path>,
-    ) -> Result<QueryEngine<'static, MmapHpArena>, SlingError> {
-        let e = SharedEngine::open_mmap(graph, path)?;
-        Ok(QueryEngine::from_parts(
-            e.store,
-            Cow::Owned(e.config),
-            Cow::Owned(e.d),
-            Cow::Owned(e.reduced),
-            Cow::Owned(e.marks),
-            e.stats,
-        ))
-    }
-}
-
-impl QueryEngine<'static, CompressedMmapArena> {
-    /// Open a block-compressed `SLNGIDX2` index as a mmap engine,
-    /// verifying it matches `graph` (see
-    /// [`SharedEngine::open_mmap_compressed`]).
-    pub fn open_mmap_compressed(
-        graph: &DiGraph,
-        path: impl AsRef<Path>,
-    ) -> Result<QueryEngine<'static, CompressedMmapArena>, SlingError> {
-        let e = SharedEngine::open_mmap_compressed(graph, path)?;
-        Ok(QueryEngine::from_parts(
-            e.store,
-            Cow::Owned(e.config),
-            Cow::Owned(e.d),
-            Cow::Owned(e.reduced),
-            Cow::Owned(e.marks),
-            e.stats,
-        ))
-    }
-}
-
 /// Owned, thread-shareable query engine: a storage backend plus all
 /// query-side metadata held **by value**.
 ///
@@ -1971,6 +1989,50 @@ impl SharedEngine<CompressedMmapArena> {
     }
 }
 
+/// Where [`SharedEngine::open`] keeps an index's entry payload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Residency {
+    /// Decode the whole payload, in any format, into an [`HpArena`].
+    Mem,
+    /// Map the file and read entries out of the page cache: `SLNGIDX1`
+    /// through [`MmapHpArena`], `SLNGIDX2`/`SLNGIDX3` through
+    /// [`CompressedMmapArena`]. Only the `O(n)` metadata is resident.
+    Mapped,
+}
+
+impl SharedEngine<IndexStore> {
+    /// Open a persisted index in any format, verifying it matches
+    /// `graph` — the one opener for callers that choose the residency
+    /// at run time. [`Residency::Mapped`] reads the file's magic and
+    /// maps it with the backend for that format, so no caller pairs a
+    /// file with a backend by hand.
+    pub fn open(
+        graph: &DiGraph,
+        path: impl AsRef<Path>,
+        residency: Residency,
+    ) -> Result<SharedEngine<IndexStore>, SlingError> {
+        let path = path.as_ref();
+        Ok(match residency {
+            Residency::Mem => SlingIndex::load(graph, path)?
+                .into_shared_engine()
+                .map_store(IndexStore::Mem),
+            Residency::Mapped => {
+                let mut magic = Vec::with_capacity(8);
+                std::fs::File::open(path)?.take(8).read_to_end(&mut magic)?;
+                match crate::format::detect_version(&magic)? {
+                    FormatVersion::V1 => {
+                        SharedEngine::open_mmap(graph, path)?.map_store(IndexStore::Mmap)
+                    }
+                    FormatVersion::V2 | FormatVersion::V3 => {
+                        SharedEngine::open_mmap_compressed(graph, path)?
+                            .map_store(IndexStore::Compressed)
+                    }
+                }
+            }
+        })
+    }
+}
+
 impl From<SlingIndex> for SharedEngine<HpArena> {
     /// Consume an in-memory index into an owned engine over its arena.
     fn from(index: SlingIndex) -> Self {
@@ -1987,23 +2049,17 @@ impl From<SlingIndex> for SharedEngine<HpArena> {
 }
 
 impl<S: HpStore> SharedEngine<S> {
-    /// Assemble an engine from parts (used by the backend constructors).
-    pub(crate) fn from_owned_parts(
-        store: S,
-        config: SlingConfig,
-        d: Vec<f64>,
-        reduced: Vec<bool>,
-        marks: MarkArena,
-        stats: BuildStats,
-    ) -> Self {
+    /// The same engine over `wrap(store)`: metadata and restore cache
+    /// move across unchanged.
+    fn map_store<T: HpStore>(self, wrap: impl FnOnce(S) -> T) -> SharedEngine<T> {
         SharedEngine {
-            store,
-            config,
-            d,
-            reduced,
-            marks,
-            stats,
-            restore: RestoreCache::new(),
+            store: wrap(self.store),
+            config: self.config,
+            d: self.d,
+            reduced: self.reduced,
+            marks: self.marks,
+            stats: self.stats,
+            restore: self.restore,
         }
     }
 
@@ -2019,14 +2075,14 @@ impl<S: HpStore> SharedEngine<S> {
     }
 
     /// Borrowed [`QueryEngine`] view exposing the full query surface
-    /// (joins, truncated single-source, batches, type erasure, ...).
+    /// (joins, truncated single-source, batches, ...).
     pub fn view(&self) -> QueryEngine<'_, &S> {
         QueryEngine::from_parts(
             &self.store,
-            Cow::Borrowed(&self.config),
-            Cow::Borrowed(&self.d[..]),
-            Cow::Borrowed(&self.reduced[..]),
-            Cow::Borrowed(&self.marks),
+            &self.config,
+            &self.d,
+            &self.reduced,
+            &self.marks,
             self.stats,
         )
     }
@@ -2183,10 +2239,10 @@ impl SlingIndex {
     pub fn query_engine(&self) -> QueryEngine<'_, &HpArena> {
         QueryEngine::from_parts(
             &self.hp,
-            Cow::Borrowed(&self.config),
-            Cow::Borrowed(&self.d),
-            Cow::Borrowed(&self.reduced),
-            Cow::Borrowed(&self.marks),
+            &self.config,
+            &self.d,
+            &self.reduced,
+            &self.marks,
             self.stats,
         )
     }
@@ -2265,7 +2321,7 @@ mod tests {
             SlingIndex::from_bytes(&g, &bytes),
             Err(SlingError::CorruptIndex(_))
         ));
-        let engine = QueryEngine::open_mmap(&g, &path).unwrap();
+        let engine = SharedEngine::open_mmap(&g, &path).unwrap();
         // And the handle holds O(n) metadata, not the O(n/eps) payload.
         assert!(engine.resident_bytes() < idx.resident_bytes());
         assert!(
@@ -2302,7 +2358,7 @@ mod tests {
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
         let path = tmp("exact");
         idx.save(&path).unwrap();
-        let engine = QueryEngine::open_mmap(&g, &path).unwrap();
+        let engine = SharedEngine::open_mmap(&g, &path).unwrap();
         for u in [NodeId(0), NodeId(17), NodeId(149)] {
             assert_eq!(
                 engine.single_source(&g, u).unwrap(),
@@ -2335,10 +2391,6 @@ mod tests {
         let path = tmp("wronggraph");
         idx.save(&path).unwrap();
         let other = two_cliques_bridge(5);
-        assert!(matches!(
-            QueryEngine::open_mmap(&other, &path),
-            Err(SlingError::GraphMismatch { .. })
-        ));
         assert!(matches!(
             SharedEngine::open_mmap(&other, &path),
             Err(SlingError::GraphMismatch { .. })
@@ -2487,7 +2539,7 @@ mod tests {
         let Err(err) = MmapHpArena::open(&v2_path) else {
             panic!("plain mmap opened a v2 file");
         };
-        assert!(err.to_string().contains("mmap-compressed"), "{err}");
+        assert!(err.to_string().contains("CompressedMmapArena"), "{err}");
         // Compressed arena on a v1 file: structured error too.
         let Err(err) = CompressedMmapArena::open(&v1_path) else {
             panic!("compressed arena opened a v1 file");
@@ -2771,19 +2823,36 @@ mod tests {
     }
 
     #[test]
-    fn disk_store_shared_engine_agrees() {
-        let g = two_cliques_bridge(5);
+    fn open_keeps_mapped_files_out_of_memory_and_rejects_bad_input() {
+        let g = barabasi_albert(120, 3, 8).unwrap();
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
-        let path = tmp("diskshared");
-        idx.save(&path).unwrap();
-        let store = crate::out_of_core::DiskHpStore::open(&g, &path).unwrap();
-        let engine = store.into_shared_engine();
-        for u in g.nodes() {
-            assert_eq!(
-                engine.single_source(&g, u).unwrap(),
-                idx.single_source(&g, u)
-            );
+        let (v1, v3) = (tmp("open_v1"), tmp("open_v3"));
+        idx.save(&v1).unwrap();
+        idx.save_v3(&v3, &crate::codec::CompressOptions::default())
+            .unwrap();
+        for path in [&v1, &v3] {
+            let mapped = SharedEngine::open(&g, path, Residency::Mapped).unwrap();
+            let mem = SharedEngine::open(&g, path, Residency::Mem).unwrap();
+            assert!(mapped.resident_bytes() < mem.resident_bytes(), "{path:?}");
         }
-        std::fs::remove_file(&path).ok();
+        // Wrong graph, a short file, and an unknown magic are errors.
+        let other = two_cliques_bridge(5);
+        for residency in [Residency::Mem, Residency::Mapped] {
+            assert!(matches!(
+                SharedEngine::open(&other, &v3, residency),
+                Err(SlingError::GraphMismatch { .. })
+            ));
+        }
+        let junk = tmp("open_junk");
+        for bytes in [&b"SLNG"[..], b"SLNGIDX9 and then some"] {
+            std::fs::write(&junk, bytes).unwrap();
+            assert!(matches!(
+                SharedEngine::open(&g, &junk, Residency::Mapped),
+                Err(SlingError::CorruptIndex(_))
+            ));
+        }
+        for p in [&v1, &v3, &junk] {
+            std::fs::remove_file(p).ok();
+        }
     }
 }

@@ -8,9 +8,10 @@
 //! ## Architecture
 //!
 //! * **One engine, many event loops.** The server holds an
-//!   `Arc<SharedEngine<S>>` — typically over
-//!   [`sling_core::MmapHpArena`], so the entry payload lives in the page
-//!   cache — and spawns a *thread-per-core* worker pool. Each worker owns
+//!   `Arc<SharedEngine<S>>` — typically one opened by
+//!   [`sling_core::SharedEngine::open`] with
+//!   [`sling_core::Residency::Mapped`], so the entry payload lives in the
+//!   page cache — and spawns a *thread-per-core* worker pool. Each worker owns
 //!   one epoll instance (via the vendored `polling` stub: oneshot
 //!   `epoll_ctl` interest plus a level-triggered eventfd waker) and its
 //!   [`sling_core::QueryWorkspace`] /
@@ -109,8 +110,7 @@
 //! * **Kernel stages** — per-query breakdowns recorded by the traced
 //!   worker workspaces into `sling_query_stage_{entry_fetch,restore,
 //!   merge,propagate}_ns` histograms, alongside the process-wide kernel
-//!   counters (`sling_kernel_*_total`, `sling_buffered_disk_*_total`)
-//!   from [`sling_core::obs::KERNEL`].
+//!   counters (`sling_kernel_*_total`) from [`sling_core::obs::KERNEL`].
 //! * **Lifecycle** — `sling_lifecycle_*_total` (publish / promote / GC /
 //!   warm-up) and the swap-slot family (`sling_index_epoch`,
 //!   `sling_index_swaps_total`, `sling_index_reload_failures_total`), so
@@ -175,9 +175,10 @@
 //! The server's IO edges (`server.accept`, `server.read`,
 //! `server.write`) are instrumented with
 //! [`sling_core::faults`] checkpoints, alongside the storage-layer
-//! points (`disk.read`, `mmap.validate`, `lifecycle.publish`,
-//! `lifecycle.promote`). A deterministic fault schedule (`SLING_FAULTS`
-//! or `sling serve --faults`) drives the chaos suite in
+//! points (`mmap.validate`, `lifecycle.publish`, `lifecycle.promote`);
+//! [`sling_core::faults::point::ALL`] lists them all, and a schedule
+//! naming any other point is refused. A deterministic fault schedule
+//! (`SLING_FAULTS` or `sling serve --faults`) drives the chaos suite in
 //! `tests/chaos.rs`; with no schedule installed every checkpoint is a
 //! single relaxed atomic load. Runtime `CorruptIndex` / IO errors
 //! observed while serving count against the live generation; at

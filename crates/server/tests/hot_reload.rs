@@ -9,7 +9,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sling_core::lifecycle::GenerationStore;
-use sling_core::{SharedEngine, SlingConfig, SlingError, SlingIndex};
+use sling_core::{
+    CompressOptions, FormatVersion, Residency, SharedEngine, SlingConfig, SlingError, SlingIndex,
+};
 use sling_graph::generators::barabasi_albert;
 use sling_graph::{DiGraph, NodeId};
 use sling_server::{
@@ -253,6 +255,81 @@ fn watcher_swaps_without_an_explicit_reload() {
         stats.contains(&format!("index_generation={}", gen2.dir_name())),
         "{stats}"
     );
+    client.shutdown().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Generations of different formats behind one mapped server: gen-0001
+/// is a raw `SLNGIDX1` file, gen-0002 a lossless `SLNGIDX3` one. The
+/// opener sniffs each header, so the swap lands on the compressed
+/// backend and every answer afterwards is gen-0002's exact bits.
+#[test]
+fn mapped_server_swaps_from_a_v1_to_a_v3_generation() {
+    let g = fixture();
+    let n = g.num_nodes() as u32;
+    let idx_a = build(&g, 7);
+    let idx_b = build(&g, 8);
+    let root = tmp_root("mixed_formats");
+    let store = GenerationStore::open(&root).unwrap();
+    store
+        .promote(store.publish_index(&idx_a, Some(&g)).unwrap())
+        .unwrap();
+    let mapped_opener = |g: &DiGraph, p: &Path| SharedEngine::open(g, p, Residency::Mapped);
+    let reloadable = ReloadableEngine::watching_store(store.clone(), None, mapped_opener).unwrap();
+    let handle = serve_reloadable(
+        Arc::new(reloadable),
+        Listener::bind_tcp("127.0.0.1:0").unwrap(),
+        ServerConfig {
+            workers: 2,
+            cache_capacity: 256,
+            cache_shards: 4,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect_tcp(handle.local_addr().unwrap()).unwrap();
+    // Canonical (min, max) pairs: the server computes in that order.
+    let pairs: Vec<(u32, u32)> = (0..40u32)
+        .map(|i| (i % n, (i * 7 + 1) % n))
+        .map(|(u, v)| (u.min(v), u.max(v)))
+        .collect();
+    for &(u, v) in &pairs {
+        let want = idx_a.single_pair(&g, NodeId(u), NodeId(v));
+        assert_eq!(client.pair(u, v).unwrap().to_bits(), want.to_bits());
+    }
+
+    let v3 = idx_b.to_bytes_v3(&CompressOptions::default());
+    let gen2 = store
+        .publish_bytes(&v3, Some(&sling_graph::binfmt::to_bytes(&g)))
+        .unwrap();
+    assert_eq!(store.manifest(gen2).unwrap().format, FormatVersion::V3);
+    store.promote(gen2).unwrap();
+    let (serving, swapped) = client.reload().unwrap();
+    assert!(swapped, "promotion of the v3 generation did not swap");
+    assert_eq!(serving, gen2.dir_name());
+
+    for &(u, v) in &pairs {
+        let want = idx_b.single_pair(&g, NodeId(u), NodeId(v));
+        let got = client.pair(u, v).unwrap();
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "pair ({u},{v}) after the swap"
+        );
+    }
+    let got: Vec<(u32, u64)> = client
+        .top_k(3, 5)
+        .unwrap()
+        .into_iter()
+        .map(|(v, s)| (v, s.to_bits()))
+        .collect();
+    let want: Vec<(u32, u64)> = idx_b
+        .top_k_heap(&g, NodeId(3), 5)
+        .into_iter()
+        .map(|(v, s)| (v.0, s.to_bits()))
+        .collect();
+    assert_eq!(got, want);
     client.shutdown().unwrap();
     handle.join();
     std::fs::remove_dir_all(&root).ok();

@@ -1,12 +1,12 @@
 //! §5.4 in action: parallel construction, out-of-core construction with
-//! a bounded sort buffer, index persistence, and disk-resident querying.
+//! a bounded sort buffer, index persistence, and out-of-core querying.
 //!
 //! ```sh
 //! cargo run --release --example parallel_out_of_core
 //! ```
 
-use sling_simrank::core::out_of_core::{build_out_of_core, DiskHpStore, OutOfCoreConfig};
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::out_of_core::{build_out_of_core, OutOfCoreConfig};
+use sling_simrank::core::{Residency, SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::generators::rmat;
 use sling_simrank::graph::generators::RmatConfig;
 use sling_simrank::graph::NodeId;
@@ -59,17 +59,16 @@ fn main() {
         std::fs::metadata(&idx_path).map(|m| m.len()).unwrap_or(0)
     );
 
-    // 4. Disk-resident querying: only O(n) stays in memory.
-    let hp_path = std::env::temp_dir().join("sling_example_hp.bin");
-    let store = DiskHpStore::create(&serial, &hp_path).expect("store");
+    // 4. Out-of-core querying: map the file; only O(n) stays in memory
+    // and each query reads its O(1/eps) entries from the page cache.
+    let mapped = SharedEngine::open(&graph, &idx_path, Residency::Mapped).expect("map");
     let mem = serial.single_pair(&graph, u, v);
-    let disk = store.single_pair(&graph, u, v).expect("disk query");
+    let disk = mapped.single_pair(&graph, u, v).expect("mapped query");
     println!(
-        "disk store: {} resident bytes vs {} in-memory; s({u},{v}) = {disk:.5} (memory {mem:.5})",
-        store.resident_bytes(),
+        "mapped engine: {} resident bytes vs {} in-memory; s({u},{v}) = {disk:.5} (memory {mem:.5})",
+        mapped.resident_bytes(),
         serial.resident_bytes()
     );
-    assert!((mem - disk).abs() < 1e-12);
+    assert_eq!(mem.to_bits(), disk.to_bits());
     std::fs::remove_file(idx_path).ok();
-    std::fs::remove_file(hp_path).ok();
 }

@@ -1,8 +1,9 @@
 //! Cross-backend equivalence: every query API must return identical
-//! scores whether the index is served from memory, from a zero-copy mmap,
-//! or from the buffered disk store — including with §5.2 space reduction
-//! and §5.3 accuracy enhancement enabled. Plus hardening properties for
-//! the mmap path: metadata-only open, and no panic on mutated bytes.
+//! scores whether the index is served from memory or mapped from a
+//! `SLNGIDX1`, `SLNGIDX2` or `SLNGIDX3` file — including with §5.2 space
+//! reduction and §5.3 accuracy enhancement enabled. Plus hardening
+//! properties for the mmap path: metadata-only open, and no panic on
+//! mutated bytes.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,13 +11,12 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use sling_simrank::core::codec::CompressOptions;
-use sling_simrank::core::disk_query::BufferedDiskStore;
 use sling_simrank::core::join::JoinStrategy;
-use sling_simrank::core::out_of_core::DiskHpStore;
 use sling_simrank::core::single_source::SingleSourceWorkspace;
 use sling_simrank::core::topk::select_top_k;
 use sling_simrank::core::{
-    HpStore, QueryEngine, QueryWorkspace, SlingConfig, SlingError, SlingIndex,
+    FormatVersion, HpStore, IndexStore, QueryEngine, QueryWorkspace, Residency, SharedEngine,
+    SlingConfig, SlingError, SlingIndex,
 };
 use sling_simrank::graph::generators::{barabasi_albert, erdos_renyi_directed, star_graph};
 use sling_simrank::graph::{DiGraph, NodeId};
@@ -114,12 +114,12 @@ proptest! {
     })]
 
     /// Single-pair, single-source, top-k, join, and batch answers agree
-    /// across mem / mmap / disk / buffered-disk — plus the lossless
-    /// compressed-mmap and compressed-disk backends serving `SLNGIDX2`
-    /// and `SLNGIDX3` conversions of the same index — to 1e-12 (in
-    /// fact: bit for bit) on random graphs, across the §5.2/§5.3
-    /// feature matrix (which also pins the two-segment streaming
-    /// restore against the materializing reference, warm and cold).
+    /// bit for bit between the in-memory index and every engine the one
+    /// opener returns — mapped `SLNGIDX1`, lossless `SLNGIDX2` and
+    /// `SLNGIDX3` conversions of the same index, and the v3 file decoded
+    /// into memory — on random graphs, across the §5.2/§5.3 feature
+    /// matrix (which also pins the two-segment streaming restore against
+    /// the materializing reference, warm and cold).
     #[test]
     fn all_query_apis_agree_across_backends(
         g in arb_graph(),
@@ -142,18 +142,23 @@ proptest! {
         idx.save_v3(&v3_path, &opts).unwrap();
 
         let mem = idx.query_engine();
-        let mmap = QueryEngine::open_mmap(&g, &path).unwrap();
-        let compressed = QueryEngine::open_mmap_compressed(&g, &v2_path).unwrap();
-        let compressed_v3 = QueryEngine::open_mmap_compressed(&g, &v3_path).unwrap();
-        let disk = DiskHpStore::open(&g, &path).unwrap();
-        let disk_engine = disk.query_engine();
-        let disk_v2 = DiskHpStore::open(&g, &v2_path).unwrap();
-        let disk_v2_engine = disk_v2.query_engine();
-        let disk_v3 = DiskHpStore::open(&g, &v3_path).unwrap();
-        let disk_v3_engine = disk_v3.query_engine();
-        // A 64-entry budget forces constant eviction on these graphs.
-        let buffered = BufferedDiskStore::new(&disk, 64);
-        let buffered_engine = buffered.query_engine();
+        // Every file through the one opener: the mapped residency sniffs
+        // each header and picks the backend for its format.
+        let opened: Vec<(&str, SharedEngine<IndexStore>)> = [
+            ("mapped-v1", &path, Residency::Mapped),
+            ("mapped-v2", &v2_path, Residency::Mapped),
+            ("mapped-v3", &v3_path, Residency::Mapped),
+            ("decoded-v3", &v3_path, Residency::Mem),
+        ]
+        .into_iter()
+        .map(|(label, p, residency)| (label, SharedEngine::open(&g, p, residency).unwrap()))
+        .collect();
+        prop_assert!(matches!(opened[0].1.store(), IndexStore::Mmap(_)));
+        prop_assert!(matches!(opened[1].1.store(), IndexStore::Compressed(_)));
+        prop_assert!(matches!(opened[2].1.store(), IndexStore::Compressed(_)));
+        prop_assert!(matches!(opened[3].1.store(), IndexStore::Mem(_)));
+        let engines: Vec<(&str, QueryEngine<'_, &IndexStore>)> =
+            opened.iter().map(|(label, e)| (*label, e.view())).collect();
 
         let n = g.num_nodes() as u32;
         let pairs: Vec<(NodeId, NodeId)> = (0..24u32)
@@ -162,69 +167,51 @@ proptest! {
 
         for &(u, v) in &pairs {
             let want = mem.single_pair(&g, u, v).unwrap();
-            for (label, got) in [
-                ("mmap", mmap.single_pair(&g, u, v).unwrap()),
-                ("mmap-compressed", compressed.single_pair(&g, u, v).unwrap()),
-                ("mmap-compressed-v3", compressed_v3.single_pair(&g, u, v).unwrap()),
-                ("disk", disk_engine.single_pair(&g, u, v).unwrap()),
-                ("disk-v2", disk_v2_engine.single_pair(&g, u, v).unwrap()),
-                ("disk-v3", disk_v3_engine.single_pair(&g, u, v).unwrap()),
-                ("buffered", buffered_engine.single_pair(&g, u, v).unwrap()),
-            ] {
-                prop_assert!(
-                    (want - got).abs() <= 1e-12,
-                    "single_pair({u:?},{v:?}) {label}: {want} vs {got}"
+            for (label, engine) in &engines {
+                let got = engine.single_pair(&g, u, v).unwrap();
+                prop_assert_eq!(
+                    want.to_bits(),
+                    got.to_bits(),
+                    "single_pair({:?},{:?}) {}: {} vs {}",
+                    u,
+                    v,
+                    label,
+                    want,
+                    got
                 );
-                prop_assert_eq!(want, got, "single_pair bit-equality, {}", label);
             }
         }
 
         for u in [NodeId(0), NodeId(n / 2), NodeId(n - 1)] {
             let want = mem.single_source(&g, u).unwrap();
-            prop_assert_eq!(&want, &mmap.single_source(&g, u).unwrap());
-            prop_assert_eq!(&want, &compressed.single_source(&g, u).unwrap());
-            prop_assert_eq!(&want, &compressed_v3.single_source(&g, u).unwrap());
-            prop_assert_eq!(&want, &disk_engine.single_source(&g, u).unwrap());
-            prop_assert_eq!(&want, &disk_v2_engine.single_source(&g, u).unwrap());
-            prop_assert_eq!(&want, &disk_v3_engine.single_source(&g, u).unwrap());
-            prop_assert_eq!(&want, &buffered_engine.single_source(&g, u).unwrap());
-
             let want_top = mem.top_k(&g, u, 5).unwrap();
-            prop_assert_eq!(&want_top, &mmap.top_k(&g, u, 5).unwrap());
-            prop_assert_eq!(&want_top, &compressed.top_k(&g, u, 5).unwrap());
-            prop_assert_eq!(&want_top, &compressed_v3.top_k(&g, u, 5).unwrap());
-            prop_assert_eq!(&want_top, &disk_engine.top_k(&g, u, 5).unwrap());
-            prop_assert_eq!(&want_top, &disk_v2_engine.top_k(&g, u, 5).unwrap());
-            prop_assert_eq!(&want_top, &disk_v3_engine.top_k(&g, u, 5).unwrap());
-            prop_assert_eq!(&want_top, &buffered_engine.top_k(&g, u, 5).unwrap());
+            for (label, engine) in &engines {
+                prop_assert_eq!(&want, &engine.single_source(&g, u).unwrap(), "{}", label);
+                prop_assert_eq!(&want_top, &engine.top_k(&g, u, 5).unwrap(), "{}", label);
+            }
         }
 
         for strategy in [JoinStrategy::PerSource, JoinStrategy::InvertedLists] {
             let want = mem.threshold_join(&g, 0.05, strategy).unwrap();
-            let via_mmap = mmap.threshold_join(&g, 0.05, strategy).unwrap();
-            prop_assert_eq!(want.len(), via_mmap.len());
-            for (a, b) in want.iter().zip(&via_mmap) {
-                prop_assert_eq!((a.u, a.v, a.score), (b.u, b.v, b.score));
-            }
-            let via_compressed = compressed.threshold_join(&g, 0.05, strategy).unwrap();
-            prop_assert_eq!(want.len(), via_compressed.len());
-            for (a, b) in want.iter().zip(&via_compressed) {
-                prop_assert_eq!((a.u, a.v, a.score), (b.u, b.v, b.score));
-            }
-            let via_buffered = buffered_engine.threshold_join(&g, 0.05, strategy).unwrap();
-            prop_assert_eq!(want.len(), via_buffered.len());
-            for (a, b) in want.iter().zip(&via_buffered) {
-                prop_assert_eq!((a.u, a.v, a.score), (b.u, b.v, b.score));
+            for (label, engine) in &engines {
+                let got = engine.threshold_join(&g, 0.05, strategy).unwrap();
+                prop_assert_eq!(want.len(), got.len(), "join {}", label);
+                for (a, b) in want.iter().zip(&got) {
+                    prop_assert_eq!(
+                        (a.u, a.v, a.score.to_bits()),
+                        (b.u, b.v, b.score.to_bits()),
+                        "join {}",
+                        label
+                    );
+                }
             }
         }
 
         let want = mem.batch_single_pair(&g, &pairs, 3).unwrap();
-        prop_assert_eq!(&want, &mmap.batch_single_pair(&g, &pairs, 3).unwrap());
-        prop_assert_eq!(&want, &compressed.batch_single_pair(&g, &pairs, 3).unwrap());
-        prop_assert_eq!(&want, &compressed_v3.batch_single_pair(&g, &pairs, 3).unwrap());
-        prop_assert_eq!(&want, &disk_v2_engine.batch_single_pair(&g, &pairs, 3).unwrap());
-        prop_assert_eq!(&want, &disk_v3_engine.batch_single_pair(&g, &pairs, 3).unwrap());
-        prop_assert_eq!(&want, &buffered_engine.batch_single_pair(&g, &pairs, 3).unwrap());
+        for (label, engine) in &engines {
+            let got = engine.batch_single_pair(&g, &pairs, 3).unwrap();
+            prop_assert_eq!(&want, &got, "batch {}", label);
+        }
 
         // Streaming kernels vs the materializing reference path, per
         // backend × query type, across the same §5.2/§5.3 feature
@@ -235,19 +222,9 @@ proptest! {
         skewed.extend((0..8u32).map(|i| (hub, NodeId((i * 5 + 1) % n))));
         let sources = [NodeId(0), NodeId(n / 2), NodeId(n - 1)];
         assert_streaming_matches_materialized("mem", &mem, &g, &skewed, &sources);
-        assert_streaming_matches_materialized("mmap", &mmap, &g, &skewed, &sources);
-        assert_streaming_matches_materialized("mmap-compressed", &compressed, &g, &skewed, &sources);
-        assert_streaming_matches_materialized(
-            "mmap-compressed-v3",
-            &compressed_v3,
-            &g,
-            &skewed,
-            &sources,
-        );
-        assert_streaming_matches_materialized("disk", &disk_engine, &g, &skewed, &sources);
-        assert_streaming_matches_materialized("disk-v2", &disk_v2_engine, &g, &skewed, &sources);
-        assert_streaming_matches_materialized("disk-v3", &disk_v3_engine, &g, &skewed, &sources);
-        assert_streaming_matches_materialized("buffered", &buffered_engine, &g, &skewed, &sources);
+        for (label, engine) in &engines {
+            assert_streaming_matches_materialized(label, engine, &g, &skewed, &sources);
+        }
 
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&v2_path).ok();
@@ -293,12 +270,10 @@ fn skewed_stored_lists_stream_and_gallop_bit_identically() {
     let sources = [hub, leaf];
     let mem = idx.query_engine();
     assert_streaming_matches_materialized("mem", &mem, &g, &pairs, &sources);
-    let mmap = QueryEngine::open_mmap(&g, &path).unwrap();
-    assert_streaming_matches_materialized("mmap", &mmap, &g, &pairs, &sources);
-    let compressed = QueryEngine::open_mmap_compressed(&g, &v2_path).unwrap();
-    assert_streaming_matches_materialized("compressed", &compressed, &g, &pairs, &sources);
-    let disk = DiskHpStore::open(&g, &path).unwrap();
-    assert_streaming_matches_materialized("disk", &disk.query_engine(), &g, &pairs, &sources);
+    for (label, p) in [("mmap", &path), ("compressed", &v2_path)] {
+        let engine = SharedEngine::open(&g, p, Residency::Mapped).unwrap();
+        assert_streaming_matches_materialized(label, &engine.view(), &g, &pairs, &sources);
+    }
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&v2_path).ok();
 }
@@ -336,9 +311,10 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Bit-flip any byte of a persisted index: the mmap open either
+    /// Bit-flip any byte of a persisted index: the mapped open either
     /// surfaces a `SlingError` or yields an engine whose answers are
-    /// still finite probabilities. Nothing panics.
+    /// still finite probabilities. Nothing panics — including a flip in
+    /// the magic that makes the header name another format.
     #[test]
     fn mmap_mutation_errors_or_stays_sane(flip in 0usize..1 << 20, bit in 0u8..8) {
         let (g, bytes) = mutation_corpus();
@@ -348,7 +324,7 @@ proptest! {
         let path = tmpfile("mut");
         std::fs::write(&path, &corrupt).unwrap();
 
-        match QueryEngine::open_mmap(g, &path) {
+        match SharedEngine::open(g, &path, Residency::Mapped) {
             Err(e) => {
                 // Must be a structured error, never a panic; exercise the
                 // Display path too.
@@ -384,8 +360,31 @@ proptest! {
         let cut = cut_seed % bytes.len(); // strictly shorter than full
         let path = tmpfile("trunc");
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        let err = QueryEngine::open_mmap(g, &path);
+        let err = SharedEngine::open(g, &path, Residency::Mapped);
         prop_assert!(err.is_err(), "cut at {cut} accepted");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// The opener picks the backend from the header's magic, so a v1 file
+/// whose magic names another generation must fail cleanly (or answer
+/// sanely), never panic.
+#[test]
+fn mislabeled_magic_errors_or_stays_sane() {
+    let (g, bytes) = mutation_corpus();
+    for version in FormatVersion::ALL {
+        let mut relabeled = bytes.clone();
+        relabeled[..8].copy_from_slice(version.magic());
+        let path = tmpfile("relabel");
+        std::fs::write(&path, &relabeled).unwrap();
+        if let Ok(engine) = SharedEngine::open(g, &path, Residency::Mapped) {
+            for u in [NodeId(0), NodeId(17), NodeId(39)] {
+                if let Ok(scores) = engine.single_source(g, u) {
+                    assert!(scores.iter().all(|s| (0.0..=1.0).contains(s)), "{version}");
+                }
+                let _ = engine.single_pair(g, u, NodeId(1));
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 }
@@ -410,7 +409,7 @@ fn mmap_open_does_not_decode_the_payload() {
     ));
     let path = tmpfile("payload");
     std::fs::write(&path, &bytes).unwrap();
-    let engine = QueryEngine::open_mmap(&g, &path).unwrap();
+    let engine = SharedEngine::open(&g, &path, Residency::Mapped).unwrap();
 
     // No HpArena materialization: the engine's heap footprint is the
     // O(n) metadata, far below the in-memory index which holds the

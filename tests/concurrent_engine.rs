@@ -173,6 +173,6 @@ fn cached_batches_agree_across_backends_and_threads() {
 fn shared_engine_is_send_sync_and_static() {
     fn assert_bounds<T: Send + Sync + 'static>() {}
     assert_bounds::<SharedEngine<MmapHpArena>>();
-    assert_bounds::<SharedEngine<sling_core::out_of_core::DiskHpStore>>();
+    assert_bounds::<SharedEngine<sling_core::IndexStore>>();
     assert_bounds::<ShardedResultCache>();
 }

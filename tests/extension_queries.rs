@@ -1,14 +1,14 @@
 //! Cross-crate integration tests for the extension query types: top-k,
-//! similarity joins, dynamic maintenance, caching, and the disk store —
-//! all validated against the power-method ground truth and against each
-//! other.
+//! similarity joins, dynamic maintenance, caching, and the mapped
+//! out-of-core engine — all validated against the power-method ground
+//! truth and against each other.
 
 use sling_simrank::baselines::{power_simrank, top_k_pairs};
-use sling_simrank::core::cache::CachedQueries;
 use sling_simrank::core::dynamic::{DynamicConfig, DynamicSling, StalePolicy};
 use sling_simrank::core::join::JoinStrategy;
-use sling_simrank::core::out_of_core::DiskHpStore;
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::{
+    QueryWorkspace, Residency, ShardedResultCache, SharedEngine, SlingConfig, SlingIndex,
+};
 use sling_simrank::graph::generators::{barabasi_albert, two_cliques_bridge, watts_strogatz};
 use sling_simrank::graph::{DiGraph, NodeId};
 
@@ -123,25 +123,30 @@ fn cached_disk_and_memory_paths_agree() {
     let idx = build(&g, 5);
     let dir = std::env::temp_dir().join(format!("sling_ext_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let store = DiskHpStore::create(&idx, dir.join("hp.bin")).unwrap();
-    let mut cache = CachedQueries::new(&idx, 256);
-    let sc = C.sqrt();
-    let theta = idx.config().theta;
-    // Enhancement entries are not persisted in the disk store, so disk
-    // answers may differ from enhanced in-memory answers by at most the
-    // enhancement's improvement margin (bounded by the Lemma 7 slack).
-    let slack = 2.0 * sc * theta / ((1.0 - sc) * (1.0 - C)) + 1e-9;
-    for i in 0..40u32 {
-        let (u, v) = (NodeId(i * 3 % 150), NodeId((i * 7 + 1) % 150));
-        let memory = idx.single_pair(&g, u, v);
-        let cached = cache.single_pair(&g, u, v);
-        let disk = store.single_pair(&g, u, v).unwrap();
-        assert!((memory - cached).abs() < 1e-12);
-        assert!(
-            (memory - disk).abs() <= slack,
-            "({u:?},{v:?}): memory {memory} vs disk {disk}"
-        );
+    let path = dir.join("index.slng");
+    idx.save(&path).unwrap();
+    let mapped = SharedEngine::open(&g, &path, Residency::Mapped).unwrap();
+    let cache = ShardedResultCache::with_capacity(256);
+    let mut ws = QueryWorkspace::new();
+    // Two rounds: the second answers every pair from the cache.
+    for _round in 0..2 {
+        for i in 0..40u32 {
+            let (u, v) = (NodeId(i * 3 % 150), NodeId((i * 7 + 1) % 150));
+            // The cache canonicalizes to (min, max) before computing.
+            let (a, b) = (u.min(v), u.max(v));
+            let memory = idx.single_pair(&g, a, b);
+            let cached = mapped
+                .single_pair_cached(&g, &mut ws, &cache, u, v)
+                .unwrap();
+            let disk = mapped.single_pair(&g, a, b).unwrap();
+            // The file persists everything the in-memory index holds,
+            // §5.3 marks included, so all three paths agree bit for bit.
+            assert_eq!(memory.to_bits(), cached.to_bits(), "({u:?},{v:?}) cached");
+            assert_eq!(memory.to_bits(), disk.to_bits(), "({u:?},{v:?}) mapped");
+        }
     }
+    assert!(cache.stats().hits >= 40);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

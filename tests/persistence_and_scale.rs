@@ -1,9 +1,9 @@
 //! Integration tests for the operational paths: persistence, parallel
-//! construction, out-of-core construction, and disk-resident querying on
-//! larger graphs than the unit tests use.
+//! construction, out-of-core construction, and out-of-core (mapped)
+//! querying on larger graphs than the unit tests use.
 
-use sling_simrank::core::out_of_core::{build_out_of_core, DiskHpStore, OutOfCoreConfig};
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::out_of_core::{build_out_of_core, OutOfCoreConfig};
+use sling_simrank::core::{Residency, SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::generators::{barabasi_albert, rmat, RmatConfig};
 use sling_simrank::graph::NodeId;
 
@@ -51,21 +51,29 @@ fn save_load_disk_store_agree_on_larger_graph() {
     idx.save(&idx_path).unwrap();
     let loaded = SlingIndex::load(&g, &idx_path).unwrap();
 
-    let store_path = tmp("hp.bin");
-    let store = DiskHpStore::create(&idx, &store_path).unwrap();
+    // The v3 file queried out of core: mapped, with only the O(n)
+    // metadata resident.
+    let v3_path = tmp("index.v3.bin");
+    idx.save_v3(&v3_path, &Default::default()).unwrap();
+    let mapped = SharedEngine::open(&g, &v3_path, Residency::Mapped).unwrap();
+    assert!(mapped.resident_bytes() < idx.resident_bytes());
 
     for (u, v) in [(0u32, 1u32), (17, 940), (500, 501), (999, 0), (3, 3)] {
         let a = idx.single_pair(&g, NodeId(u), NodeId(v));
         let b = loaded.single_pair(&g, NodeId(u), NodeId(v));
         assert_eq!(a, b, "persisted index disagrees at ({u},{v})");
-        // The disk store persists the §5.3 marks along with everything
-        // else, so it answers bit-identically to the enhanced in-memory
-        // index.
-        let c = store.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
-        assert_eq!(a, c, "disk store disagrees at ({u},{v})");
+        // The file persists the §5.3 marks along with everything else,
+        // so the mapped engine answers bit-identically to the enhanced
+        // in-memory index.
+        let c = mapped.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
+        assert_eq!(
+            a.to_bits(),
+            c.to_bits(),
+            "mapped engine disagrees at ({u},{v})"
+        );
     }
     std::fs::remove_file(idx_path).ok();
-    std::fs::remove_file(store_path).ok();
+    std::fs::remove_file(v3_path).ok();
 }
 
 #[test]
