@@ -7,8 +7,7 @@
 //!   overhead;
 //! * adaptive (Algorithm 4) vs basic (Algorithm 1) d̃ estimation — build
 //!   time;
-//! * top-k selection: full sort vs bounded heap vs early-terminating
-//!   approximate propagation;
+//! * top-k: exact vs early-terminating approximate propagation;
 //! * single-pair result caching under a skewed (hot-node) workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -90,19 +89,11 @@ fn bench_topk_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/topk");
     group.sample_size(20);
     let mut cursor = 0usize;
-    group.bench_function("sort_full", |b| {
+    group.bench_function("exact", |b| {
         b.iter(|| {
             let u = sources[cursor % sources.len()];
             cursor += 1;
             std::hint::black_box(index.top_k(&graph, u, k))
-        })
-    });
-    let mut cursor = 0usize;
-    group.bench_function("heap_select", |b| {
-        b.iter(|| {
-            let u = sources[cursor % sources.len()];
-            cursor += 1;
-            std::hint::black_box(index.top_k_heap(&graph, u, k))
         })
     });
     let mut cursor = 0usize;

@@ -31,7 +31,7 @@ fn bench_query_kernels(c: &mut Criterion) {
 
     let mem = SharedEngine::open(&graph, &path, Residency::Mem).unwrap();
     let mmap = SharedEngine::open(&graph, &path, Residency::Mapped).unwrap();
-    let engines = [("mem", mem.view()), ("mmap", mmap.view())];
+    let engines = [("mem", mem), ("mmap", mmap)];
 
     let n = graph.num_nodes();
     let mixed = sample_pairs(n, 512, 3);

@@ -626,14 +626,9 @@ fn extensions(opts: &Options) {
         // Top-k strategies (64 sources, k = 50).
         let sources = sample_nodes(n, if opts.quick { 8 } else { 64 }, 3);
         let k = 50;
-        let (_, t_sort) = time(|| {
+        let (_, t_exact) = time(|| {
             for &u in &sources {
                 std::hint::black_box(index.top_k(&graph, u, k));
-            }
-        });
-        let (_, t_heap) = time(|| {
-            for &u in &sources {
-                std::hint::black_box(index.top_k_heap(&graph, u, k));
             }
         });
         let (_, t_approx) = time(|| {
@@ -642,9 +637,8 @@ fn extensions(opts: &Options) {
             }
         });
         println!(
-            "top-k (k=50, per query)   sort {:>9}  heap {:>9}  approx(0.01) {:>9}",
-            fmt_secs(t_sort / sources.len() as f64),
-            fmt_secs(t_heap / sources.len() as f64),
+            "top-k (k=50, per query)   exact {:>9}  approx(0.01) {:>9}",
+            fmt_secs(t_exact / sources.len() as f64),
             fmt_secs(t_approx / sources.len() as f64),
         );
 

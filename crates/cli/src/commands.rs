@@ -16,8 +16,8 @@ use sling_core::workload::{
     zipf_sweep, SynthOpts, Trace, TraceKey, TraceRecord, TraceVerb, TraceWriter,
 };
 use sling_core::{
-    Admission, IndexStore, QueryEngine, QueryWorkspace, Residency, ShardedResultCache,
-    SharedEngine, SlingConfig, SlingIndex,
+    Admission, IndexStore, QueryWorkspace, Residency, ShardedResultCache, SharedEngine,
+    SlingConfig, SlingIndex,
 };
 use sling_graph::traversal::double_sweep_diameter;
 use sling_graph::{
@@ -418,7 +418,6 @@ pub fn cmd_join(args: &Args) -> Result<String, String> {
     let g = load_graph(graph_path)?;
     let engine = open_engine(&g, index_path, backend)?;
     let pairs = engine
-        .view()
         .threshold_join(&g, tau, sling_core::join::JoinStrategy::InvertedLists)
         .map_err(|e| e.to_string())?;
     let mut out = String::new();
@@ -2582,7 +2581,7 @@ fn record(
 /// number.
 fn bench_one_backend(
     backend: &'static str,
-    engine: &QueryEngine<'_, &IndexStore>,
+    engine: &SharedEngine<IndexStore>,
     g: &DiGraph,
     w: &BenchWorkloads,
     spot: &mut Vec<f64>,
@@ -2820,7 +2819,7 @@ pub fn cmd_bench_query(args: &Args) -> Result<String, String> {
             let engine = SharedEngine::open(&g, path, residency).map_err(|e| e.to_string())?;
             bench_one_backend(
                 backend,
-                &engine.view(),
+                &engine,
                 &g,
                 &workloads,
                 if path == &v3q { &mut q_spot } else { &mut spot },

@@ -2,21 +2,20 @@
 //!
 //! Index construction is not the only embarrassingly parallel part of
 //! SLING: queries share the immutable store and graph, so a batch of
-//! single-pair or single-source queries shards across threads with zero
-//! synchronization beyond an atomic work cursor. This is the engine the
-//! accuracy experiments (Figures 5–7 compute all-pairs scores) and any
-//! bulk-scoring application (link-prediction sweeps, offline
+//! single-pair or single-source queries shards across threads with no
+//! synchronization beyond one lock per claimed block. This is the engine
+//! the accuracy experiments (Figures 5–7 compute all-pairs scores) and
+//! any bulk-scoring application (link-prediction sweeps, offline
 //! recommendation refreshes) want.
 //!
-//! Work is claimed in fixed blocks from an atomic counter — the same
-//! skew-balancing scheme as [`crate::parallel`] — and every output slot
-//! is written by exactly one worker, so results are deterministic and
-//! identical to the serial path. The cores are generic over
-//! [`HpStore`]`: Sync`, so batches run against the in-memory arena and
-//! the mapped backends alike; a failing store read aborts the batch
-//! with the first error observed.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! Work is claimed in fixed blocks — an input chunk together with the
+//! matching disjoint `chunks_mut` chunk of the output — the same
+//! skew-balancing scheme as [`crate::parallel`]. Every output slot is
+//! written by exactly one worker, so results are deterministic and
+//! identical to the serial path, all in safe code. The cores are
+//! generic over [`HpStore`]`: Sync`, so batches run against the in-memory
+//! arena and the mapped backends alike; a failing store read aborts the
+//! batch with the first error observed.
 
 use parking_lot::Mutex;
 use sling_graph::{DiGraph, NodeId};
@@ -28,39 +27,61 @@ use crate::single_pair::single_pair_core;
 use crate::single_source::{single_source_core, SingleSourceWorkspace};
 use crate::store::{EngineRef, HpStore, SharedEngine};
 
-/// Pairs/sources claimed per atomic fetch.
+/// Inputs (and output slots) claimed per worker turn.
 const BLOCK: usize = 32;
 
-/// Disjoint mutable block views over an output slice, handed to workers.
-/// Safe because blocks are claimed exactly once from the atomic cursor.
-struct SlotWriter<T> {
-    base: *mut T,
-    len: usize,
-}
-unsafe impl<T: Send> Sync for SlotWriter<T> {}
-
-impl<T> SlotWriter<T> {
-    fn new(slice: &mut [T]) -> Self {
-        SlotWriter {
-            base: slice.as_mut_ptr(),
-            len: slice.len(),
+/// The one batch loop: evaluate `run` over `inputs` into the
+/// positionally aligned `out` on `threads` workers, each with its own
+/// workspace from `workspace`. A worker claims the next input block
+/// together with its output block and hands both to `run`. The first
+/// error aborts the batch: once it is recorded no worker claims another
+/// block, and it is returned.
+fn run_batch<I: Sync, T: Send, W>(
+    inputs: &[I],
+    out: &mut [T],
+    threads: usize,
+    workspace: impl Fn() -> W + Sync,
+    run: impl Fn(&mut W, &[I], &mut [T]) -> Result<(), SlingError> + Sync,
+) -> Result<(), SlingError> {
+    debug_assert_eq!(inputs.len(), out.len());
+    let threads = threads.max(1).min(inputs.len().div_ceil(BLOCK).max(1));
+    let claims = Mutex::new((
+        inputs.chunks(BLOCK).zip(out.chunks_mut(BLOCK)),
+        None::<SlingError>,
+    ));
+    let work = || {
+        let mut ws = workspace();
+        loop {
+            let claimed = {
+                let mut guard = claims.lock();
+                let (blocks, error) = &mut *guard;
+                match error {
+                    Some(_) => None,
+                    None => blocks.next(),
+                }
+            };
+            let Some((block, slots)) = claimed else {
+                break;
+            };
+            if let Err(err) = run(&mut ws, block, slots) {
+                claims.lock().1.get_or_insert(err);
+                break;
+            }
         }
+    };
+    if threads == 1 {
+        work();
+    } else {
+        crossbeam::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|_| work());
+            }
+        })
+        .expect("batch query worker panicked");
     }
-
-    /// # Safety
-    /// Each index must be written by at most one thread, which the
-    /// block-claiming cursor guarantees.
-    unsafe fn write(&self, i: usize, value: T) {
-        debug_assert!(i < self.len);
-        unsafe { self.base.add(i).write(value) };
-    }
-}
-
-/// Record the first store error a worker hit; later errors are dropped.
-fn record_error(slot: &Mutex<Option<SlingError>>, err: SlingError) {
-    let mut guard = slot.lock();
-    if guard.is_none() {
-        *guard = Some(err);
+    match claims.into_inner().1 {
+        Some(err) => Err(err),
+        None => Ok(()),
     }
 }
 
@@ -72,55 +93,27 @@ pub(crate) fn batch_single_pair_core<S: HpStore + Sync>(
     threads: usize,
 ) -> Result<Vec<f64>, SlingError> {
     let mut out = vec![0.0; pairs.len()];
-    let threads = threads.max(1).min(pairs.len().max(1));
-    if threads == 1 {
-        let mut ws = QueryWorkspace::new();
-        for (slot, &(u, v)) in out.iter_mut().zip(pairs) {
-            *slot = single_pair_core(e, graph, &mut ws, u, v)?;
-        }
-        return Ok(out);
-    }
-    let cursor = AtomicUsize::new(0);
-    let first_error: Mutex<Option<SlingError>> = Mutex::new(None);
-    let writer = SlotWriter::new(&mut out);
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let mut ws = QueryWorkspace::new();
-                'outer: loop {
-                    let lo = cursor.fetch_add(BLOCK, Ordering::Relaxed);
-                    if lo >= pairs.len() {
-                        break;
-                    }
-                    let hi = (lo + BLOCK).min(pairs.len());
-                    // Advise the backend about the whole claimed block up
-                    // front: out-of-core stores stage all 2·BLOCK entry
-                    // ranges with batched readahead instead of faulting
-                    // them in one query at a time (no-op for resident
-                    // backends).
-                    for &(u, v) in &pairs[lo..hi] {
-                        e.store.prefetch(u);
-                        e.store.prefetch(v);
-                    }
-                    for (i, &(u, v)) in pairs[lo..hi].iter().enumerate() {
-                        match single_pair_core(e, graph, &mut ws, u, v) {
-                            // SAFETY: block [lo, hi) is claimed exactly once.
-                            Ok(s) => unsafe { writer.write(lo + i, s) },
-                            Err(err) => {
-                                record_error(&first_error, err);
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    })
-    .expect("batch query worker panicked");
-    match first_error.into_inner() {
-        Some(err) => Err(err),
-        None => Ok(out),
-    }
+    run_batch(
+        pairs,
+        &mut out,
+        threads,
+        QueryWorkspace::new,
+        |ws, block, slots| {
+            // Advise the backend about the whole claimed block up
+            // front: out-of-core stores stage all 2·BLOCK entry ranges
+            // with batched readahead instead of faulting them in one
+            // query at a time (no-op for resident backends).
+            for &(u, v) in block {
+                e.store.prefetch(u);
+                e.store.prefetch(v);
+            }
+            for (slot, &(u, v)) in slots.iter_mut().zip(block) {
+                *slot = single_pair_core(e, graph, ws, u, v)?;
+            }
+            Ok(())
+        },
+    )?;
+    Ok(out)
 }
 
 /// Batched Algorithm 6 over any `Sync` storage backend.
@@ -131,47 +124,19 @@ pub(crate) fn batch_single_source_core<S: HpStore + Sync>(
     threads: usize,
 ) -> Result<Vec<Vec<f64>>, SlingError> {
     let mut out: Vec<Vec<f64>> = vec![Vec::new(); sources.len()];
-    let threads = threads.max(1).min(sources.len().max(1));
-    if threads == 1 {
-        let mut ws = SingleSourceWorkspace::new();
-        for (slot, &u) in out.iter_mut().zip(sources) {
-            single_source_core(e, graph, &mut ws, u, slot)?;
-        }
-        return Ok(out);
-    }
-    let cursor = AtomicUsize::new(0);
-    let first_error: Mutex<Option<SlingError>> = Mutex::new(None);
-    let writer = SlotWriter::new(&mut out);
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let mut ws = SingleSourceWorkspace::new();
-                'outer: loop {
-                    let lo = cursor.fetch_add(BLOCK, Ordering::Relaxed);
-                    if lo >= sources.len() {
-                        break;
-                    }
-                    let hi = (lo + BLOCK).min(sources.len());
-                    for (i, &u) in sources[lo..hi].iter().enumerate() {
-                        let mut scores = Vec::new();
-                        match single_source_core(e, graph, &mut ws, u, &mut scores) {
-                            // SAFETY: block [lo, hi) is claimed exactly once.
-                            Ok(()) => unsafe { writer.write(lo + i, scores) },
-                            Err(err) => {
-                                record_error(&first_error, err);
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    })
-    .expect("batch query worker panicked");
-    match first_error.into_inner() {
-        Some(err) => Err(err),
-        None => Ok(out),
-    }
+    run_batch(
+        sources,
+        &mut out,
+        threads,
+        SingleSourceWorkspace::new,
+        |ws, block, slots| {
+            for (slot, &u) in slots.iter_mut().zip(block) {
+                single_source_core(e, graph, ws, u, slot)?;
+            }
+            Ok(())
+        },
+    )?;
+    Ok(out)
 }
 
 impl<S: HpStore + Sync> SharedEngine<S> {
@@ -195,49 +160,19 @@ impl<S: HpStore + Sync> SharedEngine<S> {
         cache: &ShardedResultCache,
     ) -> Result<Vec<f64>, SlingError> {
         let mut out = vec![0.0; pairs.len()];
-        let threads = threads.max(1).min(pairs.len().max(1));
-        let run_one = |ws: &mut QueryWorkspace, u: NodeId, v: NodeId| {
-            self.single_pair_cached(graph, ws, cache, u, v)
-        };
-        if threads == 1 {
-            let mut ws = QueryWorkspace::new();
-            for (slot, &(u, v)) in out.iter_mut().zip(pairs) {
-                *slot = run_one(&mut ws, u, v)?;
-            }
-            return Ok(out);
-        }
-        let cursor = AtomicUsize::new(0);
-        let first_error: Mutex<Option<SlingError>> = Mutex::new(None);
-        let writer = SlotWriter::new(&mut out);
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| {
-                    let mut ws = QueryWorkspace::new();
-                    'outer: loop {
-                        let lo = cursor.fetch_add(BLOCK, Ordering::Relaxed);
-                        if lo >= pairs.len() {
-                            break;
-                        }
-                        let hi = (lo + BLOCK).min(pairs.len());
-                        for (i, &(u, v)) in pairs[lo..hi].iter().enumerate() {
-                            match run_one(&mut ws, u, v) {
-                                // SAFETY: block [lo, hi) is claimed exactly once.
-                                Ok(s) => unsafe { writer.write(lo + i, s) },
-                                Err(err) => {
-                                    record_error(&first_error, err);
-                                    break 'outer;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("batch query worker panicked");
-        match first_error.into_inner() {
-            Some(err) => Err(err),
-            None => Ok(out),
-        }
+        run_batch(
+            pairs,
+            &mut out,
+            threads,
+            QueryWorkspace::new,
+            |ws, block, slots| {
+                for (slot, &(u, v)) in slots.iter_mut().zip(block) {
+                    *slot = self.single_pair_cached(graph, ws, cache, u, v)?;
+                }
+                Ok(())
+            },
+        )?;
+        Ok(out)
     }
 }
 
@@ -366,15 +301,21 @@ mod tests {
             let s = cache.stats();
             assert!(s.hits > 0, "threads = {threads}: {s:?}");
         }
-        assert!(matches!(
-            engine.batch_single_pair_cached(
-                &g,
-                &[(NodeId(0), NodeId(9999))],
-                2,
-                &ShardedResultCache::with_capacity(8)
-            ),
-            Err(SlingError::NodeOutOfRange { .. })
-        ));
+        // An out-of-range pair aborts the batch, alone or in a late block
+        // of a parallel batch.
+        let mut late = pairs.clone();
+        late.push((NodeId(0), NodeId(9999)));
+        for (bad, threads) in [(&[(NodeId(0), NodeId(9999))][..], 2), (&late[..], 4)] {
+            assert!(matches!(
+                engine.batch_single_pair_cached(
+                    &g,
+                    bad,
+                    threads,
+                    &ShardedResultCache::with_capacity(8)
+                ),
+                Err(SlingError::NodeOutOfRange { .. })
+            ));
+        }
     }
 
     #[test]

@@ -271,9 +271,8 @@ impl<K: Copy + Eq + Hash, V: Default> LruList<K, V> {
     }
 }
 
-/// Cache admission policy for the LRU-backed caches
-/// ([`ShardedResultCache`] and [`crate::store::RestoreCache`], both
-/// built on [`LruList`]).
+/// Admission policy of the [`ShardedResultCache`] (and of the offline
+/// cache simulation in [`crate::workload::sim`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Admission {
     /// Plain LRU: every insert is admitted, evicting the tail.
@@ -432,13 +431,6 @@ pub(crate) fn pair_hash(key: (u32, u32)) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Hash a node-id key for the frequency sketch (the node-keyed restore
-/// cache).
-#[inline]
-pub(crate) fn node_hash(v: u32) -> u64 {
-    pair_hash((0, v))
 }
 
 /// Canonical symmetric pair key: SimRank is symmetric, so `{u, v}` and

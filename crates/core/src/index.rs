@@ -10,7 +10,7 @@ use crate::error::SlingError;
 use crate::hp::{HpArena, HpEntry};
 use crate::local_update::{reverse_hp_all, HpTriple};
 use crate::obs::{QueryTrace, StageNanos};
-use crate::store::{EngineRef, EntryAccess, HpStore, RestoreKind, RunSource};
+use crate::store::{EngineRef, EntryAccess, HpStore};
 use crate::two_hop::{two_hop_into, TwoHopScratch};
 use crate::walk::{task_rng, WalkEngine};
 
@@ -170,9 +170,9 @@ impl SlingIndex {
     }
 
     /// Internal engine view over the in-memory arena. The convenience
-    /// API carries no restore cache — hold a
-    /// [`crate::QueryEngine`]/[`crate::SharedEngine`] for memoized
-    /// restores.
+    /// API carries no restore cache, so a node that needs a restore is
+    /// materialized into the query workspace on every query — hold a
+    /// [`crate::SharedEngine`] for memoized restores.
     pub(crate) fn engine_ref(&self) -> EngineRef<'_, HpArena> {
         EngineRef {
             store: &self.hp,
@@ -247,123 +247,64 @@ pub(crate) enum RestoredList {
     Shared(std::sync::Arc<Vec<HpEntry>>),
 }
 
-/// Produce the restored effective list of `v` (a node for which
-/// [`EngineRef::restore_kind`] is `Full`, or any restoring node on the
-/// materializing paths): a cache hit is a refcount bump,
-/// a miss materializes through [`effective_entries_into`] and admits a
-/// copy, and engines without a cache fall back to the plain workspace
-/// materialization. All three produce the identical list.
+/// Produce the restored effective list of `v`, or `None` when `v`'s
+/// stored run already is its effective list
+/// ([`EngineRef::needs_restore`]). The one restore policy of the query
+/// kernels: on an engine a cache hit is a refcount bump and a miss
+/// materializes through [`effective_entries_into`] and admits the list;
+/// the bare index, which has no cache, materializes into the workspace.
+/// Both produce the identical list.
 pub(crate) fn resolve_restored<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
     v: NodeId,
     ws: &mut QueryWorkspace,
     which: Buf,
-) -> Result<RestoredList, SlingError> {
-    if let Some(cache) = e.restore_cache {
-        if let Some(hit) = cache.get(v) {
-            return Ok(RestoredList::Shared(hit));
-        }
-        // Capture the epoch *before* restoring: if the cache is
-        // invalidated while the restore runs, the tagged insert below is
-        // dropped rather than admitting a list computed against retired
-        // state.
-        let epoch = cache.epoch();
+) -> Result<Option<RestoredList>, SlingError> {
+    if !e.needs_restore(v) {
+        return Ok(None);
+    }
+    let Some(cache) = e.restore_cache else {
         effective_entries_into(e, graph, v, ws, which)?;
-        // Move, don't copy: the kernels read the returned Arc, never the
-        // workspace buffer, and the next query clears the buffer before
-        // reuse — so taking it avoids a second full-list memcpy on every
-        // cache miss.
-        let buf = match which {
-            Buf::A => &mut ws.buf_a,
-            Buf::B => &mut ws.buf_b,
-        };
-        let list = std::sync::Arc::new(std::mem::take(buf));
-        cache.insert_tagged(v, std::sync::Arc::clone(&list), epoch);
-        return Ok(RestoredList::Shared(list));
+        return Ok(Some(RestoredList::Workspace));
+    };
+    if let Some(hit) = cache.get(v) {
+        return Ok(Some(RestoredList::Shared(hit)));
     }
+    // Capture the epoch *before* restoring: if the cache is invalidated
+    // while the restore runs, the tagged insert below is dropped rather
+    // than admitting a list computed against retired state.
+    let epoch = cache.epoch();
     effective_entries_into(e, graph, v, ws, which)?;
-    Ok(RestoredList::Workspace)
+    // Move, don't copy: the kernels read the returned Arc, never the
+    // workspace buffer, and the next query clears the buffer before
+    // reuse — so taking it avoids a second full-list memcpy on every
+    // cache miss.
+    let buf = match which {
+        Buf::A => &mut ws.buf_a,
+        Buf::B => &mut ws.buf_b,
+    };
+    let list = std::sync::Arc::new(std::mem::take(buf));
+    cache.insert_tagged(v, std::sync::Arc::clone(&list), epoch);
+    Ok(Some(RestoredList::Shared(list)))
 }
 
-/// Length of the step-0 prefix of a stored run — the first index whose
-/// step is `> 0`. Binary search over the access (runs are sorted by
-/// `(step, node)`), so classifying a hub's huge list costs `O(log n)`
-/// random-access decodes instead of a linear scan.
-fn step_zero_prefix(access: &EntryAccess<'_>) -> usize {
-    let (mut lo, mut hi) = (0usize, access.len());
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if access.get(mid).step == 0 {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-/// Build the steps ≤ 2 head of a §5.2-reduced node into `out`: the
-/// stored step-0 prefix (`access[..split]`) followed by the exact
-/// Algorithm-5 steps 1–2. Byte-for-byte the `out[..head_len]` prefix
-/// that [`effective_entries_into`] would produce for the same node.
-fn build_restored_head<S: HpStore>(
-    e: EngineRef<'_, S>,
-    graph: &DiGraph,
+/// Borrow `v`'s effective list for the streaming kernels: the list
+/// [`resolve_restored`] produced (`buf` holds it when it was
+/// materialized into the workspace), or else `v`'s stored run straight
+/// from the backend, with `buf` as the scratch a backend may
+/// materialize into.
+pub(crate) fn effective_access<'s, S: HpStore>(
+    store: &'s S,
     v: NodeId,
-    access: &EntryAccess<'_>,
-    split: usize,
-    two_hop: &mut TwoHopScratch,
-    out: &mut Vec<HpEntry>,
-) {
-    out.clear();
-    for i in 0..split {
-        out.push(access.get(i));
+    restored: &'s Option<RestoredList>,
+    buf: &'s mut Vec<HpEntry>,
+) -> Result<EntryAccess<'s>, SlingError> {
+    match restored {
+        Some(RestoredList::Workspace) => Ok(EntryAccess::Slice(buf)),
+        Some(RestoredList::Shared(list)) => Ok(EntryAccess::Slice(list)),
+        None => store.entries_ref(v, buf),
     }
-    two_hop_into(graph, e.config.sqrt_c(), v, two_hop, out);
-}
-
-/// Resolve the streaming kernels' entry source for a node served
-/// without [`resolve_restored`]: `kind` is `None`, or `TwoHopOnly` on an
-/// engine with no [`RestoreCache`] (`Full` nodes — and, by the kernels'
-/// hybrid policy, `TwoHopOnly` nodes on cache-equipped engines — go
-/// through [`resolve_restored`], where a warm hub is one contiguous
-/// cached list).
-///
-/// `None` nodes stream the backend run in place, exactly as before. For
-/// `TwoHopOnly` nodes the stored run is borrowed once (into
-/// `tail_scratch` only if the backend must copy), the steps ≤ 2 head is
-/// recomputed into `head_buf`, and the steps ≥ 3 tail — the bulk of a
-/// hub's list — is never copied.
-pub(crate) fn resolve_stream_source<'s, S: HpStore>(
-    e: EngineRef<'s, S>,
-    graph: &DiGraph,
-    v: NodeId,
-    kind: RestoreKind,
-    head_buf: &'s mut Vec<HpEntry>,
-    tail_scratch: &'s mut Vec<HpEntry>,
-    two_hop: &mut TwoHopScratch,
-) -> Result<RunSource<'s>, SlingError> {
-    debug_assert_ne!(
-        kind,
-        RestoreKind::Full,
-        "Full restores must resolve through resolve_restored"
-    );
-    if kind == RestoreKind::None {
-        return Ok(RunSource::Whole(e.store.entries_ref(v, head_buf)?));
-    }
-    debug_assert!(
-        e.restore_cache.is_none(),
-        "cache-equipped engines resolve TwoHopOnly through resolve_restored"
-    );
-    let access = e.store.entries_ref(v, tail_scratch)?;
-    let split = step_zero_prefix(&access);
-    build_restored_head(e, graph, v, &access, split, two_hop, head_buf);
-    Ok(RunSource::Seg {
-        head: head_buf,
-        stored: access,
-        split,
-    })
 }
 
 /// Reusable buffers for query processing. One workspace per querying

@@ -82,7 +82,7 @@
 //! format, and both return an engine over the enum-dispatched
 //! [`store::IndexStore`].
 //!
-//! Persistence is versioned ([`format`]): `SLNGIDX1` stores the entry
+//! Persistence is versioned ([`mod@format`]): `SLNGIDX1` stores the entry
 //! payload as raw fixed-width sections (14 bytes/entry, decode-free);
 //! `SLNGIDX2` stores it as independently decodable compressed blocks
 //! (the [`codec`] subsystem — delta-varint node ids per `(owner, step)`
@@ -116,42 +116,34 @@
 //! arena, raw little-endian section bytes from the `SLNGIDX1` mapping
 //! (after one branch-light validation sweep), a refcounted decoded
 //! block from the compressed backends — and the kernels consume it in
-//! place. An entry list is materialized into a [`QueryWorkspace`]
-//! buffer only when a backend must (block-straddling runs) or when the
-//! §5.2/§5.3 restore actually
-//! rewrites it; the engine's `restore_kind` classification
-//! ([`store::RestoreKind`]) costs two O(1) loads on build-time
-//! artifacts (the reduction bitmap and mark offsets). §5.2-reduced
-//! nodes on cache-less paths stream a **two-segment** view: the
-//! recomputed steps ≤ 2 head over the borrowed steps ≥ 3 tail, so the
-//! bulk of a hub's list
-//! is never copied. Engines carry a sharded [`store::RestoreCache`]
-//! and resolve restoring nodes to memoized full lists instead — a warm
-//! hub is one lookup and a contiguous merge with zero backend traffic.
-//! The single-pair
-//! merge dispatches on list-length skew: ≥ 8× apart (hub-versus-leaf
-//! pairs, the dominant shape on power-law graphs) switches the linear
-//! pass to a galloping merge over the longer run — bit-identical by
-//! construction, since both kernels visit matches in the same order.
+//! place. A node whose effective list differs from its stored run
+//! (§5.2-reduced or §5.3-marked, two O(1) loads on build-time
+//! artifacts) takes the one restore policy instead: on an engine, its
+//! full effective list comes from the sharded [`store::RestoreCache`] —
+//! a warm hub is one lookup and a contiguous merge with zero backend
+//! traffic — and on the bare [`SlingIndex`] it is materialized into a
+//! [`QueryWorkspace`] buffer. The single-pair merge dispatches on
+//! list-length skew: ≥ 8× apart (hub-versus-leaf pairs, the dominant
+//! shape on power-law graphs) switches the linear pass to a galloping
+//! merge over the longer run — bit-identical by construction, since
+//! both kernels visit matches in the same order.
 //! The pre-streaming copy-then-linear-merge kernels survive as the
-//! `*_materialized_with` reference paths on [`store::QueryEngine`],
+//! `*_materialized_with` reference paths on [`store::SharedEngine`],
 //! pinned by the equivalence proptests (bit-equality on every backend ×
 //! query type) and measured against by `sling bench-query`, which emits
-//! the `BENCH_query.json` perf baseline (3–4× on hub-pair workloads at
-//! the time of writing).
+//! the `BENCH_query.json` perf baseline.
 //!
-//! Two front-ends sit on top of a backend:
+//! Two front-ends sit on top of a backend, over the same generic cores:
 //!
-//! * [`store::QueryEngine`] — the borrowed, lifetime-bound *view*,
-//!   bundling the store with the query-side metadata (correction
-//!   factors, reduction bitmap, marks). [`SlingIndex`]'s convenience
-//!   methods are thin wrappers over the same generic core.
-//! * [`store::SharedEngine`] — the owned, `Send + Sync`,
-//!   `Arc`-shareable engine for long-lived processes: open an index once
-//!   (in memory or mapped), share it across threads for the process
-//!   lifetime, and take [`store::SharedEngine::view`] when the full view
-//!   surface is needed. Workers keep per-thread workspaces, so the hot
-//!   path shares only immutable state.
+//! * [`store::SharedEngine`] — the one query engine: a store bundled
+//!   with the query-side metadata (correction factors, reduction
+//!   bitmap, marks) and a restore cache, owned, `Send + Sync` and
+//!   `Arc`-shareable. Open an index once (in memory or mapped) and
+//!   share it across threads for the process lifetime; workers keep
+//!   per-thread workspaces, so the hot path shares only immutable state
+//!   and the sharded caches.
+//! * [`SlingIndex`]'s infallible convenience methods over the
+//!   in-memory arena, without a restore cache.
 //!
 //! For concurrent serving, [`cache::ShardedResultCache`] adds a global
 //! single-pair result cache — power-of-two lock-per-shard over the same
@@ -219,7 +211,7 @@
 //! verb mix, popularity skew, burstiness, hit-rate-vs-size
 //! ([`workload::report`]). The loop closes in [`cache`]: the
 //! [`cache::Admission`] policy adds TinyLFU frequency-sketch admission
-//! (epoch-tagged, reset on generation swap) to the LRU caches, tuned
+//! (epoch-tagged, reset on generation swap) to the result cache, tuned
 //! and proven against exactly those traces.
 //!
 //! ## Extension features beyond the paper's evaluation
@@ -279,8 +271,8 @@ pub use index::{QueryWorkspace, SlingIndex};
 pub use lifecycle::{GenId, GenerationStore, Manifest};
 pub use obs::{MetricsRegistry, QueryTrace, SlowQueryLog, SlowQueryRecord, StageNanos};
 pub use store::{
-    CompressedMmapArena, EntryAccess, HpStore, IndexStore, MmapHpArena, QueryEngine, Residency,
-    RestoreCache, SharedEngine,
+    CompressedMmapArena, EntryAccess, HpStore, IndexStore, MmapHpArena, Residency, RestoreCache,
+    SharedEngine,
 };
 pub use topk::select_top_k;
 pub use walk::WalkEngine;

@@ -21,17 +21,14 @@
 //! accumulate with the same expression, so their sums are **bit
 //! identical** — the dispatch on skew never changes an answer.
 //!
-//! The streaming entry point ([`single_pair_core`]) consumes both lists
-//! directly from the storage backend via [`crate::store::EntryAccess`] —
-//! zero-copy for the arena and mmap backends. What a list needs is
-//! classified by [`EngineRef::restore_kind`]: §5.3-marked nodes
-//! materialize the full rewritten list into the [`QueryWorkspace`];
-//! §5.2-reduced (unmarked) nodes copy only a recomputed steps ≤ 2 head
-//! and stream their stored steps ≥ 3 tail in place
-//! ([`crate::store::TwoSegRun`]); everything else streams whole. The
-//! materializing reference path is kept as
-//! [`single_pair_materialized_core`] for benchmarks and equivalence
-//! tests.
+//! The streaming kernel consumes both lists directly from the storage
+//! backend via [`crate::store::EntryAccess`] — zero-copy for the arena
+//! and mmap backends. A §5.2-reduced or §5.3-marked endpoint is resolved
+//! to its full effective list instead: a [`crate::store::RestoreCache`]
+//! lookup on engines, a workspace materialization on the bare index.
+//! The materializing reference path is kept as the oracle of the
+//! equivalence tests
+//! ([`crate::SharedEngine::single_pair_materialized_with`]).
 
 use sling_graph::{DiGraph, NodeId};
 
@@ -39,13 +36,10 @@ use crate::error::SlingError;
 #[cfg(test)]
 use crate::hp::HpEntry;
 use crate::index::{
-    effective_entries_into, resolve_restored, resolve_stream_source, Buf, QueryWorkspace,
-    RestoredList, SlingIndex,
+    effective_access, effective_entries_into, resolve_restored, Buf, QueryWorkspace, SlingIndex,
 };
 use crate::obs::{self, KernelCounters};
-use crate::store::{
-    with_source, EngineRef, EntryAccess, EntryRun, HpStore, RestoreKind, RunSource,
-};
+use crate::store::{with_run, EngineRef, EntryRun, HpStore};
 
 /// Length skew at which the merge switches from the linear pass to
 /// galloping over the longer list.
@@ -159,9 +153,8 @@ fn lower_bound_from<R: EntryRun>(r: &R, from: usize, key: (u16, u32)) -> usize {
 
 /// Algorithm 3 over any storage backend, **streaming**: both effective
 /// entry lists are consumed directly from backend-owned storage
-/// ([`crate::store::HpStore::entries_ref`]); a list is copied into the
-/// workspace only when the §5.2 two-hop restore or §5.3 mark expansion
-/// rewrites it. Answers are bit-identical to
+/// ([`crate::store::HpStore::entries_ref`]) unless an endpoint needs the
+/// §5.2/§5.3 restore. Answers are bit-identical to
 /// [`single_pair_materialized_core`] on every backend.
 pub(crate) fn single_pair_core<S: HpStore>(
     e: EngineRef<'_, S>,
@@ -175,54 +168,19 @@ pub(crate) fn single_pair_core<S: HpStore>(
         // Otherwise fall through: estimate s(v,v) from the index like any
         // pair.
     }
-    let (ku, kv) = (e.restore_kind(u), e.restore_kind(v));
-    // §5.3-marked endpoints materialize the whole effective list up
-    // front (mark expansion may rewrite any step), and §5.2-reduced
-    // endpoints do too when a [`RestoreCache`] is attached: a warm hub
-    // is then one cache lookup and a contiguous-slice merge with zero
-    // backend traffic, which beats re-walking the stored tail through
-    // the block cache on every query. Both need the whole workspace, so
-    // they run before the split-borrow below. Reduced endpoints on
-    // cache-less engines stay `None` and stream two-segment instead —
-    // there the full restore would copy the tail for a single use.
-    let cached = e.restore_cache.is_some();
+    // Restores need the whole workspace, so they run before the
+    // split-borrow below: side A owns buf_a, side B owns buf_b.
     let t_restore = ws.trace.timer();
-    let ra = match ku {
-        RestoreKind::None => None,
-        RestoreKind::TwoHopOnly if !cached => None,
-        _ => Some(resolve_restored(e, graph, u, ws, Buf::A)?),
-    };
-    let rb = match kv {
-        RestoreKind::None => None,
-        RestoreKind::TwoHopOnly if !cached => None,
-        _ => Some(resolve_restored(e, graph, v, ws, Buf::B)?),
-    };
+    let ra = resolve_restored(e, graph, u, ws, Buf::A)?;
+    let rb = resolve_restored(e, graph, v, ws, Buf::B)?;
     ws.trace.add_restore(t_restore);
-    // Split-borrow the workspace: side A owns (buf_a, stored), side B
-    // owns (buf_b, extras) — head buffer + tail scratch each — and the
-    // two-hop scratch is reused sequentially.
-    let QueryWorkspace {
-        buf_a,
-        buf_b,
-        stored,
-        extras,
-        two_hop,
-        ..
-    } = ws;
+    let QueryWorkspace { buf_a, buf_b, .. } = ws;
     let t_fetch = ws.trace.timer();
-    let sa = match ra {
-        Some(RestoredList::Workspace) => RunSource::Whole(EntryAccess::Slice(buf_a)),
-        Some(RestoredList::Shared(list)) => RunSource::Shared(list),
-        None => resolve_stream_source(e, graph, u, ku, buf_a, stored, two_hop)?,
-    };
-    let sb = match rb {
-        Some(RestoredList::Workspace) => RunSource::Whole(EntryAccess::Slice(buf_b)),
-        Some(RestoredList::Shared(list)) => RunSource::Shared(list),
-        None => resolve_stream_source(e, graph, v, kv, buf_b, extras, two_hop)?,
-    };
+    let sa = effective_access(e.store, u, &ra, buf_a)?;
+    let sb = effective_access(e.store, v, &rb, buf_b)?;
     ws.trace.add_entry_fetch(t_fetch);
     let t_merge = ws.trace.timer();
-    let s = with_source!(&sa, |run_a| with_source!(&sb, |run_b| {
+    let s = with_run!(&sa, |run_a| with_run!(&sb, |run_b| {
         merge_intersect_runs(run_a, run_b, e.d)
     }));
     ws.trace.add_merge(t_merge);
@@ -232,7 +190,7 @@ pub(crate) fn single_pair_core<S: HpStore>(
 /// Algorithm 3 through the **materializing reference path**: both
 /// effective lists copied into the workspace, linear merge — exactly the
 /// pre-streaming kernel. Kept callable (see
-/// [`crate::QueryEngine::single_pair_materialized_with`]) so benchmarks
+/// [`crate::SharedEngine::single_pair_materialized_with`]) so benchmarks
 /// can measure the zero-copy gap and tests can assert bit-equality.
 pub(crate) fn single_pair_materialized_core<S: HpStore>(
     e: EngineRef<'_, S>,
@@ -466,8 +424,7 @@ mod tests {
         let config = SlingConfig::from_epsilon(C, 0.1)
             .with_seed(5)
             .with_enhancement(true);
-        let idx = SlingIndex::build(&g, &config).unwrap();
-        let engine = idx.query_engine();
+        let engine = SlingIndex::build(&g, &config).unwrap().into_shared_engine();
         let mut ws = QueryWorkspace::new();
         let mut ws2 = QueryWorkspace::new();
         for v in [1u32, 17, 250, 399] {
@@ -487,13 +444,14 @@ mod tests {
         }
     }
 
-    /// Both restore policies must be bit-identical to the materializing
+    /// The one restore policy must be bit-identical to the materializing
     /// reference kernel across the full §5.2 × §5.3 configuration
-    /// matrix, on repeated queries: the bare-index path (no
-    /// RestoreCache) streams two-segment §5.2 views, the engine path
-    /// resolves cached full lists (second pass hits the cache).
+    /// matrix, from both front-ends: the bare index materializes a
+    /// restoring endpoint into the workspace, the engine resolves it
+    /// through its RestoreCache — cold on the first pass, warm on the
+    /// second.
     #[test]
-    fn two_segment_streaming_matches_materialized_across_restore_matrix() {
+    fn bare_index_and_engine_match_materialized_across_restore_matrix() {
         let g = sling_graph::generators::barabasi_albert(300, 3, 11).unwrap();
         for (sr, enh) in [(false, false), (true, false), (false, true), (true, true)] {
             let config = SlingConfig::from_epsilon(C, 0.1)
@@ -507,33 +465,30 @@ mod tests {
                     "matrix row (sr={sr}, enh={enh}) exercises no reduced nodes"
                 );
             }
-            let engine = idx.query_engine();
+            let engine = crate::store::SharedEngine::from(idx.clone());
             let mut ws = QueryWorkspace::new();
-            let mut ws2 = QueryWorkspace::new();
-            for _pass in 0..2 {
+            let mut ws_ref = QueryWorkspace::new();
+            for pass in ["cold", "warm"] {
                 for v in [1u32, 13, 144, 299] {
                     for (a, b) in [(0, v), (v, 0), (v, (v + 7) % 300)] {
-                        let streamed = engine
-                            .single_pair_with(&g, &mut ws, NodeId(a), NodeId(b))
+                        let (a, b) = (NodeId(a), NodeId(b));
+                        let oracle = engine
+                            .single_pair_materialized_with(&g, &mut ws_ref, a, b)
                             .unwrap();
-                        let materialized = engine
-                            .single_pair_materialized_with(&g, &mut ws2, NodeId(a), NodeId(b))
-                            .unwrap();
-                        assert_eq!(
-                            streamed.to_bits(),
-                            materialized.to_bits(),
-                            "sr={sr} enh={enh} ({a},{b}): {streamed} vs {materialized}"
-                        );
-                        // Bare index: no RestoreCache, so reduced
-                        // endpoints take the two-segment streaming path.
-                        let bare = idx.single_pair(&g, NodeId(a), NodeId(b));
-                        assert_eq!(
-                            bare.to_bits(),
-                            materialized.to_bits(),
-                            "sr={sr} enh={enh} two-segment ({a},{b}): {bare} vs {materialized}"
-                        );
+                        let bare = idx.single_pair(&g, a, b);
+                        let served = engine.single_pair_with(&g, &mut ws, a, b).unwrap();
+                        for (path, got) in [("bare", bare), ("engine", served)] {
+                            assert_eq!(
+                                got.to_bits(),
+                                oracle.to_bits(),
+                                "sr={sr} enh={enh} {pass} {path} ({a:?},{b:?}): {got} vs {oracle}"
+                            );
+                        }
                     }
                 }
+            }
+            if sr {
+                assert!(engine.restore_cache().resident_bytes() > 0);
             }
         }
     }

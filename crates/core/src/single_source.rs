@@ -14,13 +14,11 @@ use sling_graph::{DiGraph, NodeId};
 
 use crate::error::SlingError;
 use crate::index::{
-    effective_entries_into, resolve_restored, resolve_stream_source, Buf, QueryWorkspace,
-    RestoredList, SlingIndex,
+    effective_access, effective_entries_into, resolve_restored, Buf, QueryWorkspace, RestoredList,
+    SlingIndex,
 };
 use crate::obs::{self, KernelCounters};
-use crate::store::{
-    with_source, EngineRef, EntryAccess, EntryRun, HpStore, RestoreKind, RunSource,
-};
+use crate::store::{with_run, EngineRef, EntryRun, HpStore};
 
 /// Reusable buffers for Algorithm 6. One per querying thread.
 ///
@@ -416,45 +414,27 @@ pub(crate) fn single_source_with_cutoff<S: HpStore>(
     out.clear();
     out.resize(n, 0.0);
     ws.dense.ensure(n);
-    let kind = e.restore_kind(u);
     let t_restore = ws.query.trace.timer();
-    let resolved = if materialize {
+    let restored = if materialize {
         // Reference path: plain workspace materialization, no cache.
         effective_entries_into(e, graph, u, &mut ws.query, Buf::A)?;
         Some(RestoredList::Workspace)
-    } else if kind == RestoreKind::Full
-        || (kind == RestoreKind::TwoHopOnly && e.restore_cache.is_some())
-    {
-        // Same policy as the pair kernel: with a RestoreCache attached,
-        // reduced sources serve the cached full list (warm = zero
-        // backend traffic); only cache-less engines stream two-segment.
-        Some(resolve_restored(e, graph, u, &mut ws.query, Buf::A)?)
     } else {
-        None
+        resolve_restored(e, graph, u, &mut ws.query, Buf::A)?
     };
     ws.query.trace.add_restore(t_restore);
     // Disjoint-field split: the entry run may borrow `query.buf_a`
-    // (restored heads/lists, straddling-run scratch) and `query.stored` (tail
-    // scratch) while `dense` mutates freely.
+    // (a restored list, or straddling-run scratch) while `dense`
+    // mutates freely.
     let SingleSourceWorkspace { dense, query } = ws;
-    let QueryWorkspace {
-        buf_a,
-        stored,
-        two_hop,
-        ..
-    } = query;
+    let QueryWorkspace { buf_a, .. } = query;
     let t_fetch = query.trace.timer();
-    let source = match resolved {
-        Some(RestoredList::Workspace) => RunSource::Whole(EntryAccess::Slice(buf_a)),
-        Some(RestoredList::Shared(list)) => RunSource::Shared(list),
-        None => resolve_stream_source(e, graph, u, kind, buf_a, stored, two_hop)?,
-    };
+    let access = effective_access(e.store, u, &restored, buf_a)?;
     query.trace.add_entry_fetch(t_fetch);
     let t_propagate = query.trace.timer();
-    let truncated = with_source!(&source, |run| seed_step_runs(
+    let truncated = with_run!(&access, |run| seed_step_runs(
         e, graph, dense, run, cutoff, out
     ));
-    drop(source);
     query.trace.add_propagate(t_propagate);
     dense.reset();
 
@@ -555,21 +535,6 @@ impl SlingIndex {
         }
         Ok(self.single_source(graph, u))
     }
-
-    /// Top-k most similar nodes to `u` (excluding `u` itself), ordered by
-    /// descending score with node-id tie-breaking. Built on Algorithm 6.
-    pub fn top_k(&self, graph: &DiGraph, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-        let scores = self.single_source(graph, u);
-        let mut ranked: Vec<(NodeId, f64)> = scores
-            .iter()
-            .enumerate()
-            .filter(|&(i, &s)| i != u.index() && s > 0.0)
-            .map(|(i, &s)| (NodeId::from_index(i), s))
-            .collect();
-        ranked.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        ranked.truncate(k);
-        ranked
-    }
 }
 
 #[cfg(test)]
@@ -654,12 +619,12 @@ mod tests {
     }
 
     /// Algorithm 6's streaming seed path must be bit-identical to the
-    /// materializing reference kernel across the §5.2 × §5.3 matrix
-    /// under both restore policies: the bare-index path (no
-    /// RestoreCache) seeds from a two-segment §5.2 view, the engine
-    /// path from cached full lists (second pass hits the cache).
+    /// materializing reference kernel across the §5.2 × §5.3 matrix from
+    /// both front-ends: the bare index materializes a restoring source
+    /// into the workspace, the engine resolves it through its
+    /// RestoreCache — cold on the first pass, warm on the second.
     #[test]
-    fn two_segment_single_source_matches_materialized_across_restore_matrix() {
+    fn bare_index_and_engine_match_materialized_across_restore_matrix() {
         use sling_graph::generators::barabasi_albert;
         let g = barabasi_albert(300, 3, 11).unwrap();
         for (sr, enh) in [(true, false), (true, true)] {
@@ -669,37 +634,31 @@ mod tests {
                 .with_enhancement(enh);
             let idx = SlingIndex::build(&g, &config).unwrap();
             assert!(idx.stats.reduced_nodes > 0);
-            let engine = idx.query_engine();
+            let engine = crate::store::SharedEngine::from(idx.clone());
             let mut ws = SingleSourceWorkspace::new();
-            let mut ws2 = SingleSourceWorkspace::new();
-            let (mut streamed, mut materialized) = (Vec::new(), Vec::new());
-            for _pass in 0..2 {
+            let mut ws_ref = SingleSourceWorkspace::new();
+            let (mut served, mut oracle) = (Vec::new(), Vec::new());
+            for pass in ["cold", "warm"] {
                 for u in [0u32, 1, 13, 144, 299] {
                     engine
-                        .single_source_with(&g, &mut ws, NodeId(u), &mut streamed)
+                        .single_source_with(&g, &mut ws, NodeId(u), &mut served)
                         .unwrap();
                     engine
-                        .single_source_materialized_with(&g, &mut ws2, NodeId(u), &mut materialized)
+                        .single_source_materialized_with(&g, &mut ws_ref, NodeId(u), &mut oracle)
                         .unwrap();
-                    for v in 0..streamed.len() {
-                        assert_eq!(
-                            streamed[v].to_bits(),
-                            materialized[v].to_bits(),
-                            "sr={sr} enh={enh} s({u},{v})"
-                        );
-                    }
-                    // Bare index: no RestoreCache, so a reduced source
-                    // seeds from the two-segment streaming view.
                     let bare = idx.single_source(&g, NodeId(u));
-                    for v in 0..bare.len() {
-                        assert_eq!(
-                            bare[v].to_bits(),
-                            materialized[v].to_bits(),
-                            "sr={sr} enh={enh} two-segment s({u},{v})"
-                        );
+                    for (path, got) in [("bare", &bare), ("engine", &served)] {
+                        for v in 0..oracle.len() {
+                            assert_eq!(
+                                got[v].to_bits(),
+                                oracle[v].to_bits(),
+                                "sr={sr} enh={enh} {pass} {path} s({u},{v})"
+                            );
+                        }
                     }
                 }
             }
+            assert!(engine.restore_cache().resident_bytes() > 0);
         }
     }
 

@@ -4,9 +4,9 @@
 //! type; the SLING index supports them directly. This module provides two
 //! query strategies on top of Algorithm 6:
 //!
-//! * [`SlingIndex::top_k_heap`] — run the full single-source query, then
-//!   select the k best in `O(n log k)` with a bounded min-heap instead of
-//!   sorting all `n` scores.
+//! * [`SlingIndex::top_k`] — run the full single-source query, then
+//!   select the k best in `O(n log k)` with a bounded min-heap
+//!   ([`select_top_k`]) instead of sorting all `n` scores.
 //! * [`SlingIndex::top_k_approx`] — an early-terminating variant. The
 //!   step-ℓ term of Eq. (13) contributes at most `c^ℓ` to *any* pair's
 //!   score (each hitting-probability row sums to `(√c)^ℓ` and `d_k ≤ 1`),
@@ -52,10 +52,14 @@ impl PartialOrd for Ranked {
 }
 
 /// Select the `k` best `(node, score)` pairs from a dense score vector,
-/// excluding `exclude` and zero scores, in `O(n log k)`. Public so
+/// excluding `exclude` and zero scores, in `O(n log k)`, ordered by
+/// descending score with ascending node-id tie-breaking. `k` is clamped
+/// to `scores.len()` first, so an untrusted `k` (a wire request, a CLI
+/// flag) sizes the heap by the candidates, never by itself. Public so
 /// external harnesses (the CLI's `bench-query`, the criterion benches)
 /// can compose it with the buffer-reusing single-source APIs.
 pub fn select_top_k(scores: &[f64], exclude: Option<NodeId>, k: usize) -> Vec<(NodeId, f64)> {
+    let k = k.min(scores.len());
     if k == 0 {
         return Vec::new();
     }
@@ -86,9 +90,9 @@ pub fn select_top_k(scores: &[f64], exclude: Option<NodeId>, k: usize) -> Vec<(N
 }
 
 impl SlingIndex {
-    /// Top-k most similar nodes to `u` (excluding `u`), selected with a
-    /// bounded heap. Result is identical to [`SlingIndex::top_k`] but the
-    /// selection step costs `O(n log k)` instead of `O(n log n)`.
+    /// Top-k most similar nodes to `u` (excluding `u` itself), ordered by
+    /// descending score with node-id tie-breaking. Built on Algorithm 6;
+    /// the selection is [`select_top_k`]'s bounded heap.
     ///
     /// ```
     /// use sling_core::{SlingConfig, SlingIndex};
@@ -96,11 +100,11 @@ impl SlingIndex {
     ///
     /// let g = two_cliques_bridge(5);
     /// let index = SlingIndex::build(&g, &SlingConfig::from_epsilon(0.6, 0.05)).unwrap();
-    /// let top = index.top_k_heap(&g, 0u32.into(), 3);
+    /// let top = index.top_k(&g, 0u32.into(), 3);
     /// assert_eq!(top.len(), 3);
     /// assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
     /// ```
-    pub fn top_k_heap(&self, graph: &DiGraph, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
+    pub fn top_k(&self, graph: &DiGraph, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
         let scores = self.single_source(graph, u);
         select_top_k(&scores, Some(u), k)
     }
@@ -111,7 +115,7 @@ impl SlingIndex {
     /// Each returned score `s` underestimates the full Algorithm-6 result
     /// by at most `slack`, so with the index's ε guarantee the total error
     /// versus true SimRank is at most `ε + slack`. With `slack = 0.0` this
-    /// is exactly [`SlingIndex::top_k_heap`].
+    /// is exactly [`SlingIndex::top_k`].
     pub fn top_k_approx(
         &self,
         graph: &DiGraph,
@@ -206,14 +210,38 @@ mod tests {
     }
 
     #[test]
+    fn select_top_k_clamps_huge_k() {
+        let scores = vec![0.1, 0.5, 0.0, 0.5, 0.3];
+        let all = select_top_k(&scores, Some(NodeId(4)), scores.len());
+        assert_eq!(all.len(), 3);
+        for k in [1 << 40, usize::MAX] {
+            assert_eq!(select_top_k(&scores, Some(NodeId(4)), k), all, "k = {k}");
+        }
+        assert!(select_top_k(&[], None, usize::MAX).is_empty());
+    }
+
+    /// Full-sort selection: the oracle the bounded heap must reproduce.
+    fn sort_top_k(scores: &[f64], exclude: NodeId, k: usize) -> Vec<(NodeId, f64)> {
+        let mut ranked: Vec<(NodeId, f64)> = scores
+            .iter()
+            .enumerate()
+            .filter(|&(i, &s)| i != exclude.index() && s > 0.0)
+            .map(|(i, &s)| (NodeId::from_index(i), s))
+            .collect();
+        ranked.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        ranked.truncate(k);
+        ranked
+    }
+
+    #[test]
     fn heap_matches_sort_based_top_k() {
         let g = barabasi_albert(300, 3, 5).unwrap();
         let idx = build(&g, 0.1);
         for u in [NodeId(0), NodeId(7), NodeId(123)] {
-            for k in [1, 5, 50] {
-                let sorted = idx.top_k(&g, u, k);
-                let heaped = idx.top_k_heap(&g, u, k);
-                assert_eq!(sorted, heaped, "u = {u:?}, k = {k}");
+            let scores = idx.single_source(&g, u);
+            for k in [1, 5, 50, 300, usize::MAX] {
+                let heaped = idx.top_k(&g, u, k);
+                assert_eq!(heaped, sort_top_k(&scores, u, k), "u = {u:?}, k = {k}");
             }
         }
     }
@@ -223,7 +251,7 @@ mod tests {
         let g = two_cliques_bridge(5);
         let idx = build(&g, 0.05);
         for u in g.nodes() {
-            assert_eq!(idx.top_k_approx(&g, u, 4, 0.0), idx.top_k_heap(&g, u, 4));
+            assert_eq!(idx.top_k_approx(&g, u, 4, 0.0), idx.top_k(&g, u, 4));
         }
     }
 

@@ -12,7 +12,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use sling_core::{SharedEngine, SlingConfig, SlingIndex};
 use sling_graph::generators::barabasi_albert;
-use sling_graph::DiGraph;
+use sling_graph::{DiGraph, NodeId};
 use sling_server::{serve, Client, Listener, ServerConfig};
 
 const NODES: u32 = 120;
@@ -141,6 +141,38 @@ fn byte_at_a_time_delivery_is_bit_identical_to_whole_line() {
     assert!(whole[5].starts_with("ERR "));
     // Symmetric pair after the errors: same score, stream still in sync.
     assert_eq!(whole[0], whole[6]);
+}
+
+/// A `TOPK` whose `k` dwarfs the node count — up to `u64::MAX` — answers
+/// exactly like `k = n`: the selection clamps `k` to the candidates
+/// before sizing its heap. The server keeps serving afterwards.
+#[test]
+fn huge_topk_k_answers_like_k_equals_n_and_keeps_serving() {
+    let addr = server_addr();
+    let payload =
+        format!("TOPK 0 {NODES}\nTOPK 0 1099511627776\nTOPK 0 18446744073709551615\nPING\n");
+    let lines = send_in_chunks(addr, payload.as_bytes(), &[payload.len()], 4);
+    assert!(lines[0].starts_with("OK "), "got {:?}", lines[0]);
+    assert_eq!(lines[1], lines[0]);
+    assert_eq!(lines[2], lines[0]);
+    assert_eq!(lines[3], "OK pong\n");
+
+    // The k = n answer is the local index's, bit for bit.
+    let (g, idx) = fixture();
+    let want: Vec<(u32, u64)> = idx
+        .top_k(&g, NodeId(0), NODES as usize)
+        .into_iter()
+        .map(|(v, s)| (v.0, s.to_bits()))
+        .collect();
+    let mut client = Client::connect_tcp(addr).unwrap();
+    let got: Vec<(u32, u64)> = client
+        .top_k(0, usize::MAX)
+        .unwrap()
+        .into_iter()
+        .map(|(v, s)| (v, s.to_bits()))
+        .collect();
+    assert_eq!(got, want);
+    client.ping().unwrap();
 }
 
 #[test]

@@ -325,7 +325,7 @@ fn mapped_server_swaps_from_a_v1_to_a_v3_generation() {
         .map(|(v, s)| (v, s.to_bits()))
         .collect();
     let want: Vec<(u32, u64)> = idx_b
-        .top_k_heap(&g, NodeId(3), 5)
+        .top_k(&g, NodeId(3), 5)
         .into_iter()
         .map(|(v, s)| (v.0, s.to_bits()))
         .collect();

@@ -45,7 +45,7 @@ fn concurrent_mixed_traffic_is_bit_identical_to_serial() {
     let reference_pair = |u: u32, v: u32| idx.single_pair(&g, NodeId(u.min(v)), NodeId(u.max(v)));
     let reference_topk: Vec<Vec<(u32, f64)>> = (0..16u32)
         .map(|u| {
-            idx.top_k_heap(&g, NodeId(u), 5)
+            idx.top_k(&g, NodeId(u), 5)
                 .into_iter()
                 .map(|(v, s)| (v.0, s))
                 .collect()

@@ -32,7 +32,7 @@ fn main() {
     // SimRank top-10 via the SLING index.
     let config = SlingConfig::from_epsilon(C, 0.025).with_seed(5);
     let index = SlingIndex::build(&graph, &config).expect("valid config");
-    let simrank_top = index.top_k_heap(&graph, anchor, 10);
+    let simrank_top = index.top_k(&graph, anchor, 10);
 
     // PPR over the same edge direction √c-walks use (in-edges), i.e. on
     // the transpose graph, with matching decay α = √c. Forward power

@@ -43,7 +43,7 @@ fn main() {
     // 1. "Customers who clicked this also clicked" — top-k per item.
     let anchor = NodeId((USERS + 3) as u32);
     let start = std::time::Instant::now();
-    let recs = index.top_k_heap(&graph, anchor, 5);
+    let recs = index.top_k(&graph, anchor, 5);
     println!(
         "\ntop-5 items similar to item {} ({:.1?}):",
         anchor.0 - USERS as u32,

@@ -1,9 +1,9 @@
 //! Cross-backend equivalence: every query API must return identical
-//! scores whether the index is served from memory or mapped from a
-//! `SLNGIDX1`, `SLNGIDX2` or `SLNGIDX3` file — including with §5.2 space
-//! reduction and §5.3 accuracy enhancement enabled. Plus hardening
-//! properties for the mmap path: metadata-only open, and no panic on
-//! mutated bytes.
+//! scores from the bare in-memory index and from every engine — in
+//! memory, or mapped from a `SLNGIDX1`, `SLNGIDX2` or `SLNGIDX3` file —
+//! including with §5.2 space reduction and §5.3 accuracy enhancement
+//! enabled. Plus hardening properties for the mmap path: metadata-only
+//! open, and no panic on mutated bytes.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,12 +11,12 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use sling_simrank::core::codec::CompressOptions;
-use sling_simrank::core::join::JoinStrategy;
+use sling_simrank::core::join::{JoinPair, JoinStrategy};
 use sling_simrank::core::single_source::SingleSourceWorkspace;
 use sling_simrank::core::topk::select_top_k;
 use sling_simrank::core::{
-    FormatVersion, HpStore, IndexStore, QueryEngine, QueryWorkspace, Residency, SharedEngine,
-    SlingConfig, SlingError, SlingIndex,
+    FormatVersion, HpStore, IndexStore, QueryWorkspace, Residency, SharedEngine, SlingConfig,
+    SlingError, SlingIndex,
 };
 use sling_simrank::graph::generators::{barabasi_albert, erdos_renyi_directed, star_graph};
 use sling_simrank::graph::{DiGraph, NodeId};
@@ -34,13 +34,73 @@ fn tmpfile(tag: &str) -> PathBuf {
     ))
 }
 
+fn bits(scores: &[f64]) -> Vec<u64> {
+    scores.iter().map(|s| s.to_bits()).collect()
+}
+
+fn join_bits(pairs: &[JoinPair]) -> Vec<(NodeId, NodeId, u64)> {
+    pairs
+        .iter()
+        .map(|p| (p.u, p.v, p.score.to_bits()))
+        .collect()
+}
+
+/// Assert one engine answers **bit-identically** to the bare index —
+/// the cache-less path, which materializes every restoring node into
+/// its workspace — on single-pair, single-source, top-k, join and
+/// batch. Two rounds, so the second runs against a warm restore cache.
+fn assert_engine_matches_index<S: HpStore + Sync>(
+    label: &str,
+    idx: &SlingIndex,
+    engine: &SharedEngine<S>,
+    g: &DiGraph,
+    pairs: &[(NodeId, NodeId)],
+    sources: &[NodeId],
+) {
+    for round in ["cold", "warm"] {
+        for &(u, v) in pairs {
+            let want = idx.single_pair(g, u, v);
+            let got = engine.single_pair(g, u, v).unwrap();
+            assert_eq!(
+                want.to_bits(),
+                got.to_bits(),
+                "{label} {round}: single_pair({u:?},{v:?}) {want} vs {got}"
+            );
+        }
+        for &u in sources {
+            assert_eq!(
+                bits(&idx.single_source(g, u)),
+                bits(&engine.single_source(g, u).unwrap()),
+                "{label} {round}: single_source({u:?})"
+            );
+            assert_eq!(
+                idx.top_k(g, u, 5),
+                engine.top_k(g, u, 5).unwrap(),
+                "{label} {round}: top_k({u:?})"
+            );
+        }
+    }
+    for strategy in [JoinStrategy::PerSource, JoinStrategy::InvertedLists] {
+        assert_eq!(
+            join_bits(&idx.threshold_join(g, 0.05, strategy).unwrap()),
+            join_bits(&engine.threshold_join(g, 0.05, strategy).unwrap()),
+            "{label}: join {strategy:?}"
+        );
+    }
+    assert_eq!(
+        bits(&idx.batch_single_pair(g, pairs, 3)),
+        bits(&engine.batch_single_pair(g, pairs, 3).unwrap()),
+        "{label}: batch"
+    );
+}
+
 /// Assert the streaming kernels (borrow-from-backend entry access,
 /// galloping merge, restore-cache memoization) answer **bit-identically**
-/// to the materializing reference path on one backend, for every query
+/// to the materializing reference path on one engine, for every query
 /// type. Two rounds, so the second runs against a warm restore cache.
 fn assert_streaming_matches_materialized<S: HpStore + Sync>(
     label: &str,
-    engine: &QueryEngine<'_, S>,
+    engine: &SharedEngine<S>,
     g: &DiGraph,
     pairs: &[(NodeId, NodeId)],
     sources: &[NodeId],
@@ -114,12 +174,13 @@ proptest! {
     })]
 
     /// Single-pair, single-source, top-k, join, and batch answers agree
-    /// bit for bit between the in-memory index and every engine the one
-    /// opener returns — mapped `SLNGIDX1`, lossless `SLNGIDX2` and
+    /// bit for bit between the bare in-memory index and every engine —
+    /// the in-memory engine over the same index, and every engine the
+    /// one opener returns: mapped `SLNGIDX1`, lossless `SLNGIDX2` and
     /// `SLNGIDX3` conversions of the same index, and the v3 file decoded
     /// into memory — on random graphs, across the §5.2/§5.3 feature
-    /// matrix (which also pins the two-segment streaming restore against
-    /// the materializing reference, warm and cold).
+    /// matrix. On every engine the streaming kernels also match the
+    /// materializing reference, cold and warm.
     #[test]
     fn all_query_apis_agree_across_backends(
         g in arb_graph(),
@@ -141,7 +202,7 @@ proptest! {
         let v3_path = tmpfile("eq_v3");
         idx.save_v3(&v3_path, &opts).unwrap();
 
-        let mem = idx.query_engine();
+        let mem = SharedEngine::from(idx.clone());
         // Every file through the one opener: the mapped residency sniffs
         // each header and picks the backend for its format.
         let opened: Vec<(&str, SharedEngine<IndexStore>)> = [
@@ -157,60 +218,15 @@ proptest! {
         prop_assert!(matches!(opened[1].1.store(), IndexStore::Compressed(_)));
         prop_assert!(matches!(opened[2].1.store(), IndexStore::Compressed(_)));
         prop_assert!(matches!(opened[3].1.store(), IndexStore::Mem(_)));
-        let engines: Vec<(&str, QueryEngine<'_, &IndexStore>)> =
-            opened.iter().map(|(label, e)| (*label, e.view())).collect();
 
         let n = g.num_nodes() as u32;
         let pairs: Vec<(NodeId, NodeId)> = (0..24u32)
             .map(|i| (NodeId((i * 7) % n), NodeId((i * 13 + 1) % n)))
             .collect();
-
-        for &(u, v) in &pairs {
-            let want = mem.single_pair(&g, u, v).unwrap();
-            for (label, engine) in &engines {
-                let got = engine.single_pair(&g, u, v).unwrap();
-                prop_assert_eq!(
-                    want.to_bits(),
-                    got.to_bits(),
-                    "single_pair({:?},{:?}) {}: {} vs {}",
-                    u,
-                    v,
-                    label,
-                    want,
-                    got
-                );
-            }
-        }
-
-        for u in [NodeId(0), NodeId(n / 2), NodeId(n - 1)] {
-            let want = mem.single_source(&g, u).unwrap();
-            let want_top = mem.top_k(&g, u, 5).unwrap();
-            for (label, engine) in &engines {
-                prop_assert_eq!(&want, &engine.single_source(&g, u).unwrap(), "{}", label);
-                prop_assert_eq!(&want_top, &engine.top_k(&g, u, 5).unwrap(), "{}", label);
-            }
-        }
-
-        for strategy in [JoinStrategy::PerSource, JoinStrategy::InvertedLists] {
-            let want = mem.threshold_join(&g, 0.05, strategy).unwrap();
-            for (label, engine) in &engines {
-                let got = engine.threshold_join(&g, 0.05, strategy).unwrap();
-                prop_assert_eq!(want.len(), got.len(), "join {}", label);
-                for (a, b) in want.iter().zip(&got) {
-                    prop_assert_eq!(
-                        (a.u, a.v, a.score.to_bits()),
-                        (b.u, b.v, b.score.to_bits()),
-                        "join {}",
-                        label
-                    );
-                }
-            }
-        }
-
-        let want = mem.batch_single_pair(&g, &pairs, 3).unwrap();
-        for (label, engine) in &engines {
-            let got = engine.batch_single_pair(&g, &pairs, 3).unwrap();
-            prop_assert_eq!(&want, &got, "batch {}", label);
+        let sources = [NodeId(0), NodeId(n / 2), NodeId(n - 1)];
+        assert_engine_matches_index("engine-mem", &idx, &mem, &g, &pairs, &sources);
+        for (label, engine) in &opened {
+            assert_engine_matches_index(label, &idx, engine, &g, &pairs, &sources);
         }
 
         // Streaming kernels vs the materializing reference path, per
@@ -220,9 +236,8 @@ proptest! {
         let hub = g.nodes().max_by_key(|&v| g.in_degree(v)).unwrap();
         let mut skewed = pairs.clone();
         skewed.extend((0..8u32).map(|i| (hub, NodeId((i * 5 + 1) % n))));
-        let sources = [NodeId(0), NodeId(n / 2), NodeId(n - 1)];
-        assert_streaming_matches_materialized("mem", &mem, &g, &skewed, &sources);
-        for (label, engine) in &engines {
+        assert_streaming_matches_materialized("engine-mem", &mem, &g, &skewed, &sources);
+        for (label, engine) in &opened {
             assert_streaming_matches_materialized(label, engine, &g, &skewed, &sources);
         }
 
@@ -268,11 +283,11 @@ fn skewed_stored_lists_stream_and_gallop_bit_identically() {
         .flat_map(|v| [(hub, v), (v, hub)])
         .collect();
     let sources = [hub, leaf];
-    let mem = idx.query_engine();
+    let mem = idx.into_shared_engine();
     assert_streaming_matches_materialized("mem", &mem, &g, &pairs, &sources);
     for (label, p) in [("mmap", &path), ("compressed", &v2_path)] {
         let engine = SharedEngine::open(&g, p, Residency::Mapped).unwrap();
-        assert_streaming_matches_materialized(label, &engine.view(), &g, &pairs, &sources);
+        assert_streaming_matches_materialized(label, &engine, &g, &pairs, &sources);
     }
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&v2_path).ok();
@@ -287,7 +302,7 @@ fn star_graph_extreme_skew_is_bit_identical() {
     let config = SlingConfig::from_epsilon(C, 0.05).with_seed(3);
     let idx = SlingIndex::build(&g, &config).unwrap();
     let pairs: Vec<(NodeId, NodeId)> = (1..40u32).map(|i| (NodeId(0), NodeId(i))).collect();
-    let mem = idx.query_engine();
+    let mem = idx.into_shared_engine();
     assert_streaming_matches_materialized("star-mem", &mem, &g, &pairs, &[NodeId(0), NodeId(7)]);
 }
 

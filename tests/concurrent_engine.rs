@@ -96,9 +96,8 @@ fn shared_mmap_engine_matches_serial_in_memory_bitwise() {
         .iter()
         .map(|&(u, v)| idx.single_pair(&g, u, v))
         .collect();
-    let want_topk: Vec<Vec<(NodeId, f64)>> = (0..24u32)
-        .map(|u| idx.top_k_heap(&g, NodeId(u), 7))
-        .collect();
+    let want_topk: Vec<Vec<(NodeId, f64)>> =
+        (0..24u32).map(|u| idx.top_k(&g, NodeId(u), 7)).collect();
 
     let engine = Arc::new(SharedEngine::open_mmap(&g, &path).unwrap());
 
@@ -127,20 +126,11 @@ fn owned_in_memory_engine_matches_too() {
         .iter()
         .map(|&(u, v)| idx.single_pair(&g, u, v))
         .collect();
-    let want_topk: Vec<Vec<(NodeId, f64)>> = (0..24u32)
-        .map(|u| idx.top_k_heap(&g, NodeId(u), 7))
-        .collect();
+    let want_topk: Vec<Vec<(NodeId, f64)>> =
+        (0..24u32).map(|u| idx.top_k(&g, NodeId(u), 7)).collect();
     let engine = Arc::new(idx.into_shared_engine());
     let cache = ShardedResultCache::with_capacity(1 << 12);
     hammer(&engine, &g, &pairs, &want_pairs, &want_topk, Some(&cache));
-    // The owned engine also exposes the full view surface.
-    let view = engine.view();
-    assert_eq!(
-        view.single_pair(&g, pairs[0].0, pairs[0].1)
-            .unwrap()
-            .to_bits(),
-        want_pairs[0].to_bits()
-    );
     std::fs::remove_file(&path).ok();
 }
 

@@ -25,7 +25,7 @@ fn topk_ranking_matches_ground_truth_up_to_eps_ties() {
     let idx = build(&g, 1);
     let truth = power_simrank(&g, C, 60);
     for u in g.nodes() {
-        let top = idx.top_k_heap(&g, u, 5);
+        let top = idx.top_k(&g, u, 5);
         // Every reported score is within eps of truth, and no unreported
         // node truly beats a reported one by more than 2*eps.
         let floor = top.last().map(|&(_, s)| s).unwrap_or(0.0);
@@ -155,7 +155,7 @@ fn serialized_index_answers_extension_queries_identically() {
     let idx = build(&g, 6);
     let restored = SlingIndex::from_bytes(&g, &idx.to_bytes()).unwrap();
     for u in [NodeId(0), NodeId(33), NodeId(99)] {
-        assert_eq!(idx.top_k_heap(&g, u, 10), restored.top_k_heap(&g, u, 10));
+        assert_eq!(idx.top_k(&g, u, 10), restored.top_k(&g, u, 10));
     }
     let a = idx
         .threshold_join(&g, 0.05, JoinStrategy::InvertedLists)

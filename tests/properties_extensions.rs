@@ -57,7 +57,7 @@ proptest! {
     fn topk_is_a_true_prefix(g in arb_graph(), seed in 0u64..500, k in 1usize..6) {
         let idx = SlingIndex::build(&g, &SlingConfig::from_epsilon(C, 0.1).with_seed(seed)).unwrap();
         for u in g.nodes() {
-            let top = idx.top_k_heap(&g, u, k);
+            let top = idx.top_k(&g, u, k);
             prop_assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
             prop_assert!(top.len() <= k);
             let scores = idx.single_source(&g, u);
@@ -67,8 +67,6 @@ proptest! {
                     prop_assert!(scores[v.index()] <= floor + 1e-12);
                 }
             }
-            // And heap agrees with the sort-based selection exactly.
-            prop_assert_eq!(top, idx.top_k(&g, u, k));
         }
     }
 
