@@ -2683,12 +2683,13 @@ fn bench_one_backend(
         lat,
     ));
 
+    // The path `TOPK` serves: Algorithm 6 plus the selection over the
+    // nodes it reached.
     let mut scores = Vec::new();
     let (total, lat) = time_each(w.sources.len(), |i| {
-        engine
-            .single_source_with(g, &mut ss, w.sources[i], &mut scores)
+        let top = engine
+            .top_k_with(g, &mut ss, &mut scores, w.sources[i], 10)
             .unwrap_or_default();
-        let top = sling_core::topk::select_top_k(&scores, Some(w.sources[i]), 10);
         acc += top.first().map(|&(_, s)| s).unwrap_or(0.0);
     });
     trace_row(traces, "top_k", ss.take_trace());

@@ -148,7 +148,10 @@ fn join_per_source<S: HpStore>(
     let mut out = Vec::new();
     for u in graph.nodes() {
         single_source_core(e, graph, &mut ws, u, &mut scores)?;
-        for (i, &s) in scores.iter().enumerate().skip(u.index() + 1) {
+        // Untouched slots are `0.0 < tau`: scan only the reached nodes
+        // above `u`, ascending.
+        for i in ws.dense.touched().skip_while(|&i| i <= u.index()) {
+            let s = scores[i];
             if s >= tau {
                 out.push(JoinPair {
                     u,
@@ -362,6 +365,47 @@ mod tests {
         for p in &top3 {
             assert_eq!(p.u.0 < 5, p.v.0 < 5, "cross-clique pair {p:?} in top 3");
         }
+    }
+
+    /// The per-source join scans only the nodes each query reached; it
+    /// must yield exactly the pairs a scan of every dense row does.
+    #[test]
+    fn per_source_join_matches_dense_scan_oracle() {
+        let g = barabasi_albert(300, 3, 7).unwrap();
+        let idx = build(&g, 0.1);
+        let rows: Vec<Vec<f64>> = g.nodes().map(|u| idx.single_source(&g, u)).collect();
+        let bits = |pairs: &[JoinPair]| -> Vec<(NodeId, NodeId, u64)> {
+            pairs
+                .iter()
+                .map(|p| (p.u, p.v, p.score.to_bits()))
+                .collect()
+        };
+        let mut sizes = Vec::new();
+        for tau in [0.005, 0.05] {
+            let mut oracle = Vec::new();
+            for (u, row) in rows.iter().enumerate() {
+                for (v, &score) in row.iter().enumerate().skip(u + 1) {
+                    if score >= tau {
+                        oracle.push(JoinPair {
+                            u: NodeId::from_index(u),
+                            v: NodeId::from_index(v),
+                            score,
+                        });
+                    }
+                }
+            }
+            sort_pairs(&mut oracle);
+            let joined = idx
+                .threshold_join(&g, tau, JoinStrategy::PerSource)
+                .unwrap();
+            assert!(!joined.is_empty(), "tau {tau} joins nothing");
+            assert_eq!(bits(&joined), bits(&oracle), "tau {tau}");
+            sizes.push(joined.len());
+        }
+        assert!(
+            sizes[0] > sizes[1],
+            "the two thresholds must differ: {sizes:?}"
+        );
     }
 
     #[test]

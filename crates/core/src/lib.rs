@@ -216,8 +216,9 @@
 //!
 //! ## Extension features beyond the paper's evaluation
 //!
-//! * top-k single-source queries with heap selection and an
-//!   early-terminating approximate variant ([`topk`]);
+//! * top-k single-source queries with bounded-heap selection over only
+//!   the nodes Algorithm 6 reached (`O(t log k)` for `t` reached nodes)
+//!   and an early-terminating approximate variant ([`topk`]);
 //! * threshold and top-k similarity joins over the index ([`join`]);
 //! * incremental maintenance under edge updates with taint tracking and
 //!   pluggable staleness policies ([`dynamic`]) — the paper's stated

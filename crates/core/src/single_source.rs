@@ -114,44 +114,118 @@ impl Frontier {
         }
     }
 
+    /// OR a whole word of members into word `wi`.
+    #[inline(always)]
+    fn or_word(&mut self, wi: usize, w: u64) {
+        self.bits[wi] |= w;
+        self.lo = self.lo.min(wi);
+        self.hi = self.hi.max(wi);
+    }
+
     #[inline]
     fn clear_marks(&mut self) {
         self.lo = usize::MAX;
         self.hi = 0;
     }
 
+    /// The tracked word range (empty when nothing is marked).
+    #[inline]
+    fn words(&self) -> std::ops::Range<usize> {
+        if self.lo <= self.hi {
+            self.lo..self.hi + 1
+        } else {
+            0..0
+        }
+    }
+
+    /// Empty the frontier, zeroing only its tracked word range.
+    fn clear(&mut self) {
+        let words = self.words();
+        self.bits[words].fill(0);
+        self.clear_marks();
+    }
+
+    /// Members in ascending node order.
+    fn iter(&self) -> Members<'_> {
+        let words = self.words();
+        Members {
+            bits: &self.bits,
+            next: words.start,
+            end: words.end,
+            base: 0,
+            w: 0,
+        }
+    }
+
+    /// Number of members.
+    fn count(&self) -> usize {
+        let words = self.words();
+        self.bits[words]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
     /// Zero every tracked slot of `vals` and empty the frontier.
     fn clear_tracked(&mut self, vals: &mut [f64]) {
-        if self.lo <= self.hi {
-            for wi in self.lo..=self.hi {
-                let mut w = self.bits[wi];
-                if w == 0 {
-                    continue;
-                }
-                self.bits[wi] = 0;
-                while w != 0 {
-                    let x = (wi << 6) | w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    vals[x] = 0.0;
-                }
-            }
+        for x in self.iter() {
+            vals[x] = 0.0;
         }
-        self.clear_marks();
+        self.clear();
+    }
+}
+
+/// Ascending iterator over a [`Frontier`]'s members: loads one word at
+/// a time from the tracked range and peels its set bits.
+pub(crate) struct Members<'a> {
+    bits: &'a [u64],
+    next: usize,
+    end: usize,
+    base: usize,
+    w: u64,
+}
+
+impl Iterator for Members<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.w == 0 {
+            if self.next == self.end {
+                return None;
+            }
+            self.w = self.bits[self.next];
+            self.base = self.next << 6;
+            self.next += 1;
+        }
+        let x = self.base | self.w.trailing_zeros() as usize;
+        self.w &= self.w - 1;
+        Some(x)
     }
 }
 
 /// Dense forward-propagation state of Algorithm 6.
 ///
 /// Invariant between queries: `cur`/`next` are all-zero and the
-/// [`Frontier`] bitsets empty (each query resets exactly the entries it
-/// touched), so repeated queries cost no `O(n)` clears beyond the first
-/// allocation.
+/// propagation [`Frontier`] bitsets empty (each query resets exactly
+/// the entries it touched), so repeated queries cost no `O(n)` clears
+/// beyond the first allocation.
+///
+/// `touched` records every node the last query wrote to its output
+/// vector — each word [`DenseScores::drain_into`] accumulates, plus the
+/// source under `exact_diagonal` — so every other output slot is the
+/// `0.0` written when the output was sized, and the clamp, top-k
+/// selection and joins finish the query over only those nodes. It is emptied at the
+/// *start* of each query (see [`single_source_with_cutoff`]), not the
+/// end, so a query that stops early (a cutoff, a corrupt-index error)
+/// cannot leak members into the next one.
 #[derive(Debug, Default)]
 pub(crate) struct DenseScores {
     pub(crate) cur: Vec<f64>,
     pub(crate) next: Vec<f64>,
     front_cur: Frontier,
     front_next: Frontier,
+    touched: Frontier,
     /// Staging buffer of `(destination, increment)` pairs for the tiled
     /// propagation rounds (see [`DenseScores::propagate`]); capacity is
     /// bounded by [`DenseScores::PROPAGATE_TILE`].
@@ -171,6 +245,7 @@ impl DenseScores {
         let words = n.div_ceil(64);
         self.front_cur.ensure(words);
         self.front_next.ensure(words);
+        self.touched.ensure(words);
         if self.inv_deg.is_empty() {
             self.inv_deg = (0..INV_DEGREE_TABLE)
                 .map(|d| if d == 0 { 0.0 } else { 1.0 / d as f64 })
@@ -333,8 +408,9 @@ impl DenseScores {
         self.staged.clear();
     }
 
-    /// Accumulate the surviving temporary scores into `out` and restore
-    /// the all-zero buffer invariant.
+    /// Accumulate the surviving temporary scores into `out`, record
+    /// their nodes in the touched set (one `or` per nonzero word, no
+    /// per-node work) and restore the all-zero buffer invariant.
     pub(crate) fn drain_into(&mut self, out: &mut [f64]) {
         if self.front_cur.lo <= self.front_cur.hi {
             for wi in self.front_cur.lo..=self.front_cur.hi {
@@ -343,6 +419,7 @@ impl DenseScores {
                     continue;
                 }
                 self.front_cur.bits[wi] = 0;
+                self.touched.or_word(wi, w);
                 while w != 0 {
                     let x = (wi << 6) | w.trailing_zeros() as usize;
                     w &= w - 1;
@@ -354,11 +431,22 @@ impl DenseScores {
         self.front_cur.clear_marks();
     }
 
-    /// Zero any leftover touched entries (used by early-terminating
+    /// Zero any leftover propagation entries (used by early-terminating
     /// queries that abandon un-drained state).
     pub(crate) fn reset(&mut self) {
         self.front_cur.clear_tracked(&mut self.cur);
         self.front_next.clear_tracked(&mut self.next);
+    }
+
+    /// The nodes the last query wrote to its output, ascending: a
+    /// superset of its nonzero slots.
+    pub(crate) fn touched(&self) -> Members<'_> {
+        self.touched.iter()
+    }
+
+    /// How many nodes [`DenseScores::touched`] yields.
+    pub(crate) fn touched_count(&self) -> usize {
+        self.touched.count()
     }
 
     fn trim_excess(&mut self) {
@@ -414,6 +502,7 @@ pub(crate) fn single_source_with_cutoff<S: HpStore>(
     out.clear();
     out.resize(n, 0.0);
     ws.dense.ensure(n);
+    ws.dense.touched.clear();
     let t_restore = ws.query.trace.timer();
     let restored = if materialize {
         // Reference path: plain workspace materialization, no cache.
@@ -438,11 +527,14 @@ pub(crate) fn single_source_with_cutoff<S: HpStore>(
     query.trace.add_propagate(t_propagate);
     dense.reset();
 
-    for s in out.iter_mut() {
-        *s = s.clamp(0.0, 1.0);
+    // Every slot outside the touched set is still `0.0`, which the
+    // clamp would leave as is.
+    for x in dense.touched() {
+        out[x] = out[x].clamp(0.0, 1.0);
     }
     if e.config.exact_diagonal {
         out[u.index()] = 1.0;
+        dense.touched.set(u.index());
     }
     Ok(match cutoff {
         Some(cut) if truncated => e.config.c.powi(cut as i32) / (1.0 - e.config.c),
@@ -616,6 +708,44 @@ mod tests {
         let mut reused = Vec::new();
         idx.single_source_with(&g, &mut ws, NodeId(3), &mut reused);
         assert_eq!(direct, reused);
+    }
+
+    /// The touched set covers every nonzero output slot — including the
+    /// exact diagonal when a cutoff skips step 0 — and is rebuilt, not
+    /// accumulated, by each query on a reused workspace.
+    #[test]
+    fn touched_set_covers_every_nonzero_output_slot() {
+        use sling_graph::generators::barabasi_albert;
+        let g = barabasi_albert(300, 3, 11).unwrap();
+        let idx = build(&g, 0.1);
+        let mut ws = SingleSourceWorkspace::new();
+        let mut out = Vec::new();
+        for (u, cutoff) in [(0u32, None), (144, Some(2)), (7, Some(0)), (299, None)] {
+            single_source_with_cutoff(
+                idx.engine_ref(),
+                &g,
+                &mut ws,
+                NodeId(u),
+                cutoff,
+                false,
+                &mut out,
+            )
+            .unwrap();
+            let touched: Vec<usize> = ws.dense.touched().collect();
+            assert!(touched.windows(2).all(|w| w[0] < w[1]), "not ascending");
+            assert_eq!(touched.len(), ws.dense.touched_count());
+            assert!(touched.contains(&(u as usize)), "u {u} missing");
+            for (v, &s) in out.iter().enumerate() {
+                assert!(s == 0.0 || touched.binary_search(&v).is_ok(), "u {u} v {v}");
+            }
+            if cutoff == Some(0) {
+                // Nothing propagated: only the diagonal is left, so the
+                // previous query's members did not carry over.
+                assert_eq!(touched, vec![u as usize]);
+            } else {
+                assert!(touched.len() < g.num_nodes(), "u {u}: not sparse");
+            }
+        }
     }
 
     /// Algorithm 6's streaming seed path must be bit-identical to the

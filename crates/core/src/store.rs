@@ -61,7 +61,7 @@ use crate::join::{threshold_join_core, JoinPair, JoinStrategy};
 use crate::obs::{self, KernelCounters};
 use crate::single_pair::single_pair_core;
 use crate::single_source::{single_source_core, SingleSourceWorkspace};
-use crate::topk::{select_top_k, single_source_truncated_core};
+use crate::topk::{single_source_truncated_core, top_k_core};
 
 /// Read interface to a packed hitting-probability store.
 ///
@@ -1733,8 +1733,12 @@ impl<S: HpStore> SharedEngine<S> {
         self.top_k_with(graph, &mut ws, &mut scores, u, k)
     }
 
-    /// Top-k reusing caller-provided buffers (`scores` holds the full
-    /// Algorithm-6 vector afterwards).
+    /// Top-k reusing caller-provided buffers. `scores` holds the full
+    /// clamped Algorithm-6 vector afterwards, exactly as
+    /// [`SharedEngine::single_source_with`] leaves it. The selection
+    /// visits only the `t` nodes the query reached, in `O(t log k)`, and
+    /// answers bit-identically to [`crate::topk::select_top_k`] over
+    /// `scores`; sizing `scores` to `n` zeros is the one `O(n)` pass.
     pub fn top_k_with(
         &self,
         graph: &DiGraph,
@@ -1743,8 +1747,8 @@ impl<S: HpStore> SharedEngine<S> {
         u: NodeId,
         k: usize,
     ) -> Result<Vec<(NodeId, f64)>, SlingError> {
-        self.single_source_with(graph, ws, u, scores)?;
-        Ok(select_top_k(scores, Some(u), k))
+        self.engine_ref().check_node(u)?;
+        top_k_core(self.engine_ref(), graph, ws, scores, u, k, 0.0)
     }
 
     /// All unordered pairs with `s̃(u, v) ≥ tau` (see

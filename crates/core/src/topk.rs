@@ -5,8 +5,10 @@
 //! query strategies on top of Algorithm 6:
 //!
 //! * [`SlingIndex::top_k`] — run the full single-source query, then
-//!   select the k best in `O(n log k)` with a bounded min-heap
-//!   ([`select_top_k`]) instead of sorting all `n` scores.
+//!   select the k best with a bounded min-heap instead of sorting all `n`
+//!   scores. Algorithm 6 records which nodes it wrote, so the selection
+//!   visits only those `t` nodes, in `O(t log k)`; [`select_top_k`] is
+//!   the same heap over a whole dense vector, in `O(n log k)`.
 //! * [`SlingIndex::top_k_approx`] — an early-terminating variant. The
 //!   step-ℓ term of Eq. (13) contributes at most `c^ℓ` to *any* pair's
 //!   score (each hitting-probability row sums to `(√c)^ℓ` and `d_k ≤ 1`),
@@ -55,18 +57,32 @@ impl PartialOrd for Ranked {
 /// excluding `exclude` and zero scores, in `O(n log k)`, ordered by
 /// descending score with ascending node-id tie-breaking. `k` is clamped
 /// to `scores.len()` first, so an untrusted `k` (a wire request, a CLI
-/// flag) sizes the heap by the candidates, never by itself. Public so
-/// external harnesses (the CLI's `bench-query`, the criterion benches)
-/// can compose it with the buffer-reusing single-source APIs.
+/// flag) sizes the heap by the candidates, never by itself. The engine
+/// and index top-k paths run the same selection over only the nodes
+/// Algorithm 6 reached, in `O(t log k)`; this dense form is the oracle
+/// they are tested against, and is public so external harnesses can
+/// compose it with the buffer-reusing single-source APIs.
 pub fn select_top_k(scores: &[f64], exclude: Option<NodeId>, k: usize) -> Vec<(NodeId, f64)> {
-    let k = k.min(scores.len());
+    select_ranked(scores.iter().copied().enumerate(), scores.len(), exclude, k)
+}
+
+/// The one bounded-heap selection behind every top-k path: the `k` best
+/// of at most `len` `(node index, score)` candidates, skipping `exclude`
+/// and scores `≤ 0`. `k` is clamped to `len` before the heap is sized.
+fn select_ranked(
+    cands: impl Iterator<Item = (usize, f64)>,
+    len: usize,
+    exclude: Option<NodeId>,
+    k: usize,
+) -> Vec<(NodeId, f64)> {
+    let k = k.min(len);
     if k == 0 {
         return Vec::new();
     }
     // Min-heap of the k best seen so far: `Reverse` puts the worst kept
     // candidate at the root for O(log k) eviction.
     let mut heap: BinaryHeap<std::cmp::Reverse<Ranked>> = BinaryHeap::with_capacity(k + 1);
-    for (i, &score) in scores.iter().enumerate() {
+    for (i, score) in cands {
         if score <= 0.0 || Some(NodeId::from_index(i)) == exclude {
             continue;
         }
@@ -89,10 +105,31 @@ pub fn select_top_k(scores: &[f64], exclude: Option<NodeId>, k: usize) -> Vec<(N
     out
 }
 
+/// Top-k over any storage backend: Algorithm 6 into `scores` (truncated
+/// by `slack`, see [`single_source_truncated_core`]), then the selection
+/// over only the nodes the query reached. Every other slot of `scores`
+/// is `0.0`, which the selection skips anyway, so the answer equals
+/// [`select_top_k`] over the whole vector, bit for bit.
+pub(crate) fn top_k_core<S: HpStore>(
+    e: EngineRef<'_, S>,
+    graph: &DiGraph,
+    ws: &mut SingleSourceWorkspace,
+    scores: &mut Vec<f64>,
+    u: NodeId,
+    k: usize,
+    slack: f64,
+) -> Result<Vec<(NodeId, f64)>, SlingError> {
+    single_source_truncated_core(e, graph, ws, u, slack, scores)?;
+    let dense = &ws.dense;
+    let cands = dense.touched().map(|i| (i, scores[i]));
+    Ok(select_ranked(cands, dense.touched_count(), Some(u), k))
+}
+
 impl SlingIndex {
     /// Top-k most similar nodes to `u` (excluding `u` itself), ordered by
     /// descending score with node-id tie-breaking. Built on Algorithm 6;
-    /// the selection is [`select_top_k`]'s bounded heap.
+    /// the selection is [`select_top_k`]'s bounded heap, run over only the
+    /// `t` nodes the query reached in `O(t log k)`.
     ///
     /// ```
     /// use sling_core::{SlingConfig, SlingIndex};
@@ -105,8 +142,7 @@ impl SlingIndex {
     /// assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
     /// ```
     pub fn top_k(&self, graph: &DiGraph, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-        let scores = self.single_source(graph, u);
-        select_top_k(&scores, Some(u), k)
+        self.top_k_approx(graph, u, k, 0.0)
     }
 
     /// Early-terminating top-k: stops propagating Algorithm 6's step runs
@@ -123,10 +159,11 @@ impl SlingIndex {
         k: usize,
         slack: f64,
     ) -> Vec<(NodeId, f64)> {
+        debug_assert_eq!(graph.num_nodes(), self.num_nodes, "wrong graph for index");
         let mut ws = SingleSourceWorkspace::new();
         let mut scores = Vec::new();
-        self.single_source_truncated(graph, &mut ws, u, slack, &mut scores);
-        select_top_k(&scores, Some(u), k)
+        top_k_core(self.engine_ref(), graph, &mut ws, &mut scores, u, k, slack)
+            .expect("in-memory HP store cannot fail")
     }
 
     /// Algorithm 6 with early termination: skip step runs whose maximum
@@ -239,9 +276,43 @@ mod tests {
         let idx = build(&g, 0.1);
         for u in [NodeId(0), NodeId(7), NodeId(123)] {
             let scores = idx.single_source(&g, u);
-            for k in [1, 5, 50, 300, usize::MAX] {
+            for k in [0, 1, 5, 50, 300, usize::MAX] {
                 let heaped = idx.top_k(&g, u, k);
                 assert_eq!(heaped, sort_top_k(&scores, u, k), "u = {u:?}, k = {k}");
+            }
+        }
+    }
+
+    /// A query cut short by the slack cutoff leaves the workspace in a
+    /// state the next full top-k cannot observe: answers and the score
+    /// vector equal those of a fresh workspace, bit for bit.
+    #[test]
+    fn truncated_query_then_top_k_matches_fresh_workspace() {
+        let g = barabasi_albert(300, 3, 5).unwrap();
+        let engine = crate::store::SharedEngine::from(build(&g, 0.1));
+        let mut ws = SingleSourceWorkspace::new();
+        let (mut scores, mut fresh_scores) = (Vec::new(), Vec::new());
+        for (cut, full) in [(0u32, 7u32), (123, 123), (7, 299)] {
+            let residual = engine
+                .single_source_truncated(&g, &mut ws, NodeId(cut), 0.05, &mut scores)
+                .unwrap();
+            assert!(residual > 0.0, "slack must cut the run sequence short");
+            for k in [0, 1, 10, usize::MAX] {
+                let got = engine
+                    .top_k_with(&g, &mut ws, &mut scores, NodeId(full), k)
+                    .unwrap();
+                let want = engine
+                    .top_k_with(
+                        &g,
+                        &mut SingleSourceWorkspace::new(),
+                        &mut fresh_scores,
+                        NodeId(full),
+                        k,
+                    )
+                    .unwrap();
+                assert_eq!(got, want, "cut {cut}, full {full}, k {k}");
+                let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&scores), bits(&fresh_scores), "cut {cut}, full {full}");
             }
         }
     }

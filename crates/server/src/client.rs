@@ -187,19 +187,7 @@ impl Client {
     /// Top-k most similar nodes to `u`.
     pub fn top_k(&mut self, u: u32, k: usize) -> io::Result<Vec<(u32, f64)>> {
         let payload = self.roundtrip(&Request::TopK { u, k }.encode())?;
-        let mut tokens = payload.split_ascii_whitespace();
-        let count: usize = parse_tok(tokens.next(), "top-k count")?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let tok = tokens
-                .next()
-                .ok_or_else(|| invalid("truncated top-k response"))?;
-            let (node, score) = tok
-                .split_once(':')
-                .ok_or_else(|| invalid("malformed top-k item"))?;
-            out.push((parse_tok(Some(node), "node id")?, parse_f64(score)?));
-        }
-        Ok(out)
+        parse_top_k(&payload)
     }
 
     /// Positionally aligned scores for a batch of pairs.
@@ -580,11 +568,19 @@ fn parse_tok<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> io::Result<
         .map_err(|_| invalid(&format!("cannot parse {what}")))
 }
 
+/// Capacity to reserve for `count` items announced by a reply: never
+/// more than `payload` can hold (each item takes at least two bytes, a
+/// separator and a digit), so a forged count cannot abort the client on
+/// allocation; it ends in the "truncated" error instead.
+fn bounded_capacity(count: usize, payload: &str) -> usize {
+    count.min(payload.len() / 2)
+}
+
 /// Parse `<count> <s0> <s1> ..` into a score vector.
 fn parse_counted_scores(payload: &str) -> io::Result<Vec<f64>> {
     let mut tokens = payload.split_ascii_whitespace();
     let count: usize = parse_tok(tokens.next(), "score count")?;
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::with_capacity(bounded_capacity(count, payload));
     for _ in 0..count {
         out.push(parse_f64(
             tokens.next().ok_or_else(|| invalid("truncated scores"))?,
@@ -592,6 +588,23 @@ fn parse_counted_scores(payload: &str) -> io::Result<Vec<f64>> {
     }
     if tokens.next().is_some() {
         return Err(invalid("trailing tokens after scores"));
+    }
+    Ok(out)
+}
+
+/// Parse `<count> <node>:<score> ..` into top-k items.
+fn parse_top_k(payload: &str) -> io::Result<Vec<(u32, f64)>> {
+    let mut tokens = payload.split_ascii_whitespace();
+    let count: usize = parse_tok(tokens.next(), "top-k count")?;
+    let mut out = Vec::with_capacity(bounded_capacity(count, payload));
+    for _ in 0..count {
+        let tok = tokens
+            .next()
+            .ok_or_else(|| invalid("truncated top-k response"))?;
+        let (node, score) = tok
+            .split_once(':')
+            .ok_or_else(|| invalid("malformed top-k item"))?;
+        out.push((parse_tok(Some(node), "node id")?, parse_f64(score)?));
     }
     Ok(out)
 }
@@ -649,6 +662,20 @@ mod tests {
                 Disposition::RetryReconnect,
                 "{kind:?}"
             );
+        }
+    }
+
+    /// A reply announcing more items than it carries must end in the
+    /// "truncated" error, not an allocation abort sized by the count.
+    #[test]
+    fn forged_counts_are_invalid_data_not_aborts() {
+        for count in [1usize << 40, usize::MAX] {
+            let scores = parse_counted_scores(&format!("{count} 0.5")).unwrap_err();
+            assert_eq!(scores.kind(), io::ErrorKind::InvalidData, "{count}");
+            assert!(scores.to_string().contains("truncated"), "{scores}");
+            let top = parse_top_k(&format!("{count} 1:0.5")).unwrap_err();
+            assert_eq!(top.kind(), io::ErrorKind::InvalidData, "{count}");
+            assert!(top.to_string().contains("truncated"), "{top}");
         }
     }
 

@@ -110,7 +110,40 @@ fn assert_streaming_matches_materialized<S: HpStore + Sync>(
     let mut ssw = SingleSourceWorkspace::new();
     let mut ssw_ref = SingleSourceWorkspace::new();
     let (mut scores, mut scores_ref) = (Vec::new(), Vec::new());
+    // The served top-k path on one workspace and one score buffer reused
+    // across every source and k, so each call starts from the previous
+    // source's vector and touched set. It runs first in each round:
+    // cold in round 0 (the reference path below bypasses the restore
+    // cache), warm in round 1.
+    let mut ssw_top = SingleSourceWorkspace::new();
+    let mut top_scores = Vec::new();
     for round in 0..2 {
+        let refs: Vec<Vec<f64>> = sources
+            .iter()
+            .map(|&u| {
+                engine
+                    .single_source_materialized_with(g, &mut ssw_ref, u, &mut scores_ref)
+                    .unwrap();
+                scores_ref.clone()
+            })
+            .collect();
+        for k in [0, 1, 10, g.num_nodes(), usize::MAX] {
+            for (&u, want) in sources.iter().zip(&refs) {
+                let top = engine
+                    .top_k_with(g, &mut ssw_top, &mut top_scores, u, k)
+                    .unwrap();
+                assert_eq!(
+                    top,
+                    select_top_k(want, Some(u), k),
+                    "{label} round {round}: top_k_with({u:?}, {k})"
+                );
+                assert_eq!(
+                    bits(&top_scores),
+                    bits(want),
+                    "{label} round {round}: top_k_with({u:?}, {k}) scores"
+                );
+            }
+        }
         for &(u, v) in pairs {
             let streamed = engine.single_pair_with(g, &mut ws, u, v).unwrap();
             let reference = engine
