@@ -6,7 +6,7 @@
 //!
 //! * `single_pair/streaming` vs `single_pair/materialized` — the
 //!   borrow-from-backend [`sling_core::store::EntryAccess`] kernel with
-//!   galloping merge and the restore cache, against the pre-streaming
+//!   galloping merge, against the pre-streaming
 //!   copy-then-linear-merge reference path;
 //! * the same comparison on a hub-pair workload (maximum list-length
 //!   skew, the galloping merge's home turf);

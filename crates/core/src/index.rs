@@ -169,10 +169,7 @@ impl SlingIndex {
             .expect("in-memory HP store cannot fail");
     }
 
-    /// Internal engine view over the in-memory arena. The convenience
-    /// API carries no restore cache, so a node that needs a restore is
-    /// materialized into the query workspace on every query — hold a
-    /// [`crate::SharedEngine`] for memoized restores.
+    /// Internal engine view over the in-memory arena.
     pub(crate) fn engine_ref(&self) -> EngineRef<'_, HpArena> {
         EngineRef {
             store: &self.hp,
@@ -180,7 +177,6 @@ impl SlingIndex {
             d: &self.d,
             reduced: &self.reduced,
             marks: &self.marks,
-            restore_cache: None,
         }
     }
 }
@@ -237,73 +233,40 @@ pub(crate) enum Buf {
     B,
 }
 
-/// Where a restored effective list ended up (see [`resolve_restored`]).
-pub(crate) enum RestoredList {
-    /// Materialized into the selected workspace buffer (no cache on this
-    /// engine ref — the bare `SlingIndex` path).
-    Workspace,
-    /// Served from (or freshly admitted to) the engine's
-    /// [`crate::store::RestoreCache`]; borrow the list from the `Arc`.
-    Shared(std::sync::Arc<Vec<HpEntry>>),
-}
-
-/// Produce the restored effective list of `v`, or `None` when `v`'s
-/// stored run already is its effective list
-/// ([`EngineRef::needs_restore`]). The one restore policy of the query
-/// kernels: on an engine a cache hit is a refcount bump and a miss
-/// materializes through [`effective_entries_into`] and admits the list;
-/// the bare index, which has no cache, materializes into the workspace.
-/// Both produce the identical list.
+/// Materialize `v`'s effective list into the selected workspace buffer
+/// when its stored run is not already that list
+/// ([`EngineRef::needs_restore`]), and report whether it did. The one
+/// restore path of the query kernels, on every front-end: the buffer
+/// keeps its capacity across queries, so a warm workspace restores
+/// without allocating.
 pub(crate) fn resolve_restored<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
     v: NodeId,
     ws: &mut QueryWorkspace,
     which: Buf,
-) -> Result<Option<RestoredList>, SlingError> {
+) -> Result<bool, SlingError> {
     if !e.needs_restore(v) {
-        return Ok(None);
+        return Ok(false);
     }
-    let Some(cache) = e.restore_cache else {
-        effective_entries_into(e, graph, v, ws, which)?;
-        return Ok(Some(RestoredList::Workspace));
-    };
-    if let Some(hit) = cache.get(v) {
-        return Ok(Some(RestoredList::Shared(hit)));
-    }
-    // Capture the epoch *before* restoring: if the cache is invalidated
-    // while the restore runs, the tagged insert below is dropped rather
-    // than admitting a list computed against retired state.
-    let epoch = cache.epoch();
     effective_entries_into(e, graph, v, ws, which)?;
-    // Move, don't copy: the kernels read the returned Arc, never the
-    // workspace buffer, and the next query clears the buffer before
-    // reuse — so taking it avoids a second full-list memcpy on every
-    // cache miss.
-    let buf = match which {
-        Buf::A => &mut ws.buf_a,
-        Buf::B => &mut ws.buf_b,
-    };
-    let list = std::sync::Arc::new(std::mem::take(buf));
-    cache.insert_tagged(v, std::sync::Arc::clone(&list), epoch);
-    Ok(Some(RestoredList::Shared(list)))
+    Ok(true)
 }
 
-/// Borrow `v`'s effective list for the streaming kernels: the list
-/// [`resolve_restored`] produced (`buf` holds it when it was
-/// materialized into the workspace), or else `v`'s stored run straight
-/// from the backend, with `buf` as the scratch a backend may
+/// Borrow `v`'s effective list for the streaming kernels: `buf` when
+/// [`resolve_restored`] materialized it there, or else `v`'s stored run
+/// straight from the backend, with `buf` as the scratch a backend may
 /// materialize into.
 pub(crate) fn effective_access<'s, S: HpStore>(
     store: &'s S,
     v: NodeId,
-    restored: &'s Option<RestoredList>,
+    restored: bool,
     buf: &'s mut Vec<HpEntry>,
 ) -> Result<EntryAccess<'s>, SlingError> {
-    match restored {
-        Some(RestoredList::Workspace) => Ok(EntryAccess::Slice(buf)),
-        Some(RestoredList::Shared(list)) => Ok(EntryAccess::Slice(list)),
-        None => store.entries_ref(v, buf),
+    if restored {
+        Ok(EntryAccess::Slice(buf))
+    } else {
+        store.entries_ref(v, buf)
     }
 }
 

@@ -118,11 +118,10 @@
 //! block from the compressed backends — and the kernels consume it in
 //! place. A node whose effective list differs from its stored run
 //! (§5.2-reduced or §5.3-marked, two O(1) loads on build-time
-//! artifacts) takes the one restore policy instead: on an engine, its
-//! full effective list comes from the sharded [`store::RestoreCache`] —
-//! a warm hub is one lookup and a contiguous merge with zero backend
-//! traffic — and on the bare [`SlingIndex`] it is materialized into a
-//! [`QueryWorkspace`] buffer. The single-pair merge dispatches on
+//! artifacts) takes the one restore path instead: on the engine and the
+//! bare [`SlingIndex`] alike, its full effective list is materialized
+//! into a buffer of the caller's [`QueryWorkspace`], which keeps its
+//! capacity from query to query. The single-pair merge dispatches on
 //! list-length skew: ≥ 8× apart (hub-versus-leaf pairs, the dominant
 //! shape on power-law graphs) switches the linear pass to a galloping
 //! merge over the longer run — bit-identical by construction, since
@@ -137,13 +136,12 @@
 //!
 //! * [`store::SharedEngine`] — the one query engine: a store bundled
 //!   with the query-side metadata (correction factors, reduction
-//!   bitmap, marks) and a restore cache, owned, `Send + Sync` and
-//!   `Arc`-shareable. Open an index once (in memory or mapped) and
-//!   share it across threads for the process lifetime; workers keep
-//!   per-thread workspaces, so the hot path shares only immutable state
-//!   and the sharded caches.
+//!   bitmap, marks), owned, `Send + Sync` and `Arc`-shareable. Open an
+//!   index once (in memory or mapped) and share it across threads for
+//!   the process lifetime; workers keep per-thread workspaces, so the
+//!   hot path shares only immutable state and the sharded caches.
 //! * [`SlingIndex`]'s infallible convenience methods over the
-//!   in-memory arena, without a restore cache.
+//!   in-memory arena.
 //!
 //! For concurrent serving, [`cache::ShardedResultCache`] adds a global
 //! single-pair result cache — power-of-two lock-per-shard over the same
@@ -174,13 +172,13 @@
 //! safe: at every instant `CURRENT` names a valid generation), retired
 //! generations are GC'd on a retention policy, and
 //! [`lifecycle::warm_engine`] primes a freshly opened generation
-//! (prefetch + hot-key-log replay) before it takes traffic. Both result
-//! caches are **epoch-tagged** ([`ShardedResultCache`] and the
-//! [`store::RestoreCache`]) so a generation swap invalidates them in
-//! O(1) — a hit computed against a retired index is never served — and
-//! `sling-server` holds its engine in an epoch-tagged reloadable slot
-//! that hot-swaps generations under live traffic (`RELOAD`, or
-//! `serve --index-root <dir> --watch`). [`dynamic::DynamicSling`]
+//! (prefetch + hot-key-log replay) before it takes traffic. The result
+//! cache is **epoch-tagged** ([`ShardedResultCache`]) so a generation
+//! swap invalidates it in O(1) — a hit computed against a retired index
+//! is never served — and `sling-server` holds its engine in an
+//! epoch-tagged reloadable slot that hot-swaps generations under live
+//! traffic (`RELOAD`, or `serve --index-root <dir> --watch`).
+//! [`dynamic::DynamicSling`]
 //! rebuilds can publish-and-promote into the store
 //! ([`dynamic::DynamicSling::rebuild_into`]) instead of replacing the
 //! engine in place, closing the loop from graph churn to zero-downtime
@@ -192,9 +190,9 @@
 //! above: a lock-free [`obs::MetricsRegistry`] of named counters,
 //! gauges, and log-bucketed histograms (per-worker shards merged on
 //! snapshot; stable Prometheus-text and fixed-key-order JSON
-//! renderers), process-wide kernel counters ([`obs::KERNEL`]:
-//! RestoreCache hit/miss, block decodes, backend bytes read,
-//! gallop-vs-linear merge dispatch, frontier words swept) and
+//! renderers), process-wide kernel counters ([`obs::KERNEL`]: block
+//! decodes, backend bytes read, gallop-vs-linear merge dispatch,
+//! frontier words swept) and
 //! lifecycle counters ([`obs::LIFECYCLE`]: publishes, promotions, GC,
 //! warm-ups), and a zero-cost-when-disabled [`obs::QueryTrace`] inside
 //! every [`QueryWorkspace`] that charges wall time to the four kernel
@@ -272,8 +270,7 @@ pub use index::{QueryWorkspace, SlingIndex};
 pub use lifecycle::{GenId, GenerationStore, Manifest};
 pub use obs::{MetricsRegistry, QueryTrace, SlowQueryLog, SlowQueryRecord, StageNanos};
 pub use store::{
-    CompressedMmapArena, EntryAccess, HpStore, IndexStore, MmapHpArena, Residency, RestoreCache,
-    SharedEngine,
+    CompressedMmapArena, EntryAccess, HpStore, IndexStore, MmapHpArena, Residency, SharedEngine,
 };
 pub use topk::select_top_k;
 pub use walk::WalkEngine;

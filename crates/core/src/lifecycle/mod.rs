@@ -72,10 +72,9 @@
 //! Before a generation goes live, [`warm_engine`] stages its pages
 //! (advisory `madvise(WILLNEED)` via [`crate::store::HpStore::prefetch`]
 //! on the mmap backends) and replays the store's hot-key log so the
-//! §5.2 [`crate::store::RestoreCache`] and the compressed backends'
-//! block caches are primed — the first post-swap requests hit warm
-//! caches instead of paying cold-start latency under production
-//! traffic. The log itself is operator- or pipeline-fed (checksummed
+//! page cache and the compressed backends' block caches are primed —
+//! the first post-swap requests hit warm pages and blocks instead of
+//! paying cold-start latency under production traffic. The log itself is operator- or pipeline-fed (checksummed
 //! `SLNGTRACE` record lines, with legacy bare `<u> <v>` lines still
 //! accepted; see
 //! [`GenerationStore::append_hot_keys`][generation::GenerationStore::append_hot_keys]
@@ -93,10 +92,10 @@
 //! new requests pick up the promoted one, and the shared result cache's
 //! epoch advances with the swap so a hit computed against a retired
 //! index can never be served (see `ReloadableEngine` there and the
-//! epoch-tagged [`crate::ShardedResultCache`] /
-//! [`crate::store::RestoreCache`] here). [`crate::dynamic::DynamicSling`]
-//! closes the loop: its rebuilds can publish into a [`GenerationStore`]
-//! (and promote) instead of replacing the engine in place.
+//! epoch-tagged [`crate::ShardedResultCache`] here).
+//! [`crate::dynamic::DynamicSling`] closes the loop: its rebuilds can
+//! publish into a [`GenerationStore`] (and promote) instead of replacing
+//! the engine in place.
 
 // Lifecycle code runs under live traffic; a panic here takes the whole
 // serving process down, so fallible paths must return errors instead.
@@ -323,9 +322,7 @@ mod tests {
         let engine = crate::store::SharedEngine::from(idx.clone());
         let primed = warm_engine(&engine, &g, &keys);
         assert_eq!(primed, 3, "out-of-range pair must be skipped, not fail");
-        // Warm-up populated the restore cache: hub restores are memoized.
-        assert!(engine.restore_cache().resident_bytes() > 0);
-        // And of course warmed answers stay bit-identical.
+        // Warmed answers stay bit-identical.
         assert_eq!(
             engine.single_pair(&g, NodeId(0), NodeId(1)).unwrap(),
             idx.single_pair(&g, NodeId(0), NodeId(1))

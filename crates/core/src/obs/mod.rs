@@ -34,9 +34,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Process-wide kernel event counters (see module docs).
 #[derive(Debug)]
 pub struct KernelCounters {
-    /// `RestoreCache` lookups that returned a memoized full list.
+    /// Always 0: nothing memoizes restored lists, so no lookup can
+    /// hit. Kept for readers that report the restore hit rate.
     pub restore_cache_hits: AtomicU64,
-    /// `RestoreCache` lookups that fell through to recomputation.
+    /// Always 0, like [`KernelCounters::restore_cache_hits`].
     pub restore_cache_misses: AtomicU64,
     /// Compressed blocks decoded (the v2/v3 mmap backend).
     pub block_decodes: AtomicU64,
@@ -180,10 +181,6 @@ macro_rules! register_static_counters {
 /// under the `sling_kernel_*` / `sling_lifecycle_*` families.
 pub fn register_process_metrics(reg: &MetricsRegistry) {
     register_static_counters!(reg, KERNEL, {
-        "sling_kernel_restore_cache_hits_total" => restore_cache_hits:
-            "RestoreCache lookups resolved to a memoized full list",
-        "sling_kernel_restore_cache_misses_total" => restore_cache_misses:
-            "RestoreCache lookups that recomputed the restore",
         "sling_kernel_block_decodes_total" => block_decodes:
             "compressed index blocks decoded",
         "sling_kernel_backend_bytes_read_total" => backend_bytes_read:

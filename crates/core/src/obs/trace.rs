@@ -9,8 +9,7 @@
 //!
 //! * `entry_fetch` — resolving backend entry runs ([`EntryAccess`]
 //!   borrows, block decodes),
-//! * `restore` — the §5.2 recomputation / §5.3 mark expansion
-//!   (including `RestoreCache` resolution),
+//! * `restore` — the §5.2 recomputation / §5.3 mark expansion,
 //! * `merge` — the Algorithm-3 intersect-merge (linear or galloping),
 //! * `propagate` — the Algorithm-6 frontier propagation.
 //!
@@ -30,7 +29,7 @@ use std::time::{Duration, Instant};
 pub struct StageNanos {
     /// Backend entry-run resolution (fetch/decode/read).
     pub entry_fetch: u64,
-    /// §5.2 restore + §5.3 expansion (incl. RestoreCache resolution).
+    /// §5.2 restore + §5.3 expansion.
     pub restore: u64,
     /// Algorithm-3 intersect-merge.
     pub merge: u64,

@@ -14,8 +14,7 @@ use sling_graph::{DiGraph, NodeId};
 
 use crate::error::SlingError;
 use crate::index::{
-    effective_access, effective_entries_into, resolve_restored, Buf, QueryWorkspace, RestoredList,
-    SlingIndex,
+    effective_access, effective_entries_into, resolve_restored, Buf, QueryWorkspace, SlingIndex,
 };
 use crate::obs::{self, KernelCounters};
 use crate::store::{with_run, EngineRef, EntryRun, HpStore};
@@ -505,9 +504,9 @@ pub(crate) fn single_source_with_cutoff<S: HpStore>(
     ws.dense.touched.clear();
     let t_restore = ws.query.trace.timer();
     let restored = if materialize {
-        // Reference path: plain workspace materialization, no cache.
+        // Reference path: materialize every source, restoring or not.
         effective_entries_into(e, graph, u, &mut ws.query, Buf::A)?;
-        Some(RestoredList::Workspace)
+        true
     } else {
         resolve_restored(e, graph, u, &mut ws.query, Buf::A)?
     };
@@ -518,7 +517,7 @@ pub(crate) fn single_source_with_cutoff<S: HpStore>(
     let SingleSourceWorkspace { dense, query } = ws;
     let QueryWorkspace { buf_a, .. } = query;
     let t_fetch = query.trace.timer();
-    let access = effective_access(e.store, u, &restored, buf_a)?;
+    let access = effective_access(e.store, u, restored, buf_a)?;
     query.trace.add_entry_fetch(t_fetch);
     let t_propagate = query.trace.timer();
     let truncated = with_run!(&access, |run| seed_step_runs(
@@ -750,9 +749,8 @@ mod tests {
 
     /// Algorithm 6's streaming seed path must be bit-identical to the
     /// materializing reference kernel across the §5.2 × §5.3 matrix from
-    /// both front-ends: the bare index materializes a restoring source
-    /// into the workspace, the engine resolves it through its
-    /// RestoreCache — cold on the first pass, warm on the second.
+    /// both front-ends, and through a workspace that a first pass has
+    /// already filled.
     #[test]
     fn bare_index_and_engine_match_materialized_across_restore_matrix() {
         use sling_graph::generators::barabasi_albert;
@@ -768,7 +766,7 @@ mod tests {
             let mut ws = SingleSourceWorkspace::new();
             let mut ws_ref = SingleSourceWorkspace::new();
             let (mut served, mut oracle) = (Vec::new(), Vec::new());
-            for pass in ["cold", "warm"] {
+            for pass in ["fresh", "reused"] {
                 for u in [0u32, 1, 13, 144, 299] {
                     engine
                         .single_source_with(&g, &mut ws, NodeId(u), &mut served)
@@ -788,7 +786,6 @@ mod tests {
                     }
                 }
             }
-            assert!(engine.restore_cache().resident_bytes() > 0);
         }
     }
 

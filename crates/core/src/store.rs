@@ -30,10 +30,12 @@
 //!
 //! [`SharedEngine`] is the one query engine. It bundles a store with the
 //! query-side metadata (config, correction factors, §5.2 reduction
-//! bitmap, §5.3 marks) and a [`RestoreCache`] of restored effective
-//! lists, and exposes the full query API — single-pair, single-source,
-//! top-k, joins, batches — with identical scores across backends: same
-//! entries, same merge order, same floating-point arithmetic.
+//! bitmap, §5.3 marks) and exposes the full query API — single-pair,
+//! single-source, top-k, joins, batches — with identical scores across
+//! backends: same entries, same merge order, same floating-point
+//! arithmetic. A node whose effective list differs from its stored run
+//! is restored into the caller's [`QueryWorkspace`] on every query, the
+//! same path the bare [`SlingIndex`] takes.
 
 use std::io::Read;
 use std::ops::Range;
@@ -538,10 +540,6 @@ pub(crate) struct EngineRef<'a, S: HpStore> {
     pub d: &'a [f64],
     pub reduced: &'a [bool],
     pub marks: &'a MarkArena,
-    /// The engine's memo of restored effective lists. `None` on the
-    /// bare [`SlingIndex`], where a restoring node is materialized into
-    /// the query workspace instead.
-    pub restore_cache: Option<&'a RestoreCache>,
 }
 
 impl<S: HpStore> Clone for EngineRef<'_, S> {
@@ -968,141 +966,6 @@ impl BlockScratchCache {
     }
 }
 
-/// Cache of **restored effective entry lists** for §5.2-reduced and
-/// §5.3-marked nodes.
-///
-/// A reduced node's effective list is rebuilt on every query — the exact
-/// two-hop recomputation costs up to `γ/θ` edge operations, which
-/// dominates hub queries on power-law graphs (the hub's restored list is
-/// orders of magnitude bigger than its stored run). But the restored
-/// list is **immutable** for a given index + graph, so every
-/// [`SharedEngine`] memoizes it: a sharded, entry-budgeted LRU of
-/// `Arc`-shared lists, the same lock-per-shard pattern as
-/// [`BlockScratchCache`]. A hit turns a hub restore into a refcount
-/// bump, and the streaming kernels then borrow the cached list exactly
-/// like a backend-owned run. Misses compute outside the lock; results
-/// are bit-identical by construction (the cached list *is* the computed
-/// list).
-pub struct RestoreCache {
-    shards: Box<[Mutex<RestoreShard>]>,
-    per_shard_entries: usize,
-    /// Generation epoch the cached lists were restored under. Lists
-    /// tagged with any other epoch read as misses (and are dropped on
-    /// touch), so a serving layer that rebuilds the graph/index behind a
-    /// live engine can invalidate every memoized restore in O(1) —
-    /// without it, nothing would invalidate a restored hub list when the
-    /// engine underneath the cache changes.
-    epoch: std::sync::atomic::AtomicU64,
-}
-
-#[derive(Default)]
-struct RestoreShard {
-    lists: LruList<u32, (u64, Arc<Vec<HpEntry>>)>,
-    entries: usize,
-}
-
-impl RestoreCache {
-    /// Shard count (power of two).
-    const SHARDS: usize = 8;
-
-    /// Default total entry budget: ~64K entries ≈ 1.5 MiB of restored
-    /// lists per engine — enough for the hot hubs of a skewed workload,
-    /// bounded for long-lived servers.
-    pub const DEFAULT_TOTAL_ENTRIES: usize = 1 << 16;
-
-    pub(crate) fn new() -> Self {
-        RestoreCache {
-            shards: (0..Self::SHARDS).map(|_| Mutex::default()).collect(),
-            per_shard_entries: (Self::DEFAULT_TOTAL_ENTRIES / Self::SHARDS).max(1),
-            epoch: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    fn shard(&self, v: NodeId) -> &Mutex<RestoreShard> {
-        &self.shards[(v.0 as usize) & (Self::SHARDS - 1)]
-    }
-
-    /// The current generation epoch (see [`RestoreCache::advance_epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Bump the generation epoch, lazily invalidating every cached
-    /// list; returns the new epoch. Stale lists are dropped on touch.
-    pub fn advance_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, std::sync::atomic::Ordering::AcqRel) + 1
-    }
-
-    /// Drop every cached list immediately (the eager sibling of
-    /// [`RestoreCache::advance_epoch`]; the budget is kept).
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            shard.lists.clear();
-            shard.entries = 0;
-        }
-    }
-
-    /// Cached restored list of `v`, if resident and from the current
-    /// epoch; a stale list is dropped on touch.
-    pub(crate) fn get(&self, v: NodeId) -> Option<Arc<Vec<HpEntry>>> {
-        let current = self.epoch();
-        let mut shard = self.shard(v).lock();
-        let hit = match shard.lists.get(&v.0) {
-            Some((epoch, list)) if *epoch == current => Some(Arc::clone(list)),
-            Some(_) => {
-                let (_, stale) = shard.lists.remove(&v.0).expect("entry just observed");
-                shard.entries -= stale.len();
-                None
-            }
-            None => None,
-        };
-        drop(shard);
-        match hit.is_some() {
-            true => KernelCounters::bump(&obs::KERNEL.restore_cache_hits),
-            false => KernelCounters::bump(&obs::KERNEL.restore_cache_misses),
-        }
-        hit
-    }
-
-    /// Admit a list restored under generation `epoch`, evicting LRU
-    /// lists until it fits the shard's entry budget (an oversized list
-    /// is admitted alone — reuse is node-driven). A stale `epoch` — the
-    /// engine was invalidated while
-    /// the restore ran — drops the insert instead of admitting a list
-    /// computed against retired state.
-    pub(crate) fn insert_tagged(&self, v: NodeId, list: Arc<Vec<HpEntry>>, epoch: u64) {
-        if epoch != self.epoch() {
-            return;
-        }
-        let mut shard = self.shard(v).lock();
-        match shard.lists.get(&v.0) {
-            // A racing worker restored it first this epoch; keep theirs.
-            Some((live, _)) if *live == epoch => return,
-            Some(_) => {
-                let (_, stale) = shard.lists.remove(&v.0).expect("entry just observed");
-                shard.entries -= stale.len();
-            }
-            None => {}
-        }
-        while shard.entries + list.len() > self.per_shard_entries {
-            let Some((_, (_, old))) = shard.lists.pop_lru() else {
-                break;
-            };
-            shard.entries -= old.len();
-        }
-        shard.entries += list.len();
-        shard.lists.insert(v.0, (epoch, list));
-    }
-
-    /// Estimated heap bytes of the cached lists.
-    pub fn resident_bytes(&self) -> usize {
-        let entries: usize = self.shards.iter().map(|s| s.lock().entries).sum();
-        entries * std::mem::size_of::<HpEntry>()
-    }
-}
-
 /// Decode and fully validate one block's bytes: directory-consistent
 /// entry count, run shapes, node-id bounds, value range.
 fn decode_block_validated(
@@ -1423,7 +1286,7 @@ impl HpStore for CompressedMmapArena {
 
 /// The query engine: a storage backend plus all query-side metadata
 /// (config, correction factors, §5.2 reduction bitmap, §5.3 marks) held
-/// **by value**, and a [`RestoreCache`] of restored effective lists.
+/// **by value**.
 ///
 /// It exposes the full SLING query surface — single-pair,
 /// single-source, top-k, joins, batches — with `Result`-returning
@@ -1435,8 +1298,9 @@ impl HpStore for CompressedMmapArena {
 /// [`std::sync::Arc`], and lets every worker thread query it for the
 /// process lifetime: it is `Send + Sync` whenever the store is (all
 /// three backends are), and queries take `&self`. Workers keep their
-/// own [`QueryWorkspace`]/[`SingleSourceWorkspace`], so the hot path
-/// shares only immutable state and the sharded restore cache.
+/// own [`QueryWorkspace`]/[`SingleSourceWorkspace`], which is where a
+/// §5.2-reduced or §5.3-marked node's effective list is restored, so
+/// the hot path shares only immutable state.
 pub struct SharedEngine<S: HpStore> {
     store: S,
     config: SlingConfig,
@@ -1444,7 +1308,6 @@ pub struct SharedEngine<S: HpStore> {
     reduced: Vec<bool>,
     marks: MarkArena,
     stats: BuildStats,
-    restore: RestoreCache,
 }
 
 impl SharedEngine<MmapHpArena> {
@@ -1470,7 +1333,6 @@ impl SharedEngine<MmapHpArena> {
             reduced: meta.reduced,
             marks: meta.marks,
             stats: meta.stats,
-            restore: RestoreCache::new(),
         })
     }
 }
@@ -1500,7 +1362,6 @@ impl SharedEngine<CompressedMmapArena> {
             reduced: meta.reduced,
             marks: meta.marks,
             stats: meta.stats,
-            restore: RestoreCache::new(),
         })
     }
 }
@@ -1559,14 +1420,13 @@ impl From<SlingIndex> for SharedEngine<HpArena> {
             reduced: index.reduced,
             marks: index.marks,
             stats: index.stats,
-            restore: RestoreCache::new(),
         }
     }
 }
 
 impl<S: HpStore> SharedEngine<S> {
-    /// The same engine over `wrap(store)`: metadata and restore cache
-    /// move across unchanged.
+    /// The same engine over `wrap(store)`: the metadata moves across
+    /// unchanged.
     fn map_store<T: HpStore>(self, wrap: impl FnOnce(S) -> T) -> SharedEngine<T> {
         SharedEngine {
             store: wrap(self.store),
@@ -1575,7 +1435,6 @@ impl<S: HpStore> SharedEngine<S> {
             reduced: self.reduced,
             marks: self.marks,
             stats: self.stats,
-            restore: self.restore,
         }
     }
 
@@ -1586,25 +1445,12 @@ impl<S: HpStore> SharedEngine<S> {
             d: &self.d,
             reduced: &self.reduced,
             marks: &self.marks,
-            restore_cache: Some(&self.restore),
         }
     }
 
     /// The backing store.
     pub fn store(&self) -> &S {
         &self.store
-    }
-
-    /// The engine's memo of restored §5.2/§5.3 effective lists. Exposed
-    /// so lifecycle layers can inspect residency and invalidate it
-    /// ([`RestoreCache::advance_epoch`] / [`RestoreCache::clear`]) when
-    /// the graph or index behind a live engine changes — the in-place
-    /// rebuild scenario. (The shipped generation-swap path replaces the
-    /// whole engine, restore cache included, so it never needs these
-    /// hooks; they exist for embedders that mutate state *behind* a
-    /// long-lived engine instead of republishing one.)
-    pub fn restore_cache(&self) -> &RestoreCache {
-        &self.restore
     }
 
     /// The configuration the index was built with.
@@ -1628,7 +1474,6 @@ impl<S: HpStore> SharedEngine<S> {
             + self.d.len() * 8
             + self.reduced.len()
             + self.marks.resident_bytes()
-            + self.restore.resident_bytes()
     }
 
     fn check_pair(&self, u: NodeId, v: NodeId) -> Result<(), SlingError> {
@@ -1658,7 +1503,7 @@ impl<S: HpStore> SharedEngine<S> {
 
     /// Single-pair query through the **materializing reference path**:
     /// both effective entry lists copied into the workspace, linear
-    /// merge, no restore cache. The oracle the equivalence suites pin
+    /// merge. The oracle the equivalence suites pin
     /// [`SharedEngine::single_pair_with`] to, bit for bit, on every
     /// backend.
     pub fn single_pair_materialized_with(
@@ -2209,120 +2054,42 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// An engine restores a §5.2-reduced node into the caller's
+    /// workspace buffer, as the bare index does, so the buffer keeps the
+    /// capacity of the restored list for the next query to reuse.
     #[test]
-    fn restore_cache_serves_hot_nodes_bit_identically() {
+    fn engine_restores_leave_their_lists_capacity_in_the_workspace() {
         let g = barabasi_albert(150, 3, 31).unwrap();
-        let config = cfg(); // enhancement on; space reduction on
-        let idx = SlingIndex::build(&g, &config).unwrap();
-        assert!(idx.stats().reduced_nodes > 0, "fixture must reduce nodes");
+        let idx = SlingIndex::build(&g, &cfg()).unwrap();
+        let mut reduced = g.nodes().filter(|&x| idx.is_reduced(x));
+        let (u, v) = (reduced.next().unwrap(), reduced.next().unwrap());
+        let mut lists = QueryWorkspace::new();
+        idx.effective_entries(&g, u, &mut lists, crate::index::Buf::A);
+        idx.effective_entries(&g, v, &mut lists, crate::index::Buf::B);
+        let (len_u, len_v) = (lists.buf_a.len(), lists.buf_b.len());
+        assert!(len_u > 0 && len_v > 0);
         let engine = SharedEngine::from(idx.clone());
+
         let mut ws = QueryWorkspace::new();
-        // Repeated hub-style queries: the second round must hit the
-        // restore cache (non-zero residency) and stay bit-identical to
-        // the cache-less SlingIndex path.
-        for _round in 0..2 {
-            for v in 1..40u32 {
-                let want = idx.single_pair(&g, NodeId(0), NodeId(v));
-                let got = engine
-                    .single_pair_with(&g, &mut ws, NodeId(0), NodeId(v))
-                    .unwrap();
-                assert_eq!(want.to_bits(), got.to_bits(), "pair (0,{v})");
-            }
-        }
+        let got = engine.single_pair_with(&g, &mut ws, u, v).unwrap();
+        assert_eq!(got.to_bits(), idx.single_pair(&g, u, v).to_bits());
         assert!(
-            engine.restore.resident_bytes() > 0,
-            "restored lists were never cached"
+            ws.buf_a.capacity() >= len_u,
+            "buf_a {}",
+            ws.buf_a.capacity()
         );
-        // Single-source through the same cache agrees too.
-        for u in [NodeId(0), NodeId(75)] {
-            assert_eq!(
-                engine.single_source(&g, u).unwrap(),
-                idx.single_source(&g, u)
-            );
-        }
-    }
+        assert!(
+            ws.buf_b.capacity() >= len_v,
+            "buf_b {}",
+            ws.buf_b.capacity()
+        );
 
-    #[test]
-    fn restore_cache_eviction_respects_the_budget() {
-        let cache = RestoreCache::new();
-        let per_shard = cache.per_shard_entries;
-        // Insert many same-shard lists, each 1/4 of the shard budget:
-        // residency must never exceed the budget.
-        let list_len = (per_shard / 4).max(1);
-        for i in 0..32u32 {
-            let node = NodeId(i * RestoreCache::SHARDS as u32); // same shard
-            let list = Arc::new(vec![HpEntry::new(0, NodeId(0), 1.0); list_len]);
-            cache.insert_tagged(node, list, cache.epoch());
-            let resident = cache.shards[0].lock().entries;
-            assert!(resident <= per_shard, "{resident} > {per_shard}");
-        }
-        // The most recent insert is still resident.
-        assert!(cache
-            .get(NodeId(31 * RestoreCache::SHARDS as u32))
-            .is_some());
-        // An oversized list is admitted alone.
-        let huge = Arc::new(vec![HpEntry::new(0, NodeId(0), 1.0); per_shard * 2]);
-        cache.insert_tagged(NodeId(8), Arc::clone(&huge), cache.epoch());
-        assert!(cache.get(NodeId(8)).is_some());
-    }
-
-    #[test]
-    fn restore_cache_epoch_and_clear_invalidate_lists() {
-        let cache = RestoreCache::new();
-        let list = Arc::new(vec![HpEntry::new(0, NodeId(0), 1.0); 4]);
-        cache.insert_tagged(NodeId(3), Arc::clone(&list), cache.epoch());
-        assert!(cache.get(NodeId(3)).is_some());
-        // Epoch bump: the stale list reads as a miss, is dropped on
-        // touch, and its entries leave the budget accounting.
-        assert_eq!(cache.advance_epoch(), 1);
-        assert!(cache.get(NodeId(3)).is_none());
-        assert_eq!(cache.resident_bytes(), 0);
-        // A stale-tagged insert (restore raced the invalidation) is
-        // dropped.
-        cache.insert_tagged(NodeId(3), Arc::clone(&list), 0);
-        assert!(cache.get(NodeId(3)).is_none());
-        // Fresh inserts under the new epoch work; clear() empties
-        // eagerly.
-        cache.insert_tagged(NodeId(3), Arc::clone(&list), 1);
-        assert!(cache.get(NodeId(3)).is_some());
-        cache.clear();
-        assert!(cache.get(NodeId(3)).is_none());
-        assert_eq!(cache.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn shared_engine_restore_cache_invalidation_recomputes_bit_identically() {
-        let g = barabasi_albert(150, 3, 31).unwrap();
-        let config = cfg();
-        let idx = SlingIndex::build(&g, &config).unwrap();
-        assert!(idx.stats().reduced_nodes > 0, "fixture must reduce nodes");
-        let engine = SharedEngine::from(idx.clone());
-        let mut ws = QueryWorkspace::new();
-        let want = idx.single_pair(&g, NodeId(0), NodeId(1));
-        assert_eq!(
-            engine
-                .single_pair_with(&g, &mut ws, NodeId(0), NodeId(1))
-                .unwrap(),
-            want
-        );
-        assert!(engine.restore_cache().resident_bytes() > 0);
-        // Lifecycle-style invalidation on a live engine: queries keep
-        // answering bit-identically, through a repopulated cache.
-        engine.restore_cache().advance_epoch();
-        assert_eq!(
-            engine
-                .single_pair_with(&g, &mut ws, NodeId(0), NodeId(1))
-                .unwrap(),
-            want
-        );
-        engine.restore_cache().clear();
-        assert_eq!(engine.restore_cache().resident_bytes(), 0);
-        assert_eq!(
-            engine
-                .single_pair_with(&g, &mut ws, NodeId(0), NodeId(1))
-                .unwrap(),
-            want
-        );
+        let mut ss = SingleSourceWorkspace::new();
+        let mut scores = Vec::new();
+        let top = engine.top_k_with(&g, &mut ss, &mut scores, u, 5).unwrap();
+        assert_eq!(top, idx.top_k(&g, u, 5));
+        let cap = ss.query.buf_a.capacity();
+        assert!(cap >= len_u, "query.buf_a {cap}");
     }
 
     #[test]

@@ -289,23 +289,21 @@ impl Client {
         } else {
             return Err(invalid(&format!("malformed response {header:?}")));
         };
-        let mut payload = vec![0u8; len];
-        let mut filled = 0;
-        while filled < len {
-            match self.reader.read(&mut payload[filled..]) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!(
-                            "framed payload truncated: header promised {len} bytes, \
-                             connection closed after {filled}"
-                        ),
-                    ))
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+        // Grow with the bytes that arrive, never with the header's
+        // claim: a forged length must not size an allocation.
+        let mut payload = Vec::new();
+        (&mut self.reader)
+            .take(len as u64)
+            .read_to_end(&mut payload)?;
+        if payload.len() < len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!(
+                    "framed payload truncated: header promised {len} bytes, \
+                     connection closed after {}",
+                    payload.len()
+                ),
+            ));
         }
         String::from_utf8(payload).map_err(|_| invalid("payload is not valid UTF-8"))
     }
@@ -677,6 +675,39 @@ mod tests {
             assert_eq!(top.kind(), io::ErrorKind::InvalidData, "{count}");
             assert!(top.to_string().contains("truncated"), "{top}");
         }
+    }
+
+    /// A length header larger than the bytes that follow must end in
+    /// the "truncated" error, not an allocation abort sized by the
+    /// header, on every length-framed verb.
+    #[test]
+    fn forged_frame_lengths_are_truncation_errors_not_aborts() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            for _ in 0..3 {
+                let (conn, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(conn);
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                reader
+                    .get_mut()
+                    .write_all(b"OK 1099511627776\nabc")
+                    .unwrap();
+            }
+        });
+        let calls: [fn(&mut Client) -> io::Result<()>; 3] = [
+            |c| c.metrics().map(drop),
+            |c| c.slow_queries().map(drop),
+            |c| c.trace_from(0, 10).map(drop),
+        ];
+        for (i, call) in calls.into_iter().enumerate() {
+            let mut client = Client::connect_tcp(addr).unwrap();
+            let err = call(&mut client).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "call {i}: {err}");
+            assert!(err.to_string().contains("truncated"), "call {i}: {err}");
+        }
+        server.join().unwrap();
     }
 
     #[test]

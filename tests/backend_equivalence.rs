@@ -45,10 +45,9 @@ fn join_bits(pairs: &[JoinPair]) -> Vec<(NodeId, NodeId, u64)> {
         .collect()
 }
 
-/// Assert one engine answers **bit-identically** to the bare index —
-/// the cache-less path, which materializes every restoring node into
-/// its workspace — on single-pair, single-source, top-k, join and
-/// batch. Two rounds, so the second runs against a warm restore cache.
+/// Assert one engine answers **bit-identically** to the bare index on
+/// single-pair, single-source, top-k, join and batch. Two rounds, so the
+/// second runs against the compressed backends' warm block cache.
 fn assert_engine_matches_index<S: HpStore + Sync>(
     label: &str,
     idx: &SlingIndex,
@@ -95,9 +94,10 @@ fn assert_engine_matches_index<S: HpStore + Sync>(
 }
 
 /// Assert the streaming kernels (borrow-from-backend entry access,
-/// galloping merge, restore-cache memoization) answer **bit-identically**
-/// to the materializing reference path on one engine, for every query
-/// type. Two rounds, so the second runs against a warm restore cache.
+/// galloping merge, restores into the workspace) answer
+/// **bit-identically** to the materializing reference path on one
+/// engine, for every query type. Two rounds over the same workspaces,
+/// so the second starts from buffers the first has filled.
 fn assert_streaming_matches_materialized<S: HpStore + Sync>(
     label: &str,
     engine: &SharedEngine<S>,
@@ -112,9 +112,7 @@ fn assert_streaming_matches_materialized<S: HpStore + Sync>(
     let (mut scores, mut scores_ref) = (Vec::new(), Vec::new());
     // The served top-k path on one workspace and one score buffer reused
     // across every source and k, so each call starts from the previous
-    // source's vector and touched set. It runs first in each round:
-    // cold in round 0 (the reference path below bypasses the restore
-    // cache), warm in round 1.
+    // source's vector and touched set.
     let mut ssw_top = SingleSourceWorkspace::new();
     let mut top_scores = Vec::new();
     for round in 0..2 {
