@@ -1,15 +1,15 @@
-//! The branchless lane-striped validation sweeps, measured where they
-//! actually run: on every `entries_ref` of the zero-copy mmap backend
-//! (raw node/value section sweep) and on every block-cache miss of the
-//! compressed backend (post-decode column sweep).
+//! The validation every mapped read pays, measured where it runs: the
+//! branchless lane-striped sweep on every `entries_ref` of the zero-copy
+//! mmap backend (raw node/value sections), and the one validating pass
+//! over each block a compressed run touches.
 //!
 //! Three hub-pair series isolate the cost:
 //!
 //! * `mem` — no validation (columns were checked at decode), the floor;
 //! * `mmap` — the raw little-endian sweep runs over the hub's sections
 //!   on every query, so the delta to `mem` is sweep throughput;
-//! * `mmap-compressed` — small blocks force decoded-block cache misses,
-//!   so decode + column sweeps dominate.
+//! * `mmap-compressed` — every run read walks and validates its whole
+//!   block, so block passes dominate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sling_bench::{params_for, sling_config};
@@ -28,8 +28,8 @@ fn bench_validation_sweep(c: &mut Criterion) {
     let raw_path = dir.join("index.slng");
     index.save(&raw_path).unwrap();
     let v3_path = dir.join("index.slng3");
-    // Small blocks: many distinct blocks per hub run, so the pair sweep
-    // below thrashes the decoded-block cache and pays decode+validate.
+    // Small blocks: the hub run spans many of them, and every pair below
+    // reads and validates each of them again.
     let opts = CompressOptions {
         block_entries: 512,
         quantize_values: false,

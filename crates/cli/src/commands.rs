@@ -49,8 +49,8 @@ COMMANDS:
     mem   decode the whole index into memory (default)
     mmap  map the file and read entries out of the page cache, keeping
           only O(n) metadata resident; the format is read from the file
-          header (SLNGIDX1 is read in place, SLNGIDX2/3 block by block
-          through a decoded-block cache)
+          header (SLNGIDX1 is read in place, SLNGIDX2/3 run by run, one
+          pass over each block the run touches)
   Any index format works with either backend, and both return identical
   scores (bit-identical for lossless files).
   compact INDEX --out FILE [--quantize] [--block-entries N] [--format v2|v3]

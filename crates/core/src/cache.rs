@@ -15,8 +15,8 @@
 //! * [`LruList`] *(crate-internal)* — an open-hash map over an intrusive
 //!   doubly-linked LRU list, built on the workspace's [`FxHashMap`]; all
 //!   operations `O(1)` expected, no external LRU crate. It backs every
-//!   LRU in the crate: the result cache below and the decoded-block
-//!   cache in [`crate::store`].
+//!   LRU in the crate: the result cache below and the cache simulator
+//!   in [`crate::workload`].
 //! * [`FrequencySketch`] — the count-min sketch behind
 //!   [`Admission::TinyLfu`], which keeps one-touch scans from churning
 //!   the hot entries of an LRU.
@@ -127,8 +127,8 @@ struct Slot<K, V> {
 /// Open-hash map over an intrusive doubly-linked LRU list.
 ///
 /// The one LRU implementation in the crate: each [`ShardedResultCache`]
-/// shard keys it by canonical pair, and the decoded-block cache by
-/// block.
+/// shard keys it by canonical pair, and so does the cache simulator
+/// that replays traces against it.
 /// Slots are recycled through a free list, links are `u32` indices into
 /// one slab — no per-entry allocation, `O(1)` expected `get` / `insert` /
 /// `pop_lru`.

@@ -3,10 +3,10 @@
 //!
 //! The global entry array (sorted by `(owner, step, node)`) is cut into
 //! fixed-size blocks of [`DEFAULT_BLOCK_ENTRIES`] entries (the last may
-//! be short). Each block is self-contained: decoding needs only the
+//! be short). Each block is self-contained: reading it needs only the
 //! block's bytes and its expected entry count, never a neighbouring
-//! block — which is what lets the compressed mmap backend decode exactly
-//! the blocks a query touches.
+//! block — which is what lets the compressed mmap backend read only the
+//! blocks a query touches.
 //!
 //! ## Block layout
 //!
@@ -27,20 +27,28 @@
 //! boundaries are an encoder input rather than derived from the step
 //! column.
 //!
-//! The decoder validates everything: counts against the directory,
-//! run-length sums, node-id overflow, value-section length, and that the
-//! block's bytes are consumed exactly. Any violation is
+//! [`read_block_run`] is the one block decoder. It walks a block once,
+//! validates all of it — counts against the directory, run-length sums,
+//! node-id overflow and bound, value-section length, value range, and
+//! that the block's bytes are consumed exactly — and keeps only the
+//! entries of the run a query asked for. The eager [`decode_block`]
+//! calls it over the whole block. Any violation is
 //! [`SlingError::CorruptIndex`]; no input may panic.
 
+use std::ops::Range;
+
+use sling_graph::NodeId;
+
 use crate::codec::value::{
-    codec_for_tag, decode_values_global, encode_values_lossless, encode_values_quantized,
-    encode_values_v3, GlobalDict, TAG_GLOBAL_DICT,
+    encode_values_lossless, encode_values_quantized, encode_values_v3, read_values_column,
+    read_values_global, GlobalDict, TAG_GLOBAL_DICT,
 };
 use crate::codec::varint;
 use crate::error::SlingError;
+use crate::hp::HpEntry;
 
 /// Default entries per block: big enough that the per-block dictionary
-/// and directory overhead amortize, small enough that decoding a block
+/// and directory overhead amortize, small enough that walking a block
 /// to serve one `O(1/ε)` entry run stays cheap.
 pub const DEFAULT_BLOCK_ENTRIES: usize = 1024;
 
@@ -52,87 +60,16 @@ fn corrupt(what: impl Into<String>) -> SlingError {
     SlingError::CorruptIndex(what.into())
 }
 
-/// Lane width of the chunked validation sweeps ([`max_node`],
-/// [`values_all_probabilities`] and the raw-section sweep in
-/// `crate::store::validate_raw_le`): the folds process this many
-/// independent accumulators per stripe so the compiler can keep them in
-/// vector registers, with a scalar tail for the remainder.
-pub(crate) const SWEEP_LANES: usize = 8;
-
 /// Upper probability bound the validators accept: the exact tolerance of
 /// `crate::store::check_value`, shared so the wide sweeps and the
-/// per-entry rescans can never disagree on what passes.
+/// per-entry checks can never disagree on what passes.
 pub(crate) const MAX_PROBABILITY: f64 = 1.0 + 1e-9;
 
-/// Maximum node id in a decoded node column — a lane-parallel max fold.
-/// Callers compare the result against `n` once and only a failing column
-/// pays a per-entry rescan to name the offending entry.
-pub(crate) fn max_node(nodes: &[u32]) -> u32 {
-    let mut lanes = [0u32; SWEEP_LANES];
-    let mut chunks = nodes.chunks_exact(SWEEP_LANES);
-    for stripe in &mut chunks {
-        for (m, &v) in lanes.iter_mut().zip(stripe) {
-            *m = (*m).max(v);
-        }
-    }
-    let mut max = lanes.into_iter().max().unwrap_or(0);
-    for &v in chunks.remainder() {
-        max = max.max(v);
-    }
-    max
-}
-
-/// Whether every value is a finite probability in
-/// `0.0..=`[`MAX_PROBABILITY`] — a lane-parallel boolean fold.
-///
-/// The per-lane predicate `(v >= 0.0) & (v <= MAX_PROBABILITY)` is
-/// exactly `v.is_finite() && (0.0..=MAX_PROBABILITY).contains(&v)`:
-/// NaN fails both comparisons and ±∞ fails one, so the explicit
-/// finiteness test is redundant and the fold stays two branchless
-/// compares per lane.
-// The two non-short-circuit compares are the point; `contains` is `&&`.
-#[allow(clippy::manual_range_contains)]
-pub(crate) fn values_all_probabilities(values: &[f64]) -> bool {
-    let mut lanes = [true; SWEEP_LANES];
-    let mut chunks = values.chunks_exact(SWEEP_LANES);
-    for stripe in &mut chunks {
-        for (ok, &v) in lanes.iter_mut().zip(stripe) {
-            *ok &= (v >= 0.0) & (v <= MAX_PROBABILITY);
-        }
-    }
-    let mut all = lanes.into_iter().all(|ok| ok);
-    for &v in chunks.remainder() {
-        all &= (v >= 0.0) & (v <= MAX_PROBABILITY);
-    }
-    all
-}
-
-/// One decoded block: the three entry columns, parallel and
-/// `num_entries` long. Reused across decodes (buffers are cleared, not
-/// reallocated) and shared via `Arc` by the block caches.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DecodedBlock {
-    pub steps: Vec<u16>,
-    pub nodes: Vec<u32>,
-    pub values: Vec<f64>,
-}
-
-impl DecodedBlock {
-    /// Entries held.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether the block holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.steps.clear();
-        self.nodes.clear();
-        self.values.clear();
-    }
+/// Whether `v` is a finite probability in `0.0..=`[`MAX_PROBABILITY`]
+/// (NaN and ±∞ fall outside the range).
+#[inline]
+pub(crate) fn is_probability(v: f64) -> bool {
+    (0.0..=MAX_PROBABILITY).contains(&v)
 }
 
 /// Value-section encoding mode of [`encode_block_with`].
@@ -216,36 +153,91 @@ pub fn encode_block_with(
     }
 }
 
-/// Decode one block into `out` (cleared first), validating it holds
-/// exactly `expected_entries` entries and consumes `bytes` exactly.
+/// Decode one whole block into `out` (cleared first), validating it
+/// holds exactly `expected_entries` entries and consumes `bytes`
+/// exactly: [`read_block_run`] over every entry, with no node-id bound.
 /// v1/v2 context: a [`TAG_GLOBAL_DICT`] value section is rejected.
 pub fn decode_block(
     bytes: &[u8],
     expected_entries: usize,
-    out: &mut DecodedBlock,
+    out: &mut Vec<HpEntry>,
 ) -> Result<(), SlingError> {
-    decode_block_ctx(bytes, expected_entries, None, out)
+    out.clear();
+    read_block_run(
+        bytes,
+        expected_entries,
+        None,
+        usize::MAX,
+        0..expected_entries,
+        out,
+    )
 }
 
-/// Decode one block of an `SLNGIDX3` payload: like [`decode_block`],
-/// additionally resolving [`TAG_GLOBAL_DICT`] value sections against the
-/// file's resident global dictionary.
+/// Decode one whole block of an `SLNGIDX3` payload: like
+/// [`decode_block`], additionally resolving [`TAG_GLOBAL_DICT`] value
+/// sections against the file's global dictionary, which must hold only
+/// probabilities.
 pub fn decode_block_with_dict(
     bytes: &[u8],
     expected_entries: usize,
     global_dict: &[f64],
-    out: &mut DecodedBlock,
+    out: &mut Vec<HpEntry>,
 ) -> Result<(), SlingError> {
-    decode_block_ctx(bytes, expected_entries, Some(global_dict), out)
+    out.clear();
+    read_block_run(
+        bytes,
+        expected_entries,
+        Some(global_dict),
+        usize::MAX,
+        0..expected_entries,
+        out,
+    )
 }
 
-fn decode_block_ctx(
+/// Read the entries `run` (block-local indices) of one encoded block,
+/// appending them to `out` in `(step, node)` order — the one block
+/// decoder.
+///
+/// The whole block is checked, not just the run: it must hold exactly
+/// `expected_entries` entries in well-shaped runs, every node id must
+/// fit `u32` and lie below `num_nodes`, every value must be a finite
+/// probability, and the value section must end exactly at the end of
+/// `bytes`. `global_dict` resolves [`TAG_GLOBAL_DICT`] value sections
+/// (`None` outside an `SLNGIDX3` payload, where such a section is an
+/// error) and must hold only probabilities. On error `out` is left as
+/// it was.
+///
+/// Allocates nothing beyond `out` on global-dictionary blocks, the
+/// `SLNGIDX3` lossless layout: the run directory is walked a second time
+/// in step with the node column instead of being stored, and the run's
+/// escaped values are patched in place (see
+/// `crate::codec::value::read_values_global`). Raw, per-block-dictionary
+/// and fixed-point value sections decode their column into a scratch
+/// vector first.
+pub fn read_block_run(
     bytes: &[u8],
     expected_entries: usize,
     global_dict: Option<&[f64]>,
-    out: &mut DecodedBlock,
+    num_nodes: usize,
+    run: Range<usize>,
+    out: &mut Vec<HpEntry>,
 ) -> Result<(), SlingError> {
-    out.clear();
+    let base = out.len();
+    let read = read_run(bytes, expected_entries, global_dict, num_nodes, run, out);
+    if read.is_err() {
+        out.truncate(base);
+    }
+    read
+}
+
+fn read_run(
+    bytes: &[u8],
+    expected_entries: usize,
+    global_dict: Option<&[f64]>,
+    num_nodes: usize,
+    run: Range<usize>,
+    out: &mut Vec<HpEntry>,
+) -> Result<(), SlingError> {
     if expected_entries == 0 || expected_entries > MAX_BLOCK_ENTRIES {
         return Err(corrupt(format!(
             "block directory expects {expected_entries} entries (valid: 1..={MAX_BLOCK_ENTRIES})"
@@ -258,6 +250,11 @@ fn decode_block_ctx(
             "block holds {count} entries, directory says {expected_entries}"
         )));
     }
+    if run.start > run.end || run.end > count {
+        return Err(corrupt(format!(
+            "entries {run:?} requested from a block of {count}"
+        )));
+    }
     let num_runs = varint::read_u32(&mut buf)? as usize;
     if num_runs == 0 || num_runs > count {
         return Err(corrupt(format!(
@@ -265,12 +262,11 @@ fn decode_block_ctx(
         )));
     }
 
-    // Run directory.
-    let mut run_lens = Vec::with_capacity(num_runs);
-    out.steps.reserve(count);
+    // Run directory, first walk: shapes only.
+    let directory = buf;
     let mut total = 0usize;
     for _ in 0..num_runs {
-        let step = varint::read_u16(&mut buf)?;
+        varint::read_u16(&mut buf)?;
         let len = varint::read_u32(&mut buf)? as usize;
         if len == 0 {
             return Err(corrupt("zero-length run"));
@@ -279,10 +275,6 @@ fn decode_block_ctx(
         if total > count {
             return Err(corrupt("run lengths exceed the block entry count"));
         }
-        for _ in 0..len {
-            out.steps.push(step);
-        }
-        run_lens.push(len);
     }
     if total != count {
         return Err(corrupt(format!(
@@ -290,45 +282,57 @@ fn decode_block_ctx(
         )));
     }
 
-    // Node column.
-    out.nodes.reserve(count);
-    for &len in &run_lens {
-        let mut node = varint::read_u32(&mut buf)?;
-        out.nodes.push(node);
-        for _ in 1..len {
-            let gap = varint::read_u32(&mut buf)? as u64;
-            let next = node as u64 + gap + 1;
-            node = u32::try_from(next)
-                .map_err(|_| corrupt(format!("node delta overflows u32 ({next})")))?;
-            out.nodes.push(node);
+    // Node column, walked in step with a second pass over the directory.
+    // Every id is decoded, since the overflow and bound checks need it,
+    // but only the requested entries are kept. Ids rise within a run, so
+    // its last id is its largest: one check per run covers both. (The
+    // u64 sum of at most 2^20 u32 gaps cannot wrap.)
+    let overflow = |node: u64| corrupt(format!("node delta overflows u32 ({node})"));
+    let kept_from = out.len();
+    out.reserve(run.len());
+    let mut directory = directory;
+    let mut at = 0usize;
+    for _ in 0..num_runs {
+        let step = varint::read_u16(&mut directory)?;
+        let len = varint::read_u32(&mut directory)? as usize;
+        let mut node = u64::from(varint::read_u32(&mut buf)?);
+        if at + len <= run.start || at >= run.end {
+            for _ in 1..len {
+                node += u64::from(varint::read_u32(&mut buf)?) + 1;
+            }
+        } else {
+            for i in at..at + len {
+                if i > at {
+                    node += u64::from(varint::read_u32(&mut buf)?) + 1;
+                }
+                if run.contains(&i) {
+                    let id = u32::try_from(node).map_err(|_| overflow(node))?;
+                    out.push(HpEntry::new(step, NodeId(id), 0.0));
+                }
+            }
+        }
+        at += len;
+        let last = u32::try_from(node).map_err(|_| overflow(node))?;
+        if last as usize >= num_nodes {
+            return Err(corrupt(format!(
+                "block entry {} references node {last} past n = {num_nodes}",
+                at - 1
+            )));
         }
     }
 
-    // Value column.
-    if buf.is_empty() {
+    // Value column, written into the kept entries.
+    let Some((&tag, section)) = buf.split_first() else {
         return Err(corrupt("block truncated before the value section"));
-    }
-    let tag = buf[0];
-    buf = &buf[1..];
+    };
+    let kept = &mut out[kept_from..];
     match (tag, global_dict) {
-        (TAG_GLOBAL_DICT, Some(dict)) => {
-            decode_values_global(&mut buf, count, dict, &mut out.values)?
-        }
-        (TAG_GLOBAL_DICT, None) => {
-            return Err(corrupt(
-                "global-dictionary value section outside an SLNGIDX3 payload",
-            ));
-        }
-        _ => codec_for_tag(tag)?.decode(&mut buf, count, &mut out.values)?,
+        (TAG_GLOBAL_DICT, Some(dict)) => read_values_global(section, count, dict, run, kept),
+        (TAG_GLOBAL_DICT, None) => Err(corrupt(
+            "global-dictionary value section outside an SLNGIDX3 payload",
+        )),
+        _ => read_values_column(tag, section, count, run, kept),
     }
-
-    if !buf.is_empty() {
-        return Err(corrupt(format!(
-            "{} trailing bytes after the block payload",
-            buf.len()
-        )));
-    }
-    Ok(())
 }
 
 /// Per-section byte sizes of one encoded block, as reported by
@@ -432,19 +436,28 @@ mod tests {
         let starts = run_starts(owners, steps);
         let mut bytes = Vec::new();
         encode_block(steps, nodes, values, &starts, quantize, &mut bytes);
-        let mut block = DecodedBlock::default();
+        let mut block = Vec::new();
         decode_block(&bytes, steps.len(), &mut block).unwrap();
-        assert_eq!(block.steps, steps);
-        assert_eq!(block.nodes, nodes);
+        assert_eq!(block.iter().map(|e| e.step).collect::<Vec<_>>(), steps);
+        assert_eq!(block.iter().map(|e| e.node.0).collect::<Vec<_>>(), nodes);
         if quantize {
-            for (a, b) in values.iter().zip(&block.values) {
-                assert!((a - b).abs() <= 0.5 / (u32::MAX as f64));
+            for (a, b) in values.iter().zip(&block) {
+                assert!((a - b.value).abs() <= 0.5 / (u32::MAX as f64));
             }
         } else {
             assert_eq!(
-                block.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                block.iter().map(|e| e.value.to_bits()).collect::<Vec<_>>(),
                 values.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
+        }
+        // Every sub-run reads back the matching slice of the block.
+        for lo in 0..=steps.len() {
+            for hi in lo..=steps.len() {
+                let mut part = vec![HpEntry::new(9, NodeId(9), 0.9)];
+                read_block_run(&bytes, steps.len(), None, usize::MAX, lo..hi, &mut part).unwrap();
+                assert_eq!(part[0], HpEntry::new(9, NodeId(9), 0.9), "prefix kept");
+                assert_eq!(&part[1..], &block[lo..hi], "run {lo}..{hi}");
+            }
         }
     }
 
@@ -486,11 +499,76 @@ mod tests {
         round_trip(&[7], &[42], &[0.125], &[9], false);
     }
 
+    /// Reading one run checks the whole block: a node id at or past `n`,
+    /// or an escaped value of 1.5, in the *other* run fails the read.
+    #[test]
+    fn a_bad_entry_in_another_run_fails_the_read() {
+        // Owner 0: step 1 {1, 2}; owner 1: step 1 {5, 50}.
+        let (steps, nodes, owners) = ([1u16; 4], [1u32, 2, 5, 50], [0u32, 0, 1, 1]);
+        let starts = run_starts(&owners, &steps);
+        let values = [0.5, 0.5, 0.5, 0.25];
+        let dict = GlobalDict::build(&[0.5, 0.5, 0.25, 0.25]);
+        let read = |bytes: &[u8], n: usize| {
+            let mut out = Vec::new();
+            let res = read_block_run(bytes, 4, Some(dict.values()), n, 0..2, &mut out);
+            assert_eq!(out.len(), if res.is_ok() { 2 } else { 0 });
+            res
+        };
+        let mut bytes = Vec::new();
+        encode_block_with(
+            &steps,
+            &nodes,
+            &values,
+            &starts,
+            ValueMode::Global(&dict),
+            &mut bytes,
+        );
+        assert!(read(&bytes, 51).is_ok());
+        assert!(read(&bytes, 50).is_err(), "node 50 in run 2 passed n = 50");
+
+        for (last, ok) in [(0.75, true), (1.5, false)] {
+            let values = [0.5, 0.5, 0.25, last];
+            // Global-dictionary section: `last` is not in the dictionary,
+            // so it escapes.
+            let mut bytes = Vec::new();
+            encode_block_with(
+                &steps,
+                &nodes,
+                &values,
+                &starts,
+                ValueMode::Global(&dict),
+                &mut bytes,
+            );
+            let tag = block_section_sizes(&bytes, 4).unwrap().value_tag;
+            assert_eq!(tag, TAG_GLOBAL_DICT);
+            assert_eq!(read(&bytes, 51).is_ok(), ok, "escaped {last}");
+            // Raw column.
+            let mut bytes = Vec::new();
+            encode_block(&steps, &nodes, &values, &starts, false, &mut bytes);
+            let mut out = Vec::new();
+            let res = read_block_run(&bytes, 4, None, 51, 0..2, &mut out);
+            assert_eq!(res.is_ok(), ok, "raw {last}");
+        }
+    }
+
+    #[test]
+    fn rejects_runs_outside_the_block() {
+        let mut bytes = Vec::new();
+        encode_block(&[0, 0], &[1, 2], &[0.5, 0.5], &[0], false, &mut bytes);
+        let mut out = Vec::new();
+        assert!(read_block_run(&bytes, 2, None, 3, 1..3, &mut out).is_err());
+        let backwards = Range { start: 2, end: 1 };
+        assert!(read_block_run(&bytes, 2, None, 3, backwards, &mut out).is_err());
+        assert!(out.is_empty());
+        read_block_run(&bytes, 2, None, 3, 2..2, &mut out).unwrap();
+        assert!(out.is_empty());
+    }
+
     #[test]
     fn rejects_count_mismatch_and_zero_expectation() {
         let mut bytes = Vec::new();
         encode_block(&[0, 0], &[1, 2], &[0.5, 0.5], &[0], false, &mut bytes);
-        let mut block = DecodedBlock::default();
+        let mut block = Vec::new();
         assert!(decode_block(&bytes, 3, &mut block).is_err());
         assert!(decode_block(&bytes, 0, &mut block).is_err());
         assert!(decode_block(&bytes, MAX_BLOCK_ENTRIES + 1, &mut block).is_err());
@@ -501,7 +579,7 @@ mod tests {
     fn rejects_trailing_garbage_and_truncation() {
         let mut bytes = Vec::new();
         encode_block(&[0, 1], &[4, 4], &[1.0, 0.5], &[0, 1], false, &mut bytes);
-        let mut block = DecodedBlock::default();
+        let mut block = Vec::new();
         decode_block(&bytes, 2, &mut block).unwrap();
         // Every truncation errors.
         for cut in 0..bytes.len() {
@@ -529,14 +607,14 @@ mod tests {
         bytes.push(super::super::value::TAG_RAW_F64);
         bytes.extend_from_slice(&0.5f64.to_le_bytes());
         bytes.extend_from_slice(&0.5f64.to_le_bytes());
-        let mut block = DecodedBlock::default();
+        let mut block = Vec::new();
         let err = decode_block(&bytes, 2, &mut block).unwrap_err();
         assert!(err.to_string().contains("overflow"), "{err}");
     }
 
     #[test]
     fn rejects_bad_run_shapes() {
-        let mut block = DecodedBlock::default();
+        let mut block = Vec::new();
         // Zero runs for a non-empty block.
         let mut bytes = Vec::new();
         varint::write_u64(&mut bytes, 1);

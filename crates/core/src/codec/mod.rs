@@ -7,34 +7,39 @@
 //! a strictly increasing sequence of small gaps, steps repeat for whole
 //! runs, and Algorithm 2's local updates hand entire runs the same value
 //! (`√c / |I(v)|` for every step-1 entry). This module exploits all
-//! three, block-wise, so the out-of-core backends can still decode just
-//! the entries a query touches:
+//! three, block-wise, so the out-of-core backend still reads only the
+//! blocks a query touches:
 //!
 //! * [`varint`] — LEB128 integers, the shared primitive;
 //! * [`block`] — the independently decodable entry block: steps
 //!   run-length coded, node ids delta-coded per run, plus a tagged value
-//!   section;
+//!   section — and [`read_block_run`], the one block decoder, which
+//!   validates a whole block and keeps one run of it;
 //! * [`value`] — the [`value::SectionCodec`] trait and its three value
 //!   codecs (raw `f64`, per-block dictionary, lossy fixed-point `u32`).
 //!
 //! [`encode_payload`] / [`decode_payload`] turn a whole
 //! [`HpArena`](crate::hp::HpArena) payload into blocks and back; the
 //! `SLNGIDX2` container around them (header, directory) lives in
-//! [`crate::format`], and the query-time block readers in
-//! [`crate::store`] ([`crate::store::CompressedMmapArena`]) and
-//! [`crate::out_of_core`].
+//! [`crate::format`], and the query-time reader in
+//! [`crate::store::CompressedMmapArena`], which reads each run it
+//! serves through [`read_block_run`].
 //!
 //! Lossless mode (the default) is **bit-exact**: every backend serving a
 //! compressed index returns scores bit-identical to the uncompressed
 //! one. Quantized mode trades that for 4-byte values (error ≤ 2⁻³³,
 //! negligible against any build-time ε) and is flagged in the header.
 
+// Every decoder here reads untrusted bytes: a malformed input must be a
+// `SlingError`, never a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod block;
 pub mod value;
 pub mod varint;
 
 pub use block::{
-    decode_block, decode_block_with_dict, encode_block, DecodedBlock, ValueMode,
+    decode_block, decode_block_with_dict, encode_block, read_block_run, ValueMode,
     DEFAULT_BLOCK_ENTRIES,
 };
 pub use value::{GlobalDict, SectionCodec};
@@ -79,8 +84,8 @@ pub struct EncodedPayload {
 }
 
 /// `SLNGIDX3` payload: concatenated blocks, their byte directory, and
-/// the cross-block value dictionary every [`block::decode_block_with_dict`]
-/// call resolves against (empty under quantization).
+/// the cross-block value dictionary every [`read_block_run`] call over
+/// its blocks resolves against (empty under quantization).
 pub struct EncodedPayloadV3 {
     /// Entries per block used by the encoder.
     pub block_entries: usize,
@@ -241,7 +246,7 @@ fn decode_payload_ctx(
     let mut steps = Vec::with_capacity(entries);
     let mut nodes = Vec::with_capacity(entries);
     let mut values = Vec::with_capacity(entries);
-    let mut block = DecodedBlock::default();
+    let mut block = Vec::new();
     for b in 0..num_blocks {
         let (lo, hi) = (block_offsets[b] as usize, block_offsets[b + 1] as usize);
         if lo > hi || hi > payload.len() {
@@ -255,9 +260,9 @@ fn decode_payload_ctx(
             Some(dict) => decode_block_with_dict(&payload[lo..hi], expected, dict, &mut block)?,
             None => decode_block(&payload[lo..hi], expected, &mut block)?,
         }
-        steps.extend_from_slice(&block.steps);
-        nodes.extend_from_slice(&block.nodes);
-        values.extend_from_slice(&block.values);
+        steps.extend(block.iter().map(|e| e.step));
+        nodes.extend(block.iter().map(|e| e.node.0));
+        values.extend(block.iter().map(|e| e.value));
     }
     if steps.len() != entries {
         return Err(SlingError::CorruptIndex(format!(
@@ -432,7 +437,7 @@ mod tests {
             let sections = block::block_section_sizes(&v3.bytes[lo..hi], expected).unwrap();
             if sections.value_tag == value::TAG_GLOBAL_DICT {
                 saw_global = true;
-                let mut block = DecodedBlock::default();
+                let mut block = Vec::new();
                 let err = decode_block(&v3.bytes[lo..hi], expected, &mut block).unwrap_err();
                 assert!(err.to_string().contains("SLNGIDX3"), "{err}");
             }

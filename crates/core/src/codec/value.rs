@@ -36,8 +36,12 @@
 //! the v3 encoder still falls back to raw/per-block-dict per block, so
 //! no block can regress past one tag byte.
 
+use std::ops::Range;
+
+use crate::codec::block::is_probability;
 use crate::codec::varint;
 use crate::error::SlingError;
+use crate::hp::HpEntry;
 
 fn corrupt(what: impl Into<String>) -> SlingError {
     SlingError::CorruptIndex(what.into())
@@ -139,10 +143,13 @@ impl SectionCodec for RawF64Codec {
         if buf.len() < need {
             return Err(corrupt("truncated raw value section"));
         }
-        out.reserve(count);
-        for chunk in buf[..need].chunks_exact(8) {
-            out.push(f64::from_le_bytes(chunk.try_into().unwrap()));
-        }
+        out.extend(
+            buf[..need]
+                .as_chunks::<8>()
+                .0
+                .iter()
+                .map(|c| f64::from_le_bytes(*c)),
+        );
         *buf = &buf[need..];
         Ok(())
     }
@@ -187,8 +194,7 @@ impl SectionCodec for DictF64Codec {
 
     fn decode(&self, buf: &mut &[u8], count: usize, out: &mut Vec<f64>) -> Result<(), SlingError> {
         let dict_len = varint::read_u32(buf)? as usize;
-        // A dictionary cannot be larger than the values it describes —
-        // reject before allocating from an attacker-controlled length.
+        // A dictionary cannot be larger than the values it describes.
         if dict_len > count {
             return Err(corrupt(format!(
                 "value dictionary of {dict_len} entries for {count} values"
@@ -197,22 +203,19 @@ impl SectionCodec for DictF64Codec {
         if count > 0 && dict_len == 0 {
             return Err(corrupt("empty value dictionary for a non-empty block"));
         }
-        let need = dict_len * 8;
-        if buf.len() < need {
+        let bytes: &[u8] = buf;
+        let Some((dict, rest)) = bytes.split_at_checked(dict_len * 8) else {
             return Err(corrupt("truncated value dictionary"));
-        }
-        let mut dict = Vec::with_capacity(dict_len);
-        for chunk in buf[..need].chunks_exact(8) {
-            dict.push(f64::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        *buf = &buf[need..];
+        };
+        let (dict, _) = dict.as_chunks::<8>();
+        *buf = rest;
         out.reserve(count);
         for _ in 0..count {
             let idx = varint::read_u32(buf)? as usize;
             let v = dict.get(idx).ok_or_else(|| {
                 corrupt(format!("value index {idx} past dictionary ({dict_len})"))
             })?;
-            out.push(*v);
+            out.push(f64::from_le_bytes(*v));
         }
         Ok(())
     }
@@ -260,10 +263,13 @@ impl SectionCodec for FixedPointCodec {
         if buf.len() < need {
             return Err(corrupt("truncated fixed-point value section"));
         }
-        out.reserve(count);
-        for chunk in buf[..need].chunks_exact(4) {
-            out.push(dequantize(u32::from_le_bytes(chunk.try_into().unwrap())));
-        }
+        out.extend(
+            buf[..need]
+                .as_chunks::<4>()
+                .0
+                .iter()
+                .map(|c| dequantize(u32::from_le_bytes(*c))),
+        );
         *buf = &buf[need..];
         Ok(())
     }
@@ -440,37 +446,63 @@ pub(crate) fn encode_values_global(values: &[f64], dict: &GlobalDict, out: &mut 
     }
 }
 
-/// Decode one [`TAG_GLOBAL_DICT`] value section (tag byte already
-/// consumed) against the file's resident global dictionary. Hardened
-/// like every decoder here: out-of-range codes, oversized or empty hi
-/// dictionaries, and truncation all surface as
-/// [`SlingError::CorruptIndex`].
-pub(crate) fn decode_values_global(
-    buf: &mut &[u8],
+/// Read one block's [`TAG_GLOBAL_DICT`] value section of `count` values
+/// (tag byte already consumed; `section` runs to the end of the block),
+/// writing the values of the block entries `run` into `kept`, one slot
+/// per entry of the run.
+///
+/// The whole section is checked, not just the run's part: every code
+/// inside `dict`, the size of the hi-plane dictionary, every escape's
+/// hi-plane index, every escaped value a probability, and that the
+/// section ends exactly at the end of the block. `dict` must hold only
+/// probabilities — the format layer checks a file's dictionary when it
+/// opens the file — so a hit needs only its bound check.
+///
+/// Allocates nothing. The mantissa plane is the last `6 · n_escapes`
+/// bytes of the section, so the hi-index plane must end exactly where
+/// it begins; the run's escapes are patched in order by walking the
+/// run's codes a second time alongside the two planes.
+pub(crate) fn read_values_global(
+    section: &[u8],
     count: usize,
     dict: &[f64],
-    out: &mut Vec<f64>,
+    run: Range<usize>,
+    kept: &mut [HpEntry],
 ) -> Result<(), SlingError> {
-    let base = out.len();
-    out.reserve(count);
-    let mut escape_slots: Vec<usize> = Vec::new();
-    for i in 0..count {
+    let past_dict = |code: usize| {
+        corrupt(format!(
+            "global dictionary code {code} past {} entries",
+            dict.len()
+        ))
+    };
+    // A code outside the run only counts an escape and is bound-checked:
+    // it is inside the dictionary when it is at most its length, and the
+    // escape code 0 always is. No branch on the escape, which is common.
+    let skip = |buf: &mut &[u8], n_escapes: &mut usize| -> Result<(), SlingError> {
         let code = varint::read_u32(buf)? as usize;
-        if code == 0 {
-            escape_slots.push(base + i);
-            out.push(0.0); // placeholder, patched from the planes below
-        } else {
-            let v = dict.get(code - 1).ok_or_else(|| {
-                corrupt(format!(
-                    "global dictionary code {code} past {} entries",
-                    dict.len()
-                ))
-            })?;
-            out.push(*v);
+        if code > dict.len() {
+            return Err(past_dict(code));
+        }
+        *n_escapes += usize::from(code == 0);
+        Ok(())
+    };
+    let mut buf = section;
+    let mut n_escapes = 0usize;
+    for _ in 0..run.start {
+        skip(&mut buf, &mut n_escapes)?;
+    }
+    let (run_codes, escapes_before_run) = (buf, n_escapes);
+    for slot in kept.iter_mut() {
+        match varint::read_u32(&mut buf)? as usize {
+            0 => n_escapes += 1,
+            code => slot.value = *dict.get(code - 1).ok_or_else(|| past_dict(code))?,
         }
     }
-    let n_escapes = escape_slots.len();
-    let hi_dict_len = varint::read_u32(buf)? as usize;
+    for _ in run.end..count {
+        skip(&mut buf, &mut n_escapes)?;
+    }
+
+    let hi_dict_len = varint::read_u32(&mut buf)? as usize;
     if hi_dict_len > n_escapes {
         return Err(corrupt(format!(
             "hi-plane dictionary of {hi_dict_len} entries for {n_escapes} escapes"
@@ -479,41 +511,87 @@ pub(crate) fn decode_values_global(
     if n_escapes > 0 && hi_dict_len == 0 {
         return Err(corrupt("empty hi-plane dictionary with escaped values"));
     }
-    let need = hi_dict_len * 2;
-    if buf.len() < need {
+    let Some((hi_dict, planes)) = buf.split_at_checked(hi_dict_len * 2) else {
         return Err(corrupt("truncated hi-plane dictionary"));
-    }
-    let mut hi_dict = Vec::with_capacity(hi_dict_len);
-    for chunk in buf[..need].chunks_exact(2) {
-        hi_dict.push(u16::from_le_bytes(chunk.try_into().unwrap()));
-    }
-    *buf = &buf[need..];
-    let mut highs = Vec::with_capacity(n_escapes);
-    for _ in 0..n_escapes {
-        let idx = varint::read_u32(buf)? as usize;
+    };
+    let (hi_dict, _) = hi_dict.as_chunks::<2>();
+    let Some(index_len) = planes.len().checked_sub(n_escapes * 6) else {
+        return Err(corrupt("truncated mantissa plane"));
+    };
+    let (mut hi_index, mantissas) = planes.split_at(index_len);
+    let (mantissas, _) = mantissas.as_chunks::<6>();
+    let (mut run_codes, mut run_slots) = (run_codes, kept.iter_mut());
+    for (j, low) in mantissas.iter().enumerate() {
+        let idx = varint::read_u32(&mut hi_index)? as usize;
         let hi = hi_dict.get(idx).ok_or_else(|| {
             corrupt(format!(
                 "hi-plane index {idx} past dictionary ({hi_dict_len})"
             ))
         })?;
-        highs.push(*hi);
+        let mut bits = [0u8; 8];
+        bits[..6].copy_from_slice(low);
+        bits[6..].copy_from_slice(hi);
+        let value = f64::from_le_bytes(bits);
+        if !is_probability(value) {
+            return Err(corrupt(format!(
+                "escaped value {value} is not a probability"
+            )));
+        }
+        if j >= escapes_before_run {
+            // The run's next escape: its next zero code.
+            for slot in run_slots.by_ref() {
+                if varint::read_u64(&mut run_codes)? == 0 {
+                    slot.value = value;
+                    break;
+                }
+            }
+        }
     }
-    let need = n_escapes * 6;
-    if buf.len() < need {
-        return Err(corrupt("truncated mantissa plane"));
+    if !hi_index.is_empty() {
+        return Err(trailing(hi_index.len()));
     }
-    for ((&slot, chunk), hi) in escape_slots
-        .iter()
-        .zip(buf[..need].chunks_exact(6))
-        .zip(highs)
-    {
-        let mut low = [0u8; 8];
-        low[..6].copy_from_slice(chunk);
-        let bits = u64::from_le_bytes(low) | ((hi as u64) << 48);
-        out[slot] = f64::from_bits(bits);
-    }
-    *buf = &buf[need..];
     Ok(())
+}
+
+/// Read one block's raw, per-block-dictionary or fixed-point value
+/// section of `count` values (tag byte `tag` already consumed; `section`
+/// runs to the end of the block) through its [`SectionCodec`], writing
+/// the values of the block entries `run` into `kept`. Every value of the
+/// section must be a probability, and the section must end exactly at
+/// the end of the block.
+pub(crate) fn read_values_column(
+    tag: u8,
+    section: &[u8],
+    count: usize,
+    run: Range<usize>,
+    kept: &mut [HpEntry],
+) -> Result<(), SlingError> {
+    let mut buf = section;
+    let mut values = Vec::new();
+    codec_for_tag(tag)?.decode(&mut buf, count, &mut values)?;
+    if !buf.is_empty() {
+        return Err(trailing(buf.len()));
+    }
+    if let Some((i, v)) = values
+        .iter()
+        .enumerate()
+        .find(|(_, v)| !is_probability(**v))
+    {
+        return Err(corrupt(format!(
+            "block entry {i} holds a non-probability HP value {v}"
+        )));
+    }
+    let run_values = values
+        .get(run)
+        .ok_or_else(|| corrupt("value section shorter than its block"))?;
+    for (slot, &v) in kept.iter_mut().zip(run_values) {
+        slot.value = v;
+    }
+    Ok(())
+}
+
+fn trailing(bytes: usize) -> SlingError {
+    corrupt(format!("{bytes} trailing bytes after the block payload"))
 }
 
 #[cfg(test)]
@@ -579,13 +657,34 @@ mod tests {
         assert_eq!(quantize(-0.5), 0);
     }
 
+    /// Read values `run` of a section of `count` values into fresh slots.
+    fn read_global(
+        bytes: &[u8],
+        count: usize,
+        dict: &[f64],
+        run: Range<usize>,
+    ) -> Result<Vec<f64>, SlingError> {
+        let mut kept = vec![HpEntry::new(0, sling_graph::NodeId(0), -1.0); run.len()];
+        read_values_global(bytes, count, dict, run, &mut kept)?;
+        Ok(kept.iter().map(|e| e.value).collect())
+    }
+
+    /// Round-trip a whole section, and check that every sub-run reads
+    /// back the matching slice of it.
     fn global_round_trip(values: &[f64], dict: &GlobalDict) -> Vec<f64> {
         let mut bytes = Vec::new();
         encode_values_global(values, dict, &mut bytes);
-        let mut buf = bytes.as_slice();
-        let mut out = Vec::new();
-        decode_values_global(&mut buf, values.len(), dict.values(), &mut out).unwrap();
-        assert!(buf.is_empty(), "global decoder left bytes behind");
+        let n = values.len();
+        let out = read_global(&bytes, n, dict.values(), 0..n).unwrap();
+        for lo in 0..=n {
+            for hi in lo..=n {
+                let part = read_global(&bytes, n, dict.values(), lo..hi).unwrap();
+                assert_eq!(part, out[lo..hi], "run {lo}..{hi}");
+            }
+        }
+        // The section must end at the end of the block.
+        bytes.push(0);
+        assert!(read_global(&bytes, n, dict.values(), 0..n).is_err());
         out
     }
 
@@ -649,31 +748,40 @@ mod tests {
         // Code past the dictionary.
         let mut bytes = Vec::new();
         varint::write_u64(&mut bytes, 3); // index 2 into a 2-entry dict
-        let mut buf = bytes.as_slice();
-        assert!(decode_values_global(&mut buf, 1, &dict, &mut Vec::new()).is_err());
+        assert!(read_global(&bytes, 1, &dict, 0..1).is_err());
         // Truncated mid-codes.
-        let mut buf: &[u8] = &[];
-        assert!(decode_values_global(&mut buf, 1, &dict, &mut Vec::new()).is_err());
+        assert!(read_global(&[], 1, &dict, 0..1).is_err());
         // Escape with an empty hi-plane dictionary.
         let mut bytes = Vec::new();
         varint::write_u64(&mut bytes, 0); // escape
         varint::write_u64(&mut bytes, 0); // hi_dict_len = 0
-        let mut buf = bytes.as_slice();
-        assert!(decode_values_global(&mut buf, 1, &dict, &mut Vec::new()).is_err());
+        assert!(read_global(&bytes, 1, &dict, 0..1).is_err());
         // Hi-plane dictionary bigger than the escape count.
         let mut bytes = Vec::new();
         varint::write_u64(&mut bytes, 0); // escape
         varint::write_u64(&mut bytes, 5); // hi_dict_len = 5 > 1 escape
-        let mut buf = bytes.as_slice();
-        assert!(decode_values_global(&mut buf, 1, &dict, &mut Vec::new()).is_err());
+        assert!(read_global(&bytes, 1, &dict, 0..1).is_err());
         // Hi-plane index past its dictionary.
         let mut bytes = Vec::new();
         varint::write_u64(&mut bytes, 0); // escape
         varint::write_u64(&mut bytes, 1); // hi_dict_len = 1
         bytes.extend_from_slice(&0x3fe0u16.to_le_bytes());
         varint::write_u64(&mut bytes, 9); // hi index 9 past the 1-entry dict
-        let mut buf = bytes.as_slice();
-        assert!(decode_values_global(&mut buf, 1, &dict, &mut Vec::new()).is_err());
+        bytes.extend_from_slice(&[0u8; 6]);
+        assert!(read_global(&bytes, 1, &dict, 0..1).is_err());
+        // An escaped value must be a probability: 0x3fe0 << 48 is 0.5,
+        // 0x3ff8 << 48 is 1.5. The check covers escapes outside the run.
+        for (hi, ok) in [(0x3fe0u16, true), (0x3ff8, false)] {
+            let mut bytes = Vec::new();
+            varint::write_u64(&mut bytes, 1); // hit: 0.5
+            varint::write_u64(&mut bytes, 0); // escape
+            varint::write_u64(&mut bytes, 1); // hi_dict_len = 1
+            bytes.extend_from_slice(&hi.to_le_bytes());
+            varint::write_u64(&mut bytes, 0);
+            bytes.extend_from_slice(&[0u8; 6]);
+            assert_eq!(read_global(&bytes, 2, &dict, 0..1).is_ok(), ok, "{hi:#x}");
+            assert_eq!(read_global(&bytes, 2, &dict, 1..2).is_ok(), ok, "{hi:#x}");
+        }
         // Truncated mantissa plane.
         let mut bytes = Vec::new();
         varint::write_u64(&mut bytes, 0);
@@ -681,8 +789,7 @@ mod tests {
         bytes.extend_from_slice(&0x3fe0u16.to_le_bytes());
         varint::write_u64(&mut bytes, 0);
         bytes.extend_from_slice(&[0u8; 3]); // needs 6
-        let mut buf = bytes.as_slice();
-        assert!(decode_values_global(&mut buf, 1, &dict, &mut Vec::new()).is_err());
+        assert!(read_global(&bytes, 1, &dict, 0..1).is_err());
     }
 
     #[test]

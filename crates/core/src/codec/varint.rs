@@ -38,8 +38,29 @@ pub fn len_u64(v: u64) -> usize {
 }
 
 /// Decode one LEB128 `u64` from the front of `buf`, advancing it.
-#[inline]
+///
+/// The one- and two-byte encodings — nearly every node-id gap, run
+/// length and dictionary code — are decoded inline; anything longer,
+/// truncated or malformed goes through the general loop.
+#[inline(always)]
 pub fn read_u64(buf: &mut &[u8]) -> Result<u64, SlingError> {
+    let bytes: &[u8] = buf;
+    match *bytes {
+        [b0, ref rest @ ..] if b0 < 0x80 => {
+            *buf = rest;
+            Ok(u64::from(b0))
+        }
+        [b0, b1, ref rest @ ..] if b1 < 0x80 => {
+            *buf = rest;
+            Ok(u64::from(b0 & 0x7f) | (u64::from(b1) << 7))
+        }
+        _ => read_u64_long(buf),
+    }
+}
+
+/// The general loop behind [`read_u64`]: encodings of three or more
+/// bytes, and every rejection.
+fn read_u64_long(buf: &mut &[u8]) -> Result<u64, SlingError> {
     let mut value = 0u64;
     let mut shift = 0u32;
     for (i, &byte) in buf.iter().enumerate() {
@@ -71,7 +92,7 @@ pub fn read_u64(buf: &mut &[u8]) -> Result<u64, SlingError> {
 }
 
 /// Decode a varint that must fit `u32` (node ids, run lengths, counts).
-#[inline]
+#[inline(always)]
 pub fn read_u32(buf: &mut &[u8]) -> Result<u32, SlingError> {
     let v = read_u64(buf)?;
     u32::try_from(v)
@@ -79,7 +100,7 @@ pub fn read_u32(buf: &mut &[u8]) -> Result<u32, SlingError> {
 }
 
 /// Decode a varint that must fit `u16` (walk steps).
-#[inline]
+#[inline(always)]
 pub fn read_u16(buf: &mut &[u8]) -> Result<u16, SlingError> {
     let v = read_u64(buf)?;
     u16::try_from(v)

@@ -133,8 +133,11 @@ impl MarkArena {
 /// Expand the marked entries of `v` into the effective entry buffer
 /// (`which`) of `ws`. Called by the generic effective-entry
 /// materialization after the stored (+ two-hop) list has been sorted.
-/// Generic over the storage backend: marks address entries by global
-/// index through [`HpStore::entry_at`].
+///
+/// Marks are offsets into `v`'s stored run, which that materialization
+/// has just read into the workspace: `ws.stored` for a §5.2-reduced
+/// node, and the output buffer itself otherwise. So the expansion reads
+/// no entry from the store.
 pub(crate) fn expand_marked<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
@@ -150,18 +153,18 @@ pub(crate) fn expand_marked<S: HpStore>(
         Buf::A => std::mem::take(&mut ws.buf_a),
         Buf::B => std::mem::take(&mut ws.buf_b),
     };
-    let range = e.store.range(v);
     let sqrt_c = e.config.sqrt_c();
     let reduced = e.reduced[v.index()];
+    let stored: &[HpEntry] = if reduced { &ws.stored } else { &buf };
     ws.extras.clear();
     for &li in marks {
-        let gi = range.start + li as usize;
-        let entry = match e.store.entry_at(gi) {
-            Ok(entry) => entry,
-            Err(err) => {
-                put_back(ws, which, buf);
-                return Err(err);
-            }
+        let Some(&entry) = stored.get(li as usize) else {
+            let err = SlingError::CorruptIndex(format!(
+                "§5.3 mark {li} of {v:?} past its {}-entry stored run",
+                stored.len()
+            ));
+            put_back(ws, which, buf);
+            return Err(err);
         };
         let (step, hit, value) = (entry.step, entry.node, entry.value);
         // A corrupt backend can hand back step = u16::MAX; skip rather

@@ -276,8 +276,8 @@ pub(crate) fn effective_access<'s, S: HpStore>(
 /// allocate nothing.
 ///
 /// Since the streaming kernels consume backend entries in place, these
-/// buffers are only written on the §5.2/§5.3 restore path and by
-/// backends that must materialize (block-straddling runs) —
+/// buffers are only written on the §5.2/§5.3 restore path and by the
+/// compressed backend, which materializes every run it reads —
 /// but one query against a hub node can still grow a buffer to the
 /// largest list in the index. Long-lived workers should call
 /// [`QueryWorkspace::trim_excess`] between requests so hub-sized

@@ -71,7 +71,7 @@
 //! |---|---|---|---|
 //! | [`hp::HpArena`] | full decode in RAM | `O(n/ε)` decode | v1 + v2 + v3 |
 //! | [`store::MmapHpArena`] | page cache, zero-copy | header + offsets only | v1 |
-//! | [`store::CompressedMmapArena`] | page cache + decoded-block cache | header + offsets + directory | v2 + v3 |
+//! | [`store::CompressedMmapArena`] | page cache, one validating pass per block read | header + offsets + directory | v2 + v3 |
 //!
 //! The two mapped backends are the one out-of-core path (§5.4): only
 //! the `O(n)` metadata is resident, and the OS page cache is the buffer
@@ -114,9 +114,10 @@
 //! borrows a node's entry run from backend-owned storage as a
 //! [`store::EntryAccess`] — structure-of-arrays column slices from the
 //! arena, raw little-endian section bytes from the `SLNGIDX1` mapping
-//! (after one branch-light validation sweep), a refcounted decoded
-//! block from the compressed backends — and the kernels consume it in
-//! place. A node whose effective list differs from its stored run
+//! (after one branch-light validation sweep) — and the kernels consume
+//! it in place. The compressed backend has no decoded form to lend: it
+//! materializes just the run into the caller's scratch, with one
+//! validating pass over each block the run touches. A node whose effective list differs from its stored run
 //! (§5.2-reduced or §5.3-marked, two O(1) loads on build-time
 //! artifacts) takes the one restore path instead: on the engine and the
 //! bare [`SlingIndex`] alike, its full effective list is materialized

@@ -535,7 +535,7 @@ impl GenerationStore {
 /// Warm a freshly opened engine before it starts serving: advisory
 /// prefetch (`madvise`/`fadvise` on the file-backed backends) of every
 /// hot node's entry range, then a replay of the hot pairs so the page
-/// cache and the compressed backends' block caches are primed.
+/// cache is primed.
 /// Out-of-range or failing pairs are skipped — warm-up must never block
 /// a promotion. Returns the number of pairs successfully replayed.
 pub fn warm_engine<S: HpStore>(

@@ -72,9 +72,8 @@
 //! Before a generation goes live, [`warm_engine`] stages its pages
 //! (advisory `madvise(WILLNEED)` via [`crate::store::HpStore::prefetch`]
 //! on the mmap backends) and replays the store's hot-key log so the
-//! page cache and the compressed backends' block caches are primed —
-//! the first post-swap requests hit warm pages and blocks instead of
-//! paying cold-start latency under production traffic. The log itself is operator- or pipeline-fed (checksummed
+//! page cache is primed — the first post-swap requests hit warm pages
+//! instead of paying cold-start latency under production traffic. The log itself is operator- or pipeline-fed (checksummed
 //! `SLNGTRACE` record lines, with legacy bare `<u> <v>` lines still
 //! accepted; see
 //! [`GenerationStore::append_hot_keys`][generation::GenerationStore::append_hot_keys]

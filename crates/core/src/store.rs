@@ -17,8 +17,8 @@
 //!   independent of index size and queries read entries straight out of
 //!   the page cache;
 //! * [`CompressedMmapArena`] — the same mapped view over the
-//!   block-compressed `SLNGIDX2`/`SLNGIDX3` files, decoding only the
-//!   blocks a query touches through a small decoded-block cache.
+//!   block-compressed `SLNGIDX2`/`SLNGIDX3` files, reading each run out
+//!   of the blocks it touches in one validating pass per block.
 //!
 //! The two mapped backends are the one out-of-core path: the OS page
 //! cache is the buffer pool, and only the `O(n)` metadata is resident.
@@ -44,15 +44,8 @@ use std::path::Path;
 use memmap2::{Advice, Mmap};
 use sling_graph::{DiGraph, NodeId};
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use crate::cache::LruList;
-use crate::codec::block::{
-    max_node, values_all_probabilities, DecodedBlock, MAX_PROBABILITY, SWEEP_LANES,
-};
-use crate::codec::{decode_block, decode_block_with_dict, expected_block_len};
+use crate::codec::block::{is_probability, MAX_PROBABILITY};
+use crate::codec::{expected_block_len, read_block_run};
 use crate::config::SlingConfig;
 use crate::enhance::MarkArena;
 use crate::error::SlingError;
@@ -87,27 +80,6 @@ pub trait HpStore {
     /// order.
     fn entries_into(&self, v: NodeId, out: &mut Vec<HpEntry>) -> Result<(), SlingError>;
 
-    /// Random access by global entry index (used by §5.3 mark expansion).
-    fn entry_at(&self, i: usize) -> Result<HpEntry, SlingError>;
-
-    /// Whether `H(v)` stores the exact `(step, node)` key. The default
-    /// binary-searches the sorted run through [`HpStore::entry_at`];
-    /// backends with direct array access may override.
-    fn contains_key(&self, v: NodeId, step: u16, node: NodeId) -> Result<bool, SlingError> {
-        let range = checked_range(self, v)?;
-        let (mut lo, mut hi) = (range.start, range.end);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let e = self.entry_at(mid)?;
-            match e.key().cmp(&(step, node)) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(true),
-            }
-        }
-        Ok(false)
-    }
-
     /// Heap-resident bytes of the store itself (excludes file-backed or
     /// page-cache pages, which is the point of the out-of-core backends).
     fn resident_bytes(&self) -> usize;
@@ -124,16 +96,17 @@ pub trait HpStore {
     /// backend already holds the run in a directly consumable layout.
     ///
     /// `scratch` is a caller-owned buffer the backend *may* materialize
-    /// into (runs straddling block boundaries);
-    /// backends with resident or mapped storage return a borrowed (or
-    /// refcount-shared) [`EntryAccess`] and leave `scratch` untouched.
-    /// Every returned view is fully validated (node bounds, value
-    /// range), exactly like [`HpStore::entries_into`] — the streaming
-    /// query kernels index the correction factors with the decoded node
-    /// ids, so a corrupt file must surface here as [`SlingError`], never
-    /// as a panic downstream.
+    /// into; backends with resident or raw mapped storage return a
+    /// borrowed [`EntryAccess`] and leave `scratch` untouched. Every
+    /// returned view is fully validated (node bounds, value range),
+    /// exactly like [`HpStore::entries_into`] — the streaming query
+    /// kernels index the correction factors with the decoded node ids,
+    /// so a corrupt file must surface here as [`SlingError`], never as a
+    /// panic downstream.
     ///
-    /// The default materializes through [`HpStore::entries_into`].
+    /// The default materializes the run into `scratch` through
+    /// [`HpStore::entries_into`]; the compressed backend takes it, since
+    /// its runs exist only encoded.
     fn entries_ref<'s>(
         &'s self,
         v: NodeId,
@@ -157,12 +130,9 @@ pub trait HpStore {
 /// * [`EntryAccess::RawLe`] — raw little-endian section bytes straight
 ///   out of an `SLNGIDX1` mapping ([`MmapHpArena`]); entries are decoded
 ///   on the fly with unaligned loads, after one cheap validation sweep.
-/// * [`EntryAccess::Block`] — one decoded `SLNGIDX2`/`SLNGIDX3` block
-///   covering the whole run ([`CompressedMmapArena`]): shared by refcount
-///   out of the block scratch cache, no per-entry copy.
-/// * [`EntryAccess::Slice`] — entries the backend materialized into the
-///   caller's scratch buffer (multi-block runs and the §5.2/§5.3
-///   restored lists).
+/// * [`EntryAccess::Slice`] — entries materialized into the caller's
+///   scratch buffer: every `SLNGIDX2`/`SLNGIDX3` run
+///   ([`CompressedMmapArena`]) and the §5.2/§5.3 restored lists.
 ///
 /// All variants are sorted by `(step, node)` and pre-validated, so
 /// consumers may index the correction-factor array with the node ids.
@@ -186,15 +156,6 @@ pub enum EntryAccess<'a> {
         /// `f64` values, little-endian bit patterns.
         values: &'a [u8],
     },
-    /// Sub-range `lo..hi` of one decoded (and validated) payload block.
-    Block {
-        /// The decoded block, shared with the backend's scratch cache.
-        block: Arc<DecodedBlock>,
-        /// First entry of the run within the block.
-        lo: usize,
-        /// One past the last entry of the run within the block.
-        hi: usize,
-    },
     /// Entries materialized into a buffer (typically the caller's
     /// scratch).
     Slice(&'a [HpEntry]),
@@ -206,7 +167,6 @@ impl EntryAccess<'_> {
         match self {
             EntryAccess::Columns { steps, .. } => steps.len(),
             EntryAccess::RawLe { steps, .. } => steps.len() / 2,
-            EntryAccess::Block { lo, hi, .. } => hi - lo,
             EntryAccess::Slice(s) => s.len(),
         }
     }
@@ -236,11 +196,6 @@ impl EntryAccess<'_> {
                 )),
                 f64::from_le_bytes(values[i * 8..i * 8 + 8].try_into().unwrap()),
             ),
-            EntryAccess::Block { block, lo, .. } => HpEntry::new(
-                block.steps[lo + i],
-                NodeId(block.nodes[lo + i]),
-                block.values[lo + i],
-            ),
             EntryAccess::Slice(s) => s[i],
         }
     }
@@ -260,7 +215,7 @@ pub(crate) trait EntryRun: Copy {
     fn value(&self, i: usize) -> f64;
 }
 
-/// Structure-of-arrays column view (arena and decoded blocks).
+/// Structure-of-arrays column view (the in-memory arena).
 #[derive(Clone, Copy)]
 pub(crate) struct ColumnsRun<'a> {
     pub steps: &'a [u16],
@@ -360,14 +315,6 @@ macro_rules! with_run {
                 };
                 $body
             }
-            $crate::store::EntryAccess::Block { block, lo, hi } => {
-                let $run = $crate::store::ColumnsRun {
-                    steps: &block.steps[*lo..*hi],
-                    nodes: &block.nodes[*lo..*hi],
-                    values: &block.values[*lo..*hi],
-                };
-                $body
-            }
             $crate::store::EntryAccess::Slice(s) => {
                 let $run: &[$crate::hp::HpEntry] = s;
                 $body
@@ -413,18 +360,6 @@ impl HpStore for HpArena {
         Ok(())
     }
 
-    fn entry_at(&self, i: usize) -> Result<HpEntry, SlingError> {
-        Ok(HpEntry::new(
-            self.steps[i],
-            NodeId(self.nodes[i]),
-            self.values[i],
-        ))
-    }
-
-    fn contains_key(&self, v: NodeId, step: u16, node: NodeId) -> Result<bool, SlingError> {
-        Ok(HpArena::contains_key(self, v, step, node))
-    }
-
     fn resident_bytes(&self) -> usize {
         HpArena::resident_bytes(self)
     }
@@ -451,7 +386,7 @@ impl HpStore for HpArena {
 /// score sorts (which rightly assume finite scores) with a panic instead
 /// of an error.
 fn check_value(i: usize, value: f64) -> Result<(), SlingError> {
-    if !value.is_finite() || !(0.0..=MAX_PROBABILITY).contains(&value) {
+    if !is_probability(value) {
         return Err(SlingError::CorruptIndex(format!(
             "entry {i} holds a non-probability HP value {value}"
         )));
@@ -501,14 +436,6 @@ impl HpStore for IndexStore {
 
     fn entries_into(&self, v: NodeId, out: &mut Vec<HpEntry>) -> Result<(), SlingError> {
         on_store!(self, |s| s.entries_into(v, out))
-    }
-
-    fn entry_at(&self, i: usize) -> Result<HpEntry, SlingError> {
-        on_store!(self, |s| s.entry_at(i))
-    }
-
-    fn contains_key(&self, v: NodeId, step: u16, node: NodeId) -> Result<bool, SlingError> {
-        on_store!(self, |s| HpStore::contains_key(s, v, step, node))
     }
 
     fn resident_bytes(&self) -> usize {
@@ -770,10 +697,6 @@ impl HpStore for MmapHpArena {
         Ok(())
     }
 
-    fn entry_at(&self, i: usize) -> Result<HpEntry, SlingError> {
-        self.decode_entry(i)
-    }
-
     /// The entry payload lives in the page cache, not on this struct's
     /// heap: only the handle itself counts.
     fn resident_bytes(&self) -> usize {
@@ -832,6 +755,12 @@ impl HpStore for MmapHpArena {
     }
 }
 
+/// Lane width of the chunked validation sweep in [`validate_raw_le`]:
+/// the folds process this many independent accumulators per stripe so
+/// the compiler can keep them in vector registers, with a scalar tail
+/// for the remainder.
+const SWEEP_LANES: usize = 8;
+
 /// Validate the raw little-endian node/value sections of one entry run:
 /// every node id below `n`, every value a finite probability. The hot
 /// sweep is two branchless *lane-striped* folds over the contiguous
@@ -873,8 +802,8 @@ pub(crate) fn validate_raw_le(
         }
     }
     // Value sweep: lane-parallel range fold. The two compares are
-    // equivalent to `check_value`'s predicate — NaN fails both, ±∞ fails
-    // one — see `codec::block::values_all_probabilities`.
+    // equivalent to `check_value`'s predicate (`codec::block::
+    // is_probability`): NaN fails both, ±∞ fails one.
     let mut ok_lanes = [true; SWEEP_LANES];
     let mut value_chunks = values.chunks_exact(8 * SWEEP_LANES);
     for stripe in &mut value_chunks {
@@ -896,150 +825,18 @@ pub(crate) fn validate_raw_le(
     Ok(())
 }
 
-/// Decoded-block scratch cache of a compressed backend.
-///
-/// Queries against a blocked payload decode whole blocks to read one
-/// `O(1/ε)` entry run; consecutive queries overwhelmingly land in the
-/// same few blocks (hubs cluster, batch pairs repeat endpoints), so a
-/// small cache of decoded blocks turns the second touch into a memcpy.
-/// The cache is sharded by block index — each worker's hot blocks hash
-/// to different shards, so concurrent workers contend only when they
-/// genuinely share a block — and each shard is an independently locked
-/// [`LruList`] holding a handful of `Arc`-shared decoded blocks.
-/// Everything cached has already been validated (node bounds, value
-/// range), so hits skip re-validation too.
-struct BlockScratchCache {
-    shards: Box<[Mutex<LruList<u64, Arc<DecodedBlock>>>]>,
-    per_shard: usize,
-}
-
-impl BlockScratchCache {
-    /// Shard count (power of two) — sized for the thread-per-core worker
-    /// pools the server runs.
-    const SHARDS: usize = 8;
-
-    /// Decoded blocks kept per shard — 64 blocks total, which at the
-    /// default 1024-entry geometry keeps a ~64K-entry working set
-    /// (≈ 1 MiB of columns) decoded. That covers every block of a
-    /// mid-size index outright, so uniformly random pair workloads stop
-    /// thrashing the cache instead of paying a decode per query.
-    const PER_SHARD: usize = 8;
-
-    fn new() -> Self {
-        BlockScratchCache {
-            shards: (0..Self::SHARDS)
-                .map(|_| Mutex::new(LruList::new()))
-                .collect(),
-            per_shard: Self::PER_SHARD,
-        }
-    }
-
-    /// Cached block `b`, or decode-and-admit through `decode`.
-    fn get_or_decode(
-        &self,
-        b: usize,
-        decode: impl FnOnce() -> Result<DecodedBlock, SlingError>,
-    ) -> Result<Arc<DecodedBlock>, SlingError> {
-        let key = b as u64;
-        let shard = &self.shards[b & (Self::SHARDS - 1)];
-        if let Some(hit) = shard.lock().get(&key) {
-            return Ok(Arc::clone(hit));
-        }
-        // Decode with the lock released: a racing worker decoding the
-        // same block does redundant work, but never serializes others.
-        let block = Arc::new(decode()?);
-        let mut guard = shard.lock();
-        if guard.get(&key).is_none() {
-            if guard.len() >= self.per_shard {
-                guard.pop_lru();
-            }
-            guard.insert(key, Arc::clone(&block));
-        }
-        Ok(block)
-    }
-
-    /// Estimated heap bytes of the decoded blocks currently cached
-    /// (14 bytes per decoded entry across the three columns).
-    fn resident_bytes(&self, block_entries: usize) -> usize {
-        let cached: usize = self.shards.iter().map(|s| s.lock().len()).sum();
-        cached * (block_entries * 14 + std::mem::size_of::<DecodedBlock>())
-    }
-}
-
-/// Decode and fully validate one block's bytes: directory-consistent
-/// entry count, run shapes, node-id bounds, value range.
-fn decode_block_validated(
-    raw: &[u8],
-    b: usize,
-    num_blocks: usize,
-    block_entries: usize,
-    total_entries: usize,
-    num_nodes: usize,
-    global_dict: Option<&[f64]>,
-) -> Result<DecodedBlock, SlingError> {
-    let expected = expected_block_len(b, num_blocks, block_entries, total_entries)?;
-    KernelCounters::bump(&obs::KERNEL.block_decodes);
-    KernelCounters::bump_by(&obs::KERNEL.backend_bytes_read, raw.len() as u64);
-    let mut block = DecodedBlock::default();
-    match global_dict {
-        Some(dict) => decode_block_with_dict(raw, expected, dict, &mut block)?,
-        None => decode_block(raw, expected, &mut block)?,
-    }
-    // Bound-check ids and value ranges once per decode; cache hits skip
-    // this entirely. The hot path is two lane-striped column folds; only
-    // a failing block pays the per-entry rescan that names the entry.
-    let base = b * block_entries;
-    if max_node(&block.nodes) as usize >= num_nodes {
-        for (i, &node) in block.nodes.iter().enumerate() {
-            if node as usize >= num_nodes {
-                return Err(SlingError::CorruptIndex(format!(
-                    "block entry {} references node {node} past n = {num_nodes}",
-                    base + i,
-                )));
-            }
-        }
-    }
-    if !values_all_probabilities(&block.values) {
-        for (i, &value) in block.values.iter().enumerate() {
-            check_value(base + i, value)?;
-        }
-    }
-    Ok(block)
-}
-
-/// Append the part of global entry range `range` that falls inside
-/// block `b` to `out`.
-fn push_block_range(
-    block: &DecodedBlock,
-    b: usize,
-    block_entries: usize,
-    range: &Range<usize>,
-    out: &mut Vec<HpEntry>,
-) {
-    let lo = range.start.max(b * block_entries) - b * block_entries;
-    let hi = range.end.min((b + 1) * block_entries) - b * block_entries;
-    for i in lo..hi {
-        out.push(HpEntry::new(
-            block.steps[i],
-            NodeId(block.nodes[i]),
-            block.values[i],
-        ));
-    }
-}
-
 /// Zero-copy memory-mapped view of a block-compressed `SLNGIDX2` index
 /// file.
 ///
 /// The compressed sibling of [`MmapHpArena`]: `open` maps the file and
 /// validates the header, offset table, and block directory — never the
 /// payload — so open cost is independent of the number of stored
-/// entries. Queries decode exactly the blocks their entry range touches,
-/// straight from the page cache, through a sharded decoded-block scratch
-/// cache (see [`BlockScratchCache`]) that makes repeated touches of a
-/// hot block free. Every decoded block is fully validated (counts,
-/// run shapes, node bounds, value range) before use, so a file corrupted
-/// *after* open still surfaces as [`SlingError::CorruptIndex`], never a
-/// panic.
+/// entries. A query reads a run straight from the page cache with one
+/// [`read_block_run`] pass over each block the run touches: the pass
+/// validates the whole block (counts, run shapes, node bounds, value
+/// range) and keeps only the run's entries, so a file corrupted *after*
+/// open still surfaces as [`SlingError::CorruptIndex`], never a panic.
+/// Nothing decoded is kept between queries.
 ///
 /// In lossless mode (the default for `sling compact`) queries return
 /// scores **bit-identical** to every other backend serving the same
@@ -1061,7 +858,6 @@ pub struct CompressedMmapArena {
     values_exact: bool,
     /// The resident v3 global value dictionary (`None` for v2 files).
     global_dict: Option<Vec<f64>>,
-    cache: BlockScratchCache,
 }
 
 impl CompressedMmapArena {
@@ -1074,7 +870,7 @@ impl CompressedMmapArena {
         let file = std::fs::File::open(path)?;
         // SAFETY: the standard memmap contract — the caller must not
         // truncate the index file while the arena is alive. Concurrent
-        // *content* corruption is tolerated: block decodes are fully
+        // *content* corruption is tolerated: every block read is fully
         // validated and errors surface as SlingError.
         let map = unsafe { Mmap::map(&file) }?;
         let mut meta = decode_meta(&map)?;
@@ -1105,7 +901,6 @@ impl CompressedMmapArena {
             block_offsets: geo.block_offsets,
             values_exact: geo.values_exact,
             global_dict: geo.global_dict,
-            cache: BlockScratchCache::new(),
             map,
         };
         Ok((arena, meta))
@@ -1143,28 +938,29 @@ impl CompressedMmapArena {
         ) as usize
     }
 
-    /// Decode block `b` from the mapping, fully validated.
-    fn decode_block_at(&self, b: usize) -> Result<DecodedBlock, SlingError> {
-        let (lo, hi) = (
-            self.blocks_base + self.block_offsets[b] as usize,
-            self.blocks_base + self.block_offsets[b + 1] as usize,
-        );
+    /// Append the entries `run` (block-local) of block `b` to `out`,
+    /// validating the whole block.
+    fn read_block(
+        &self,
+        b: usize,
+        run: Range<usize>,
+        out: &mut Vec<HpEntry>,
+    ) -> Result<(), SlingError> {
+        let expected = expected_block_len(b, self.num_blocks(), self.block_entries, self.entries)?;
         // In bounds by construction: decode_meta validated the directory
         // against the mapping length, and the directory is resident.
-        decode_block_validated(
-            &self.map[lo..hi],
-            b,
-            self.num_blocks(),
-            self.block_entries,
-            self.entries,
-            self.num_nodes,
+        let raw = &self.map[self.blocks_base + self.block_offsets[b] as usize
+            ..self.blocks_base + self.block_offsets[b + 1] as usize];
+        KernelCounters::bump(&obs::KERNEL.block_decodes);
+        KernelCounters::bump_by(&obs::KERNEL.backend_bytes_read, raw.len() as u64);
+        read_block_run(
+            raw,
+            expected,
             self.global_dict.as_deref(),
+            self.num_nodes,
+            run,
+            out,
         )
-    }
-
-    /// Block `b`, served from the scratch cache.
-    fn block(&self, b: usize) -> Result<Arc<DecodedBlock>, SlingError> {
-        self.cache.get_or_decode(b, || self.decode_block_at(b))
     }
 
     /// `madvise(WILLNEED)` the encoded byte range of the blocks holding
@@ -1218,69 +1014,23 @@ impl HpStore for CompressedMmapArena {
         out.reserve(range.len());
         let be = self.block_entries;
         for b in range.start / be..=(range.end - 1) / be {
-            let block = self.block(b)?;
-            push_block_range(&block, b, be, &range, out);
+            let first = b * be;
+            let run = range.start.max(first) - first..range.end.min(first + be) - first;
+            self.read_block(b, run, out)?;
         }
         Ok(())
     }
 
-    fn entry_at(&self, i: usize) -> Result<HpEntry, SlingError> {
-        if i >= self.entries {
-            return Err(SlingError::CorruptIndex(format!(
-                "compressed entry index {i} past the {} stored entries",
-                self.entries
-            )));
-        }
-        let b = i / self.block_entries;
-        let block = self.block(b)?;
-        let j = i - b * self.block_entries;
-        Ok(HpEntry::new(
-            block.steps[j],
-            NodeId(block.nodes[j]),
-            block.values[j],
-        ))
-    }
-
     /// The encoded payload lives in the page cache; resident heap is the
-    /// block directory plus the decoded-block scratch cache.
+    /// block directory plus the v3 global value dictionary.
     fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.block_offsets.len() * 8
-            + self.cache.resident_bytes(self.block_entries)
+            + self.global_dict.as_ref().map_or(0, |d| d.len() * 8)
     }
 
     fn prefetch(&self, v: NodeId) {
         self.prefetch_entries(v);
-    }
-
-    /// Runs covered by a single block — the overwhelmingly common case,
-    /// since `O(1/ε)` runs are far shorter than a block — are served as a
-    /// refcounted sub-range of the cached decoded block, skipping the
-    /// per-entry gather copy. Runs straddling block boundaries fall back
-    /// to materializing into `scratch`.
-    fn entries_ref<'s>(
-        &'s self,
-        v: NodeId,
-        scratch: &'s mut Vec<HpEntry>,
-    ) -> Result<EntryAccess<'s>, SlingError> {
-        let range = checked_range(self, v)?;
-        if range.is_empty() {
-            return Ok(EntryAccess::Slice(&[]));
-        }
-        let be = self.block_entries;
-        let (b0, b1) = (range.start / be, (range.end - 1) / be);
-        if b0 == b1 {
-            let block = self.block(b0)?;
-            let (lo, hi) = (range.start - b0 * be, range.end - b0 * be);
-            // decode_block_validated pinned the block's entry count to
-            // the directory, so the run range always fits; guard anyway
-            // so a logic slip cannot become a slice panic.
-            if hi <= block.steps.len() {
-                return Ok(EntryAccess::Block { block, lo, hi });
-            }
-        }
-        self.entries_into(v, scratch)?;
-        Ok(EntryAccess::Slice(scratch))
     }
 }
 
@@ -1341,9 +1091,8 @@ impl SharedEngine<CompressedMmapArena> {
     /// Open a block-compressed `SLNGIDX2` index as an owned mmap engine,
     /// verifying it matches `graph`. Open cost is header, offset-table,
     /// and block-directory validation plus the `O(n)` query-side
-    /// metadata; blocks are decoded on demand through the arena's
-    /// scratch cache. A lossless file answers bit-identically to every
-    /// other backend.
+    /// metadata; each run is read on demand from the blocks it touches.
+    /// A lossless file answers bit-identically to every other backend.
     pub fn open_mmap_compressed(
         graph: &DiGraph,
         path: impl AsRef<Path>,
@@ -1686,13 +1435,6 @@ mod tests {
             idx.hp.entries_into(v, &mut a).unwrap();
             mmap.entries_into(v, &mut b).unwrap();
             assert_eq!(a, b, "H({v:?}) differs between arena and mmap");
-            for e in &a {
-                assert!(mmap.contains_key(v, e.step, e.node).unwrap());
-            }
-            assert!(!mmap.contains_key(v, u16::MAX, NodeId(0)).unwrap());
-        }
-        for i in 0..HpStore::total_entries(&mmap) {
-            assert_eq!(idx.hp.entry_at(i).unwrap(), mmap.entry_at(i).unwrap());
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1876,12 +1618,6 @@ mod tests {
             engine.store().entries_into(v, &mut b).unwrap();
             assert_eq!(a, b, "H({v:?}) differs between arena and compressed mmap");
         }
-        for i in (0..idx.hp.total_entries()).step_by(7) {
-            assert_eq!(
-                idx.hp.entry_at(i).unwrap(),
-                engine.store().entry_at(i).unwrap()
-            );
-        }
         // Full query surface, bit-identical.
         for u in [NodeId(0), NodeId(71), NodeId(139)] {
             assert_eq!(
@@ -1890,7 +1626,7 @@ mod tests {
             );
             assert_eq!(engine.top_k(&g, u, 6).unwrap(), idx.top_k(&g, u, 6));
         }
-        // O(n) resident: directory + scratch cache, far below the arena.
+        // O(n) resident: the block directory, far below the arena.
         assert!(engine.store().resident_bytes() < idx.hp.resident_bytes());
         std::fs::remove_file(&path).ok();
     }
@@ -1943,7 +1679,7 @@ mod tests {
     }
 
     #[test]
-    fn compressed_mmap_concurrent_queries_share_the_scratch_cache() {
+    fn compressed_mmap_answers_concurrent_queries_bit_identically() {
         let g = barabasi_albert(100, 3, 11).unwrap();
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
         let path = tmp("concurrent_compressed");
@@ -1980,7 +1716,7 @@ mod tests {
         let v2 = tmp("zc_v2");
         idx.save(&v1).unwrap();
         // Blocks sized so typical runs fit inside one block while some
-        // still straddle a boundary — both access shapes get exercised.
+        // still straddle a boundary — both read paths get exercised.
         idx.save_v2(
             &v2,
             &crate::codec::CompressOptions {
@@ -1993,7 +1729,7 @@ mod tests {
         let compressed = CompressedMmapArena::open(&v2).unwrap();
         let mut scratch = Vec::new();
         let mut expect = Vec::new();
-        let (mut saw_block, mut saw_straddle) = (false, false);
+        let (mut saw_inside, mut saw_straddle) = (false, false);
         for v in g.nodes() {
             idx.hp.entries_into(v, &mut expect).unwrap();
             // Arena: structure-of-arrays columns, no scratch write.
@@ -2003,7 +1739,6 @@ mod tests {
             for (i, want) in expect.iter().enumerate() {
                 assert_eq!(&access.get(i), want);
             }
-            drop(access);
             // Mmap: raw little-endian section bytes, no scratch write.
             scratch.clear();
             let access = mmap.entries_ref(v, &mut scratch).unwrap();
@@ -2011,24 +1746,60 @@ mod tests {
             for (i, want) in expect.iter().enumerate() {
                 assert_eq!(&access.get(i), want);
             }
-            drop(access);
             assert!(scratch.is_empty(), "mmap entries_ref wrote scratch");
-            // Compressed: refcounted block for intra-block runs,
-            // materialized slice for straddling ones — same entries.
-            let access = compressed.entries_ref(v, &mut scratch).unwrap();
-            match &access {
-                EntryAccess::Block { .. } => saw_block = true,
-                EntryAccess::Slice(_) => saw_straddle = true,
-                other => panic!("unexpected access shape {}", other.len()),
+            // Compressed: every run, inside one block or straddling two,
+            // is materialized into the scratch — same entries.
+            let range = HpStore::range(&compressed, v);
+            if !range.is_empty() {
+                if range.start / 512 == (range.end - 1) / 512 {
+                    saw_inside = true;
+                } else {
+                    saw_straddle = true;
+                }
             }
+            let access = compressed.entries_ref(v, &mut scratch).unwrap();
+            assert!(matches!(access, EntryAccess::Slice(_)));
+            assert_eq!(access.len(), expect.len());
             for (i, want) in expect.iter().enumerate() {
                 assert_eq!(&access.get(i), want);
             }
         }
-        assert!(saw_block, "no run was served from a single block");
+        assert!(saw_inside, "no run sat inside a single block");
         assert!(saw_straddle, "no run straddled a block boundary");
         std::fs::remove_file(&v1).ok();
         std::fs::remove_file(&v2).ok();
+    }
+
+    /// A compressed arena's resident figure is exactly its handle, its
+    /// block directory and, for `SLNGIDX3`, its global dictionary, each
+    /// sized from the file's own header.
+    #[test]
+    fn compressed_resident_bytes_sum_their_parts() {
+        let g = barabasi_albert(150, 3, 17).unwrap();
+        let idx = SlingIndex::build(&g, &cfg()).unwrap();
+        let opts = crate::codec::CompressOptions {
+            block_entries: 64,
+            quantize_values: false,
+        };
+        for (tag, bytes) in [
+            ("v2", idx.to_bytes_v2(&opts)),
+            ("v3", idx.to_bytes_v3(&opts)),
+        ] {
+            let path = tmp(&format!("resident_{tag}"));
+            std::fs::write(&path, &bytes).unwrap();
+            let PayloadGeometry::Blocked(geo) = decode_meta(&bytes).unwrap().payload else {
+                panic!("{tag} is not blocked");
+            };
+            let dict = geo.global_dict.map_or(0, |d| d.len());
+            assert_eq!(dict > 0, tag == "v3", "{tag} dictionary of {dict}");
+            let arena = CompressedMmapArena::open(&path).unwrap();
+            assert_eq!(
+                HpStore::resident_bytes(&arena),
+                std::mem::size_of::<CompressedMmapArena>() + geo.block_offsets.len() * 8 + dict * 8,
+                "{tag}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

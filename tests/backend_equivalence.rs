@@ -47,7 +47,7 @@ fn join_bits(pairs: &[JoinPair]) -> Vec<(NodeId, NodeId, u64)> {
 
 /// Assert one engine answers **bit-identically** to the bare index on
 /// single-pair, single-source, top-k, join and batch. Two rounds, so the
-/// second runs against the compressed backends' warm block cache.
+/// second runs against warm pages and reused workspaces.
 fn assert_engine_matches_index<S: HpStore + Sync>(
     label: &str,
     idx: &SlingIndex,

@@ -1,8 +1,9 @@
 //! Codec and `SLNGIDX2` round-trip properties: v1 ↔ v2 conversion is
 //! lossless, per-block encode/decode survives adversarial run shapes
-//! (max-delta ids, single-entry runs, owner boundaries), and mutated or
-//! truncated v2 images are rejected or answered sanely — mirroring the
-//! v1 corruption properties in `backend_equivalence.rs`.
+//! (max-delta ids, single-entry runs, owner boundaries), reading one run
+//! of a block keeps every check a whole-block decode makes, and mutated
+//! or truncated v2 images are rejected or answered sanely — mirroring
+//! the v1 corruption properties in `backend_equivalence.rs`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,9 +11,14 @@ use std::sync::OnceLock;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sling_simrank::core::codec::block::{decode_block, encode_block, run_starts, DecodedBlock};
-use sling_simrank::core::codec::CompressOptions;
-use sling_simrank::core::{inspect_bytes, FormatVersion, SharedEngine, SlingConfig, SlingIndex};
+use sling_simrank::core::codec::block::{
+    decode_block, decode_block_with_dict, encode_block, encode_block_with, read_block_run,
+    run_starts, ValueMode,
+};
+use sling_simrank::core::codec::{CompressOptions, GlobalDict};
+use sling_simrank::core::{
+    inspect_bytes, FormatVersion, HpEntry, SharedEngine, SlingConfig, SlingError, SlingIndex,
+};
 use sling_simrank::graph::generators::{barabasi_albert, erdos_renyi_directed};
 use sling_simrank::graph::{DiGraph, NodeId};
 
@@ -104,24 +110,24 @@ proptest! {
         for quantize in [false, true] {
             let mut bytes = Vec::new();
             encode_block(&steps, &nodes, &values, &starts, quantize, &mut bytes);
-            let mut block = DecodedBlock::default();
+            let mut block = Vec::new();
             decode_block(&bytes, steps.len(), &mut block).unwrap();
-            prop_assert_eq!(&block.steps, &steps);
-            prop_assert_eq!(&block.nodes, &nodes);
+            prop_assert_eq!(block.iter().map(|e| e.step).collect::<Vec<_>>(), steps.clone());
+            prop_assert_eq!(block.iter().map(|e| e.node.0).collect::<Vec<_>>(), nodes.clone());
             if quantize {
-                for (a, b) in values.iter().zip(&block.values) {
-                    prop_assert!((a - b).abs() <= 0.5 / (u32::MAX as f64));
+                for (a, b) in values.iter().zip(&block) {
+                    prop_assert!((a - b.value).abs() <= 0.5 / (u32::MAX as f64));
                 }
             } else {
-                for (a, b) in values.iter().zip(&block.values) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                for (a, b) in values.iter().zip(&block) {
+                    prop_assert_eq!(a.to_bits(), b.value.to_bits());
                 }
             }
         }
     }
 
     /// Mutating any single byte of an encoded block makes decode either
-    /// error or produce a same-length column set — never panic, never a
+    /// error or produce a same-length entry list — never panic, never a
     /// silent length change.
     #[test]
     fn mutated_blocks_never_panic(
@@ -134,11 +140,78 @@ proptest! {
         encode_block(&steps, &nodes, &values, &starts, false, &mut bytes);
         let pos = flip % bytes.len();
         bytes[pos] ^= 1 << bit;
-        let mut block = DecodedBlock::default();
+        let mut block = Vec::new();
         if decode_block(&bytes, steps.len(), &mut block).is_ok() {
-            prop_assert_eq!(block.steps.len(), steps.len());
-            prop_assert_eq!(block.nodes.len(), steps.len());
-            prop_assert_eq!(block.values.len(), steps.len());
+            prop_assert_eq!(block.len(), steps.len());
+        }
+    }
+
+    /// Reading entries `lo..hi` of a block — v2 lossless (`arb_block`)
+    /// or v3 global-dictionary — emits exactly the whole-block decode's
+    /// entries `lo..hi`, bit for bit; and after any single-byte mutation
+    /// the run read fails exactly when the whole-block decode fails or
+    /// that decode holds a node id `≥ n` or a non-probability value
+    /// anywhere in the block.
+    #[test]
+    fn run_reads_keep_every_whole_block_check(
+        (steps, nodes, values, owners) in arb_block(),
+        v3 in proptest::bool::ANY,
+        lo_seed in 0usize..1 << 16,
+        len_seed in 0usize..1 << 16,
+        flip in 0usize..1 << 16,
+        bit in 0u8..8,
+    ) {
+        let count = steps.len();
+        let starts = run_starts(&owners, &steps);
+        let dict = GlobalDict::build(&values);
+        let mode = if v3 { ValueMode::Global(&dict) } else { ValueMode::Lossless };
+        let mut bytes = Vec::new();
+        encode_block_with(&steps, &nodes, &values, &starts, mode, &mut bytes);
+        let global = v3.then(|| dict.values());
+        // A bound that the intact block meets exactly.
+        let n = *nodes.iter().max().unwrap() as usize + 1;
+        let lo = lo_seed % (count + 1);
+        let hi = lo + len_seed % (count - lo + 1);
+
+        let whole = |bytes: &[u8]| -> Result<Vec<HpEntry>, SlingError> {
+            let mut block = Vec::new();
+            match global {
+                Some(d) => decode_block_with_dict(bytes, count, d, &mut block)?,
+                None => decode_block(bytes, count, &mut block)?,
+            }
+            Ok(block)
+        };
+        let checked = |block: &[HpEntry]| {
+            block.iter().all(|e| {
+                (e.node.0 as usize) < n && e.value.is_finite() && (0.0..=1.0 + 1e-9).contains(&e.value)
+            })
+        };
+        let run = |bytes: &[u8]| -> Result<Vec<HpEntry>, SlingError> {
+            let mut out = Vec::new();
+            read_block_run(bytes, count, global, n, lo..hi, &mut out)?;
+            Ok(out)
+        };
+        let bits = |entries: &[HpEntry]| -> Vec<(u16, u32, u64)> {
+            entries.iter().map(|e| (e.step, e.node.0, e.value.to_bits())).collect()
+        };
+
+        let block = whole(&bytes).unwrap();
+        prop_assert!(checked(&block));
+        prop_assert_eq!(bits(&run(&bytes).unwrap()), bits(&block[lo..hi]));
+
+        let mut mutated = bytes.clone();
+        let pos = flip % mutated.len();
+        mutated[pos] ^= 1 << bit;
+        let want = whole(&mutated).ok().filter(|b| checked(b));
+        match (run(&mutated), want) {
+            (Ok(got), Some(block)) => prop_assert_eq!(bits(&got), bits(&block[lo..hi])),
+            (Err(_), None) => {}
+            (got, want) => prop_assert!(
+                false,
+                "byte {pos} bit {bit}, run {lo}..{hi}: run read ok = {}, whole-block checks ok = {}",
+                got.is_ok(),
+                want.is_some()
+            ),
         }
     }
 
