@@ -1,5 +1,5 @@
 //! Storage-backend comparison: the same persisted index served by the
-//! in-memory arena and mapped through the one opener — the zero-copy
+//! in-memory arena and mapped through the one opener — the raw
 //! `SLNGIDX1` view and the block-compressed `SLNGIDX2` view, lossless
 //! and quantized. Reports the on-disk footprint of each format up front,
 //! then measures single-pair and single-source latency per backend: the

@@ -1,16 +1,19 @@
-//! Streaming vs materializing query kernels — the microbench behind the
-//! `BENCH_query.json` baseline (`sling bench-query` is the CLI-level,
-//! machine-readable sibling).
+//! Query kernels on the in-memory and mapped backends — the microbench
+//! behind the `BENCH_query.json` baseline (`sling bench-query` is the
+//! CLI-level, machine-readable sibling).
 //!
-//! Measures, on the in-memory and zero-copy mmap backends:
+//! Both series read every endpoint into the workspace
+//! (`HpStore::entries_into`, then the §5.2/§5.3 restore), so they differ
+//! only where named:
 //!
 //! * `single_pair/streaming` vs `single_pair/materialized` — the
-//!   borrow-from-backend [`sling_core::store::EntryAccess`] kernel with
-//!   galloping merge, against the pre-streaming
-//!   copy-then-linear-merge reference path;
+//!   skew-dispatched merge (galloping for ≥ 8× length skew) against the
+//!   linear-merge oracle;
 //! * the same comparison on a hub-pair workload (maximum list-length
 //!   skew, the galloping merge's home turf);
-//! * `single_source/streaming` vs `single_source/materialized`.
+//! * `single_source/streaming` vs `single_source/fresh_workspace` — one
+//!   reused workspace against a fresh one per query, i.e. the cost of
+//!   not keeping a worker's buffers warm.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sling_bench::{params_for, sample_pairs, sling_config};
@@ -103,14 +106,14 @@ fn bench_query_kernels(c: &mut Criterion) {
         );
         let mut cursor = 0usize;
         group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{backend}/materialized")),
+            BenchmarkId::from_parameter(format!("{backend}/fresh_workspace")),
             &(),
             |b, _| {
                 b.iter(|| {
                     let u = sources[cursor % sources.len()];
                     cursor += 1;
                     engine
-                        .single_source_materialized_with(&graph, &mut ws, u, &mut out)
+                        .single_source_with(&graph, &mut SingleSourceWorkspace::new(), u, &mut out)
                         .unwrap();
                     std::hint::black_box(out.len())
                 })

@@ -1,13 +1,14 @@
 //! The validation every mapped read pays, measured where it runs: the
-//! branchless lane-striped sweep on every `entries_ref` of the zero-copy
-//! mmap backend (raw node/value sections), and the one validating pass
-//! over each block a compressed run touches.
+//! per-entry index, node and value checks of every `entries_into` on the
+//! `SLNGIDX1` mapping, and the one validating pass over each block a
+//! compressed run touches.
 //!
 //! Three hub-pair series isolate the cost:
 //!
-//! * `mem` — no validation (columns were checked at decode), the floor;
-//! * `mmap` — the raw little-endian sweep runs over the hub's sections
-//!   on every query, so the delta to `mem` is sweep throughput;
+//! * `mem` — no validation (columns were checked at decode), only the
+//!   copy into the workspace: the floor;
+//! * `mmap` — every entry of the hub's run is decoded and checked on
+//!   every query, so the delta to `mem` is the checked decode;
 //! * `mmap-compressed` — every run read walks and validates its whole
 //!   block, so block passes dominate.
 

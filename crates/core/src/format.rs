@@ -85,12 +85,16 @@
 //! query's entry range touches. [`decode_meta`] validates everything **up to**
 //! the entry payload — including the block directory and the v3 global
 //! dictionary — and reports the payload geometry, which is all the
-//! zero-copy backends need; none ever decodes the full payload at open.
+//! mapped backends need; none ever decodes the full payload at open.
 //!
 //! Every malformed input — truncation, bad magic, non-monotone offsets,
 //! out-of-range ids, overflowing section sizes, inconsistent block
 //! directories — surfaces as [`SlingError::CorruptIndex`]; no input may
 //! panic the decoder.
+
+// Every decoder here reads untrusted bytes: a malformed input must be a
+// `SlingError`, never a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fs::File;
 use std::io::{Read, Write};
@@ -214,7 +218,7 @@ impl BlockedGeometry {
 
     /// Total encoded payload bytes.
     pub fn payload_len(&self) -> usize {
-        *self.block_offsets.last().unwrap() as usize
+        self.block_offsets.last().map_or(0, |&end| end as usize)
     }
 }
 
@@ -347,7 +351,8 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, SlingError> {
     // Offset-table validation: monotone from 0 to `entries`. This is the
     // invariant every backend's `range(v)` relies on for in-bounds entry
     // access.
-    if hp_offsets.first() != Some(&0) || *hp_offsets.last().unwrap() as usize != entries {
+    if hp_offsets.first() != Some(&0) || hp_offsets.last().map(|&end| end as usize) != Some(entries)
+    {
         return Err(corrupt("hp offsets mismatch"));
     }
     if hp_offsets.windows(2).any(|w| w[0] > w[1]) {
@@ -466,7 +471,10 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, SlingError> {
             };
             let blocks_base = bytes.len() - buf.remaining();
             let aux_bytes = blocks_base - aux_base;
-            let payload_len = *block_offsets.last().unwrap() as usize;
+            let payload_len = block_offsets
+                .last()
+                .map(|&end| end as usize)
+                .ok_or_else(|| corrupt("empty block directory"))?;
             // Bound the entry count by the payload bytes (every encoded
             // entry costs at least one node-column byte) — the v2
             // analogue of v1's `total_len` section check, and the bound

@@ -10,7 +10,7 @@ use crate::error::SlingError;
 use crate::hp::{HpArena, HpEntry};
 use crate::local_update::{reverse_hp_all, HpTriple};
 use crate::obs::{QueryTrace, StageNanos};
-use crate::store::{EngineRef, EntryAccess, HpStore};
+use crate::store::{EngineRef, HpStore};
 use crate::two_hop::{two_hop_into, TwoHopScratch};
 use crate::walk::{task_rng, WalkEngine};
 
@@ -186,7 +186,8 @@ impl SlingIndex {
 /// when `v` is reduced (§5.2, Algorithm 5), plus §5.3 expansion entries
 /// when enhancement is on. Sorted by `(step, node)`. Generic over the
 /// storage backend; allocation-free after workspace warm-up on every
-/// backend.
+/// backend. This is how every query kernel reads a node: the store read
+/// is traced as `entry_fetch`, the splice and expansion as `restore`.
 pub(crate) fn effective_entries_into<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
@@ -200,6 +201,7 @@ pub(crate) fn effective_entries_into<S: HpStore>(
         // stored run lands in the dedicated scratch so the two-hop splice
         // can build the output in order without a tail allocation.
         e.store.entries_into(v, &mut ws.stored)?;
+        ws.trace.lap_entry_fetch();
         let out = match which {
             Buf::A => &mut ws.buf_a,
             Buf::B => &mut ws.buf_b,
@@ -219,10 +221,12 @@ pub(crate) fn effective_entries_into<S: HpStore>(
             Buf::B => &mut ws.buf_b,
         };
         e.store.entries_into(v, out)?;
+        ws.trace.lap_entry_fetch();
     }
     if e.config.enhance_accuracy && !e.marks.is_empty() {
         expand_marked(e, graph, v, ws, which)?;
     }
+    ws.trace.lap_restore();
     Ok(())
 }
 
@@ -233,54 +237,16 @@ pub(crate) enum Buf {
     B,
 }
 
-/// Materialize `v`'s effective list into the selected workspace buffer
-/// when its stored run is not already that list
-/// ([`EngineRef::needs_restore`]), and report whether it did. The one
-/// restore path of the query kernels, on every front-end: the buffer
-/// keeps its capacity across queries, so a warm workspace restores
-/// without allocating.
-pub(crate) fn resolve_restored<S: HpStore>(
-    e: EngineRef<'_, S>,
-    graph: &DiGraph,
-    v: NodeId,
-    ws: &mut QueryWorkspace,
-    which: Buf,
-) -> Result<bool, SlingError> {
-    if !e.needs_restore(v) {
-        return Ok(false);
-    }
-    effective_entries_into(e, graph, v, ws, which)?;
-    Ok(true)
-}
-
-/// Borrow `v`'s effective list for the streaming kernels: `buf` when
-/// [`resolve_restored`] materialized it there, or else `v`'s stored run
-/// straight from the backend, with `buf` as the scratch a backend may
-/// materialize into.
-pub(crate) fn effective_access<'s, S: HpStore>(
-    store: &'s S,
-    v: NodeId,
-    restored: bool,
-    buf: &'s mut Vec<HpEntry>,
-) -> Result<EntryAccess<'s>, SlingError> {
-    if restored {
-        Ok(EntryAccess::Slice(buf))
-    } else {
-        store.entries_ref(v, buf)
-    }
-}
-
 /// Reusable buffers for query processing. One workspace per querying
 /// thread; every query API has a `_with` variant taking `&mut` workspace
 /// so hot loops (the benchmark harness, Algorithm-3-based single-source)
 /// allocate nothing.
 ///
-/// Since the streaming kernels consume backend entries in place, these
-/// buffers are only written on the §5.2/§5.3 restore path and by the
-/// compressed backend, which materializes every run it reads —
-/// but one query against a hub node can still grow a buffer to the
-/// largest list in the index. Long-lived workers should call
-/// [`QueryWorkspace::trim_excess`] between requests so hub-sized
+/// Every query writes these buffers: each endpoint's stored run is read
+/// into them and, for a §5.2-reduced or §5.3-marked node, restored to
+/// its effective list there. So one query against a hub node grows a
+/// buffer to the largest list in the index. Long-lived workers should
+/// call [`QueryWorkspace::trim_excess`] between requests so hub-sized
 /// capacity is not pinned per thread forever.
 #[derive(Debug, Default)]
 pub struct QueryWorkspace {

@@ -70,7 +70,7 @@
 //! | backend | residency | open cost | format |
 //! |---|---|---|---|
 //! | [`hp::HpArena`] | full decode in RAM | `O(n/ε)` decode | v1 + v2 + v3 |
-//! | [`store::MmapHpArena`] | page cache, zero-copy | header + offsets only | v1 |
+//! | [`store::MmapHpArena`] | page cache, each entry decoded and checked per read | header + offsets only | v1 |
 //! | [`store::CompressedMmapArena`] | page cache, one validating pass per block read | header + offsets + directory | v2 + v3 |
 //!
 //! The two mapped backends are the one out-of-core path (§5.4): only
@@ -108,29 +108,28 @@
 //! backends `madvise(WILLNEED)` a query's entry byte ranges so cold
 //! out-of-core queries fault their pages in one batch.
 //!
-//! ### Streaming query kernels
+//! ### Query kernels
 //!
-//! The query kernels are **zero-copy**: [`store::HpStore::entries_ref`]
-//! borrows a node's entry run from backend-owned storage as a
-//! [`store::EntryAccess`] — structure-of-arrays column slices from the
-//! arena, raw little-endian section bytes from the `SLNGIDX1` mapping
-//! (after one branch-light validation sweep) — and the kernels consume
-//! it in place. The compressed backend has no decoded form to lend: it
-//! materializes just the run into the caller's scratch, with one
-//! validating pass over each block the run touches. A node whose effective list differs from its stored run
-//! (§5.2-reduced or §5.3-marked, two O(1) loads on build-time
-//! artifacts) takes the one restore path instead: on the engine and the
-//! bare [`SlingIndex`] alike, its full effective list is materialized
-//! into a buffer of the caller's [`QueryWorkspace`], which keeps its
-//! capacity from query to query. The single-pair merge dispatches on
-//! list-length skew: ≥ 8× apart (hub-versus-leaf pairs, the dominant
-//! shape on power-law graphs) switches the linear pass to a galloping
-//! merge over the longer run — bit-identical by construction, since
-//! both kernels visit matches in the same order.
-//! The pre-streaming copy-then-linear-merge kernels survive as the
-//! `*_materialized_with` reference paths on [`store::SharedEngine`],
-//! pinned by the equivalence proptests (bit-equality on every backend ×
-//! query type) and measured against by `sling bench-query`, which emits
+//! The query kernels read every node the same way: the one store read,
+//! [`store::HpStore::entries_into`], copies the node's validated run
+//! into a buffer of the caller's [`QueryWorkspace`] — a slice copy from
+//! the arena, a checked decode from the `SLNGIDX1` mapping, one
+//! validating pass over each block the run touches for the compressed
+//! files. A node whose effective list differs from its stored run
+//! (§5.2-reduced or §5.3-marked) is then restored in that workspace, on
+//! the engine and the bare [`SlingIndex`] alike. On BA(n, 4) graphs
+//! of 2k–200k nodes at ε = 0.1 and the default γ, §5.2 reduces more
+//! than 99.8% of the nodes, so almost every endpoint takes that path.
+//! The workspace keeps its buffers' capacity from query to query, and
+//! the kernels consume the resulting `&[HpEntry]` lists. The
+//! single-pair merge dispatches on list-length skew: ≥ 8× apart
+//! (hub-versus-leaf pairs, the dominant shape on power-law graphs)
+//! switches the linear pass to a galloping merge over the longer list —
+//! bit-identical by construction, since both kernels visit matches in
+//! the same order. The linear merge survives as
+//! [`store::SharedEngine::single_pair_materialized_with`], the oracle
+//! the equivalence proptests pin the dispatch to (bit-equality on every
+//! backend × query type) and a row of `sling bench-query`, which emits
 //! the `BENCH_query.json` perf baseline.
 //!
 //! Two front-ends sit on top of a backend, over the same generic cores:
@@ -270,8 +269,6 @@ pub use hp::HpEntry;
 pub use index::{QueryWorkspace, SlingIndex};
 pub use lifecycle::{GenId, GenerationStore, Manifest};
 pub use obs::{MetricsRegistry, QueryTrace, SlowQueryLog, SlowQueryRecord, StageNanos};
-pub use store::{
-    CompressedMmapArena, EntryAccess, HpStore, IndexStore, MmapHpArena, Residency, SharedEngine,
-};
+pub use store::{CompressedMmapArena, HpStore, IndexStore, MmapHpArena, Residency, SharedEngine};
 pub use topk::select_top_k;
 pub use walk::WalkEngine;

@@ -3,21 +3,25 @@
 //! A [`QueryTrace`] lives inside every
 //! [`QueryWorkspace`](crate::QueryWorkspace) (and, through it, every
 //! `SingleSourceWorkspace`). Disabled — the default — it is **zero
-//! cost**: every hook is one predictable branch on a bool, no clock
-//! reads, no atomics. Enabled, the kernels charge wall time to four
-//! stages:
+//! cost**: every hook is one predictable branch, no clock reads, no
+//! atomics. Enabled, the kernels charge wall time to four stages:
 //!
-//! * `entry_fetch` — resolving backend entry runs ([`EntryAccess`]
-//!   borrows, block decodes),
-//! * `restore` — the §5.2 recomputation / §5.3 mark expansion,
+//! * `entry_fetch` — reading a node's stored run from the backend into
+//!   the workspace (copy, mapped decode, block pass),
+//! * `restore` — the §5.2 Algorithm 5 splice and the §5.3 mark
+//!   expansion,
 //! * `merge` — the Algorithm-3 intersect-merge (linear or galloping),
 //! * `propagate` — the Algorithm-6 frontier propagation.
+//!
+//! A query opens its trace with [`QueryTrace::start`] and closes each
+//! stage with a lap, which reads the clock once and charges the time
+//! since the previous boundary to the stage it names — so one clock read
+//! per stage boundary, however the stages interleave between the two
+//! endpoints of a pair.
 //!
 //! Callers drain the accumulated [`StageNanos`] per query
 //! ([`QueryTrace::take`]) and feed them to stage histograms, the
 //! slow-query log, or a bench breakdown table.
-//!
-//! [`EntryAccess`]: crate::store::EntryAccess
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -57,6 +61,9 @@ impl StageNanos {
 pub struct QueryTrace {
     enabled: bool,
     stages: StageNanos,
+    /// The last stage boundary; `None` when disabled or before the
+    /// first [`QueryTrace::start`].
+    mark: Option<Instant>,
 }
 
 impl QueryTrace {
@@ -64,6 +71,7 @@ impl QueryTrace {
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
         self.stages = StageNanos::default();
+        self.mark = None;
     }
 
     #[inline]
@@ -71,42 +79,48 @@ impl QueryTrace {
         self.enabled
     }
 
-    /// Start a stage timer; `None` (no clock read) when disabled.
+    /// Open a query's first stage; no clock read when disabled.
     #[inline]
-    pub fn timer(&self) -> Option<Instant> {
+    pub fn start(&mut self) {
         if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
+            self.mark = Some(Instant::now());
         }
     }
 
+    /// Close the running stage: the nanoseconds since the last boundary,
+    /// which becomes now. 0 and no clock read when disabled.
     #[inline]
-    fn elapsed(t0: Option<Instant>) -> u64 {
-        match t0 {
-            Some(t0) => t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-            None => 0,
-        }
+    fn lap(&mut self) -> u64 {
+        let Some(t0) = self.mark else {
+            return 0;
+        };
+        let now = Instant::now();
+        self.mark = Some(now);
+        now.duration_since(t0).as_nanos().min(u64::MAX as u128) as u64
     }
 
+    /// Charge the running stage to `entry_fetch`.
     #[inline]
-    pub fn add_entry_fetch(&mut self, t0: Option<Instant>) {
-        self.stages.entry_fetch += Self::elapsed(t0);
+    pub fn lap_entry_fetch(&mut self) {
+        self.stages.entry_fetch += self.lap();
     }
 
+    /// Charge the running stage to `restore`.
     #[inline]
-    pub fn add_restore(&mut self, t0: Option<Instant>) {
-        self.stages.restore += Self::elapsed(t0);
+    pub fn lap_restore(&mut self) {
+        self.stages.restore += self.lap();
     }
 
+    /// Charge the running stage to `merge`.
     #[inline]
-    pub fn add_merge(&mut self, t0: Option<Instant>) {
-        self.stages.merge += Self::elapsed(t0);
+    pub fn lap_merge(&mut self) {
+        self.stages.merge += self.lap();
     }
 
+    /// Charge the running stage to `propagate`.
     #[inline]
-    pub fn add_propagate(&mut self, t0: Option<Instant>) {
-        self.stages.propagate += Self::elapsed(t0);
+    pub fn lap_propagate(&mut self) {
+        self.stages.propagate += self.lap();
     }
 
     /// Merge an externally measured breakdown (e.g. from a nested
@@ -237,10 +251,10 @@ mod tests {
     fn disabled_trace_reads_no_clock_and_accumulates_nothing() {
         let mut t = QueryTrace::default();
         assert!(!t.is_enabled());
-        let timer = t.timer();
-        assert!(timer.is_none());
-        t.add_merge(timer);
-        t.add_entry_fetch(None);
+        t.start();
+        assert!(t.mark.is_none());
+        t.lap_merge();
+        t.lap_entry_fetch();
         assert_eq!(t.take(), StageNanos::default());
     }
 
@@ -248,14 +262,21 @@ mod tests {
     fn enabled_trace_charges_stages() {
         let mut t = QueryTrace::default();
         t.set_enabled(true);
-        let timer = t.timer();
-        assert!(timer.is_some());
+        t.start();
+        assert!(t.mark.is_some());
         std::thread::sleep(Duration::from_millis(1));
-        t.add_restore(timer);
+        t.lap_restore();
+        // Each lap charges only the time since the previous boundary.
+        t.lap_entry_fetch();
         let stages = t.take();
         assert!(stages.restore >= 1_000_000, "restore {}", stages.restore);
+        assert!(stages.entry_fetch < stages.restore, "{stages:?}");
         assert_eq!(stages.merge, 0);
         // take() drained it.
+        assert_eq!(t.take(), StageNanos::default());
+        // Disabling drops the open stage.
+        t.set_enabled(false);
+        t.lap_merge();
         assert_eq!(t.take(), StageNanos::default());
     }
 

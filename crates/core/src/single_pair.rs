@@ -21,40 +21,29 @@
 //! accumulate with the same expression, so their sums are **bit
 //! identical** — the dispatch on skew never changes an answer.
 //!
-//! The streaming kernel consumes both lists directly from the storage
-//! backend via [`crate::store::EntryAccess`] — zero-copy for the arena
-//! and mmap backends. A §5.2-reduced or §5.3-marked endpoint is restored
-//! to its full effective list in a [`QueryWorkspace`] buffer instead, on
-//! the engine and the bare index alike.
-//! The materializing reference path is kept as the oracle of the
-//! equivalence tests
+//! Both endpoints' effective lists are read into the buffers of a
+//! [`QueryWorkspace`] — the stored run copied or decoded out of the
+//! backend, and for a §5.2-reduced or §5.3-marked node restored to its
+//! full effective list — so the merge runs over two `&[HpEntry]` slices
+//! on every backend. The linear-merge kernel is kept callable as the
+//! oracle the tests pin the skew dispatch to
 //! ([`crate::SharedEngine::single_pair_materialized_with`]).
 
 use sling_graph::{DiGraph, NodeId};
 
 use crate::error::SlingError;
-#[cfg(test)]
 use crate::hp::HpEntry;
-use crate::index::{
-    effective_access, effective_entries_into, resolve_restored, Buf, QueryWorkspace, SlingIndex,
-};
+use crate::index::{effective_entries_into, Buf, QueryWorkspace, SlingIndex};
 use crate::obs::{self, KernelCounters};
-use crate::store::{with_run, EngineRef, EntryRun, HpStore};
+use crate::store::{EngineRef, HpStore};
 
 /// Length skew at which the merge switches from the linear pass to
 /// galloping over the longer list.
 pub(crate) const GALLOP_RATIO: usize = 8;
 
 /// Merge-intersect two `(step, node)`-sorted entry lists against the
-/// correction factors (slice convenience over [`merge_intersect_runs`],
-/// used by unit tests).
-#[cfg(test)]
+/// correction factors, dispatching on length skew.
 pub(crate) fn merge_intersect(a: &[HpEntry], b: &[HpEntry], d: &[f64]) -> f64 {
-    merge_intersect_runs(a, b, d)
-}
-
-/// Skew-dispatching merge over any two entry-run shapes.
-pub(crate) fn merge_intersect_runs<A: EntryRun, B: EntryRun>(a: A, b: B, d: &[f64]) -> f64 {
     let (an, bn) = (a.len(), b.len());
     if an.saturating_mul(GALLOP_RATIO) <= bn {
         KernelCounters::bump(&obs::KERNEL.merge_gallop);
@@ -69,17 +58,16 @@ pub(crate) fn merge_intersect_runs<A: EntryRun, B: EntryRun>(a: A, b: B, d: &[f6
 }
 
 /// The classic linear merge: one pass over both runs.
-pub(crate) fn merge_linear<A: EntryRun, B: EntryRun>(a: A, b: B, d: &[f64]) -> f64 {
+pub(crate) fn merge_linear(a: &[HpEntry], b: &[HpEntry], d: &[f64]) -> f64 {
     let mut s = 0.0;
     let (mut i, mut j) = (0usize, 0usize);
-    let (an, bn) = (a.len(), b.len());
-    while i < an && j < bn {
-        let (ka, kb) = (a.key(i), b.key(j));
+    while i < a.len() && j < b.len() {
+        let (ka, kb) = (a[i].key(), b[j].key());
         match ka.cmp(&kb) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                s += a.value(i) * d[ka.1 as usize] * b.value(j);
+                s += a[i].value * d[ka.1.index()] * b[j].value;
                 i += 1;
                 j += 1;
             }
@@ -91,23 +79,22 @@ pub(crate) fn merge_linear<A: EntryRun, B: EntryRun>(a: A, b: B, d: &[f64]) -> f
 /// Galloping merge: iterate `short`, exponential-search forward in
 /// `long`. `short_is_a` preserves the `value_a · d · value_b` operand
 /// order of the linear merge so the float sum stays bit-identical.
-fn merge_gallop<S: EntryRun, L: EntryRun>(short: S, long: L, d: &[f64], short_is_a: bool) -> f64 {
+fn merge_gallop(short: &[HpEntry], long: &[HpEntry], d: &[f64], short_is_a: bool) -> f64 {
     let mut s = 0.0;
     let mut j = 0usize;
-    let ln = long.len();
-    for i in 0..short.len() {
-        let key = short.key(i);
-        j = lower_bound_from(&long, j, key);
-        if j >= ln {
+    for x in short {
+        let key = x.key();
+        j = lower_bound_from(long, j, key);
+        if j >= long.len() {
             break;
         }
-        if long.key(j) == key {
+        if long[j].key() == key {
             let (va, vb) = if short_is_a {
-                (short.value(i), long.value(j))
+                (x.value, long[j].value)
             } else {
-                (long.value(j), short.value(i))
+                (long[j].value, x.value)
             };
-            s += va * d[key.1 as usize] * vb;
+            s += va * d[key.1.index()] * vb;
             j += 1;
         }
     }
@@ -117,9 +104,9 @@ fn merge_gallop<S: EntryRun, L: EntryRun>(short: S, long: L, d: &[f64], short_is
 /// First index `>= from` whose key is `>= key` in the sorted run `r`:
 /// exponential probe to bracket the gap, then binary search inside it —
 /// `O(log gap)` instead of `O(gap)`.
-fn lower_bound_from<R: EntryRun>(r: &R, from: usize, key: (u16, u32)) -> usize {
+fn lower_bound_from(r: &[HpEntry], from: usize, key: (u16, NodeId)) -> usize {
     let n = r.len();
-    if from >= n || r.key(from) >= key {
+    if from >= n || r[from].key() >= key {
         return from;
     }
     // Invariant: every index < prev has a key < `key`; probe is the next
@@ -132,7 +119,7 @@ fn lower_bound_from<R: EntryRun>(r: &R, from: usize, key: (u16, u32)) -> usize {
             probe = n;
             break;
         }
-        if r.key(probe) >= key {
+        if r[probe].key() >= key {
             break;
         }
         prev = probe + 1;
@@ -142,7 +129,7 @@ fn lower_bound_from<R: EntryRun>(r: &R, from: usize, key: (u16, u32)) -> usize {
     let (mut lo, mut hi) = (prev, probe);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if r.key(mid) < key {
+        if r[mid].key() < key {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -151,10 +138,9 @@ fn lower_bound_from<R: EntryRun>(r: &R, from: usize, key: (u16, u32)) -> usize {
     lo
 }
 
-/// Algorithm 3 over any storage backend, **streaming**: both effective
-/// entry lists are consumed directly from backend-owned storage
-/// ([`crate::store::HpStore::entries_ref`]) unless an endpoint needs the
-/// §5.2/§5.3 restore. Answers are bit-identical to
+/// Algorithm 3 over any storage backend: both effective entry lists are
+/// read into the workspace ([`effective_entries_into`]), then merged
+/// with the skew dispatch. Answers are bit-identical to
 /// [`single_pair_materialized_core`] on every backend.
 pub(crate) fn single_pair_core<S: HpStore>(
     e: EngineRef<'_, S>,
@@ -168,30 +154,18 @@ pub(crate) fn single_pair_core<S: HpStore>(
         // Otherwise fall through: estimate s(v,v) from the index like any
         // pair.
     }
-    // Restores need the whole workspace, so they run before the
-    // split-borrow below: side A owns buf_a, side B owns buf_b.
-    let t_restore = ws.trace.timer();
-    let ra = resolve_restored(e, graph, u, ws, Buf::A)?;
-    let rb = resolve_restored(e, graph, v, ws, Buf::B)?;
-    ws.trace.add_restore(t_restore);
-    let QueryWorkspace { buf_a, buf_b, .. } = ws;
-    let t_fetch = ws.trace.timer();
-    let sa = effective_access(e.store, u, ra, buf_a)?;
-    let sb = effective_access(e.store, v, rb, buf_b)?;
-    ws.trace.add_entry_fetch(t_fetch);
-    let t_merge = ws.trace.timer();
-    let s = with_run!(&sa, |run_a| with_run!(&sb, |run_b| {
-        merge_intersect_runs(run_a, run_b, e.d)
-    }));
-    ws.trace.add_merge(t_merge);
+    ws.trace.start();
+    effective_entries_into(e, graph, u, ws, Buf::A)?;
+    effective_entries_into(e, graph, v, ws, Buf::B)?;
+    let s = merge_intersect(&ws.buf_a, &ws.buf_b, e.d);
+    ws.trace.lap_merge();
     Ok(s.clamp(0.0, 1.0))
 }
 
-/// Algorithm 3 through the **materializing reference path**: both
-/// effective lists copied into the workspace, linear merge — exactly the
-/// pre-streaming kernel. Kept callable (see
-/// [`crate::SharedEngine::single_pair_materialized_with`]) so benchmarks
-/// can measure the zero-copy gap and tests can assert bit-equality.
+/// Algorithm 3 with the linear merge only: the oracle the tests pin the
+/// skew dispatch of [`single_pair_core`] to (see
+/// [`crate::SharedEngine::single_pair_materialized_with`]), and the
+/// `single_pair_materialized` row of `sling bench-query`.
 pub(crate) fn single_pair_materialized_core<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
@@ -202,9 +176,12 @@ pub(crate) fn single_pair_materialized_core<S: HpStore>(
     if u == v && e.config.exact_diagonal {
         return Ok(1.0);
     }
+    ws.trace.start();
     effective_entries_into(e, graph, u, ws, Buf::A)?;
     effective_entries_into(e, graph, v, ws, Buf::B)?;
-    Ok(merge_linear(&ws.buf_a[..], &ws.buf_b[..], e.d).clamp(0.0, 1.0))
+    let s = merge_linear(&ws.buf_a, &ws.buf_b, e.d);
+    ws.trace.lap_merge();
+    Ok(s.clamp(0.0, 1.0))
 }
 
 impl SlingIndex {
@@ -381,8 +358,8 @@ mod tests {
             for salt in [1u64, 99, 12345] {
                 let a = synth_run(4096, a_stride, salt);
                 let b = synth_run(4096, b_stride, salt.wrapping_mul(31));
-                let linear = merge_linear(&a[..], &b[..], &d);
-                let dispatched = merge_intersect_runs(&a[..], &b[..], &d);
+                let linear = merge_linear(&a, &b, &d);
+                let dispatched = merge_intersect(&a, &b, &d);
                 assert_eq!(
                     linear.to_bits(),
                     dispatched.to_bits(),
@@ -392,14 +369,13 @@ mod tests {
         }
         // Degenerate runs.
         let a = synth_run(4096, 1, 7);
-        assert_eq!(merge_intersect_runs(&a[..], &[][..], &d), 0.0);
-        assert_eq!(merge_intersect_runs(&[][..], &a[..], &d), 0.0);
+        assert_eq!(merge_intersect(&a, &[], &d), 0.0);
+        assert_eq!(merge_intersect(&[], &a, &d), 0.0);
     }
 
     #[test]
     fn lower_bound_from_is_a_sorted_lower_bound() {
         let run = synth_run(4096, 5, 3);
-        let r = &run[..];
         for from in [0usize, 1, 17, run.len() - 1, run.len()] {
             for probe in [
                 (0u16, NodeId(0)),
@@ -407,12 +383,11 @@ mod tests {
                 (31, NodeId(63)),
                 (u16::MAX, NodeId(u32::MAX)),
             ] {
-                let key = (probe.0, probe.1 .0);
-                let got = lower_bound_from(&r, from, key);
+                let got = lower_bound_from(&run, from, probe);
                 let want = (from..run.len())
-                    .find(|&i| EntryRun::key(&r, i) >= key)
+                    .find(|&i| run[i].key() >= probe)
                     .unwrap_or(run.len());
-                assert_eq!(got, want, "from {from}, key {key:?}");
+                assert_eq!(got, want, "from {from}, key {probe:?}");
             }
         }
     }

@@ -13,18 +13,17 @@
 use sling_graph::{DiGraph, NodeId};
 
 use crate::error::SlingError;
-use crate::index::{
-    effective_access, effective_entries_into, resolve_restored, Buf, QueryWorkspace, SlingIndex,
-};
+use crate::hp::HpEntry;
+use crate::index::{effective_entries_into, Buf, QueryWorkspace, SlingIndex};
 use crate::obs::{self, KernelCounters};
-use crate::store::{with_run, EngineRef, EntryRun, HpStore};
+use crate::store::{EngineRef, HpStore};
 
 /// Reusable buffers for Algorithm 6. One per querying thread.
 ///
 /// Split into the dense propagation state ([`DenseScores`]) and the
-/// entry-list scratch ([`QueryWorkspace`]) so the streaming kernel can
-/// borrow the entry run (which may live in `query.buf_a`) while mutating
-/// the propagation buffers — disjoint fields, disjoint borrows.
+/// entry-list scratch ([`QueryWorkspace`]) so the kernel can read the
+/// effective list in `query.buf_a` while mutating the propagation
+/// buffers — disjoint fields, disjoint borrows.
 #[derive(Debug, Default)]
 pub struct SingleSourceWorkspace {
     pub(crate) dense: DenseScores,
@@ -454,10 +453,10 @@ impl DenseScores {
     }
 }
 
-/// Algorithm 6 over any storage backend, **streaming**: `H*(u)` is read
-/// once — directly from backend-owned storage when no §5.2/§5.3 rewrite
-/// applies — then the forward propagation runs entirely on the in-memory
-/// graph and correction factors. Allocation-free after workspace warm-up.
+/// Algorithm 6 over any storage backend: `H*(u)` is read once into the
+/// workspace, then the forward propagation runs entirely on the
+/// in-memory graph and correction factors. Allocation-free after
+/// workspace warm-up.
 pub(crate) fn single_source_core<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
@@ -465,36 +464,19 @@ pub(crate) fn single_source_core<S: HpStore>(
     u: NodeId,
     out: &mut Vec<f64>,
 ) -> Result<(), SlingError> {
-    single_source_with_cutoff(e, graph, ws, u, None, false, out).map(|_| ())
-}
-
-/// Algorithm 6 through the **materializing reference path**: the
-/// effective entry list is always copied into the workspace first (the
-/// pre-streaming kernel). Kept callable so benchmarks can measure the
-/// zero-copy gap and tests can assert bit-equality with the streaming
-/// kernel.
-pub(crate) fn single_source_materialized_core<S: HpStore>(
-    e: EngineRef<'_, S>,
-    graph: &DiGraph,
-    ws: &mut SingleSourceWorkspace,
-    u: NodeId,
-    out: &mut Vec<f64>,
-) -> Result<(), SlingError> {
-    single_source_with_cutoff(e, graph, ws, u, None, true, out).map(|_| ())
+    single_source_with_cutoff(e, graph, ws, u, None, out).map(|_| ())
 }
 
 /// The shared Algorithm 6 driver: seed and propagate `H*(u)`'s step runs
 /// in ascending step order, skipping runs `ℓ ≥ cutoff` (no restriction
-/// when `cutoff` is `None`). `materialize` forces the copying reference
-/// path. Returns the residual bound `c^cutoff / (1-c)` when truncation
-/// happened, else 0.
+/// when `cutoff` is `None`). Returns the residual bound
+/// `c^cutoff / (1-c)` when truncation happened, else 0.
 pub(crate) fn single_source_with_cutoff<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
     ws: &mut SingleSourceWorkspace,
     u: NodeId,
     cutoff: Option<u16>,
-    materialize: bool,
     out: &mut Vec<f64>,
 ) -> Result<f64, SlingError> {
     let n = e.num_nodes();
@@ -502,28 +484,11 @@ pub(crate) fn single_source_with_cutoff<S: HpStore>(
     out.resize(n, 0.0);
     ws.dense.ensure(n);
     ws.dense.touched.clear();
-    let t_restore = ws.query.trace.timer();
-    let restored = if materialize {
-        // Reference path: materialize every source, restoring or not.
-        effective_entries_into(e, graph, u, &mut ws.query, Buf::A)?;
-        true
-    } else {
-        resolve_restored(e, graph, u, &mut ws.query, Buf::A)?
-    };
-    ws.query.trace.add_restore(t_restore);
-    // Disjoint-field split: the entry run may borrow `query.buf_a`
-    // (a restored list, or straddling-run scratch) while `dense`
-    // mutates freely.
     let SingleSourceWorkspace { dense, query } = ws;
-    let QueryWorkspace { buf_a, .. } = query;
-    let t_fetch = query.trace.timer();
-    let access = effective_access(e.store, u, restored, buf_a)?;
-    query.trace.add_entry_fetch(t_fetch);
-    let t_propagate = query.trace.timer();
-    let truncated = with_run!(&access, |run| seed_step_runs(
-        e, graph, dense, run, cutoff, out
-    ));
-    query.trace.add_propagate(t_propagate);
+    query.trace.start();
+    effective_entries_into(e, graph, u, query, Buf::A)?;
+    let truncated = seed_step_runs(e, graph, dense, &query.buf_a, cutoff, out);
+    query.trace.lap_propagate();
     dense.reset();
 
     // Every slot outside the touched set is still `0.0`, which the
@@ -546,11 +511,11 @@ pub(crate) fn single_source_with_cutoff<S: HpStore>(
 /// a step run), propagate ℓ rounds with the scaled-down pruning
 /// threshold, and accumulate `ρ⁽ℓ⁾` into `out`, restoring the all-zero
 /// invariant. Returns whether a cutoff truncated the run sequence.
-fn seed_step_runs<S: HpStore, R: EntryRun>(
+fn seed_step_runs<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
     dense: &mut DenseScores,
-    run: R,
+    run: &[HpEntry],
     cutoff: Option<u16>,
     out: &mut [f64],
 ) -> bool {
@@ -559,9 +524,9 @@ fn seed_step_runs<S: HpStore, R: EntryRun>(
     let len = run.len();
     let mut lo = 0usize;
     while lo < len {
-        let step = run.key(lo).0;
+        let step = run[lo].step;
         let mut hi = lo + 1;
-        while hi < len && run.key(hi).0 == step {
+        while hi < len && run[hi].step == step {
             hi += 1;
         }
         if let Some(cut) = cutoff {
@@ -569,9 +534,9 @@ fn seed_step_runs<S: HpStore, R: EntryRun>(
                 return true;
             }
         }
-        for i in lo..hi {
-            let k = run.key(i).1 as usize;
-            dense.seed(k, run.value(i) * e.d[k]);
+        for x in &run[lo..hi] {
+            let k = x.node.index();
+            dense.seed(k, x.value * e.d[k]);
         }
         let threshold = sqrt_c.powi(step as i32) * theta;
         dense.propagate(graph, sqrt_c, threshold, step);
@@ -720,16 +685,8 @@ mod tests {
         let mut ws = SingleSourceWorkspace::new();
         let mut out = Vec::new();
         for (u, cutoff) in [(0u32, None), (144, Some(2)), (7, Some(0)), (299, None)] {
-            single_source_with_cutoff(
-                idx.engine_ref(),
-                &g,
-                &mut ws,
-                NodeId(u),
-                cutoff,
-                false,
-                &mut out,
-            )
-            .unwrap();
+            single_source_with_cutoff(idx.engine_ref(), &g, &mut ws, NodeId(u), cutoff, &mut out)
+                .unwrap();
             let touched: Vec<usize> = ws.dense.touched().collect();
             assert!(touched.windows(2).all(|w| w[0] < w[1]), "not ascending");
             assert_eq!(touched.len(), ws.dense.touched_count());
@@ -747,10 +704,10 @@ mod tests {
         }
     }
 
-    /// Algorithm 6's streaming seed path must be bit-identical to the
-    /// materializing reference kernel across the §5.2 × §5.3 matrix from
-    /// both front-ends, and through a workspace that a first pass has
-    /// already filled.
+    /// Algorithm 6 must answer bit-identically from the bare index, and
+    /// from the engine through a workspace that a first pass has already
+    /// filled, to the engine on a fresh workspace, across the §5.2 ×
+    /// §5.3 matrix.
     #[test]
     fn bare_index_and_engine_match_materialized_across_restore_matrix() {
         use sling_graph::generators::barabasi_albert;
@@ -764,7 +721,6 @@ mod tests {
             assert!(idx.stats.reduced_nodes > 0);
             let engine = crate::store::SharedEngine::from(idx.clone());
             let mut ws = SingleSourceWorkspace::new();
-            let mut ws_ref = SingleSourceWorkspace::new();
             let (mut served, mut oracle) = (Vec::new(), Vec::new());
             for pass in ["fresh", "reused"] {
                 for u in [0u32, 1, 13, 144, 299] {
@@ -772,7 +728,12 @@ mod tests {
                         .single_source_with(&g, &mut ws, NodeId(u), &mut served)
                         .unwrap();
                     engine
-                        .single_source_materialized_with(&g, &mut ws_ref, NodeId(u), &mut oracle)
+                        .single_source_with(
+                            &g,
+                            &mut SingleSourceWorkspace::new(),
+                            NodeId(u),
+                            &mut oracle,
+                        )
                         .unwrap();
                     let bare = idx.single_source(&g, NodeId(u));
                     for (path, got) in [("bare", &bare), ("engine", &served)] {

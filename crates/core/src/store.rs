@@ -11,14 +11,18 @@
 //! sets — and three backends implement it:
 //!
 //! * [`crate::hp::HpArena`] — the in-memory parallel-array arena;
-//! * [`MmapHpArena`] — a **zero-copy memory-mapped view** of a persisted
-//!   `SLNGIDX1` index file: opening validates the header and the offset
-//!   table but never decodes the entry payload, so open cost is
-//!   independent of index size and queries read entries straight out of
+//! * [`MmapHpArena`] — a memory-mapped view of a persisted `SLNGIDX1`
+//!   index file: opening validates the header and the offset table but
+//!   never decodes the entry payload, so open cost is independent of
+//!   index size and a query decodes and checks its runs straight out of
 //!   the page cache;
 //! * [`CompressedMmapArena`] — the same mapped view over the
 //!   block-compressed `SLNGIDX2`/`SLNGIDX3` files, reading each run out
 //!   of the blocks it touches in one validating pass per block.
+//!
+//! Every backend answers a read the same way: [`HpStore::entries_into`]
+//! copies one node's validated run into a caller-owned buffer, and the
+//! query kernels consume that `&[HpEntry]`.
 //!
 //! The two mapped backends are the one out-of-core path: the OS page
 //! cache is the buffer pool, and only the `O(n)` metadata is resident.
@@ -33,9 +37,13 @@
 //! bitmap, §5.3 marks) and exposes the full query API — single-pair,
 //! single-source, top-k, joins, batches — with identical scores across
 //! backends: same entries, same merge order, same floating-point
-//! arithmetic. A node whose effective list differs from its stored run
-//! is restored into the caller's [`QueryWorkspace`] on every query, the
-//! same path the bare [`SlingIndex`] takes.
+//! arithmetic. Each query reads its endpoints' effective lists into the
+//! caller's [`QueryWorkspace`], restoring a §5.2-reduced or §5.3-marked
+//! node there, the same path the bare [`SlingIndex`] takes.
+
+// The mapped backends read untrusted bytes at query time: a corrupt or
+// truncated file must be a `SlingError`, never a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::io::Read;
 use std::ops::Range;
@@ -44,7 +52,7 @@ use std::path::Path;
 use memmap2::{Advice, Mmap};
 use sling_graph::{DiGraph, NodeId};
 
-use crate::codec::block::{is_probability, MAX_PROBABILITY};
+use crate::codec::block::is_probability;
 use crate::codec::{expected_block_len, read_block_run};
 use crate::config::SlingConfig;
 use crate::enhance::MarkArena;
@@ -62,10 +70,11 @@ use crate::topk::{single_source_truncated_core, top_k_core};
 ///
 /// Entry indices are *global*: node `v`'s run occupies `range(v)` of a
 /// conceptual array of `total_entries()` entries sorted by
-/// `(owner, step, node)`. Backends that read from untrusted bytes (the
+/// `(owner, step, node)`. [`HpStore::entries_into`] is the one way a
+/// query reads a run. Backends that read from untrusted bytes (the
 /// mapped ones) must bound-check every decoded entry
-/// (`node < num_nodes`), so the fallible methods return [`SlingError`]
-/// rather than panicking on a corrupt or truncated file.
+/// (`node < num_nodes`, a finite probability value), so it returns
+/// [`SlingError`] rather than panicking on a corrupt or truncated file.
 pub trait HpStore {
     /// Number of nodes covered by the store.
     fn num_nodes(&self) -> usize;
@@ -73,11 +82,11 @@ pub trait HpStore {
     /// Total entries across all nodes.
     fn total_entries(&self) -> usize;
 
-    /// Global entry-index range of `H(v)`.
+    /// Global entry-index range of `H(v)`, for `v < num_nodes()`.
     fn range(&self, v: NodeId) -> Range<usize>;
 
     /// Materialize `H(v)` into `out` (cleared first), in `(step, node)`
-    /// order.
+    /// order. A node id past the store is [`SlingError::NodeOutOfRange`].
     fn entries_into(&self, v: NodeId, out: &mut Vec<HpEntry>) -> Result<(), SlingError>;
 
     /// Heap-resident bytes of the store itself (excludes file-backed or
@@ -91,244 +100,21 @@ pub trait HpStore {
     /// depends on it — and a no-op for memory-resident backends. Server
     /// workers call this for a query's endpoints before querying.
     fn prefetch(&self, _v: NodeId) {}
-
-    /// Borrow `H(v)` from the backend **without copying** when the
-    /// backend already holds the run in a directly consumable layout.
-    ///
-    /// `scratch` is a caller-owned buffer the backend *may* materialize
-    /// into; backends with resident or raw mapped storage return a
-    /// borrowed [`EntryAccess`] and leave `scratch` untouched. Every
-    /// returned view is fully validated (node bounds, value range),
-    /// exactly like [`HpStore::entries_into`] — the streaming query
-    /// kernels index the correction factors with the decoded node ids,
-    /// so a corrupt file must surface here as [`SlingError`], never as a
-    /// panic downstream.
-    ///
-    /// The default materializes the run into `scratch` through
-    /// [`HpStore::entries_into`]; the compressed backend takes it, since
-    /// its runs exist only encoded.
-    fn entries_ref<'s>(
-        &'s self,
-        v: NodeId,
-        scratch: &'s mut Vec<HpEntry>,
-    ) -> Result<EntryAccess<'s>, SlingError> {
-        self.entries_into(v, scratch)?;
-        Ok(EntryAccess::Slice(scratch))
-    }
 }
 
-/// Zero-copy view of one node's stored entry run `H(v)`, borrowed from
-/// an [`HpStore`] backend via [`HpStore::entries_ref`].
-///
-/// The variants mirror how each backend physically holds its entries, so
-/// the query kernels consume backend-owned data in place instead of
-/// copying every list into [`crate::QueryWorkspace`] buffers first:
-///
-/// * [`EntryAccess::Columns`] — structure-of-arrays column slices (the
-///   in-memory [`HpArena`]); the seed/merge loops read the contiguous
-///   `steps`/`nodes`/`values` columns directly.
-/// * [`EntryAccess::RawLe`] — raw little-endian section bytes straight
-///   out of an `SLNGIDX1` mapping ([`MmapHpArena`]); entries are decoded
-///   on the fly with unaligned loads, after one cheap validation sweep.
-/// * [`EntryAccess::Slice`] — entries materialized into the caller's
-///   scratch buffer: every `SLNGIDX2`/`SLNGIDX3` run
-///   ([`CompressedMmapArena`]) and the §5.2/§5.3 restored lists.
-///
-/// All variants are sorted by `(step, node)` and pre-validated, so
-/// consumers may index the correction-factor array with the node ids.
-pub enum EntryAccess<'a> {
-    /// Borrowed structure-of-arrays columns, all the same length.
-    Columns {
-        /// Walk steps, ascending.
-        steps: &'a [u16],
-        /// Hit node ids, ascending within a step.
-        nodes: &'a [u32],
-        /// Hitting probabilities.
-        values: &'a [f64],
-    },
-    /// Raw little-endian `SLNGIDX1` section bytes (`2 | 4 | 8` bytes per
-    /// entry respectively); pre-validated.
-    RawLe {
-        /// `u16` steps, little-endian.
-        steps: &'a [u8],
-        /// `u32` node ids, little-endian.
-        nodes: &'a [u8],
-        /// `f64` values, little-endian bit patterns.
-        values: &'a [u8],
-    },
-    /// Entries materialized into a buffer (typically the caller's
-    /// scratch).
-    Slice(&'a [HpEntry]),
-}
-
-impl EntryAccess<'_> {
-    /// Number of entries in the run.
-    pub fn len(&self) -> usize {
-        match self {
-            EntryAccess::Columns { steps, .. } => steps.len(),
-            EntryAccess::RawLe { steps, .. } => steps.len() / 2,
-            EntryAccess::Slice(s) => s.len(),
-        }
-    }
-
-    /// Whether the run is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Decode entry `i` (for tests and diagnostics; the kernels use the
-    /// monomorphized [`EntryRun`] views instead).
-    pub fn get(&self, i: usize) -> HpEntry {
-        match self {
-            EntryAccess::Columns {
-                steps,
-                nodes,
-                values,
-            } => HpEntry::new(steps[i], NodeId(nodes[i]), values[i]),
-            EntryAccess::RawLe {
-                steps,
-                nodes,
-                values,
-            } => HpEntry::new(
-                u16::from_le_bytes([steps[i * 2], steps[i * 2 + 1]]),
-                NodeId(u32::from_le_bytes(
-                    nodes[i * 4..i * 4 + 4].try_into().unwrap(),
-                )),
-                f64::from_le_bytes(values[i * 8..i * 8 + 8].try_into().unwrap()),
-            ),
-            EntryAccess::Slice(s) => s[i],
-        }
-    }
-}
-
-/// Uniform random access to a sorted entry run — the monomorphization
-/// surface of the streaming kernels. Three concrete shapes exist
-/// (columns, raw little-endian bytes, `&[HpEntry]`); [`with_run!`]
-/// dispatches an [`EntryAccess`] to a shape-specific instantiation so
-/// the merge/seed inner loops carry no per-entry branching.
-pub(crate) trait EntryRun: Copy {
-    /// Entries in the run.
-    fn len(&self) -> usize;
-    /// `(step, node)` sort key of entry `i`.
-    fn key(&self, i: usize) -> (u16, u32);
-    /// Value of entry `i`.
-    fn value(&self, i: usize) -> f64;
-}
-
-/// Structure-of-arrays column view (the in-memory arena).
-#[derive(Clone, Copy)]
-pub(crate) struct ColumnsRun<'a> {
-    pub steps: &'a [u16],
-    pub nodes: &'a [u32],
-    pub values: &'a [f64],
-}
-
-impl EntryRun for ColumnsRun<'_> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    #[inline(always)]
-    fn key(&self, i: usize) -> (u16, u32) {
-        (self.steps[i], self.nodes[i])
-    }
-
-    #[inline(always)]
-    fn value(&self, i: usize) -> f64 {
-        self.values[i]
-    }
-}
-
-/// Raw little-endian `SLNGIDX1` section view (zero-copy mmap); decodes
-/// one fixed-width field per accessor call with unaligned loads.
-#[derive(Clone, Copy)]
-pub(crate) struct RawLeRun<'a> {
-    pub steps: &'a [u8],
-    pub nodes: &'a [u8],
-    pub values: &'a [u8],
-}
-
-impl EntryRun for RawLeRun<'_> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.steps.len() / 2
-    }
-
-    #[inline(always)]
-    fn key(&self, i: usize) -> (u16, u32) {
-        let step = u16::from_le_bytes([self.steps[i * 2], self.steps[i * 2 + 1]]);
-        let node = u32::from_le_bytes(self.nodes[i * 4..i * 4 + 4].try_into().unwrap());
-        (step, node)
-    }
-
-    #[inline(always)]
-    fn value(&self, i: usize) -> f64 {
-        f64::from_le_bytes(self.values[i * 8..i * 8 + 8].try_into().unwrap())
-    }
-}
-
-impl EntryRun for &[HpEntry] {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    #[inline(always)]
-    fn key(&self, i: usize) -> (u16, u32) {
-        (self[i].step, self[i].node.0)
-    }
-
-    #[inline(always)]
-    fn value(&self, i: usize) -> f64 {
-        self[i].value
-    }
-}
-
-/// Dispatch an `&EntryAccess` to a concrete [`EntryRun`] shape and run
-/// `$body` with `$run` bound to it — the variant match happens once per
-/// run, never per entry.
-macro_rules! with_run {
-    ($access:expr, |$run:ident| $body:expr) => {
-        match $access {
-            $crate::store::EntryAccess::Columns {
-                steps,
-                nodes,
-                values,
-            } => {
-                let $run = $crate::store::ColumnsRun {
-                    steps: *steps,
-                    nodes: *nodes,
-                    values: *values,
-                };
-                $body
-            }
-            $crate::store::EntryAccess::RawLe {
-                steps,
-                nodes,
-                values,
-            } => {
-                let $run = $crate::store::RawLeRun {
-                    steps: *steps,
-                    nodes: *nodes,
-                    values: *values,
-                };
-                $body
-            }
-            $crate::store::EntryAccess::Slice(s) => {
-                let $run: &[$crate::hp::HpEntry] = s;
-                $body
-            }
-        }
-    };
-}
-pub(crate) use with_run;
-
-/// `range(v)` with the structural sanity the untrusted backends need
-/// before trusting it: well-ordered and inside the entry array. A store
-/// whose offset table mutates underneath it (a file overwritten after
-/// open) must surface that as an error, not an out-of-bounds access.
+/// `range(v)` after the checks every backend needs before trusting it:
+/// `v` inside the store, and the range well-ordered and inside the entry
+/// array. A store whose offset table mutates underneath it (a file
+/// overwritten after open) must surface that as an error, not an
+/// out-of-bounds access.
 fn checked_range<S: HpStore + ?Sized>(store: &S, v: NodeId) -> Result<Range<usize>, SlingError> {
+    let n = store.num_nodes();
+    if v.index() >= n {
+        return Err(SlingError::NodeOutOfRange {
+            node: v.0,
+            n: u32::try_from(n).unwrap_or(u32::MAX),
+        });
+    }
     let range = store.range(v);
     if range.start > range.end || range.end > store.total_entries() {
         return Err(SlingError::CorruptIndex(format!(
@@ -356,27 +142,13 @@ impl HpStore for HpArena {
     }
 
     fn entries_into(&self, v: NodeId, out: &mut Vec<HpEntry>) -> Result<(), SlingError> {
+        checked_range(self, v)?;
         self.fill(v, out);
         Ok(())
     }
 
     fn resident_bytes(&self) -> usize {
         HpArena::resident_bytes(self)
-    }
-
-    /// True zero-copy: the arena *is* the structure-of-arrays layout the
-    /// kernels consume, so borrowing `H(v)` is three slice operations.
-    fn entries_ref<'s>(
-        &'s self,
-        v: NodeId,
-        _scratch: &'s mut Vec<HpEntry>,
-    ) -> Result<EntryAccess<'s>, SlingError> {
-        let r = HpArena::range(self, v);
-        Ok(EntryAccess::Columns {
-            steps: &self.steps[r.clone()],
-            nodes: &self.nodes[r.clone()],
-            values: &self.values[r],
-        })
     }
 }
 
@@ -446,15 +218,6 @@ impl HpStore for IndexStore {
     fn prefetch(&self, v: NodeId) {
         on_store!(self, |s| s.prefetch(v))
     }
-
-    #[inline]
-    fn entries_ref<'s>(
-        &'s self,
-        v: NodeId,
-        scratch: &'s mut Vec<HpEntry>,
-    ) -> Result<EntryAccess<'s>, SlingError> {
-        on_store!(self, |s| s.entries_ref(v, scratch))
-    }
 }
 
 /// Borrowed view of everything a query needs: the store plus the
@@ -492,24 +255,9 @@ impl<S: HpStore> EngineRef<'_, S> {
         }
         Ok(())
     }
-
-    /// Whether `v`'s effective list differs from its stored run: §5.2
-    /// dropped its steps 1–2, or §5.3 marks expand it. Decided entirely
-    /// at build time (the reduction bitmap and the mark offsets are
-    /// index artifacts), so this is two O(1) loads. A node that needs
-    /// no restore — the common case on large graphs — is consumed in
-    /// place from the backend; one that does goes through
-    /// [`crate::index::resolve_restored`].
-    #[inline]
-    pub fn needs_restore(&self, v: NodeId) -> bool {
-        self.reduced[v.index()]
-            || (self.config.enhance_accuracy
-                && !self.marks.is_empty()
-                && !self.marks.marks_of(v).is_empty())
-    }
 }
 
-/// Zero-copy memory-mapped view of a persisted `SLNGIDX1` index file.
+/// Memory-mapped view of a persisted `SLNGIDX1` index file.
 ///
 /// `open` maps the file and validates the header, metadata, and offset
 /// table — it never decodes the entry payload, so the cost is independent
@@ -578,7 +326,7 @@ impl MmapHpArena {
     fn read_u64(&self, at: usize) -> u64 {
         // In bounds by construction: decode_meta validated that every
         // section lies inside the mapping.
-        u64::from_le_bytes(self.map[at..at + 8].try_into().unwrap())
+        u64::from_le_bytes(le_bytes(&self.map, at))
     }
 
     #[inline]
@@ -598,16 +346,8 @@ impl MmapHpArena {
                 self.entries
             )));
         }
-        let step = u16::from_le_bytes(
-            self.map[self.steps_base + i * 2..self.steps_base + i * 2 + 2]
-                .try_into()
-                .unwrap(),
-        );
-        let node = u32::from_le_bytes(
-            self.map[self.nodes_base + i * 4..self.nodes_base + i * 4 + 4]
-                .try_into()
-                .unwrap(),
-        );
+        let step = u16::from_le_bytes(le_bytes(&self.map, self.steps_base + i * 2));
+        let node = u32::from_le_bytes(le_bytes(&self.map, self.nodes_base + i * 4));
         if node as usize >= self.num_nodes {
             return Err(SlingError::CorruptIndex(format!(
                 "mmap entry {i} references node {node} past n = {}",
@@ -671,9 +411,9 @@ impl HpStore for MmapHpArena {
     fn entries_into(&self, v: NodeId, out: &mut Vec<HpEntry>) -> Result<(), SlingError> {
         out.clear();
         let range = checked_range(self, v)?;
-        // Same fault point as `entries_ref`: both are "read and validate
-        // one run from the mapping" sites, so a chaos schedule covers a
-        // query regardless of which accessor its restore path takes.
+        // Fault point: the mapping itself is immutable and shared, so
+        // `Corrupt`/`ShortRead` here synthesize the CorruptIndex a
+        // mutilated file would raise, instead of flipping bytes in place.
         match crate::faults::check(crate::faults::point::MMAP_VALIDATE) {
             None => {}
             Some(crate::faults::FaultAction::Error) => {
@@ -706,126 +446,19 @@ impl HpStore for MmapHpArena {
     fn prefetch(&self, v: NodeId) {
         self.prefetch_entries(v);
     }
-
-    /// Zero-copy borrow straight out of the mapping: the three section
-    /// slices holding `H(v)` plus one branch-light validation sweep
-    /// (node bounds, value range) — no per-entry decode-and-push, no
-    /// buffer write. The sweep keeps the corrupt-file contract of
-    /// [`MmapHpArena::decode_entry`]: a file mutilated after open
-    /// surfaces as [`SlingError::CorruptIndex`], never a panic or an
-    /// out-of-bounds correction-factor read in the kernels.
-    fn entries_ref<'s>(
-        &'s self,
-        v: NodeId,
-        _scratch: &'s mut Vec<HpEntry>,
-    ) -> Result<EntryAccess<'s>, SlingError> {
-        let range = checked_range(self, v)?;
-        // In bounds: decode_meta validated every section against the
-        // mapping for `entries` entries, and range.end <= entries.
-        let steps = &self.map[self.steps_base + range.start * 2..self.steps_base + range.end * 2];
-        let nodes = &self.map[self.nodes_base + range.start * 4..self.nodes_base + range.end * 4];
-        let values =
-            &self.map[self.values_base + range.start * 8..self.values_base + range.end * 8];
-        // Fault point: the mapping itself is immutable and shared, so
-        // `Corrupt`/`ShortRead` here synthesize the CorruptIndex the
-        // sweep would raise on a mutilated file, instead of flipping
-        // bytes in place.
-        match crate::faults::check(crate::faults::point::MMAP_VALIDATE) {
-            None => {}
-            Some(crate::faults::FaultAction::Error) => {
-                return Err(SlingError::Io(crate::faults::injected_error(
-                    crate::faults::point::MMAP_VALIDATE,
-                )))
-            }
-            Some(crate::faults::FaultAction::Delay(d)) => std::thread::sleep(d),
-            Some(_) => {
-                return Err(SlingError::CorruptIndex(format!(
-                    "injected corruption at {} (node {})",
-                    crate::faults::point::MMAP_VALIDATE,
-                    v.index()
-                )))
-            }
-        }
-        validate_raw_le(nodes, values, range.start, self.num_nodes)?;
-        Ok(EntryAccess::RawLe {
-            steps,
-            nodes,
-            values,
-        })
-    }
 }
 
-/// Lane width of the chunked validation sweep in [`validate_raw_le`]:
-/// the folds process this many independent accumulators per stripe so
-/// the compiler can keep them in vector registers, with a scalar tail
-/// for the remainder.
-const SWEEP_LANES: usize = 8;
-
-/// Validate the raw little-endian node/value sections of one entry run:
-/// every node id below `n`, every value a finite probability. The hot
-/// sweep is two branchless *lane-striped* folds over the contiguous
-/// sections — [`SWEEP_LANES`] independent accumulators per stripe so the
-/// compiler can vectorize the u32 max and the f64 range compares, plus a
-/// scalar tail. Only a failing run pays a second pass to name the
-/// offending entry (matching the per-entry decode errors).
-// `(v >= 0.0) & (v <= MAX)` is two non-short-circuit lane compares on
-// purpose; `RangeInclusive::contains` would reintroduce `&&`.
-#[allow(clippy::manual_range_contains)]
-pub(crate) fn validate_raw_le(
-    nodes: &[u8],
-    values: &[u8],
-    base: usize,
-    n: usize,
-) -> Result<(), SlingError> {
-    // Node sweep: lane-parallel max over the u32 column, one bound
-    // compare at the end.
-    let mut node_lanes = [0u32; SWEEP_LANES];
-    let mut node_chunks = nodes.chunks_exact(4 * SWEEP_LANES);
-    for stripe in &mut node_chunks {
-        for (m, c) in node_lanes.iter_mut().zip(stripe.chunks_exact(4)) {
-            *m = (*m).max(u32::from_le_bytes(c.try_into().unwrap()));
-        }
-    }
-    let mut max_node = node_lanes.into_iter().max().unwrap_or(0);
-    for c in node_chunks.remainder().chunks_exact(4) {
-        max_node = max_node.max(u32::from_le_bytes(c.try_into().unwrap()));
-    }
-    if max_node as usize >= n {
-        for (i, c) in nodes.chunks_exact(4).enumerate() {
-            let node = u32::from_le_bytes(c.try_into().unwrap());
-            if node as usize >= n {
-                return Err(SlingError::CorruptIndex(format!(
-                    "mmap entry {} references node {node} past n = {n}",
-                    base + i
-                )));
-            }
-        }
-    }
-    // Value sweep: lane-parallel range fold. The two compares are
-    // equivalent to `check_value`'s predicate (`codec::block::
-    // is_probability`): NaN fails both, ±∞ fails one.
-    let mut ok_lanes = [true; SWEEP_LANES];
-    let mut value_chunks = values.chunks_exact(8 * SWEEP_LANES);
-    for stripe in &mut value_chunks {
-        for (ok, c) in ok_lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-            let value = f64::from_le_bytes(c.try_into().unwrap());
-            *ok &= (value >= 0.0) & (value <= MAX_PROBABILITY);
-        }
-    }
-    let mut all_ok = ok_lanes.into_iter().all(|ok| ok);
-    for c in value_chunks.remainder().chunks_exact(8) {
-        let value = f64::from_le_bytes(c.try_into().unwrap());
-        all_ok &= (value >= 0.0) & (value <= MAX_PROBABILITY);
-    }
-    if !all_ok {
-        for (i, c) in values.chunks_exact(8).enumerate() {
-            check_value(base + i, f64::from_le_bytes(c.try_into().unwrap()))?;
-        }
-    }
-    Ok(())
+/// The `N` bytes of `bytes` at `at`, for a fixed-width little-endian
+/// read. Callers pass offsets that `decode_meta` validated against the
+/// mapping, so the slice is in bounds.
+#[inline(always)]
+fn le_bytes<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&bytes[at..at + N]);
+    out
 }
 
-/// Zero-copy memory-mapped view of a block-compressed `SLNGIDX2` index
+/// Memory-mapped view of a block-compressed `SLNGIDX2`/`SLNGIDX3` index
 /// file.
 ///
 /// The compressed sibling of [`MmapHpArena`]: `open` maps the file and
@@ -931,11 +564,7 @@ impl CompressedMmapArena {
 
     #[inline]
     fn offset(&self, i: usize) -> usize {
-        u64::from_le_bytes(
-            self.map[self.offsets_base + i * 8..self.offsets_base + i * 8 + 8]
-                .try_into()
-                .unwrap(),
-        ) as usize
+        u64::from_le_bytes(le_bytes(&self.map, self.offsets_base + i * 8)) as usize
     }
 
     /// Append the entries `run` (block-local) of block `b` to `out`,
@@ -1061,7 +690,7 @@ pub struct SharedEngine<S: HpStore> {
 }
 
 impl SharedEngine<MmapHpArena> {
-    /// Open a persisted index as an owned zero-copy mmap engine, verifying
+    /// Open a persisted index as an owned mmap engine, verifying
     /// it matches `graph`. Open cost is header + offset-table validation
     /// plus the `O(n)` query-side metadata — the entry payload stays in
     /// the page cache and is decoded on demand, bound-checked.
@@ -1250,11 +879,10 @@ impl<S: HpStore> SharedEngine<S> {
         single_pair_core(self.engine_ref(), graph, ws, u, v)
     }
 
-    /// Single-pair query through the **materializing reference path**:
-    /// both effective entry lists copied into the workspace, linear
-    /// merge. The oracle the equivalence suites pin
-    /// [`SharedEngine::single_pair_with`] to, bit for bit, on every
-    /// backend.
+    /// Single-pair query through the **linear-merge oracle**: the same
+    /// effective lists as [`SharedEngine::single_pair_with`], merged
+    /// without the galloping dispatch. The equivalence suites pin
+    /// `single_pair_with` to it, bit for bit, on every backend.
     pub fn single_pair_materialized_with(
         &self,
         graph: &DiGraph,
@@ -1285,19 +913,6 @@ impl<S: HpStore> SharedEngine<S> {
     ) -> Result<(), SlingError> {
         self.engine_ref().check_node(u)?;
         single_source_core(self.engine_ref(), graph, ws, u, out)
-    }
-
-    /// Single-source query through the **materializing reference path**
-    /// (see [`SharedEngine::single_pair_materialized_with`]).
-    pub fn single_source_materialized_with(
-        &self,
-        graph: &DiGraph,
-        ws: &mut SingleSourceWorkspace,
-        u: NodeId,
-        out: &mut Vec<f64>,
-    ) -> Result<(), SlingError> {
-        self.engine_ref().check_node(u)?;
-        crate::single_source::single_source_materialized_core(self.engine_ref(), graph, ws, u, out)
     }
 
     /// Algorithm 6 with early termination (see
@@ -1416,27 +1031,110 @@ mod tests {
             .with_enhancement(true)
     }
 
+    /// Every backend returns the arena's run entry for entry: mapped v1,
+    /// and v2 and v3 with blocks sized so typical runs sit inside one
+    /// block while some straddle a boundary, so both block read paths run.
     #[test]
     fn arena_and_mmap_stores_agree_entrywise() {
-        let g = barabasi_albert(120, 3, 5).unwrap();
+        let g = barabasi_albert(160, 3, 9).unwrap();
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
-        let path = tmp("entrywise");
-        idx.save(&path).unwrap();
-        let mmap = MmapHpArena::open(&path).unwrap();
-        assert_eq!(HpStore::num_nodes(&idx.hp), mmap.num_nodes);
-        assert_eq!(
-            HpStore::total_entries(&idx.hp),
-            HpStore::total_entries(&mmap)
+        let (v1, v2, v3) = (
+            tmp("entrywise_v1"),
+            tmp("entrywise_v2"),
+            tmp("entrywise_v3"),
         );
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for v in g.nodes() {
-            assert_eq!(HpStore::range(&idx.hp, v), HpStore::range(&mmap, v));
-            idx.hp.entries_into(v, &mut a).unwrap();
-            mmap.entries_into(v, &mut b).unwrap();
-            assert_eq!(a, b, "H({v:?}) differs between arena and mmap");
+        idx.save(&v1).unwrap();
+        let opts = crate::codec::CompressOptions {
+            block_entries: 512,
+            quantize_values: false,
+        };
+        idx.save_v2(&v2, &opts).unwrap();
+        idx.save_v3(&v3, &opts).unwrap();
+        let mmap = MmapHpArena::open(&v1).unwrap();
+        let (c2, c3) = (
+            CompressedMmapArena::open(&v2).unwrap(),
+            CompressedMmapArena::open(&v3).unwrap(),
+        );
+        let stores: [(&str, &dyn HpStore); 3] = [("v1", &mmap), ("v2", &c2), ("v3", &c3)];
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let (mut saw_inside, mut saw_straddle) = (false, false);
+        for (label, store) in stores {
+            assert_eq!(store.num_nodes(), HpStore::num_nodes(&idx.hp), "{label}");
+            assert_eq!(
+                store.total_entries(),
+                HpStore::total_entries(&idx.hp),
+                "{label}"
+            );
         }
-        std::fs::remove_file(&path).ok();
+        for v in g.nodes() {
+            let range = HpStore::range(&idx.hp, v);
+            if !range.is_empty() {
+                if range.start / 512 == (range.end - 1) / 512 {
+                    saw_inside = true;
+                } else {
+                    saw_straddle = true;
+                }
+            }
+            idx.hp.entries_into(v, &mut want).unwrap();
+            assert_eq!(want.len(), range.len());
+            for (label, store) in stores {
+                assert_eq!(store.range(v), range, "{label} range of {v:?}");
+                store.entries_into(v, &mut got).unwrap();
+                assert_eq!(got, want, "H({v:?}) differs between arena and {label}");
+            }
+        }
+        assert!(saw_inside, "no run sat inside a single block");
+        assert!(saw_straddle, "no run straddled a block boundary");
+        for p in [&v1, &v2, &v3] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    /// A node id past the store is `NodeOutOfRange` on every backend and
+    /// through the enum store, never a panic or an empty run.
+    #[test]
+    fn entries_into_rejects_node_ids_past_the_store() {
+        let g = barabasi_albert(120, 3, 8).unwrap();
+        let idx = SlingIndex::build(&g, &cfg()).unwrap();
+        let (v1, v2, v3) = (tmp("oor_v1"), tmp("oor_v2"), tmp("oor_v3"));
+        idx.save(&v1).unwrap();
+        let opts = crate::codec::CompressOptions::default();
+        idx.save_v2(&v2, &opts).unwrap();
+        idx.save_v3(&v3, &opts).unwrap();
+        let mmap = MmapHpArena::open(&v1).unwrap();
+        let (c2, c3) = (
+            CompressedMmapArena::open(&v2).unwrap(),
+            CompressedMmapArena::open(&v3).unwrap(),
+        );
+        let engines = [
+            SharedEngine::open(&g, &v1, Residency::Mapped).unwrap(),
+            SharedEngine::open(&g, &v3, Residency::Mapped).unwrap(),
+            SharedEngine::open(&g, &v3, Residency::Mem).unwrap(),
+        ];
+        let stores: [(&str, &dyn HpStore); 7] = [
+            ("arena", &idx.hp),
+            ("mapped v1", &mmap),
+            ("mapped v2", &c2),
+            ("mapped v3", &c3),
+            ("IndexStore::Mmap", engines[0].store()),
+            ("IndexStore::Compressed", engines[1].store()),
+            ("IndexStore::Mem", engines[2].store()),
+        ];
+        let n = g.num_nodes() as u32;
+        let mut out = vec![HpEntry::new(0, NodeId(0), 0.5)];
+        for (label, store) in stores {
+            for v in [n, n + 1, u32::MAX] {
+                let got = store.entries_into(NodeId(v), &mut out);
+                assert!(
+                    matches!(got, Err(SlingError::NodeOutOfRange { node, n: nn }) if node == v && nn == n),
+                    "{label} node {v}: {got:?}"
+                );
+            }
+            store.entries_into(NodeId(n - 1), &mut out).unwrap();
+        }
+        for p in [&v1, &v2, &v3] {
+            std::fs::remove_file(p).ok();
+        }
     }
 
     #[test]
@@ -1708,68 +1406,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn entries_ref_is_zero_copy_per_backend() {
-        let g = barabasi_albert(160, 3, 9).unwrap();
-        let idx = SlingIndex::build(&g, &cfg()).unwrap();
-        let v1 = tmp("zc_v1");
-        let v2 = tmp("zc_v2");
-        idx.save(&v1).unwrap();
-        // Blocks sized so typical runs fit inside one block while some
-        // still straddle a boundary — both read paths get exercised.
-        idx.save_v2(
-            &v2,
-            &crate::codec::CompressOptions {
-                block_entries: 512,
-                quantize_values: false,
-            },
-        )
-        .unwrap();
-        let mmap = MmapHpArena::open(&v1).unwrap();
-        let compressed = CompressedMmapArena::open(&v2).unwrap();
-        let mut scratch = Vec::new();
-        let mut expect = Vec::new();
-        let (mut saw_inside, mut saw_straddle) = (false, false);
-        for v in g.nodes() {
-            idx.hp.entries_into(v, &mut expect).unwrap();
-            // Arena: structure-of-arrays columns, no scratch write.
-            let access = idx.hp.entries_ref(v, &mut scratch).unwrap();
-            assert!(matches!(access, EntryAccess::Columns { .. }));
-            assert_eq!(access.len(), expect.len());
-            for (i, want) in expect.iter().enumerate() {
-                assert_eq!(&access.get(i), want);
-            }
-            // Mmap: raw little-endian section bytes, no scratch write.
-            scratch.clear();
-            let access = mmap.entries_ref(v, &mut scratch).unwrap();
-            assert!(matches!(access, EntryAccess::RawLe { .. }));
-            for (i, want) in expect.iter().enumerate() {
-                assert_eq!(&access.get(i), want);
-            }
-            assert!(scratch.is_empty(), "mmap entries_ref wrote scratch");
-            // Compressed: every run, inside one block or straddling two,
-            // is materialized into the scratch — same entries.
-            let range = HpStore::range(&compressed, v);
-            if !range.is_empty() {
-                if range.start / 512 == (range.end - 1) / 512 {
-                    saw_inside = true;
-                } else {
-                    saw_straddle = true;
-                }
-            }
-            let access = compressed.entries_ref(v, &mut scratch).unwrap();
-            assert!(matches!(access, EntryAccess::Slice(_)));
-            assert_eq!(access.len(), expect.len());
-            for (i, want) in expect.iter().enumerate() {
-                assert_eq!(&access.get(i), want);
-            }
-        }
-        assert!(saw_inside, "no run sat inside a single block");
-        assert!(saw_straddle, "no run straddled a block boundary");
-        std::fs::remove_file(&v1).ok();
-        std::fs::remove_file(&v2).ok();
-    }
-
     /// A compressed arena's resident figure is exactly its handle, its
     /// block directory and, for `SLNGIDX3`, its global dictionary, each
     /// sized from the file's own header.
@@ -1802,26 +1438,50 @@ mod tests {
         }
     }
 
+    /// A NaN over the last v1 value fails exactly the owning node's run
+    /// read, and every query that reads that node from a mapped engine.
     #[test]
-    fn mmap_entries_ref_validates_the_run() {
+    fn mmap_entries_into_validates_the_run() {
         let g = barabasi_albert(80, 3, 3).unwrap();
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
         let path = tmp("zc_corrupt");
         let mut bytes = idx.to_bytes();
-        // Poison the last HP value with a NaN: the zero-copy borrow of
-        // the owning node's run must fail its validation sweep.
         let len = bytes.len();
         bytes[len - 8..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let mmap = MmapHpArena::open(&path).unwrap();
         let mut scratch = Vec::new();
-        let mut rejected = 0;
-        for v in g.nodes() {
-            if mmap.entries_ref(v, &mut scratch).is_err() {
-                rejected += 1;
-            }
+        let rejected: Vec<NodeId> = g
+            .nodes()
+            .filter(|&v| mmap.entries_into(v, &mut scratch).is_err())
+            .collect();
+        assert_eq!(
+            rejected.len(),
+            1,
+            "exactly the poisoned run must be rejected"
+        );
+        let bad = rejected[0];
+        let other = NodeId((bad.0 + 1) % g.num_nodes() as u32);
+        let engine = SharedEngine::open_mmap(&g, &path).unwrap();
+        let mut ws = QueryWorkspace::new();
+        for (u, v) in [(bad, other), (other, bad)] {
+            assert!(
+                matches!(
+                    engine.single_pair_with(&g, &mut ws, u, v),
+                    Err(SlingError::CorruptIndex(_))
+                ),
+                "single_pair_with({u:?},{v:?})"
+            );
         }
-        assert_eq!(rejected, 1, "exactly the poisoned run must be rejected");
+        let (mut ss, mut scores) = (SingleSourceWorkspace::new(), Vec::new());
+        assert!(matches!(
+            engine.top_k_with(&g, &mut ss, &mut scores, bad, 5),
+            Err(SlingError::CorruptIndex(_))
+        ));
+        // The other nodes still answer.
+        engine
+            .top_k_with(&g, &mut ss, &mut scores, other, 5)
+            .unwrap();
         std::fs::remove_file(&path).ok();
     }
 

@@ -186,7 +186,7 @@ impl SlingIndex {
 
 /// Early-terminating Algorithm 6 over any storage backend (see
 /// [`SlingIndex::single_source_truncated`]): maps `slack` to a step
-/// cutoff, then runs the shared streaming driver
+/// cutoff, then runs the shared Algorithm 6 driver
 /// ([`single_source_with_cutoff`]).
 pub(crate) fn single_source_truncated_core<S: HpStore>(
     e: EngineRef<'_, S>,
@@ -210,7 +210,7 @@ pub(crate) fn single_source_truncated_core<S: HpStore>(
             Some(bound.ceil() as u16)
         }
     };
-    single_source_with_cutoff(e, graph, ws, u, cutoff, false, out)
+    single_source_with_cutoff(e, graph, ws, u, cutoff, out)
 }
 
 #[cfg(test)]

@@ -2,6 +2,10 @@
 //! strict and tolerant readers. See the [module docs](crate::workload)
 //! for the grammar.
 
+// The readers parse untrusted trace files and wire lines: malformed
+// input must be an error, never a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 use std::path::Path;

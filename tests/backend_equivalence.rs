@@ -93,11 +93,12 @@ fn assert_engine_matches_index<S: HpStore + Sync>(
     );
 }
 
-/// Assert the streaming kernels (borrow-from-backend entry access,
-/// galloping merge, restores into the workspace) answer
-/// **bit-identically** to the materializing reference path on one
-/// engine, for every query type. Two rounds over the same workspaces,
-/// so the second starts from buffers the first has filled.
+/// Assert the served kernels answer **bit-identically** to their
+/// references on one engine, for every query type: single-pair (skew
+/// dispatch, galloping merge) to the linear-merge oracle, and every
+/// Algorithm 6 query on a reused workspace to `single_source_with` on a
+/// fresh one. Two rounds over the same workspaces, so the second starts
+/// from buffers the first has filled.
 fn assert_streaming_matches_materialized<S: HpStore + Sync>(
     label: &str,
     engine: &SharedEngine<S>,
@@ -108,7 +109,6 @@ fn assert_streaming_matches_materialized<S: HpStore + Sync>(
     let mut ws = QueryWorkspace::new();
     let mut ws_ref = QueryWorkspace::new();
     let mut ssw = SingleSourceWorkspace::new();
-    let mut ssw_ref = SingleSourceWorkspace::new();
     let (mut scores, mut scores_ref) = (Vec::new(), Vec::new());
     // The served top-k path on one workspace and one score buffer reused
     // across every source and k, so each call starts from the previous
@@ -120,7 +120,7 @@ fn assert_streaming_matches_materialized<S: HpStore + Sync>(
             .iter()
             .map(|&u| {
                 engine
-                    .single_source_materialized_with(g, &mut ssw_ref, u, &mut scores_ref)
+                    .single_source_with(g, &mut SingleSourceWorkspace::new(), u, &mut scores_ref)
                     .unwrap();
                 scores_ref.clone()
             })
@@ -158,7 +158,7 @@ fn assert_streaming_matches_materialized<S: HpStore + Sync>(
                 .single_source_with(g, &mut ssw, u, &mut scores)
                 .unwrap();
             engine
-                .single_source_materialized_with(g, &mut ssw_ref, u, &mut scores_ref)
+                .single_source_with(g, &mut SingleSourceWorkspace::new(), u, &mut scores_ref)
                 .unwrap();
             assert_eq!(
                 &scores, &scores_ref,
@@ -176,7 +176,7 @@ fn assert_streaming_matches_materialized<S: HpStore + Sync>(
             assert_eq!(&truncated, &scores_ref);
         }
     }
-    // Batches route through the same streaming cores.
+    // Batches route through the same cores.
     let batch = engine.batch_single_pair(g, pairs, 3).unwrap();
     for (i, &(u, v)) in pairs.iter().enumerate() {
         let reference = engine
@@ -210,8 +210,8 @@ proptest! {
     /// one opener returns: mapped `SLNGIDX1`, lossless `SLNGIDX2` and
     /// `SLNGIDX3` conversions of the same index, and the v3 file decoded
     /// into memory — on random graphs, across the §5.2/§5.3 feature
-    /// matrix. On every engine the streaming kernels also match the
-    /// materializing reference, cold and warm.
+    /// matrix. On every engine the served kernels also match their
+    /// references, cold and warm.
     #[test]
     fn all_query_apis_agree_across_backends(
         g in arb_graph(),
@@ -260,7 +260,7 @@ proptest! {
             assert_engine_matches_index(label, &idx, engine, &g, &pairs, &sources);
         }
 
-        // Streaming kernels vs the materializing reference path, per
+        // Served kernels vs their references, per
         // backend × query type, across the same §5.2/§5.3 feature
         // matrix — with hub-skewed pairs appended so the galloping merge
         // branch is exercised too.
@@ -279,16 +279,15 @@ proptest! {
 }
 
 /// Hub-versus-leaf pairs on a graph with no §5.2 reduction: the hub's
-/// *stored* run dwarfs the leaves', so the streaming kernels take the
-/// zero-copy borrow path and the merge takes the galloping branch — and
-/// both must still be bit-identical to the materializing linear-merge
-/// reference on every backend.
+/// *stored* run dwarfs the leaves', so the merge takes the galloping
+/// branch on the stored run itself — and must still be bit-identical to
+/// the linear-merge oracle on every backend.
 #[test]
 fn skewed_stored_lists_stream_and_gallop_bit_identically() {
     // Directed star (spokes → center): the center's stored run holds an
     // entry per spoke while each spoke stores only its step-0 self
-    // entry — maximal length skew, with §5.2 reduction off so the
-    // streaming kernels take the zero-copy borrow path on the long run.
+    // entry — maximal length skew, with §5.2 reduction off so the long
+    // run is the hub's stored run, not a restored list.
     let g = star_graph(400);
     let config = SlingConfig::from_epsilon(C, 0.05)
         .with_seed(23)
