@@ -30,151 +30,299 @@ use sling_server::{
 
 use crate::args::{Args, Spec};
 
-/// Top-level usage text.
-pub const USAGE: &str = "sling — SimRank queries with the SLING index (SIGMOD 2016 reproduction)
+/// One `sling` subcommand. Its synopsis is both its help text and its
+/// flag declaration: the parser accepts exactly the flags it names (see
+/// [`Spec::from_synopsis`]).
+struct Command {
+    name: &'static str,
+    /// Usage forms, without the command name.
+    synopsis: &'static [&'static str],
+    about: &'static str,
+    run: fn(&Args) -> Result<String, String>,
+}
 
-USAGE: sling <command> [args]
+/// Every subcommand, in `sling help` order.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "datasets",
+        synopsis: &[""],
+        about: "list the bundled synthetic dataset suite",
+        run: cmd_datasets,
+    },
+    Command {
+        name: "generate",
+        synopsis: &[
+            "--dataset NAME --out FILE [--text]",
+            "--ba N,K | --er N,M | --ws N,K,BETA | --grid R,C [--seed S] --out FILE [--text]",
+        ],
+        about: "materialize a suite dataset or a random graph, in the binary format or as a \
+                text edge list (--text)",
+        run: cmd_generate,
+    },
+    Command {
+        name: "stats",
+        synopsis: &["GRAPH [--degrees]"],
+        about: "structural statistics of a graph file",
+        run: cmd_stats,
+    },
+    Command {
+        name: "build",
+        synopsis: &["GRAPH --out FILE [--eps E] [--c C] [--seed S] [--threads T]"],
+        about: "build the SLING index of a graph",
+        run: cmd_build,
+    },
+    Command {
+        name: "query",
+        synopsis: &[
+            "GRAPH INDEX pair U V [--index-backend B]",
+            "GRAPH INDEX source U [--top K] [--index-backend B]",
+        ],
+        about: "one SimRank score, or the top-k of a single-source query",
+        run: cmd_query,
+    },
+    Command {
+        name: "join",
+        synopsis: &["GRAPH INDEX --tau T [--limit L] [--index-backend B]"],
+        about: "all pairs with score >= T",
+        run: cmd_join,
+    },
+    Command {
+        name: "compact",
+        synopsis: &["INDEX --out FILE [--quantize] [--block-entries N]"],
+        about: "convert an index of any format to the block-compressed SLNGIDX3, with a \
+                before/after byte report (lossless unless --quantize)",
+        run: cmd_compact,
+    },
+    Command {
+        name: "inspect",
+        synopsis: &["INDEX"],
+        about: "header version, per-section byte breakdown, and compression ratio",
+        run: cmd_inspect,
+    },
+    Command {
+        name: "batch",
+        synopsis: &[
+            "GRAPH INDEX --random N | --pairs FILE [--threads T] [--cache CAP] [--seed S] \
+             [--index-backend B]",
+        ],
+        about: "bulk single-pair scoring through the shared engine and sharded result cache",
+        run: cmd_batch,
+    },
+    Command {
+        name: "serve",
+        synopsis: &[
+            "GRAPH INDEX [--listen ADDR] [--unix PATH] [--workers N] [--cache CAP] [--shards S] \
+             [--max-connections N] [--index-backend B] [--slow-query-us U] [--deadline-us D] \
+             [--shed-queue-depth Q] [--shed-pending-bytes P] [--faults SPEC] \
+             [--metrics-snapshot FILE [--metrics-snapshot-ms N]] \
+             [--record FILE [--record-sample N]] [--cache-admission lru|tinylfu]",
+            "--index-root DIR [GRAPH] [--watch] [--watch-ms N] [--rollback-errors E] [..]",
+        ],
+        about: "long-lived epoll-based query server (wire protocol: see sling-server docs). \
+                Queries at or above U microseconds land in the SLOWLOG ring (default 10000, \
+                0 disables); queries buffered longer than D microseconds answer ERR deadline, \
+                and past Q queued requests or P pending bytes answer ERR overloaded (0 = off). \
+                --faults installs a deterministic fault schedule (see sling-core faults docs; \
+                also read from SLING_FAULTS). --metrics-snapshot dumps the metrics registry to \
+                FILE as JSON every N ms (default 1000). --record streams a SLNGTRACE traffic \
+                trace to FILE (every Nth query, default 1) without ever blocking the event \
+                loop. --cache-admission picks the result cache's admission policy (default \
+                lru; tinylfu is frequency-aware). With --index-root it serves the promoted \
+                generation of an index root and hot-swaps (zero dropped requests) when a new \
+                one is promoted: on RELOAD, or every N ms with --watch-ms (1000 with --watch). \
+                GRAPH is the fallback for generations without a graph snapshot. After E \
+                runtime corruption/IO errors (default 8, 0 = off) the serving generation is \
+                quarantined and the server rolls back to the newest verified prior one.",
+        run: cmd_serve,
+    },
+    Command {
+        name: "generations",
+        synopsis: &["ROOT [--gc KEEP]"],
+        about: "list and inspect the generations of an index root; --gc removes retired ones, \
+                keeping KEEP rollback candidates",
+        run: cmd_generations,
+    },
+    Command {
+        name: "promote",
+        synopsis: &["ROOT [--gen N | --index FILE [--graph FILE]]"],
+        about: "verify and atomically promote a generation (the newest by default) to \
+                CURRENT; --index first publishes the file as a new generation",
+        run: cmd_promote,
+    },
+    Command {
+        name: "client",
+        synopsis: &["MODE [..] --connect HOST:PORT | --unix PATH [--force]"],
+        about: "one request to a running server. MODE is pair U V | source U | topk U K | \
+                stats | metrics | slowlog | reload | ping | shutdown; reload --force lifts a \
+                rollback quarantine",
+        run: cmd_client,
+    },
+    Command {
+        name: "metrics",
+        synopsis: &["--connect HOST:PORT | --unix PATH [--slow]"],
+        about: "scrape a running server's Prometheus text exposition (METRICS verb); --slow \
+                prints the slow-query ring instead",
+        run: cmd_metrics,
+    },
+    Command {
+        name: "record",
+        synopsis: &[
+            "--connect HOST:PORT | --unix PATH --out FILE [--duration-ms D] \
+             [--poll-ms P] [--max-records N]",
+        ],
+        about: "capture a SLNGTRACE traffic trace from a server running with --record \
+                (pull-based over the TRACE verb; written to FILE.tmp, renamed when complete)",
+        run: cmd_record,
+    },
+    Command {
+        name: "replay",
+        synopsis: &[
+            "GRAPH INDEX TRACE | --synth zipf|diurnal|scan [--records N] [--nodes N] \
+             [--seed S] [--speed X] [--cache CAP] [--cache-admission lru|tinylfu] \
+             [--spot-check N]",
+            "GRAPH INDEX --suite [--out FILE]",
+        ],
+        about: "replay a captured or synthesized trace through the local engine at X× \
+                recorded pacing (0 = flat out); every Nth pair answer is recomputed uncached \
+                and must be bit-identical. --suite runs the pinned admission-policy \
+                comparison (three synthetic scenarios, the adversarial scan under both lru \
+                and tinylfu); its --out writes the machine-readable BENCH_replay.json",
+        run: cmd_replay,
+    },
+    Command {
+        name: "traffic-report",
+        synopsis: &["TRACE"],
+        about: "SkyServer-style characterization of a trace: verb mix, key-popularity skew, \
+                burstiness, and hit-rate-vs-cache-size curves per policy",
+        run: cmd_traffic_report,
+    },
+    Command {
+        name: "bench-serve",
+        synopsis: &[
+            "GRAPH INDEX [--threads T] [--requests N] [--hot F] [--hot-keys K] \
+             [--connections C] [--workers W] [--cache CAP] [--shards S] \
+             [--max-connections N] [--slow-query-us U] [--cache-admission lru|tinylfu] \
+             [--index-backend B] [--quick] [--trace] [--out FILE] [--seed S]",
+        ],
+        about: "drive an in-process server with concurrent skewed client traffic; \
+                --connections holds a mostly-idle fleet open during the run; --trace appends \
+                the server-side stage breakdown; --out runs the worker/connection-scaling \
+                sweep (TCP + Unix, ≥1k idle connections) and writes the machine-readable \
+                BENCH_serve.json",
+        run: cmd_bench_serve,
+    },
+    Command {
+        name: "bench-query",
+        synopsis: &[
+            "GRAPH INDEX [--quick] [--out FILE] [--pairs N] [--sources N] [--threads T] \
+             [--seed S] [--trace]",
+        ],
+        about: "pinned single-pair / single-source / top-k / batch workloads on mem, mmap \
+                (v1), and mmap over lossless and quantized v3 files; writes the \
+                machine-readable BENCH_query.json (the default FILE); --trace appends the \
+                per-stage kernel-time table",
+        run: cmd_bench_query,
+    },
+    Command {
+        name: "transform",
+        synopsis: &["GRAPH PASS --out FILE [--k K] [--text]"],
+        about: "PASS is largest-wcc | transpose | k-core | peel-dangling",
+        run: cmd_transform,
+    },
+    Command {
+        name: "ppr",
+        synopsis: &["GRAPH SOURCE [--alpha A] [--top K]"],
+        about: "personalized PageRank ranking",
+        run: cmd_ppr,
+    },
+    Command {
+        name: "audit",
+        synopsis: &["GRAPH INDEX [--pairs N] [--mc M] [--seed S] [--exact]"],
+        about: "empirically verify the eps guarantee on sampled pairs (or on all of them \
+                against exact SimRank with --exact)",
+        run: cmd_audit,
+    },
+];
 
-COMMANDS:
-  datasets                                list the bundled synthetic dataset suite
-  generate --dataset NAME --out FILE      materialize a suite dataset
-  generate --ba N,K | --er N,M | --ws N,K,BETA | --grid R,C [--seed S] --out FILE
-  stats GRAPH [--degrees]                 structural statistics of a graph file
-  build GRAPH --out FILE [--eps E] [--c C] [--seed S] [--threads T]
-  query GRAPH INDEX pair U V              one SimRank score
-  query GRAPH INDEX source U [--top K]    single-source scores / top-k
-  join GRAPH INDEX --tau T [--limit L]    all pairs with score >= T
-
-  query, join, batch, serve and bench-serve accept --index-backend {mem,mmap}:
-    mem   decode the whole index into memory (default)
-    mmap  map the file and read entries out of the page cache, keeping
-          only O(n) metadata resident; the format is read from the file
-          header (SLNGIDX1 is read in place, SLNGIDX2/3 run by run, one
-          pass over each block the run touches)
-  Any index format works with either backend, and both return identical
-  scores (bit-identical for lossless files).
-  compact INDEX --out FILE [--quantize] [--block-entries N] [--format v2|v3]
-                                          convert to a block-compressed format
-                                          (SLNGIDX3 by default) with a
-                                          before/after byte report (lossless by
-                                          default)
-  inspect INDEX                           header version, per-section byte
-                                          breakdown, and compression ratio
-  batch GRAPH INDEX --random N | --pairs FILE
-        [--threads T] [--cache CAP] [--seed S] [--index-backend B]
-                                          bulk single-pair scoring through the
-                                          shared engine + sharded result cache
-  serve GRAPH INDEX [--listen ADDR] [--unix PATH] [--workers N]
-        [--cache CAP] [--shards S] [--max-connections N] [--index-backend B]
-        [--slow-query-us U] [--deadline-us D] [--shed-queue-depth Q]
-        [--shed-pending-bytes P] [--faults SPEC]
-        [--metrics-snapshot FILE [--metrics-snapshot-ms N]]
-        [--record FILE [--record-sample N]] [--cache-admission lru|tinylfu]
-                                          long-lived epoll-based query server
-                                          (wire protocol: see sling-server docs);
-                                          queries at or above U microseconds land
-                                          in the SLOWLOG ring (default 10000,
-                                          0 disables); queries buffered longer
-                                          than D microseconds answer ERR
-                                          deadline, and past Q queued requests
-                                          or P pending bytes answer ERR
-                                          overloaded (0 = off); --faults
-                                          installs a deterministic fault
-                                          schedule (see sling-core faults docs;
-                                          also read from SLING_FAULTS);
-                                          --metrics-snapshot dumps the metrics
-                                          registry to FILE as JSON every N ms
-                                          (default 1000); --record streams a
-                                          SLNGTRACE traffic trace to FILE
-                                          (every Nth query with
-                                          --record-sample, default 1) without
-                                          ever blocking the event loop;
-                                          --cache-admission picks the result
-                                          cache's admission policy (default
-                                          lru; tinylfu is frequency-aware)
-  serve --index-root DIR [GRAPH] [--watch] [--watch-ms N]
-        [--rollback-errors E] [..]
-                                          serve the promoted generation of an
-                                          index root and hot-swap (zero dropped
-                                          requests) when a new one is promoted;
-                                          GRAPH is the fallback for generations
-                                          without a co-located graph snapshot;
-                                          after E runtime corruption/IO errors
-                                          (default 8, 0 = off) the serving
-                                          generation is quarantined and the
-                                          server rolls back to the newest
-                                          verified prior generation
-  generations ROOT [--gc KEEP]            list/inspect the generations of an
-                                          index root; --gc removes retired ones
-                                          (keeping KEEP rollback candidates)
-  promote ROOT [--gen N | --index FILE [--graph FILE]]
-                                          verify + atomically promote a
-                                          generation to CURRENT; --index first
-                                          publishes the file as a new generation
-  client MODE [..] --connect HOST:PORT | --unix PATH
-                                          pair U V | source U | topk U K |
-                                          stats | metrics | slowlog |
-                                          reload [--force] | ping | shutdown
-                                          (--force lifts a rollback quarantine)
-  metrics --connect HOST:PORT | --unix PATH [--slow]
-                                          scrape a running server's Prometheus
-                                          text exposition (METRICS verb);
-                                          --slow prints the slow-query ring
-                                          instead
-  record --connect HOST:PORT | --unix PATH --out FILE
-        [--duration-ms D] [--poll-ms P] [--max-records N]
-                                          capture a SLNGTRACE traffic trace
-                                          from a server running with --record
-                                          (pull-based over the TRACE verb;
-                                          written to FILE.tmp, renamed when
-                                          complete)
-  replay GRAPH INDEX TRACE | --synth zipf|diurnal|scan
-        [--records N] [--nodes N] [--seed S] [--speed X]
-        [--cache CAP] [--cache-admission lru|tinylfu] [--spot-check N]
-                                          replay a captured or synthesized
-                                          trace through the local engine at X×
-                                          recorded pacing (0 = flat out);
-                                          every Nth pair answer is recomputed
-                                          uncached and must be bit-identical
-  replay GRAPH INDEX --suite [--out FILE]
-                                          pinned admission-policy comparison
-                                          (three synthetic scenarios; the
-                                          adversarial scan under both lru and
-                                          tinylfu); --out writes the
-                                          machine-readable BENCH_replay.json
-  traffic-report TRACE                    SkyServer-style characterization of
-                                          a trace: verb mix, key-popularity
-                                          skew, burstiness, and hit-rate-vs-
-                                          cache-size curves per policy
-  bench-serve GRAPH INDEX [--threads T] [--requests N] [--hot F]
-        [--hot-keys K] [--connections C] [--workers W] [--cache CAP]
-        [--max-connections N] [--index-backend B] [--quick] [--trace]
-        [--out FILE] [--seed S]
-                                          drive an in-process server with
-                                          concurrent skewed client traffic;
-                                          --connections holds a mostly-idle
-                                          fleet open during the run; --out runs
-                                          the worker/connection-scaling sweep
-                                          (TCP + Unix, ≥1k idle connections)
-                                          and writes the machine-readable
-                                          BENCH_serve.json perf baseline
-  bench-query GRAPH INDEX [--quick] [--out FILE] [--pairs N]
-        [--sources N] [--threads T] [--seed S] [--trace]
-                                          pinned single-pair / single-source /
-                                          top-k / batch workloads on mem, mmap
-                                          (v1), and mmap over lossless and
-                                          quantized v3 files; writes the
-                                          machine-readable BENCH_query.json
-                                          perf baseline (default --out);
-                                          --trace appends the per-stage
-                                          kernel-time breakdown table
-  transform GRAPH PASS --out FILE [--k K] largest-wcc | transpose | k-core | peel-dangling
-  ppr GRAPH SOURCE [--alpha A] [--top K]  personalized PageRank ranking
-  audit GRAPH INDEX [--pairs N] [--mc M] [--exact]
-                                          empirically verify the eps guarantee
+/// Printed after the command list.
+const NOTES: &str = "\
+--index-backend B picks how an index file is read:
+  mem   decode the whole index into memory (default)
+  mmap  map the file and read entries out of the page cache, keeping only
+        O(n) metadata resident; the format is read from the file header
+        (SLNGIDX1 is read in place, SLNGIDX2/3 run by run, one pass over
+        each block the run touches)
+Any index format works with either backend, and both return identical
+scores (bit-identical for lossless files).
 
 Graph files may be SNAP-style text edge lists or the binary format
 written by generate (detected by magic bytes).";
+
+/// `sling help`: every command of [`COMMANDS`], then [`NOTES`].
+fn usage() -> String {
+    let mut out = String::from(
+        "sling — SimRank queries with the SLING index (SIGMOD 2016 reproduction)\n\n\
+         USAGE: sling <command> [args]\n\nCOMMANDS:\n",
+    );
+    for cmd in COMMANDS {
+        out.push_str(&help_block(cmd));
+    }
+    out.push('\n');
+    out.push_str(NOTES);
+    out
+}
+
+/// One command's help: each usage form, then the description.
+fn help_block(cmd: &Command) -> String {
+    let mut out = String::new();
+    for form in cmd.synopsis {
+        wrap(&mut out, &format!("{} {form}", cmd.name), 2, 8);
+    }
+    wrap(&mut out, cmd.about, 6, 6);
+    out
+}
+
+/// Append `text` word-wrapped to 80 columns, indenting its first line by
+/// `first` spaces and the rest by `rest`.
+fn wrap(out: &mut String, text: &str, first: usize, rest: usize) {
+    let (mut indent, mut line) = (first, String::new());
+    for word in text.split_whitespace() {
+        if !line.is_empty() && indent + line.len() + 1 + word.len() > 80 {
+            let _ = writeln!(out, "{:indent$}{line}", "");
+            indent = rest;
+            line.clear();
+        }
+        if !line.is_empty() {
+            line.push(' ');
+        }
+        line.push_str(word);
+    }
+    let _ = writeln!(out, "{:indent$}{line}", "");
+}
+
+/// Dispatch a full command line (without the binary name).
+pub fn run(argv: &[String]) -> Result<String, String> {
+    let Some((name, rest)) = argv.split_first() else {
+        return Err(usage());
+    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        return Ok(usage());
+    }
+    let Some(cmd) = COMMANDS.iter().find(|cmd| cmd.name == name) else {
+        return Err(format!("unknown command {name:?}\n\n{}", usage()));
+    };
+    (cmd.run)(&Args::parse(
+        rest.iter().cloned(),
+        Spec::from_synopsis(cmd.synopsis),
+    )?)
+}
+
+/// Convenience for tests: run a command given as whitespace-split string.
+#[cfg(test)]
+pub fn run_str(line: &str) -> Result<String, String> {
+    let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+    run(&argv)
+}
 
 /// Load a graph from either the binary format or a text edge list.
 pub fn load_graph(path: &str) -> Result<DiGraph, String> {
@@ -621,22 +769,35 @@ fn bind_listener(args: &Args, default_addr: &str) -> Result<Listener, String> {
     }
 }
 
+/// The server settings `serve` and `bench-serve` both accept; the rest
+/// keep their [`ServerConfig::default`].
 fn server_config(args: &Args) -> Result<ServerConfig, String> {
+    let default = ServerConfig::default();
+    Ok(ServerConfig {
+        workers: args.flag_parse("workers", default.workers)?,
+        cache_capacity: args.flag_parse("cache", default.cache_capacity)?,
+        cache_shards: args.flag_parse("shards", default.cache_shards)?,
+        max_connections: args.flag_parse("max-connections", default.max_connections)?,
+        slow_query_us: args.flag_parse("slow-query-us", default.slow_query_us)?,
+        cache_admission: parse_admission(args)?,
+        ..default
+    })
+}
+
+/// [`server_config`] plus the settings only `serve` accepts.
+fn serve_config(args: &Args) -> Result<ServerConfig, String> {
+    let shared = server_config(args)?;
     let watch_default = if args.switch("watch") { 1000 } else { 0 };
     Ok(ServerConfig {
-        workers: args.flag_parse("workers", 0usize)?,
-        cache_capacity: args.flag_parse("cache", 1usize << 18)?,
-        cache_shards: args.flag_parse("shards", 0usize)?,
         watch_interval_ms: args.flag_parse("watch-ms", watch_default)?,
-        max_connections: args.flag_parse("max-connections", 0usize)?,
-        slow_query_us: args.flag_parse("slow-query-us", 10_000u64)?,
-        deadline_us: args.flag_parse("deadline-us", 0u64)?,
-        shed_queue_depth: args.flag_parse("shed-queue-depth", 0usize)?,
-        shed_pending_bytes: args.flag_parse("shed-pending-bytes", 0usize)?,
-        rollback_error_threshold: args.flag_parse("rollback-errors", 8u64)?,
+        deadline_us: args.flag_parse("deadline-us", shared.deadline_us)?,
+        shed_queue_depth: args.flag_parse("shed-queue-depth", shared.shed_queue_depth)?,
+        shed_pending_bytes: args.flag_parse("shed-pending-bytes", shared.shed_pending_bytes)?,
+        rollback_error_threshold: args
+            .flag_parse("rollback-errors", shared.rollback_error_threshold)?,
         record_path: args.flag("record").map(std::path::PathBuf::from),
-        record_sample: args.flag_parse("record-sample", 1u64)?,
-        cache_admission: parse_admission(args)?,
+        record_sample: args.flag_parse("record-sample", shared.record_sample)?,
+        ..shared
     })
 }
 
@@ -711,7 +872,7 @@ fn spawn_metrics_snapshot(registry: Arc<MetricsRegistry>, opts: SnapshotOpts) {
 pub fn cmd_serve(args: &Args) -> Result<String, String> {
     install_faults(args)?;
     let backend = parse_backend(args)?;
-    let config = server_config(args)?;
+    let config = serve_config(args)?;
     let snapshot = snapshot_opts(args)?;
     let listener = bind_listener(args, "127.0.0.1:7462")?;
     if let Some(root) = args.flag("index-root") {
@@ -1923,238 +2084,6 @@ fn format_stage_breakdown(registry: &MetricsRegistry) -> String {
     out
 }
 
-/// Dispatch a full command line (without the binary name).
-pub fn run(argv: &[String]) -> Result<String, String> {
-    let Some((cmd, rest)) = argv.split_first() else {
-        return Err(USAGE.to_string());
-    };
-    match cmd.as_str() {
-        "datasets" => cmd_datasets(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &[],
-                switches: &[],
-            },
-        )?),
-        "generate" => cmd_generate(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &["dataset", "ba", "er", "ws", "grid", "seed", "out"],
-                switches: &["text"],
-            },
-        )?),
-        "stats" => cmd_stats(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &[],
-                switches: &["degrees"],
-            },
-        )?),
-        "build" => cmd_build(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &["out", "eps", "c", "seed", "threads"],
-                switches: &[],
-            },
-        )?),
-        "query" => cmd_query(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &["top", "index-backend"],
-                switches: &[],
-            },
-        )?),
-        "join" => cmd_join(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &["tau", "limit", "index-backend"],
-                switches: &[],
-            },
-        )?),
-        "batch" => cmd_batch(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &[
-                    "random",
-                    "pairs",
-                    "threads",
-                    "cache",
-                    "seed",
-                    "index-backend",
-                ],
-                switches: &[],
-            },
-        )?),
-        "serve" => cmd_serve(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &[
-                    "listen",
-                    "unix",
-                    "workers",
-                    "cache",
-                    "shards",
-                    "max-connections",
-                    "index-backend",
-                    "index-root",
-                    "watch-ms",
-                    "slow-query-us",
-                    "deadline-us",
-                    "shed-queue-depth",
-                    "shed-pending-bytes",
-                    "rollback-errors",
-                    "faults",
-                    "metrics-snapshot",
-                    "metrics-snapshot-ms",
-                    "record",
-                    "record-sample",
-                    "cache-admission",
-                ],
-                switches: &["watch"],
-            },
-        )?),
-        "generations" => cmd_generations(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &["gc"],
-                switches: &[],
-            },
-        )?),
-        "promote" => cmd_promote(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &["gen", "index", "graph"],
-                switches: &[],
-            },
-        )?),
-        "client" => cmd_client(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &["connect", "unix"],
-                switches: &["force"],
-            },
-        )?),
-        "metrics" => cmd_metrics(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &["connect", "unix"],
-                switches: &["slow"],
-            },
-        )?),
-        "bench-query" => cmd_bench_query(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &["out", "pairs", "sources", "threads", "seed"],
-                switches: &["quick", "trace"],
-            },
-        )?),
-        "bench-serve" => cmd_bench_serve(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &[
-                    "threads",
-                    "requests",
-                    "hot",
-                    "hot-keys",
-                    "connections",
-                    "out",
-                    "workers",
-                    "cache",
-                    "shards",
-                    "max-connections",
-                    "index-backend",
-                    "slow-query-us",
-                    "seed",
-                    "cache-admission",
-                ],
-                switches: &["quick", "trace"],
-            },
-        )?),
-        "record" => cmd_record(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &[
-                    "connect",
-                    "unix",
-                    "out",
-                    "duration-ms",
-                    "poll-ms",
-                    "max-records",
-                ],
-                switches: &[],
-            },
-        )?),
-        "replay" => cmd_replay(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &[
-                    "synth",
-                    "records",
-                    "nodes",
-                    "seed",
-                    "speed",
-                    "cache",
-                    "cache-admission",
-                    "spot-check",
-                    "out",
-                ],
-                switches: &["suite"],
-            },
-        )?),
-        "traffic-report" => cmd_traffic_report(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &[],
-                switches: &[],
-            },
-        )?),
-        "transform" => cmd_transform(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &["out", "k"],
-                switches: &["text"],
-            },
-        )?),
-        "ppr" => cmd_ppr(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &["alpha", "top"],
-                switches: &[],
-            },
-        )?),
-        "audit" => cmd_audit(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &["pairs", "mc", "seed"],
-                switches: &["exact"],
-            },
-        )?),
-        "compact" => cmd_compact(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &["out", "block-entries", "format"],
-                switches: &["quantize"],
-            },
-        )?),
-        "inspect" => cmd_inspect(&Args::parse(
-            rest.iter().cloned(),
-            Spec {
-                value_flags: &[],
-                switches: &[],
-            },
-        )?),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
-    }
-}
-
-/// Convenience for tests: run a command given as whitespace-split string.
-#[cfg(test)]
-pub fn run_str(line: &str) -> Result<String, String> {
-    let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
-    run(&argv)
-}
-
 /// `sling transform`
 pub fn cmd_transform(args: &Args) -> Result<String, String> {
     let path = args.positional(0, "graph")?;
@@ -2435,12 +2364,12 @@ pub fn cmd_promote(args: &Args) -> Result<String, String> {
     ))
 }
 
-/// `sling compact` — convert an index file to a block-compressed format
-/// (`SLNGIDX3` by default, `--format v2` for the previous generation),
-/// reporting before/after byte sizes. Lossless by default (bit-identical
-/// answers from every backend); `--quantize` stores 4-byte fixed-point
-/// values (≤ 2⁻³³ error, flagged in the header). No graph is needed: the
-/// header fingerprint travels with the payload.
+/// `sling compact` — convert an index file of any format (v2 included)
+/// to the block-compressed `SLNGIDX3`, reporting before/after byte
+/// sizes. Lossless by default (bit-identical answers from every
+/// backend); `--quantize` stores 4-byte fixed-point values (≤ 2⁻³³
+/// error, flagged in the header). No graph is needed: the header
+/// fingerprint travels with the payload.
 pub fn cmd_compact(args: &Args) -> Result<String, String> {
     let in_path = args.positional(0, "index")?;
     let out_path: String = args.flag_required("out")?;
@@ -2449,10 +2378,6 @@ pub fn cmd_compact(args: &Args) -> Result<String, String> {
     if block_entries == 0 {
         return Err("--block-entries must be at least 1".to_string());
     }
-    let format = args.flag("format").unwrap_or("v3");
-    if !matches!(format, "v2" | "v3") {
-        return Err(format!("unknown --format {format:?} (v2|v3)"));
-    }
     let opts = sling_core::CompressOptions {
         block_entries,
         quantize_values: args.switch("quantize"),
@@ -2460,10 +2385,7 @@ pub fn cmd_compact(args: &Args) -> Result<String, String> {
     let bytes = std::fs::read(in_path).map_err(|e| format!("{in_path}: {e}"))?;
     let before = sling_core::inspect_bytes(&bytes).map_err(|e| format!("{in_path}: {e}"))?;
     let index = SlingIndex::decode(&bytes).map_err(|e| format!("{in_path}: {e}"))?;
-    let out_bytes = match format {
-        "v2" => index.to_bytes_v2(&opts),
-        _ => index.to_bytes_v3(&opts),
-    };
+    let out_bytes = index.to_bytes_v3(&opts);
     std::fs::write(&out_path, &out_bytes).map_err(|e| format!("{out_path}: {e}"))?;
     let after = sling_core::inspect_bytes(&out_bytes).map_err(|e| e.to_string())?;
     let mut out = String::new();
@@ -2982,6 +2904,56 @@ mod tests {
         dir
     }
 
+    /// Write `index` re-encoded as `SLNGIDX2`, which no command writes.
+    fn save_v2_copy(index: &Path, out: &Path) {
+        SlingIndex::decode(&std::fs::read(index).unwrap())
+            .unwrap()
+            .save_v2(out, &sling_core::CompressOptions::default())
+            .unwrap();
+    }
+
+    #[test]
+    fn help_and_parser_agree_on_every_declared_flag() {
+        let help = run_str("help").unwrap();
+        for cmd in COMMANDS {
+            let spec = Spec::from_synopsis(cmd.synopsis);
+            let block = help_block(cmd);
+            assert!(help.contains(&block), "{} missing from help", cmd.name);
+            assert!(block.starts_with(&format!("  {}", cmd.name)), "{block}");
+            let words: Vec<&str> = block
+                .split_whitespace()
+                .map(|w| w.trim_matches(['[', ']']))
+                .collect();
+            for flag in spec.value_flags.iter().chain(&spec.switches) {
+                let flag = format!("--{flag}");
+                assert!(
+                    words.contains(&flag.as_str()),
+                    "{}: {flag} not in help",
+                    cmd.name
+                );
+            }
+            for flag in &spec.value_flags {
+                assert!(
+                    !spec.switches.contains(flag),
+                    "{}: --{flag} is both",
+                    cmd.name
+                );
+                let err = run(&[cmd.name.to_string(), format!("--{flag}")]).unwrap_err();
+                assert!(
+                    err.contains("expects a value"),
+                    "{} --{flag}: {err}",
+                    cmd.name
+                );
+            }
+            for switch in &spec.switches {
+                let parsed = Args::parse([format!("--{switch}")], spec.clone()).unwrap();
+                assert!(parsed.switch(switch), "{} --{switch}", cmd.name);
+            }
+            let err = run(&[cmd.name.to_string(), "--bogus".to_string()]).unwrap_err();
+            assert!(err.contains("unknown flag --bogus"), "{}: {err}", cmd.name);
+        }
+    }
+
     #[test]
     fn datasets_lists_suite() {
         let out = run_str("datasets").unwrap();
@@ -3129,7 +3101,8 @@ mod tests {
         let v2 = dir.join("idx.v2.slng");
         let v3 = dir.join("idx.v3.slng");
         let v3q = dir.join("idx.v3q.slng");
-        for (out, flags) in [(&v2, "--format v2"), (&v3, ""), (&v3q, "--quantize")] {
+        save_v2_copy(&v1, &v2);
+        for (out, flags) in [(&v3, ""), (&v3q, "--quantize")] {
             run_str(&format!(
                 "compact {} --out {} {flags}",
                 v1.display(),
@@ -3251,16 +3224,12 @@ mod tests {
             "quantized {q_ratio} not below lossless {ratio}"
         );
 
-        // The previous generation stays writable via --format v2 and
-        // serves the same bits.
+        // The previous generation stays readable: a v2 file inspects,
+        // serves the same bits, and compacts to v3.
         let v2_old = dir.join("idx.v2.slng2");
-        let report = run_str(&format!(
-            "compact {} --out {} --format v2",
-            v1.display(),
-            v2_old.display()
-        ))
-        .unwrap();
-        assert!(report.contains("SLNGIDX2 index"), "{report}");
+        save_v2_copy(&v1, &v2_old);
+        let info = run_str(&format!("inspect {}", v2_old.display())).unwrap();
+        assert!(info.contains("SLNGIDX2 index"), "{info}");
         let got = run_str(&format!(
             "query {} {} pair 3 77 --index-backend mmap",
             g.display(),
@@ -3268,11 +3237,27 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(score_of(&mem), score_of(&got), "v2 backend diverged");
+        let v3_again = dir.join("idx.v3.slng3");
+        let report = run_str(&format!(
+            "compact {} --out {}",
+            v2_old.display(),
+            v3_again.display()
+        ))
+        .unwrap();
+        assert!(report.contains("SLNGIDX2 index"), "{report}");
+        assert!(report.contains("SLNGIDX3 index"), "{report}");
 
-        // Bad invocations.
+        // Bad invocations; compact writes v3 only.
         assert!(run_str(&format!("compact {}", v1.display()))
             .unwrap_err()
             .contains("--out"));
+        assert!(run_str(&format!(
+            "compact {} --out {} --format v2",
+            v1.display(),
+            v2_old.display()
+        ))
+        .unwrap_err()
+        .contains("unknown flag --format"));
         assert!(run_str("inspect /nonexistent.slng").is_err());
     }
 
@@ -3611,8 +3596,13 @@ mod tests {
     #[test]
     fn unknown_command_shows_usage() {
         let err = run_str("frobnicate").unwrap_err();
-        assert!(err.contains("USAGE"));
+        assert!(err.contains("unknown command \"frobnicate\""), "{err}");
+        assert!(err.ends_with(&usage()));
         assert!(run_str("help").unwrap().contains("USAGE"));
+        for alias in ["-h", "--help"] {
+            assert_eq!(run_str(alias).unwrap(), usage());
+        }
+        assert_eq!(run(&[]).unwrap_err(), usage());
     }
 
     /// One graph + index fixture shared by the workload tests below.
@@ -3821,6 +3811,62 @@ mod tests {
         assert!(err.contains("not enabled"), "{err}");
         run_str(&format!("client shutdown --unix {}", sock.display())).unwrap();
         server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn promote_and_generations_manage_an_index_root() {
+        let (dir, g, idx) = workload_fixture("genroot");
+        let root = dir.join("root");
+        let root = root.display();
+        let promote = |flags: &str| run_str(&format!("promote {root} {flags}"));
+        let out = promote(&format!(
+            "--index {} --graph {}",
+            idx.display(),
+            g.display()
+        ))
+        .unwrap();
+        assert!(
+            out.starts_with("published gen-0001 is now CURRENT"),
+            "{out}"
+        );
+        let out = promote(&format!("--index {}", idx.display())).unwrap();
+        assert!(
+            out.starts_with("published gen-0002 is now CURRENT"),
+            "{out}"
+        );
+        let out = promote("--gen 1").unwrap();
+        assert!(out.starts_with("gen-0001 is now CURRENT"), "{out}");
+
+        let list = run_str(&format!("generations {root}")).unwrap();
+        assert!(list.contains("2 generation(s), current gen-0001"), "{list}");
+        assert!(list.contains("* gen-0001  SLNGIDX1  n=120"), "{list}");
+        assert!(list.contains(", graph "), "{list}");
+        assert!(
+            list.contains("[current]") && list.contains("[pending]"),
+            "{list}"
+        );
+
+        // No flag promotes the newest generation, retiring gen-0001.
+        let out = promote("").unwrap();
+        assert!(out.starts_with("gen-0002 is now CURRENT"), "{out}");
+        let gc = run_str(&format!("generations {root} --gc 0")).unwrap();
+        assert!(
+            gc.contains("removed 1 retired generation(s): gen-0001"),
+            "{gc}"
+        );
+        assert!(gc.contains("1 generation(s), current gen-0002"), "{gc}");
+        let gc = run_str(&format!("generations {root} --gc 0")).unwrap();
+        assert!(gc.contains("gc: nothing to retire"), "{gc}");
+
+        let both = promote(&format!("--gen 2 --index {}", idx.display())).unwrap_err();
+        assert!(both.contains("mutually exclusive"), "{both}");
+        assert!(promote("--gen two")
+            .unwrap_err()
+            .contains("cannot parse generation"));
+        assert!(promote("--gen 1").is_err(), "gen-0001 was collected");
+        assert!(run_str(&format!("generations {root} --gc all"))
+            .unwrap_err()
+            .contains("--gc"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `sling` — command-line interface to the SLING SimRank reproduction.
 //!
-//! See [`commands::USAGE`] or run `sling help` for the command list.
+//! Run `sling help` for the command list.
 
 mod args;
 mod commands;

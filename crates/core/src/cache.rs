@@ -12,7 +12,7 @@
 //!
 //! Three layers live here:
 //!
-//! * [`LruList`] *(crate-internal)* — an open-hash map over an intrusive
+//! * `LruList` *(crate-internal)* — an open-hash map over an intrusive
 //!   doubly-linked LRU list, built on the workspace's [`FxHashMap`]; all
 //!   operations `O(1)` expected, no external LRU crate. It backs every
 //!   LRU in the crate: the result cache below and the cache simulator
@@ -21,7 +21,7 @@
 //!   [`Admission::TinyLfu`], which keeps one-touch scans from churning
 //!   the hot entries of an LRU.
 //! * [`ShardedResultCache`] — a `Sync` global result cache: N
-//!   power-of-two shards, each an independently locked [`LruList`], with
+//!   power-of-two shards, each an independently locked `LruList`, with
 //!   [`AtomicCacheStats`] counters that stay exact under concurrency.
 //!   This is what a long-lived server shares across its worker threads
 //!   (see `sling-server`), and what the cached batch path
@@ -482,7 +482,7 @@ struct EpochSlot {
 ///
 /// The cache is pure shared state — `get`/`insert` take `&self` — split
 /// into a power-of-two number of shards, each an independently locked
-/// [`LruList`], so concurrent queries for different keys proceed in
+/// `LruList`, so concurrent queries for different keys proceed in
 /// parallel and hot-key traffic contends only on its own shard. Counters
 /// are [`AtomicCacheStats`], exact under concurrency.
 ///

@@ -82,7 +82,7 @@
 //! Each block is independently decodable (given the resident global
 //! dictionary for v3), so the compressed mmap backend
 //! ([`crate::store::CompressedMmapArena`]) decodes only the blocks a
-//! query's entry range touches. [`decode_meta`] validates everything **up to**
+//! query's entry range touches. `decode_meta` validates everything **up to**
 //! the entry payload — including the block directory and the v3 global
 //! dictionary — and reports the payload geometry, which is all the
 //! mapped backends need; none ever decodes the full payload at open.

@@ -108,10 +108,20 @@ impl HpArena {
         })
     }
 
-    /// Copy `H(v)` into a buffer (reused across queries by workspaces).
+    /// Copy `H(v)` into a buffer (reused across queries by workspaces):
+    /// one pass over the run's three column slices, bounds-checked once.
     pub fn fill(&self, v: NodeId, out: &mut Vec<HpEntry>) {
+        let r = self.range(v);
+        let columns = self.steps[r.clone()]
+            .iter()
+            .zip(&self.nodes[r.clone()])
+            .zip(&self.values[r]);
         out.clear();
-        out.extend(self.entries(v));
+        out.extend(columns.map(|((&step, &node), &value)| HpEntry {
+            step,
+            node: NodeId(node),
+            value,
+        }));
     }
 
     /// Whether `H(v)` contains an entry with this exact `(step, node)` key
@@ -225,6 +235,10 @@ mod tests {
         a.fill(NodeId(2), &mut buf);
         assert_eq!(buf.len(), 1);
         assert_eq!(buf[0].node, NodeId(2));
+        for v in 0..a.num_nodes() as u32 {
+            a.fill(NodeId(v), &mut buf);
+            assert!(buf.iter().copied().eq(a.entries(NodeId(v))), "node {v}");
+        }
     }
 
     #[test]

@@ -95,9 +95,10 @@
 //! keeps every backend bit-identical — ~⅔ of the raw payload as v2,
 //! ≤ 60% as v3 — while quantized v3 reaches ~40% with ≤ 2⁻³³ value
 //! error, flagged in the header. Older generations stay readable
-//! forever; `sling compact` converts between generations (`--format`
-//! selects one; v3 is the default) and `sling inspect` reports the
-//! geometry, including the per-section payload breakdown.
+//! forever; `sling compact` converts any of them to v3 (the v2 writer
+//! is kept for read-compatibility tests and benches) and `sling
+//! inspect` reports the geometry, including the per-section payload
+//! breakdown.
 //!
 //! Above the trait, every query algorithm is written **once**, generic
 //! over `S: HpStore` — the §5.2/§5.3 effective-entry materialization

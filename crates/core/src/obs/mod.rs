@@ -20,6 +20,12 @@
 //! loop — and [`register_process_metrics`] surfaces them in a registry
 //! as closure-backed counters. The counters are monotone and
 //! process-global: rates and deltas, not per-engine gauges.
+//!
+//! Outside tests this layer never unwraps: a scrape must not panic
+//! because an earlier one did, so a poisoned registry or slow-log lock
+//! is recovered, not unwrapped.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod histogram;
 pub mod registry;

@@ -24,7 +24,7 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use super::histogram::{
     approx_sum_ns, cumulative_below_pow2, report_from_counts, Histogram, LatencyReport, BUCKETS,
@@ -109,6 +109,14 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The metric map. Every update under this lock is one insert or one
+    /// shard push, so a panic while it was held (a closure-backed metric
+    /// that panicked mid-render, say) cannot leave the map half-updated;
+    /// a poisoned lock is recovered instead of failing every later scrape.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Metric>> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn with_metric<R>(
         &self,
         name: &str,
@@ -117,7 +125,7 @@ impl MetricsRegistry {
         join: impl FnOnce(&mut Kind) -> R,
     ) -> R {
         assert_valid_name(name);
-        let mut metrics = self.metrics.lock().unwrap();
+        let mut metrics = self.lock();
         let metric = match metrics.entry(name.to_string()) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => e.insert(Metric {
@@ -190,7 +198,7 @@ impl MetricsRegistry {
 
     /// Merged value of a (possibly sharded) counter.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        let metrics = self.metrics.lock().unwrap();
+        let metrics = self.lock();
         match &metrics.get(name)?.kind {
             Kind::Counter(cells) => Some(cells.iter().map(|c| c.load(Ordering::Relaxed)).sum()),
             Kind::CounterFn(fns) => Some(fns.iter().map(|f| f()).sum()),
@@ -200,7 +208,7 @@ impl MetricsRegistry {
 
     /// Merged value of a gauge.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        let metrics = self.metrics.lock().unwrap();
+        let metrics = self.lock();
         match &metrics.get(name)?.kind {
             Kind::GaugeFn(fns) => Some(fns.iter().map(|f| f()).sum()),
             _ => None,
@@ -209,7 +217,7 @@ impl MetricsRegistry {
 
     /// Shard-merged percentile report of a histogram.
     pub fn histogram_report(&self, name: &str) -> Option<LatencyReport> {
-        let metrics = self.metrics.lock().unwrap();
+        let metrics = self.lock();
         match &metrics.get(name)?.kind {
             Kind::Histogram(shards) => {
                 let mut acc = [0u64; BUCKETS];
@@ -226,7 +234,7 @@ impl MetricsRegistry {
     /// per family, families sorted by name, histograms on the fixed
     /// power-of-two `le` ladder. Byte-stable for a given value set.
     pub fn render_prometheus(&self) -> String {
-        let metrics = self.metrics.lock().unwrap();
+        let metrics = self.lock();
         let mut out = String::new();
         for (name, metric) in metrics.iter() {
             let _ = writeln!(out, "# HELP {name} {}", metric.help);
@@ -267,7 +275,7 @@ impl MetricsRegistry {
     /// Render a JSON snapshot with a fixed key order (sorted by metric
     /// name; histogram sub-keys in a fixed order), one metric per line.
     pub fn render_json(&self) -> String {
-        let metrics = self.metrics.lock().unwrap();
+        let metrics = self.lock();
         let mut out = String::from("{\n");
         let mut first = true;
         for (name, metric) in metrics.iter() {
@@ -420,6 +428,27 @@ sling_test_c_ns_count 2
         assert!(a < m && m < z, "keys not sorted: {json}");
         assert!(json.contains("\"sling_test_a_total\": 2"));
         assert!(json.contains("\"count\": 1"));
+    }
+
+    #[test]
+    fn a_panicking_metric_does_not_poison_the_registry() {
+        let reg = MetricsRegistry::new();
+        reg.counter("sling_test_ok_total", "ok").add(2);
+        let first_call = std::sync::atomic::AtomicBool::new(true);
+        reg.counter_fn("sling_test_flaky_total", "panics once", move || {
+            assert!(!first_call.swap(false, Ordering::Relaxed), "first read");
+            7
+        });
+        let render =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.render_prometheus()));
+        assert!(render.is_err(), "the flaky metric should panic once");
+        assert!(reg
+            .render_prometheus()
+            .contains("\nsling_test_flaky_total 7\n"));
+        assert_eq!(reg.counter_value("sling_test_ok_total"), Some(2));
+        reg.counter("sling_test_late_total", "registered after")
+            .inc();
+        assert_eq!(reg.counter_value("sling_test_late_total"), Some(1));
     }
 
     #[test]

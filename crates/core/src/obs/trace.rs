@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Wall time charged to each kernel stage, in nanoseconds.
@@ -182,6 +182,8 @@ impl fmt::Display for SlowQueryRecord {
 pub struct SlowQueryLog {
     threshold: Duration,
     capacity: usize,
+    /// Every update is one pop or one push, so a poisoned lock is
+    /// recovered rather than unwrapped.
     ring: Mutex<VecDeque<SlowQueryRecord>>,
     admitted: std::sync::atomic::AtomicU64,
 }
@@ -209,7 +211,7 @@ impl SlowQueryLog {
         }
         self.admitted
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut ring = self.ring.lock().unwrap();
+        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         if ring.len() == self.capacity {
             ring.pop_front();
         }
@@ -223,7 +225,12 @@ impl SlowQueryLog {
 
     /// Oldest-first snapshot of the retained records.
     pub fn snapshot(&self) -> Vec<SlowQueryRecord> {
-        self.ring.lock().unwrap().iter().cloned().collect()
+        self.ring
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .cloned()
+            .collect()
     }
 }
 
@@ -310,6 +317,20 @@ mod tests {
         let epochs: Vec<u64> = snap.iter().map(|r| r.epoch).collect();
         assert_eq!(epochs, vec![2, 3, 4], "oldest evicted first");
         assert_eq!(log.admitted(), 5);
+    }
+
+    #[test]
+    fn slow_log_survives_a_panic_under_its_lock() {
+        let log = SlowQueryLog::new(Duration::from_micros(1), 3);
+        log.record(rec("PAIR", 10));
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = log.ring.lock();
+            panic!("panic while the ring is locked");
+        }));
+        assert!(poisoned.is_err() && log.ring.is_poisoned());
+        log.record(rec("SOURCE", 20));
+        let verbs: Vec<&str> = log.snapshot().iter().map(|r| r.verb).collect();
+        assert_eq!(verbs, ["PAIR", "SOURCE"]);
     }
 
     #[test]

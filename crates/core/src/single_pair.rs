@@ -12,7 +12,7 @@
 //! * the classic **linear merge** — one pass over both lists,
 //!   `O(|H*(u)| + |H*(v)|)`;
 //! * a **galloping merge** for skewed pairs (list lengths ≥
-//!   [`GALLOP_RATIO`]× apart): walk the short list and exponential-search
+//!   `GALLOP_RATIO`× apart): walk the short list and exponential-search
 //!   the long one, `O(|short| · log |long|)`. Hub-versus-leaf pairs are
 //!   the dominant shape on power-law graphs, where the hub list dwarfs
 //!   the leaf list and a linear pass wastes almost every comparison.

@@ -20,7 +20,7 @@ use crate::store::{EngineRef, HpStore};
 
 /// Reusable buffers for Algorithm 6. One per querying thread.
 ///
-/// Split into the dense propagation state ([`DenseScores`]) and the
+/// Split into the dense propagation state (`DenseScores`) and the
 /// entry-list scratch ([`QueryWorkspace`]) so the kernel can read the
 /// effective list in `query.buf_a` while mutating the propagation
 /// buffers — disjoint fields, disjoint borrows.

@@ -64,7 +64,7 @@ pub struct TrafficReport {
     pub burstiness: f64,
     /// Coefficient of variation of per-second arrival counts.
     pub arrival_cv: f64,
-    /// Simulated hit rate at each [`CURVE_CAPACITIES`] entry.
+    /// Simulated hit rate at each `CURVE_CAPACITIES` entry.
     pub hit_rate_curve: Vec<HitRatePoint>,
     /// Generation epochs spanned (max − min observed epoch + 1).
     pub epochs_spanned: u64,

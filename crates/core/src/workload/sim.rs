@@ -3,7 +3,7 @@
 //! admission-policy comparison in `BENCH_replay.json`.
 //!
 //! The simulator replays a trace's pair-keyed queries through the exact
-//! structures the live result cache uses ([`LruList`] plus
+//! structures the live result cache uses (`LruList` plus
 //! [`FrequencySketch`]) with the same lookup-then-admit logic as
 //! `ShardedResultCache`, so a simulated hit rate is a faithful
 //! prediction of the real cache at that capacity and policy — not a

@@ -3,7 +3,7 @@
 //!
 //! Each worker owns one epoll instance (a [`polling::Poller`]) and a set
 //! of nonblocking connections, handed to it round-robin by the acceptor.
-//! A connection is a small state machine ([`Conn`]): bytes accumulate in
+//! A connection is a small state machine (`Conn`): bytes accumulate in
 //! an incremental read buffer until a full newline-terminated request is
 //! framed, every response produced in one readiness *turn* is coalesced
 //! into a pending-write buffer and flushed with a single `write`, and a
@@ -15,8 +15,8 @@
 //!
 //! Scheduling is cooperative and fair: readiness events feed a
 //! round-robin ready queue, a continuously pipelining connection yields
-//! back to that queue after [`YIELD_AFTER`] requests, and a connection
-//! owing more than [`OUT_HIGH_WATER`] pending response bytes stops being
+//! back to that queue after `YIELD_AFTER` requests, and a connection
+//! owing more than `OUT_HIGH_WATER` pending response bytes stops being
 //! read until the peer drains it (backpressure). Each worker keeps one
 //! warm [`QueryWorkspace`] — the query hot path stays allocation-free
 //! and lock-free. Shutdown is lost-wakeup-safe by construction: the
