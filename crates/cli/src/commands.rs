@@ -870,39 +870,43 @@ fn spawn_metrics_snapshot(registry: Arc<MetricsRegistry>, opts: SnapshotOpts) {
 /// `--watch` / `--watch-ms`). The optional `GRAPH` positional is the
 /// fallback for generations without a co-located graph snapshot.
 pub fn cmd_serve(args: &Args) -> Result<String, String> {
+    // Contradictory flag combinations are rejected before faults are
+    // installed or the listener is bound, so the operator hears the flag
+    // error whatever state the port is in.
+    let root = args.flag("index-root");
+    if root.is_some() && args.positional(1, "index").is_ok() {
+        // With --index-root the only positional is the optional fallback
+        // graph; a leftover INDEX argument means the operator bolted
+        // --index-root onto a pinned `serve GRAPH INDEX` invocation and
+        // would otherwise have it silently dropped.
+        return Err(
+            "--index-root serves the store's promoted generation; drop the INDEX \
+             positional (only an optional fallback GRAPH is accepted)"
+                .to_string(),
+        );
+    }
+    if root.is_none() && (args.switch("watch") || args.flag("watch-ms").is_some()) {
+        // Pinned single-index serving: there is nothing to watch, so a
+        // watch flag here means the operator expected hot reload and
+        // must hear that it will not happen.
+        return Err(
+            "--watch/--watch-ms only apply with --index-root DIR (a pinned GRAPH INDEX \
+             server has no generation store to watch)"
+                .to_string(),
+        );
+    }
     install_faults(args)?;
     let backend = parse_backend(args)?;
     let config = serve_config(args)?;
     let snapshot = snapshot_opts(args)?;
     let listener = bind_listener(args, "127.0.0.1:7462")?;
-    if let Some(root) = args.flag("index-root") {
-        // With --index-root the only positional is the optional fallback
-        // graph; a leftover INDEX argument means the operator bolted
-        // --index-root onto a pinned `serve GRAPH INDEX` invocation and
-        // would otherwise have it silently dropped.
-        if args.positional(1, "index").is_ok() {
-            return Err(
-                "--index-root serves the store's promoted generation; drop the INDEX \
-                 positional (only an optional fallback GRAPH is accepted)"
-                    .to_string(),
-            );
-        }
+    if let Some(root) = root {
         let store = GenerationStore::open(root).map_err(|e| format!("{root}: {e}"))?;
         let fallback = match args.positional(0, "graph") {
             Ok(path) => Some(Arc::new(load_graph(path)?)),
             Err(_) => None,
         };
         return serve_root(store, fallback, backend, listener, config, snapshot);
-    }
-    // Pinned single-index serving: there is nothing to watch, so a
-    // watch flag here means the operator expected hot reload and must
-    // hear that it will not happen.
-    if args.switch("watch") || args.flag("watch-ms").is_some() {
-        return Err(
-            "--watch/--watch-ms only apply with --index-root DIR (a pinned GRAPH INDEX \
-             server has no generation store to watch)"
-                .to_string(),
-        );
     }
     let graph_path = args.positional(0, "graph")?;
     let index_path = args.positional(1, "index")?;
@@ -3867,6 +3871,57 @@ mod tests {
         assert!(run_str(&format!("generations {root} --gc all"))
             .unwrap_err()
             .contains("--gc"));
+    }
+
+    #[test]
+    fn read_only_commands_create_no_index_root() {
+        let (dir, _g, idx) = workload_fixture("noroot");
+        let typo = dir.join("typo");
+        let deep = typo.join("a").join("b").display().to_string();
+        let err = run_str(&format!("generations {deep}")).unwrap_err();
+        assert!(err.starts_with(&deep), "{err}");
+        let sock = dir.join("noroot.sock");
+        let err = run_str(&format!(
+            "serve --index-root {deep} --unix {}",
+            sock.display()
+        ))
+        .unwrap_err();
+        assert!(err.starts_with(&deep), "{err}");
+        assert!(!typo.exists(), "a read-only command created {deep}");
+        // Publishing still creates the root it writes into.
+        let fresh = dir.join("fresh");
+        let out = run_str(&format!(
+            "promote {} --index {}",
+            fresh.display(),
+            idx.display()
+        ))
+        .unwrap();
+        assert!(
+            out.starts_with("published gen-0001 is now CURRENT"),
+            "{out}"
+        );
+        assert!(fresh.join("gen-0001").join("index.slng").is_file());
+    }
+
+    #[test]
+    fn serve_reports_flag_errors_before_binding() {
+        let (dir, g, idx) = workload_fixture("serveflags");
+        // Hold the port, so binding it would fail with "Address already
+        // in use"; each flag error must still be the one reported.
+        let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = held.local_addr().unwrap();
+        let (g, idx) = (g.display(), idx.display());
+        let err = run_str(&format!("serve {g} {idx} --listen {addr} --watch")).unwrap_err();
+        assert!(err.contains("--watch/--watch-ms only apply"), "{err}");
+        let err = run_str(&format!("serve {g} {idx} --listen {addr} --watch-ms 50")).unwrap_err();
+        assert!(err.contains("--watch/--watch-ms only apply"), "{err}");
+        let root = dir.join("root");
+        let err = run_str(&format!(
+            "serve --index-root {} {g} {idx} --listen {addr}",
+            root.display()
+        ))
+        .unwrap_err();
+        assert!(err.contains("drop the INDEX positional"), "{err}");
     }
 
     #[test]

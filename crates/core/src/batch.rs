@@ -8,82 +8,24 @@
 //! any bulk-scoring application (link-prediction sweeps, offline
 //! recommendation refreshes) want.
 //!
-//! Work is claimed in fixed blocks — an input chunk together with the
-//! matching disjoint `chunks_mut` chunk of the output — the same
-//! skew-balancing scheme as [`crate::parallel`]. Every output slot is
-//! written by exactly one worker, so results are deterministic and
-//! identical to the serial path, all in safe code. The cores are
-//! generic over [`HpStore`]`: Sync`, so batches run against the in-memory
-//! arena and the mapped backends alike; a failing store read aborts the
-//! batch with the first error observed.
+//! Batches run on the block loop of [`crate::parallel`], the one that
+//! index construction runs on: a worker claims an input block together
+//! with the matching disjoint block of output slots, so every slot is
+//! written by exactly one worker and results are deterministic and
+//! identical to the serial path. The cores are generic over
+//! [`HpStore`]`: Sync`, so batches run against the in-memory arena and
+//! the mapped backends alike; a failing store read aborts the batch
+//! with the first error observed.
 
-use parking_lot::Mutex;
 use sling_graph::{DiGraph, NodeId};
 
 use crate::cache::ShardedResultCache;
 use crate::error::SlingError;
 use crate::index::{QueryWorkspace, SlingIndex};
+use crate::parallel::run_batch;
 use crate::single_pair::single_pair_core;
 use crate::single_source::{single_source_core, SingleSourceWorkspace};
 use crate::store::{EngineRef, HpStore, SharedEngine};
-
-/// Inputs (and output slots) claimed per worker turn.
-const BLOCK: usize = 32;
-
-/// The one batch loop: evaluate `run` over `inputs` into the
-/// positionally aligned `out` on `threads` workers, each with its own
-/// workspace from `workspace`. A worker claims the next input block
-/// together with its output block and hands both to `run`. The first
-/// error aborts the batch: once it is recorded no worker claims another
-/// block, and it is returned.
-fn run_batch<I: Sync, T: Send, W>(
-    inputs: &[I],
-    out: &mut [T],
-    threads: usize,
-    workspace: impl Fn() -> W + Sync,
-    run: impl Fn(&mut W, &[I], &mut [T]) -> Result<(), SlingError> + Sync,
-) -> Result<(), SlingError> {
-    debug_assert_eq!(inputs.len(), out.len());
-    let threads = threads.max(1).min(inputs.len().div_ceil(BLOCK).max(1));
-    let claims = Mutex::new((
-        inputs.chunks(BLOCK).zip(out.chunks_mut(BLOCK)),
-        None::<SlingError>,
-    ));
-    let work = || {
-        let mut ws = workspace();
-        loop {
-            let claimed = {
-                let mut guard = claims.lock();
-                let (blocks, error) = &mut *guard;
-                match error {
-                    Some(_) => None,
-                    None => blocks.next(),
-                }
-            };
-            let Some((block, slots)) = claimed else {
-                break;
-            };
-            if let Err(err) = run(&mut ws, block, slots) {
-                claims.lock().1.get_or_insert(err);
-                break;
-            }
-        }
-    };
-    if threads == 1 {
-        work();
-    } else {
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| work());
-            }
-        })
-        .expect("batch query worker panicked");
-    }
-    match claims.into_inner().1 {
-        Some(err) => Err(err),
-        None => Ok(()),
-    }
-}
 
 /// Batched Algorithm 3 over any `Sync` storage backend.
 pub(crate) fn batch_single_pair_core<S: HpStore + Sync>(

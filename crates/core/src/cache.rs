@@ -12,25 +12,23 @@
 //!
 //! Three layers live here:
 //!
-//! * `LruList` *(crate-internal)* — an open-hash map over an intrusive
+//! * `LruList` *(private)* — an open-hash map over an intrusive
 //!   doubly-linked LRU list, built on the workspace's [`FxHashMap`]; all
-//!   operations `O(1)` expected, no external LRU crate. It backs every
-//!   LRU in the crate: the result cache below and the cache simulator
-//!   in [`crate::workload`].
-//! * [`FrequencySketch`] — the count-min sketch behind
+//!   operations `O(1)` expected, no external LRU crate.
+//! * `FrequencySketch` *(private)* — the count-min sketch behind
 //!   [`Admission::TinyLfu`], which keeps one-touch scans from churning
 //!   the hot entries of an LRU.
 //! * [`ShardedResultCache`] — a `Sync` global result cache: N
-//!   power-of-two shards, each an independently locked `LruList`, with
-//!   [`AtomicCacheStats`] counters that stay exact under concurrency.
-//!   This is what a long-lived server shares across its worker threads
-//!   (see `sling-server`), and what the cached batch path
-//!   ([`crate::store::SharedEngine::batch_single_pair_cached`]) uses.
-//!   Besides scores it memoizes **negative verdicts** — a pair naming an
-//!   out-of-range node id caches a sentinel ([`CachedVerdict`]), so
-//!   repeated garbage traffic never reaches the engine — and identity
-//!   pairs `(u, u)`, whose Eq. (17) estimate is a real computation when
-//!   `exact_diagonal` is off.
+//!   power-of-two shards, each an independently locked `LruList` with
+//!   its sketch, and [`AtomicCacheStats`] counters that stay exact under
+//!   concurrency. This is what a long-lived server shares across its
+//!   worker threads (see `sling-server`), what the cached batch path
+//!   ([`crate::store::SharedEngine::batch_single_pair_cached`]) uses, and
+//!   what the cache simulator in [`crate::workload::sim`] replays traces
+//!   through. It memoizes computed scores only, identity pairs `(u, u)`
+//!   included when their Eq. (17) estimate is a real computation
+//!   (`exact_diagonal` off); a pair naming an out-of-range node id fails
+//!   its `O(1)` range check before the cache is probed.
 
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -127,12 +125,11 @@ struct Slot<K, V> {
 /// Open-hash map over an intrusive doubly-linked LRU list.
 ///
 /// The one LRU implementation in the crate: each [`ShardedResultCache`]
-/// shard keys it by canonical pair, and so does the cache simulator
-/// that replays traces against it.
+/// shard keys it by canonical pair.
 /// Slots are recycled through a free list, links are `u32` indices into
 /// one slab — no per-entry allocation, `O(1)` expected `get` / `insert` /
 /// `pop_lru`.
-pub(crate) struct LruList<K, V> {
+struct LruList<K, V> {
     map: FxHashMap<K, u32>,
     slots: Vec<Slot<K, V>>,
     head: u32,
@@ -153,22 +150,22 @@ impl<K, V> Default for LruList<K, V> {
 }
 
 impl<K: Copy + Eq + Hash, V: Default> LruList<K, V> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Entries currently resident.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.map.len()
     }
 
     /// Whether the list holds no entries.
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
     /// Drop all entries (slab capacity is kept).
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
         self.free.clear();
@@ -206,7 +203,7 @@ impl<K: Copy + Eq + Hash, V: Default> LruList<K, V> {
     }
 
     /// Value of `key`, promoted to most-recently-used.
-    pub(crate) fn get(&mut self, key: &K) -> Option<&V> {
+    fn get(&mut self, key: &K) -> Option<&V> {
         let idx = *self.map.get(key)?;
         self.detach(idx);
         self.push_front(idx);
@@ -215,7 +212,7 @@ impl<K: Copy + Eq + Hash, V: Default> LruList<K, V> {
 
     /// Insert a key **not currently present** as most-recently-used,
     /// reusing a freed slot when one exists.
-    pub(crate) fn insert(&mut self, key: K, value: V) {
+    fn insert(&mut self, key: K, value: V) {
         debug_assert!(!self.map.contains_key(&key), "LruList::insert on live key");
         let idx = if let Some(reuse) = self.free.pop() {
             let s = &mut self.slots[reuse as usize];
@@ -237,7 +234,7 @@ impl<K: Copy + Eq + Hash, V: Default> LruList<K, V> {
 
     /// Remove one key (used to drop entries invalidated by an epoch
     /// bump); its slot is recycled through the free list.
-    pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
+    fn remove(&mut self, key: &K) -> Option<V> {
         let idx = self.map.remove(key)?;
         self.detach(idx);
         self.free.push(idx);
@@ -245,7 +242,7 @@ impl<K: Copy + Eq + Hash, V: Default> LruList<K, V> {
     }
 
     /// Evict and return the least-recently-used entry.
-    pub(crate) fn pop_lru(&mut self) -> Option<(K, V)> {
+    fn pop_lru(&mut self) -> Option<(K, V)> {
         let victim = self.tail;
         if victim == NIL {
             return None;
@@ -262,7 +259,7 @@ impl<K: Copy + Eq + Hash, V: Default> LruList<K, V> {
     /// The least-recently-used entry, without evicting or touching it —
     /// the candidate-versus-victim probe frequency-sketch admission
     /// needs before committing to an eviction.
-    pub(crate) fn peek_lru(&self) -> Option<(&K, &V)> {
+    fn peek_lru(&self) -> Option<(&K, &V)> {
         if self.tail == NIL {
             return None;
         }
@@ -271,8 +268,8 @@ impl<K: Copy + Eq + Hash, V: Default> LruList<K, V> {
     }
 }
 
-/// Admission policy of the [`ShardedResultCache`] (and of the offline
-/// cache simulation in [`crate::workload::sim`]).
+/// Admission policy of the [`ShardedResultCache`] (and so of the offline
+/// cache simulation in [`crate::workload::sim`], which runs one).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Admission {
     /// Plain LRU: every insert is admitted, evicting the tail.
@@ -316,7 +313,7 @@ impl Admission {
 /// as the LRU list it advises, so advising admission adds no extra
 /// synchronization.
 #[derive(Debug, Default)]
-pub struct FrequencySketch {
+struct FrequencySketch {
     /// 16 packed 4-bit counters per word; length a power of two.
     table: Vec<u64>,
     /// `table.len() - 1`.
@@ -331,7 +328,7 @@ impl FrequencySketch {
     /// Sketch sized for a cache of `capacity` entries: ~8 counters per
     /// entry, aged every `10 × capacity` additions (the Caffeine
     /// defaults, which keep estimate error small at 4 bits).
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         let words = (capacity.max(16) / 2).next_power_of_two();
         FrequencySketch {
             table: vec![0; words],
@@ -343,7 +340,7 @@ impl FrequencySketch {
 
     /// Whether the sketch has a table (a defaulted sketch is a no-op
     /// placeholder used by LRU-policy shards).
-    pub(crate) fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         !self.table.is_empty()
     }
 
@@ -367,7 +364,7 @@ impl FrequencySketch {
 
     /// Charge one access to `hash` (saturating at 15), aging the table
     /// at the sample cap.
-    pub fn increment(&mut self, hash: u64) {
+    fn increment(&mut self, hash: u64) {
         if !self.is_enabled() {
             return;
         }
@@ -389,7 +386,7 @@ impl FrequencySketch {
     }
 
     /// Estimated access frequency of `hash` (0–15).
-    pub fn estimate(&self, hash: u64) -> u64 {
+    fn estimate(&self, hash: u64) -> u64 {
         if !self.is_enabled() {
             return 0;
         }
@@ -413,7 +410,7 @@ impl FrequencySketch {
     /// Forget everything — called on generation-epoch swaps, where
     /// popularity measured against the retired index must not bias
     /// admission on the new one.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.table.iter_mut().for_each(|w| *w = 0);
         self.additions = 0;
     }
@@ -426,7 +423,7 @@ fn h_rot(hash: u64, i: u64) -> u64 {
 
 /// Hash a canonical pair key for the frequency sketch.
 #[inline]
-pub(crate) fn pair_hash(key: (u32, u32)) -> u64 {
+fn pair_hash(key: (u32, u32)) -> u64 {
     let mut z = ((key.0 as u64) << 32) | key.1 as u64;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -438,29 +435,6 @@ pub(crate) fn pair_hash(key: (u32, u32)) -> u64 {
 #[inline]
 fn pair_key(u: NodeId, v: NodeId) -> (u32, u32) {
     (u.0.min(v.0), u.0.max(v.0))
-}
-
-/// Sentinel bit pattern for a cached *negative* verdict: a quiet NaN
-/// with a recognizable payload. Legitimate cached scores are validated
-/// finite probabilities (see [`crate::store::HpStore`] — every backend
-/// rejects non-finite values at decode), so the sentinel can never
-/// collide with a real score, and a negative entry costs the same 8
-/// bytes as a positive one.
-const NEGATIVE_BITS: u64 = 0x7ff8_6f6f_7261_6e67; // qNaN, "orang(e)" payload
-
-#[inline]
-fn is_negative_sentinel(value: f64) -> bool {
-    value.to_bits() == NEGATIVE_BITS
-}
-
-/// What a [`ShardedResultCache`] remembers about a pair.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum CachedVerdict {
-    /// The pair's computed SimRank score.
-    Score(f64),
-    /// The pair references a node id `≥ n`: the query errors without
-    /// touching the store, and so do all its repeats.
-    OutOfRange,
 }
 
 /// One cached entry: the value plus the **generation epoch** it was
@@ -618,12 +592,10 @@ impl ShardedResultCache {
         }
     }
 
-    /// Cached verdict of the (canonicalized) pair, recording a hit or
-    /// miss. Negative verdicts count as hits: the whole point of caching
-    /// them is that the repeat costs a shard probe instead of a query.
-    /// An entry from a retired generation epoch reads as a miss and is
-    /// dropped on touch.
-    pub fn lookup(&self, u: NodeId, v: NodeId) -> Option<CachedVerdict> {
+    /// Cached score of the (canonicalized) pair, recording a hit or
+    /// miss. An entry from a retired generation epoch reads as a miss
+    /// and is dropped on touch.
+    pub fn lookup(&self, u: NodeId, v: NodeId) -> Option<f64> {
         self.lookup_tagged(u, v, self.epoch())
     }
 
@@ -637,7 +609,7 @@ impl ShardedResultCache {
     /// nor the current one are dropped on touch; an entry from the
     /// current epoch observed by an older-generation request is left in
     /// place for the requests that can use it.
-    pub fn lookup_tagged(&self, u: NodeId, v: NodeId, epoch: u64) -> Option<CachedVerdict> {
+    pub fn lookup_tagged(&self, u: NodeId, v: NodeId, epoch: u64) -> Option<f64> {
         let key = pair_key(u, v);
         let current = self.epoch();
         let hit = {
@@ -663,33 +635,16 @@ impl ShardedResultCache {
             Some(_) => self.stats.record_hit(),
             None => self.stats.record_miss(),
         }
-        hit.map(|value| {
-            if is_negative_sentinel(value) {
-                CachedVerdict::OutOfRange
-            } else {
-                CachedVerdict::Score(value)
-            }
-        })
-    }
-
-    /// Cached score of the (canonicalized) pair, recording a hit or miss.
-    /// A cached negative verdict reads as `None` (use
-    /// [`ShardedResultCache::lookup`] to distinguish it from absence).
-    pub fn get(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        match self.lookup(u, v) {
-            Some(CachedVerdict::Score(s)) => Some(s),
-            _ => None,
-        }
+        hit
     }
 
     /// Insert a computed score tagged with the **current** epoch,
     /// evicting the shard's LRU entry at capacity. A key another thread
     /// already inserted is left untouched (deterministic queries make
     /// the values identical). Non-finite values are rejected — no
-    /// backend can legitimately produce one, and admitting a NaN could
-    /// forge the negative sentinel. Callers racing a generation swap
-    /// should use [`ShardedResultCache::insert_tagged`] with an epoch
-    /// captured *before* computing.
+    /// backend can legitimately produce one. Callers racing a generation
+    /// swap should use [`ShardedResultCache::insert_tagged`] with an
+    /// epoch captured *before* computing.
     pub fn insert(&self, u: NodeId, v: NodeId, value: f64) {
         self.insert_tagged(u, v, value, self.epoch());
     }
@@ -699,40 +654,14 @@ impl ShardedResultCache {
     /// computed) the insert is dropped — a score from a retired index
     /// must never be admitted as fresh.
     pub fn insert_tagged(&self, u: NodeId, v: NodeId, value: f64, epoch: u64) {
-        if !value.is_finite() {
-            return;
+        if !value.is_finite() || epoch != self.epoch() {
+            return; // not a score, or computed against a retired generation
         }
-        self.insert_raw(pair_key(u, v), EpochSlot { epoch, value });
-    }
-
-    /// Remember that this (canonicalized) pair references an out-of-range
-    /// node id, so repeats are answered from the cache. Negative entries
-    /// share the LRU space and eviction policy with scores.
-    pub fn insert_negative(&self, u: NodeId, v: NodeId) {
-        self.insert_negative_tagged(u, v, self.epoch());
-    }
-
-    /// Epoch-tagged variant of [`ShardedResultCache::insert_negative`]
-    /// (out-of-range verdicts survive swaps only if `n` is unchanged, so
-    /// they obey the same epoch rules as scores).
-    pub fn insert_negative_tagged(&self, u: NodeId, v: NodeId, epoch: u64) {
-        self.insert_raw(
-            pair_key(u, v),
-            EpochSlot {
-                epoch,
-                value: f64::from_bits(NEGATIVE_BITS),
-            },
-        );
-    }
-
-    fn insert_raw(&self, key: (u32, u32), slot: EpochSlot) {
-        if slot.epoch != self.epoch() {
-            return; // computed against a retired generation
-        }
+        let key = pair_key(u, v);
         let mut shard = self.shards[self.shard_index(key)].lock();
         match shard.list.get(&key) {
             // First insert wins while the entry is live...
-            Some(live) if live.epoch == slot.epoch => return,
+            Some(live) if live.epoch == epoch => return,
             // ...but a retired-epoch entry is dead weight: replace it.
             Some(_) => {
                 shard.list.remove(&key);
@@ -750,7 +679,7 @@ impl ShardedResultCache {
                     // one-touch keys cannot churn each other either. A
                     // retired-epoch victim is dead weight and is never
                     // protected.
-                    if victim_slot.epoch == slot.epoch
+                    if victim_slot.epoch == epoch
                         && shard.sketch.estimate(pair_hash(key))
                             <= shard.sketch.estimate(pair_hash(victim))
                     {
@@ -763,7 +692,7 @@ impl ShardedResultCache {
             shard.list.pop_lru();
             self.stats.record_evictions(1);
         }
-        shard.list.insert(key, slot);
+        shard.list.insert(key, EpochSlot { epoch, value });
     }
 
     /// Counter snapshot (exact even while other threads query).
@@ -797,13 +726,11 @@ impl<S: HpStore> SharedEngine<S> {
     /// state, or which thread populated the entry — the property the
     /// multi-threaded equivalence tests pin down.
     ///
-    /// Trivial and degenerate lookups are memoized too, not just real
-    /// scores: identity pairs `(u, u)` (which run the full Eq. (17)
-    /// estimate when `exact_diagonal` is off) cache their score like any
-    /// other pair, and a pair referencing an out-of-range node id caches
-    /// a negative verdict — repeats of garbage traffic cost one shard
-    /// probe plus an `O(1)` re-derivation of the structured error,
-    /// instead of reaching the engine every time.
+    /// Identity pairs `(u, u)`, which run the full Eq. (17) estimate
+    /// when `exact_diagonal` is off, cache their score like any other
+    /// pair. A pair naming an out-of-range node id fails its `O(1)`
+    /// range check before the cache is probed, so garbage traffic takes
+    /// no shard lock and evicts nothing.
     pub fn single_pair_cached(
         &self,
         graph: &DiGraph,
@@ -834,43 +761,28 @@ impl<S: HpStore> SharedEngine<S> {
         v: NodeId,
         epoch: u64,
     ) -> Result<f64, SlingError> {
-        // Under `exact_diagonal` an in-range identity pair is a literal
-        // constant — cheaper to answer than to probe a shard lock, and
-        // caching it would evict scores that are actually expensive.
-        // (An *out-of-range* self-pair still flows through the cache
-        // below and memoizes its negative verdict.)
-        if u == v && self.config().exact_diagonal && u.index() < self.num_nodes() {
-            return self.single_pair_with(graph, ws, u, v);
-        }
+        // Range-check the canonical pair first, so either argument
+        // order gives the same structured error.
         let (a, b) = if u.0 <= v.0 { (u, v) } else { (v, u) };
-        match cache.lookup_tagged(a, b, epoch) {
-            Some(CachedVerdict::Score(hit)) => return Ok(hit),
-            Some(CachedVerdict::OutOfRange) => {
-                // Re-derive the structured error from the O(1) range
-                // check — same error either argument order produced.
-                // (If the engine somehow disagrees with the verdict —
-                // impossible while engines stay immutable — fall through
-                // and compute rather than trusting a corrupted cache.)
-                let e = self.engine_ref();
-                e.check_node(a).and_then(|()| e.check_node(b))?;
-            }
-            None => {}
+        let e = self.engine_ref();
+        e.check_node(a)?;
+        e.check_node(b)?;
+        // Under `exact_diagonal` an identity pair is a literal constant —
+        // cheaper to answer than to probe a shard lock, and caching it
+        // would evict scores that are actually expensive.
+        if a == b && self.config().exact_diagonal {
+            return self.single_pair_with(graph, ws, a, b);
+        }
+        if let Some(hit) = cache.lookup_tagged(a, b, epoch) {
+            return Ok(hit);
         }
         // Prefetch only on the miss path: a hit never touches the store,
         // so advising it would be pure syscall overhead on the hot path.
         self.store().prefetch(a);
         self.store().prefetch(b);
-        match self.single_pair_with(graph, ws, a, b) {
-            Ok(value) => {
-                cache.insert_tagged(a, b, value, epoch);
-                Ok(value)
-            }
-            Err(err @ SlingError::NodeOutOfRange { .. }) => {
-                cache.insert_negative_tagged(a, b, epoch);
-                Err(err)
-            }
-            Err(err) => Err(err),
-        }
+        let value = self.single_pair_with(graph, ws, a, b)?;
+        cache.insert_tagged(a, b, value, epoch);
+        Ok(value)
     }
 }
 
@@ -951,49 +863,49 @@ mod tests {
         let cache = ShardedResultCache::new(8, 4);
         assert_eq!(cache.num_shards(), 4);
         assert_eq!(cache.capacity(), 8);
-        assert_eq!(cache.get(NodeId(1), NodeId(2)), None);
+        assert_eq!(cache.lookup(NodeId(1), NodeId(2)), None);
         cache.insert(NodeId(2), NodeId(1), 0.25); // canonicalized
-        assert_eq!(cache.get(NodeId(1), NodeId(2)), Some(0.25));
+        assert_eq!(cache.lookup(NodeId(1), NodeId(2)), Some(0.25));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         // Double insert of a live key is a no-op.
         cache.insert(NodeId(1), NodeId(2), 0.99);
-        assert_eq!(cache.get(NodeId(1), NodeId(2)), Some(0.25));
+        assert_eq!(cache.lookup(NodeId(1), NodeId(2)), Some(0.25));
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.get(NodeId(1), NodeId(2)), None);
+        assert_eq!(cache.lookup(NodeId(1), NodeId(2)), None);
     }
 
     #[test]
-    fn negative_verdicts_are_cached_and_served() {
+    fn out_of_range_pairs_never_touch_the_cache() {
         let (g, idx) = setup(); // n = 10
         let n = g.num_nodes() as u32;
         let engine: SharedEngine<HpArena> = idx.into();
         let cache = ShardedResultCache::with_capacity(16);
         let mut ws = QueryWorkspace::new();
-        // First garbage query: miss, computes, errors, caches the verdict.
-        let err = engine
-            .single_pair_cached(&g, &mut ws, &cache, NodeId(2), NodeId(n + 7))
-            .unwrap_err();
-        assert!(matches!(err, SlingError::NodeOutOfRange { node, .. } if node == n + 7));
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(
-            cache.lookup(NodeId(2), NodeId(n + 7)),
-            Some(CachedVerdict::OutOfRange)
-        );
-        // Repeats — in either argument order — are hits with the same
-        // structured error.
+        let mut query = |u, v| {
+            engine
+                .single_pair_cached(&g, &mut ws, &cache, NodeId(u), NodeId(v))
+                .unwrap_err()
+        };
+        // One bad endpoint, in either argument order, and repeated.
         for _ in 0..3 {
-            let err = engine
-                .single_pair_cached(&g, &mut ws, &cache, NodeId(n + 7), NodeId(2))
-                .unwrap_err();
-            assert!(matches!(err, SlingError::NodeOutOfRange { node, .. } if node == n + 7));
+            for (u, v) in [(2, n + 7), (n + 7, 2)] {
+                let err = query(u, v);
+                assert!(
+                    matches!(err, SlingError::NodeOutOfRange { node, .. } if node == n + 7),
+                    "({u}, {v}): {err}"
+                );
+            }
         }
-        // 1 probe miss + (1 direct lookup + 3 repeats) hits.
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().hits, 4);
-        // `get` never surfaces the sentinel as a score.
-        assert_eq!(cache.get(NodeId(2), NodeId(n + 7)), None);
+        // Two bad endpoints name the smaller id in either order, and so
+        // does an out-of-range identity pair.
+        let (a, b) = (query(n + 9, n + 3), query(n + 3, n + 9));
+        assert!(matches!(a, SlingError::NodeOutOfRange { node, .. } if node == n + 3));
+        assert_eq!(a.to_string(), b.to_string());
+        assert!(matches!(query(n, n), SlingError::NodeOutOfRange { node, .. } if node == n));
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]
@@ -1049,9 +961,8 @@ mod tests {
         let cache = ShardedResultCache::with_capacity(8);
         cache.insert(NodeId(0), NodeId(1), f64::NAN);
         cache.insert(NodeId(0), NodeId(1), f64::INFINITY);
+        cache.insert(NodeId(0), NodeId(1), f64::NEG_INFINITY);
         assert!(cache.is_empty());
-        // In particular, a forged sentinel cannot enter through insert.
-        cache.insert(NodeId(0), NodeId(1), f64::from_bits(super::NEGATIVE_BITS));
         assert_eq!(cache.lookup(NodeId(0), NodeId(1)), None);
     }
 
@@ -1059,15 +970,11 @@ mod tests {
     fn epoch_bump_invalidates_resident_entries() {
         let cache = ShardedResultCache::new(8, 1);
         cache.insert(NodeId(0), NodeId(1), 0.25);
-        cache.insert_negative(NodeId(0), NodeId(99));
-        assert_eq!(cache.get(NodeId(0), NodeId(1)), Some(0.25));
-        assert_eq!(
-            cache.lookup(NodeId(0), NodeId(99)),
-            Some(CachedVerdict::OutOfRange)
-        );
+        cache.insert(NodeId(0), NodeId(99), 0.125);
+        assert_eq!(cache.lookup(NodeId(0), NodeId(1)), Some(0.25));
+        assert_eq!(cache.lookup(NodeId(0), NodeId(99)), Some(0.125));
         // A generation swap advances the epoch: both entries must now
-        // read as misses (and be dropped on touch), score and negative
-        // verdict alike.
+        // read as misses (and be dropped on touch).
         assert_eq!(cache.advance_epoch(), 1);
         assert_eq!(cache.epoch(), 1);
         assert_eq!(cache.lookup(NodeId(0), NodeId(1)), None);
@@ -1075,7 +982,7 @@ mod tests {
         assert!(cache.is_empty(), "stale entries must be dropped on touch");
         // The new generation refills the same keys.
         cache.insert(NodeId(0), NodeId(1), 0.5);
-        assert_eq!(cache.get(NodeId(0), NodeId(1)), Some(0.5));
+        assert_eq!(cache.lookup(NodeId(0), NodeId(1)), Some(0.5));
     }
 
     #[test]
@@ -1089,10 +996,7 @@ mod tests {
         assert_eq!(cache.lookup_tagged(NodeId(0), NodeId(1), 1), None);
         // ...and probing it must not evict the current generation's
         // entry, which stays served to current-epoch requests.
-        assert_eq!(
-            cache.lookup_tagged(NodeId(0), NodeId(1), 2),
-            Some(CachedVerdict::Score(0.5))
-        );
+        assert_eq!(cache.lookup_tagged(NodeId(0), NodeId(1), 2), Some(0.5));
         assert_eq!(cache.len(), 1);
         // An entry from neither the requested nor the current epoch is
         // dead weight and is dropped on touch.
@@ -1115,7 +1019,7 @@ mod tests {
         cache.insert_tagged(NodeId(0), NodeId(2), 0.1, 7);
         cache.set_epoch(8);
         cache.insert_tagged(NodeId(0), NodeId(2), 0.9, 8);
-        assert_eq!(cache.get(NodeId(0), NodeId(2)), Some(0.9));
+        assert_eq!(cache.lookup(NodeId(0), NodeId(2)), Some(0.9));
         assert_eq!(cache.len(), 1);
     }
 
@@ -1149,12 +1053,12 @@ mod tests {
         let cache = ShardedResultCache::new(2, 1);
         cache.insert(NodeId(0), NodeId(1), 0.1);
         cache.insert(NodeId(0), NodeId(2), 0.2);
-        assert!(cache.get(NodeId(0), NodeId(1)).is_some()); // {0,1} -> MRU
+        assert!(cache.lookup(NodeId(0), NodeId(1)).is_some()); // {0,1} -> MRU
         cache.insert(NodeId(0), NodeId(3), 0.3); // evicts {0,2}
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(NodeId(0), NodeId(2)).is_none());
-        assert!(cache.get(NodeId(0), NodeId(1)).is_some());
+        assert!(cache.lookup(NodeId(0), NodeId(2)).is_none());
+        assert!(cache.lookup(NodeId(0), NodeId(1)).is_some());
     }
 
     #[test]
@@ -1273,7 +1177,7 @@ mod tests {
         let hot: Vec<(u32, u32)> = (0..24).map(|i| (i, i + 1000)).collect();
         let run = |cache: &ShardedResultCache| {
             for &(u, v) in &hot {
-                cache.get(NodeId(u), NodeId(v));
+                cache.lookup(NodeId(u), NodeId(v));
                 cache.insert(NodeId(u), NodeId(v), 0.25);
             }
             let mut hot_hits = 0usize;
@@ -1281,14 +1185,14 @@ mod tests {
             for i in 0..6000usize {
                 if i % 3 == 0 {
                     let (u, v) = hot[(i / 3) % hot.len()];
-                    match cache.get(NodeId(u), NodeId(v)) {
+                    match cache.lookup(NodeId(u), NodeId(v)) {
                         Some(_) => hot_hits += 1,
                         None => cache.insert(NodeId(u), NodeId(v), 0.25),
                     }
                 } else {
                     cold += 1;
                     let (u, v) = (NodeId(100_000 + cold), NodeId(200_000 + cold));
-                    assert!(cache.get(u, v).is_none(), "cold keys are one-touch");
+                    assert!(cache.lookup(u, v).is_none(), "cold keys are one-touch");
                     cache.insert(u, v, 0.5);
                 }
             }
@@ -1320,7 +1224,7 @@ mod tests {
         // Make 16 old-generation keys very popular and resident.
         for _ in 0..10 {
             for i in 0..16u32 {
-                if cache.get(NodeId(i), NodeId(i + 100)).is_none() {
+                if cache.lookup(NodeId(i), NodeId(i + 100)).is_none() {
                     cache.insert(NodeId(i), NodeId(i + 100), 0.5);
                 }
             }
@@ -1328,7 +1232,7 @@ mod tests {
         // A fresh key is refused: zero sketched frequency vs a popular
         // victim.
         cache.insert(NodeId(777), NodeId(888), 0.25);
-        assert!(cache.get(NodeId(777), NodeId(888)).is_none());
+        assert!(cache.lookup(NodeId(777), NodeId(888)).is_none());
         assert!(cache.admission_rejects() > 0);
         let rejects_before = cache.admission_rejects();
         // Swap generations: resident entries invalidate lazily, the
@@ -1339,7 +1243,7 @@ mod tests {
             cache.insert(NodeId(500 + i), NodeId(600 + i), 0.75);
         }
         for i in 0..16u32 {
-            assert_eq!(cache.get(NodeId(500 + i), NodeId(600 + i)), Some(0.75));
+            assert_eq!(cache.lookup(NodeId(500 + i), NodeId(600 + i)), Some(0.75));
         }
         assert_eq!(cache.admission_rejects(), rejects_before);
     }

@@ -45,7 +45,9 @@ pub struct SlingConfig {
     /// `s(v,v) = 1` holds by definition, so this is a free accuracy win;
     /// disable it to measure the raw estimator (Figures 5–7 do).
     pub exact_diagonal: bool,
-    /// Worker threads for construction (1 = serial).
+    /// Worker threads for both construction phases, in memory and out of
+    /// core (1 runs them on the calling thread). Every count builds the
+    /// same index.
     pub threads: usize,
 }
 

@@ -1,21 +1,22 @@
 //! The SLING index: construction (§4.3–4.4, §5.2–5.3) and the query-side
 //! plumbing shared by single-pair and single-source queries.
 
+use std::io;
+
 use sling_graph::{DiGraph, NodeId};
 
 use crate::config::SlingConfig;
-use crate::correction::estimate_dk;
 use crate::enhance::{expand_marked, MarkArena};
 use crate::error::SlingError;
 use crate::hp::{HpArena, HpEntry};
-use crate::local_update::{reverse_hp_all, HpTriple};
+use crate::local_update::HpTriple;
 use crate::obs::{QueryTrace, StageNanos};
+use crate::parallel::{correction_phase, local_update_phase};
 use crate::store::{EngineRef, HpStore};
 use crate::two_hop::{two_hop_into, TwoHopScratch};
-use crate::walk::{task_rng, WalkEngine};
 
 /// Construction statistics, reported by the benchmark harness.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildStats {
     /// Total √c-walk pairs drawn while estimating correction factors.
     pub dk_samples: u64,
@@ -53,59 +54,19 @@ pub struct SlingIndex {
 }
 
 impl SlingIndex {
-    /// Build the index serially (see [`crate::parallel`] for the
-    /// multi-threaded builder, which produces an identical index for
-    /// `threads = 1`).
+    /// Build the index on `config.threads` workers: Algorithm 4's
+    /// correction factors, then Algorithm 2's triples, sorted in memory
+    /// and assembled with §5.2 reduction and §5.3 marking. Every thread
+    /// count builds the same index (see [`crate::parallel`]).
     ///
     /// Respects every knob in `config`; cost is
     /// `O(m/θ + n·(µ̄ + ε_d)/ε_d² · log(n/δ))` as in Theorem 1.
     pub fn build(graph: &DiGraph, config: &SlingConfig) -> Result<Self, SlingError> {
         config.validate()?;
-        if config.threads > 1 {
-            return crate::parallel::build_parallel(graph, config);
-        }
-        let n = graph.num_nodes();
-        let engine = WalkEngine::new(graph, config.c);
-        let delta_d = config.delta_d(n);
-
-        // Correction factors (Algorithm 1 / 4).
-        let mut dk_samples = 0u64;
-        let mut d = Vec::with_capacity(n);
-        for k in graph.nodes() {
-            let mut rng = task_rng(config.seed, k.0 as u64);
-            let est = estimate_dk(
-                graph,
-                &engine,
-                &mut rng,
-                k,
-                config.c,
-                config.eps_d,
-                delta_d,
-                config.adaptive_dk,
-            );
-            dk_samples += est.samples;
-            d.push(est.d);
-        }
-
-        // Hitting probabilities (Algorithm 2), gathered as triples and
-        // regrouped by owner.
-        let mut triples: Vec<HpTriple> = Vec::new();
-        reverse_hp_all(graph, config.sqrt_c(), config.theta, &mut |t| {
-            triples.push(t)
-        });
-        assemble(graph, config, d, triples, dk_samples)
-    }
-
-    /// Shared assembly: sort triples by owner, apply §5.2 reduction and
-    /// §5.3 marking, produce the final index. Used by all builders.
-    pub(crate) fn from_parts(
-        graph: &DiGraph,
-        config: &SlingConfig,
-        d: Vec<f64>,
-        triples: Vec<HpTriple>,
-        dk_samples: u64,
-    ) -> Result<Self, SlingError> {
-        assemble(graph, config, d, triples, dk_samples)
+        let (d, dk_samples) = correction_phase(graph, config)?;
+        let mut triples = local_update_phase(graph, config)?;
+        triples.sort_unstable_by_key(|t| (t.owner, t.step, t.target));
+        assemble(graph, config, d, dk_samples, triples.into_iter().map(Ok))
     }
 
     /// The configuration the index was built with.
@@ -319,16 +280,19 @@ impl QueryWorkspace {
     }
 }
 
-fn assemble(
+/// The one index assembler, shared by [`SlingIndex::build`] and
+/// [`crate::out_of_core::build_out_of_core`]: pack a triple stream sorted
+/// by `(owner, step, target)` into the arena, dropping the step-1/2
+/// entries of §5.2-reduced nodes, then apply §5.3 marking and record the
+/// [`BuildStats`]. The first stream error aborts the build.
+pub(crate) fn assemble(
     graph: &DiGraph,
     config: &SlingConfig,
     d: Vec<f64>,
-    mut triples: Vec<HpTriple>,
     dk_samples: u64,
+    sorted: impl Iterator<Item = io::Result<HpTriple>>,
 ) -> Result<SlingIndex, SlingError> {
     let n = graph.num_nodes();
-    triples.sort_unstable_by_key(|t| (t.owner, t.step, t.target));
-    let entries_before = triples.len();
 
     // §5.2: nodes with cheap exact two-hop recomputation drop steps 1-2.
     let eta_budget = config.gamma / config.theta;
@@ -343,14 +307,19 @@ fn assemble(
         }
     }
 
+    let mut entries_before = 0usize;
+    let mut stream_err = None;
     let hp = HpArena::from_sorted_entries(
         n,
-        triples
-            .iter()
+        sorted
+            .map_while(|t| t.map_err(|e| stream_err = Some(e)).ok())
+            .inspect(|_| entries_before += 1)
             .filter(|t| !(reduced[t.owner.index()] && (t.step == 1 || t.step == 2)))
             .map(|t| (t.owner.0, HpEntry::new(t.step, t.target, t.value))),
     );
-    drop(triples);
+    if let Some(e) = stream_err {
+        return Err(e.into());
+    }
 
     let marks = if config.enhance_accuracy {
         MarkArena::compute(graph, config, &hp)

@@ -57,8 +57,13 @@
 //!   query time (§5.2, [`two_hop`]);
 //! * accuracy enhancement via on-the-fly expansion of marked entries
 //!   (§5.3, [`enhance`]);
-//! * embarrassingly parallel construction (§5.4, [`parallel`]) and
-//!   out-of-core construction with bounded memory (§5.4, [`out_of_core`]).
+//! * one construction pipeline, parallel and out of core (§5.4): the
+//!   d̃_k phase and the Algorithm 2 phase run on the block loop of
+//!   [`parallel`] on any number of threads, and one assembler applies
+//!   §5.2 and §5.3 to the sorted triples; the out-of-core builder
+//!   ([`out_of_core`]) swaps only the in-memory sort for a bounded-memory
+//!   external one. Every thread count and both sorts give the same
+//!   index, byte for byte.
 //!
 //! ## Architecture: storage backends, engines, and serving
 //!
@@ -145,15 +150,15 @@
 //!   in-memory arena.
 //!
 //! For concurrent serving, [`cache::ShardedResultCache`] adds a global
-//! single-pair result cache — power-of-two lock-per-shard over the same
+//! single-pair result cache — power-of-two lock-per-shard over an
 //! intrusive-list LRU, with [`cache::AtomicCacheStats`] counters that
 //! stay exact under concurrency. Pairs are canonicalized before
 //! computing, so cached and uncached answers are bit-identical across
 //! threads and backends ([`store::SharedEngine::single_pair_cached`],
-//! [`store::SharedEngine::batch_single_pair_cached`]); identity pairs
-//! and out-of-range ids memoize compact verdicts too
-//! ([`cache::CachedVerdict`]), so degenerate traffic never reaches the
-//! engine twice. The `sling-server` crate stands a thread-per-core
+//! [`store::SharedEngine::batch_single_pair_cached`]). Only computed
+//! scores are cached: a pair naming an out-of-range id fails its `O(1)`
+//! range check before the cache is probed, so garbage traffic evicts
+//! nothing. The `sling-server` crate stands a thread-per-core
 //! TCP/Unix-socket server on exactly these pieces. This is what backs
 //! §5.4's claim that SLING answers queries "even when its index
 //! structure does not fit in the main memory": pick the backend at open
@@ -258,7 +263,7 @@ pub mod verify;
 pub mod walk;
 pub mod workload;
 
-pub use cache::{Admission, AtomicCacheStats, CacheStats, CachedVerdict, ShardedResultCache};
+pub use cache::{Admission, AtomicCacheStats, CacheStats, ShardedResultCache};
 pub use codec::CompressOptions;
 pub use config::SlingConfig;
 pub use error::SlingError;

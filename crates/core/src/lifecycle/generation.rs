@@ -133,11 +133,14 @@ fn digest_file(path: &Path) -> Result<FileDigest, SlingError> {
 }
 
 impl GenerationStore {
-    /// Open (creating if needed) a generation store rooted at `root`.
+    /// Open the generation store rooted at `root`. Opening creates
+    /// nothing, so a mistyped root fails at its first listing instead of
+    /// appearing empty; the write paths
+    /// ([`GenerationStore::publish_bytes`],
+    /// [`GenerationStore::append_hot_trace`]) create the root they write
+    /// into.
     pub fn open(root: impl Into<PathBuf>) -> Result<GenerationStore, SlingError> {
-        let root = root.into();
-        fs::create_dir_all(&root)?;
-        Ok(GenerationStore { root })
+        Ok(GenerationStore { root: root.into() })
     }
 
     /// The store's root directory.
@@ -301,6 +304,8 @@ impl GenerationStore {
             graph: graph_bytes.map(FileDigest::of),
         };
 
+        // The root must exist before `next_id` lists it.
+        fs::create_dir_all(&self.root)?;
         let id = self.next_id()?;
         let staging = self
             .root
@@ -448,6 +453,7 @@ impl GenerationStore {
             let flat = TraceRecord { t_us: 0, ..*rec };
             encode_record(&flat, 0, &mut text);
         }
+        fs::create_dir_all(&self.root)?;
         let mut f = fs::OpenOptions::new()
             .create(true)
             .append(true)

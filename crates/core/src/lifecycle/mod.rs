@@ -133,8 +133,13 @@ mod tests {
         let idx = SlingIndex::build(&g, &cfg(7)).unwrap();
         let root = tmp_root("roundtrip");
         let store = GenerationStore::open(&root).unwrap();
-        assert_eq!(store.list().unwrap(), vec![]);
+        // Opening creates no root, so there is nothing to list yet...
+        assert!(store.list().is_err());
+        assert!(!root.exists());
         assert_eq!(store.current().unwrap(), None);
+        // ...and an empty root lists no generations.
+        std::fs::create_dir_all(&root).unwrap();
+        assert_eq!(store.list().unwrap(), vec![]);
 
         let g1 = store.publish_index(&idx, Some(&g)).unwrap();
         assert_eq!(g1, GenId(1));
@@ -298,7 +303,7 @@ mod tests {
         let store = GenerationStore::open(&root).unwrap();
         let err = store.publish_index(&idx, Some(&other)).unwrap_err();
         assert!(matches!(err, SlingError::GraphMismatch { .. }));
-        assert_eq!(store.list().unwrap(), vec![], "failed publish left debris");
+        assert!(!root.exists(), "failed publish touched the disk");
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -334,6 +339,8 @@ mod tests {
         use crate::workload::trace::{TraceKey, TraceOutcome, TraceRecord, TraceVerb};
         let root = tmp_root("hotkeys_mixed");
         let store = GenerationStore::open(&root).unwrap();
+        // The operator writes into an existing root; opening creates none.
+        std::fs::create_dir_all(&root).unwrap();
         let log = root.join("hotkeys.log");
         // Operator-fed legacy dialect plus junk that must be ignored.
         std::fs::write(&log, "7 3\nnot a pair\n").unwrap();

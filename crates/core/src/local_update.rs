@@ -82,9 +82,10 @@ where
     }
 }
 
-/// Run Algorithm 2 for every target node, emitting all retained triples.
-/// This is the serial index-construction core; the parallel and
-/// out-of-core builders shard the same per-target routine.
+/// Run Algorithm 2 for every target node in id order on the calling
+/// thread, emitting all retained triples — the one stream the
+/// out-of-core builder feeds its external sort. The in-memory build runs
+/// the same per-target routine on the block loop of [`crate::parallel`].
 pub fn reverse_hp_all<F>(graph: &DiGraph, sqrt_c: f64, theta: f64, emit: &mut F)
 where
     F: FnMut(HpTriple),

@@ -2,15 +2,15 @@
 //! hit-rate-vs-cache-size curves in `sling traffic-report` and the
 //! admission-policy comparison in `BENCH_replay.json`.
 //!
-//! The simulator replays a trace's pair-keyed queries through the exact
-//! structures the live result cache uses (`LruList` plus
-//! [`FrequencySketch`]) with the same lookup-then-admit logic as
-//! `ShardedResultCache`, so a simulated hit rate is a faithful
-//! prediction of the real cache at that capacity and policy — not a
-//! model of it.
+//! The simulator replays a trace's pair-keyed queries through a live
+//! one-shard [`ShardedResultCache`] — the cache the server runs, not a
+//! model of it — so a simulated hit rate is what the real cache would
+//! see at that capacity and policy.
+
+use sling_graph::NodeId;
 
 use super::trace::{TraceKey, TraceRecord, TraceVerb};
-use crate::cache::{pair_hash, Admission, FrequencySketch, LruList};
+use crate::cache::{Admission, ShardedResultCache};
 
 /// Outcome of one [`simulate_pair_cache`] run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,56 +43,33 @@ impl SimResult {
 /// the verbs the result cache serves) through a single-shard cache of
 /// `capacity` entries under `policy`, and report the hit rate.
 ///
-/// Mirrors `ShardedResultCache` exactly: every lookup charges the
-/// frequency sketch, and at capacity a TinyLFU candidate is admitted
-/// only when its sketch estimate strictly beats the LRU victim's. Keys
-/// are canonicalized symmetric pairs, as in the live cache.
+/// Each record is one lookup; a miss inserts the pair, which the
+/// admission policy may refuse. Keys are canonicalized symmetric pairs,
+/// as in every use of the cache.
 pub fn simulate_pair_cache(
     records: &[TraceRecord],
     capacity: usize,
     policy: Admission,
 ) -> SimResult {
     let capacity = capacity.max(1);
-    let mut list: LruList<(u32, u32), ()> = LruList::new();
-    let mut sketch = match policy {
-        Admission::TinyLfu => FrequencySketch::with_capacity(capacity),
-        Admission::Lru => FrequencySketch::default(),
-    };
-    let mut result = SimResult {
-        capacity,
-        policy,
-        hits: 0,
-        misses: 0,
-        rejects: 0,
-    };
+    let cache = ShardedResultCache::with_admission(capacity, 1, policy);
     for rec in records {
         let (u, v) = match (rec.verb, rec.key) {
-            (TraceVerb::Pair | TraceVerb::Batch, TraceKey::Pair(u, v)) => (u, v),
+            (TraceVerb::Pair | TraceVerb::Batch, TraceKey::Pair(u, v)) => (NodeId(u), NodeId(v)),
             _ => continue,
         };
-        let key = (u.min(v), u.max(v));
-        let hash = pair_hash(key);
-        sketch.increment(hash);
-        if list.get(&key).is_some() {
-            result.hits += 1;
-            continue;
+        if cache.lookup(u, v).is_none() {
+            cache.insert(u, v, 0.0);
         }
-        result.misses += 1;
-        if list.len() >= capacity {
-            if policy == Admission::TinyLfu {
-                let victim_hash = list.peek_lru().map(|(k, _)| pair_hash(*k));
-                if let Some(victim_hash) = victim_hash {
-                    if sketch.estimate(hash) <= sketch.estimate(victim_hash) {
-                        result.rejects += 1;
-                        continue;
-                    }
-                }
-            }
-            list.pop_lru();
-        }
-        list.insert(key, ());
     }
-    result
+    let stats = cache.stats();
+    SimResult {
+        capacity,
+        policy,
+        hits: stats.hits,
+        misses: stats.misses,
+        rejects: cache.admission_rejects(),
+    }
 }
 
 #[cfg(test)]
@@ -163,5 +140,17 @@ mod tests {
         );
         assert!(tiny.rejects > 0);
         assert_eq!(lru.rejects, 0);
+    }
+
+    /// Exact counts on the adversarial scan, pinned so any change to the
+    /// lookup-then-admit rule the simulation runs shows up here.
+    #[test]
+    fn adversarial_scan_counts_are_pinned() {
+        let trace = adversarial_cold_scan(OPTS);
+        let counts = [Admission::Lru, Admission::TinyLfu].map(|policy| {
+            let r = simulate_pair_cache(&trace.records, 192, policy);
+            (r.hits, r.misses, r.rejects)
+        });
+        assert_eq!(counts, [(2888, 9112, 0), (3479, 8521, 7411)]);
     }
 }
