@@ -25,7 +25,7 @@ use sling_graph::{
     GraphStats, NodeId,
 };
 use sling_server::{
-    serve, serve_reloadable, Client, Listener, ReloadableEngine, ServerConfig, ServerReport,
+    serve, serve_reloadable, stats_field, Client, Listener, ReloadableEngine, ServerConfig,
 };
 
 use crate::args::{Args, Spec};
@@ -609,79 +609,6 @@ fn format_cache_stats(stats: sling_core::CacheStats) -> String {
     )
 }
 
-fn format_server_report(prefix: &str, report: &ServerReport) -> String {
-    let mut out = format!(
-        "{prefix}: served {} queries (per-worker: {})",
-        report.total_served(),
-        report
-            .served_per_worker
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    let gen = &report.generation;
-    let _ = write!(
-        out,
-        "\nindex generation: {} (epoch {}, {} swaps{}{})",
-        gen.generation,
-        gen.epoch,
-        gen.swaps,
-        if gen.reload_failures > 0 {
-            format!(", {} failed reloads", gen.reload_failures)
-        } else {
-            String::new()
-        },
-        if gen.last_swap_unix_ms > 0 {
-            format!(", last swap at unix_ms {}", gen.last_swap_unix_ms)
-        } else {
-            String::new()
-        },
-    );
-    if report.latency.count > 0 {
-        let _ = write!(
-            out,
-            "\nserver latency ({} samples): p50={:.1}us p99={:.1}us p999={:.1}us",
-            report.latency.count,
-            report.latency.p50_us,
-            report.latency.p99_us,
-            report.latency.p999_us,
-        );
-    }
-    if !report.evloop_wakeups_per_worker.is_empty() {
-        let join = |counters: &[u64]| {
-            counters
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let _ = write!(
-            out,
-            "\nevent loops: wakeups per worker: {}; turns per worker: {}{}{}",
-            join(&report.evloop_wakeups_per_worker),
-            join(&report.evloop_turns_per_worker),
-            if report.open_connections > 0 {
-                format!("; {} connections still open", report.open_connections)
-            } else {
-                String::new()
-            },
-            if report.rejected_connections > 0 {
-                format!(
-                    "; {} connections rejected (busy)",
-                    report.rejected_connections
-                )
-            } else {
-                String::new()
-            },
-        );
-    }
-    if let Some(stats) = report.cache {
-        let _ = write!(out, "\n{}", format_cache_stats(stats));
-    }
-    out
-}
-
 /// `sling batch` — bulk single-pair scoring through the owned
 /// [`SharedEngine`] API, memoized in a [`ShardedResultCache`] unless
 /// `--cache 0`.
@@ -921,8 +848,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
         Some(addr) => println!("sling-server listening on {addr} (send SHUTDOWN to stop)"),
         None => println!("sling-server listening on unix socket (send SHUTDOWN to stop)"),
     }
-    let report = handle.join();
-    Ok(format_server_report("server shut down", &report))
+    Ok(format!("server shut down: {}", handle.join()))
 }
 
 /// Serve the promoted generation of a store, hot-swapping on promotion.
@@ -939,7 +865,7 @@ fn serve_root(
     let open = move |g: &DiGraph, p: &Path| SharedEngine::open(g, p, residency);
     let reloadable = ReloadableEngine::watching_store(store, fallback_graph, open)
         .map_err(|e| format!("{root}: {e}"))?;
-    let info = reloadable.info();
+    let serving = reloadable.current().name().to_string();
     let watch_interval_ms = config.watch_interval_ms;
     let handle = serve_reloadable(Arc::new(reloadable), listener, config)
         .map_err(|e| format!("failed to start server: {e}"))?;
@@ -953,18 +879,15 @@ fn serve_root(
     };
     match handle.local_addr() {
         Some(addr) => println!(
-            "sling-server listening on {addr}, serving {} from {root}{watch} \
-             (send SHUTDOWN to stop)",
-            info.generation
+            "sling-server listening on {addr}, serving {serving} from {root}{watch} \
+             (send SHUTDOWN to stop)"
         ),
         None => println!(
-            "sling-server listening on unix socket, serving {} from {root}{watch} \
-             (send SHUTDOWN to stop)",
-            info.generation
+            "sling-server listening on unix socket, serving {serving} from {root}{watch} \
+             (send SHUTDOWN to stop)"
         ),
     }
-    let report = handle.join();
-    Ok(format_server_report("server shut down", &report))
+    Ok(format!("server shut down: {}", handle.join()))
 }
 
 fn connect_client(args: &Args) -> Result<Client, String> {
@@ -1722,13 +1645,12 @@ impl ServeBenchRecord {
     }
 }
 
-/// Pull a `key=value` integer out of a `STATS` response line.
+/// The integer `key` of a `STATS` reply or body, summed over workers
+/// for the comma-separated per-worker keys; 0 when absent.
 fn stats_value(stats: &str, key: &str) -> u64 {
-    stats
-        .split_ascii_whitespace()
-        .find_map(|kv| kv.strip_prefix(key).and_then(|rest| rest.strip_prefix('=')))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
+    stats_field(stats, key).map_or(0, |v| {
+        v.split(',').filter_map(|x| x.parse::<u64>().ok()).sum()
+    })
 }
 
 /// The committed-baseline sweep behind `bench-serve --out`: worker
@@ -2006,7 +1928,7 @@ fn bench_serve_run(
             return Err(message);
         }
     };
-    let report = handle.join();
+    let final_stats = handle.join();
     let total = per_thread * threads;
     let lat = sling_bench::LatencySummary::from_latencies_us(lat_us);
     let record = ServeBenchRecord {
@@ -2014,15 +1936,15 @@ fn bench_serve_run(
             ServeTransport::Tcp => "tcp",
             ServeTransport::Unix(_) => "unix",
         },
-        workers: report.served_per_worker.len(),
+        workers: stats_value(&final_stats, "workers") as usize,
         connections,
         requests: total,
         elapsed_s: elapsed.as_secs_f64(),
         latency: lat,
         open_connections: stats_value(&stats_line, "open_connections"),
         idle_connections: stats_value(&stats_line, "idle_connections"),
-        evloop_wakeups: report.evloop_wakeups_per_worker.iter().sum(),
-        evloop_turns: report.evloop_turns_per_worker.iter().sum(),
+        evloop_wakeups: stats_value(&final_stats, "evloop_wakeups"),
+        evloop_turns: stats_value(&final_stats, "evloop_turns"),
     };
     let mut human = format!(
         "{} client threads x {} requests in {:.2?} -> {:.0} req/s \
@@ -2046,12 +1968,7 @@ fn bench_serve_run(
             connections, record.open_connections, record.idle_connections,
         );
     }
-    let _ = write!(
-        human,
-        "{}\nserver stats: {}",
-        format_server_report("final", &report),
-        stats_line,
-    );
+    let _ = write!(human, "server stats at shutdown: {final_stats}");
     if trace {
         let _ = write!(human, "\n{}", format_stage_breakdown(&registry));
     }
@@ -3497,7 +3414,7 @@ mod tests {
         assert_eq!(client("shutdown").unwrap(), "server shutting down");
         let report = server.join().unwrap().unwrap();
         assert!(report.contains("server shut down"), "{report}");
-        assert!(report.contains("hit rate"), "{report}");
+        assert!(report.contains("cache_hit_rate="), "{report}");
         assert!(client("ping").is_err(), "socket should be gone");
     }
 
@@ -3530,7 +3447,7 @@ mod tests {
         assert!(out.contains("kernel stage breakdown"), "{out}");
         assert!(out.contains("propagate"), "{out}");
         assert!(out.contains("cache_hit_rate="), "{out}");
-        assert!(out.contains("per-worker"), "{out}");
+        assert!(out.contains("per_worker="), "{out}");
         // Client-side exact percentiles and the server's histogram-based
         // ones both surface.
         assert!(out.contains("client latency"), "{out}");

@@ -7,12 +7,19 @@
 //! globally `(owner, step, target)`-sorted stream the index assembler
 //! consumes. Total IO is one write and one read per triple plus the merge
 //! — the `O((n/ε) log(n/ε))` access pattern described in §5.4.
+//!
+//! Each sorter spills into a fresh directory of its own, created under
+//! the caller's directory and removed, runs and all, when the sorter or
+//! its [`MergeIter`] is dropped — on success, error and early return
+//! alike. Sorters in one process or in several never share a run file,
+//! and nothing else in the caller's directory is touched.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::{Buf, BufMut};
 use sling_graph::NodeId;
@@ -47,10 +54,39 @@ fn key(t: &HpTriple) -> (u32, u16, u32) {
     (t.owner.0, t.step, t.target.0)
 }
 
-/// Accumulates triples, spilling sorted runs to `dir` whenever the
-/// in-memory buffer exceeds `buffer_bytes`.
+/// A run directory this sorter created; removed with its contents on
+/// drop.
+struct RunDir(PathBuf);
+
+impl RunDir {
+    /// Create a directory no one else uses under `parent` (created if
+    /// missing): `create_dir` fails on an existing path, so a name taken
+    /// by another sorter or process is skipped, never reused.
+    fn create(parent: &Path) -> io::Result<RunDir> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        std::fs::create_dir_all(parent)?;
+        loop {
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let path = parent.join(format!("sling-sort-{}-{n}", std::process::id()));
+            match std::fs::create_dir(&path) {
+                Ok(()) => return Ok(RunDir(path)),
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+impl Drop for RunDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Accumulates triples, spilling sorted runs to a directory of its own
+/// whenever the in-memory buffer exceeds `buffer_bytes`.
 pub struct ExternalSorter {
-    dir: PathBuf,
+    dir: RunDir,
     capacity: usize,
     buf: Vec<HpTriple>,
     runs: Vec<PathBuf>,
@@ -58,11 +94,10 @@ pub struct ExternalSorter {
 }
 
 impl ExternalSorter {
-    /// New sorter spilling into `dir` (created if missing). `buffer_bytes`
-    /// is a floor of one record.
-    pub fn new(dir: impl AsRef<Path>, buffer_bytes: usize) -> io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
+    /// New sorter spilling into a fresh directory under `parent` (see
+    /// the module docs). `buffer_bytes` is a floor of one record.
+    pub fn new(parent: impl AsRef<Path>, buffer_bytes: usize) -> io::Result<Self> {
+        let dir = RunDir::create(parent.as_ref())?;
         let capacity = (buffer_bytes / RECORD_BYTES).max(1);
         Ok(ExternalSorter {
             dir,
@@ -93,7 +128,7 @@ impl ExternalSorter {
             return Ok(());
         }
         self.buf.sort_unstable_by_key(key);
-        let path = self.dir.join(format!("run-{}.bin", self.runs.len()));
+        let path = self.dir.0.join(format!("run-{}.bin", self.runs.len()));
         let mut w = BufWriter::new(File::create(&path)?);
         self.scratch.clear();
         for t in &self.buf {
@@ -108,7 +143,8 @@ impl ExternalSorter {
     }
 
     /// Finish: spill the tail and return the k-way merged, globally sorted
-    /// stream. Run files are deleted when the iterator is dropped.
+    /// stream. The run directory is removed when the iterator is dropped,
+    /// or here when this fails.
     pub fn into_sorted_iter(mut self) -> io::Result<MergeIter> {
         self.spill()?;
         let mut readers = Vec::with_capacity(self.runs.len());
@@ -124,7 +160,7 @@ impl ExternalSorter {
         Ok(MergeIter {
             readers,
             heap,
-            paths: std::mem::take(&mut self.runs),
+            _dir: self.dir,
         })
     }
 }
@@ -177,7 +213,8 @@ impl RunReader {
 pub struct MergeIter {
     readers: Vec<RunReader>,
     heap: BinaryHeap<Reverse<((u32, u16, u32), usize, HeapTriple)>>,
-    paths: Vec<PathBuf>,
+    /// Dropped after the readers: the runs go once nothing reads them.
+    _dir: RunDir,
 }
 
 impl Iterator for MergeIter {
@@ -191,14 +228,6 @@ impl Iterator for MergeIter {
             Err(e) => return Some(Err(e)),
         }
         Some(Ok(t.0))
-    }
-}
-
-impl Drop for MergeIter {
-    fn drop(&mut self) {
-        for path in &self.paths {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
@@ -298,6 +327,20 @@ mod tests {
         let dir = tmpdir("empty");
         let sorter = ExternalSorter::new(&dir, 1024).unwrap();
         assert_eq!(sorter.into_sorted_iter().unwrap().count(), 0);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn failed_merge_leaves_no_run_file() {
+        let dir = tmpdir("failed_merge");
+        let mut sorter = ExternalSorter::new(&dir, 16 * RECORD_BYTES).unwrap();
+        for t in random_triples(8 * 16, 4) {
+            sorter.push(t).unwrap();
+        }
+        assert_eq!(sorter.runs_spilled(), 8);
+        std::fs::remove_file(&sorter.runs[0]).unwrap();
+        assert!(sorter.into_sorted_iter().is_err());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -203,8 +203,10 @@
 //! warm-ups), and a zero-cost-when-disabled [`obs::QueryTrace`] inside
 //! every [`QueryWorkspace`] that charges wall time to the four kernel
 //! stages (entry fetch, §5.2 restore, merge, Algorithm-6 propagation).
-//! `sling-server` builds its `STATS`/`METRICS` exposition and its
-//! ring-buffered [`obs::SlowQueryLog`] on exactly these pieces.
+//! `sling-server` gives each server a registry of its own and renders
+//! both its `STATS` line and its `METRICS` exposition from it, beside a
+//! ring-buffered [`obs::SlowQueryLog`]; only the kernel, lifecycle and
+//! client counters are process-global.
 //!
 //! Where `obs` reports what the server is doing, [`workload`] records
 //! what the *traffic* looked like: the versioned, checksummed

@@ -1,14 +1,13 @@
 //! Lock-free log-bucketed histograms — the one histogram implementation
-//! shared by the whole tree (the server re-exports it as its latency
-//! histogram).
+//! shared by the whole tree (the server's request latency is one).
 //!
 //! Each writer (a server worker, a bench thread) owns one [`Histogram`]
 //! shard and records into it with a single relaxed `fetch_add` per
 //! sample — no locks, no shared cache lines between writers on the hot
-//! path. Readers merge the shards on demand: `STATS` and `METRICS`
-//! extract p50/p99/p999 via [`merge_report`] / [`report_from_counts`],
-//! and the Prometheus renderer walks exact power-of-two cumulative
-//! counts via [`cumulative_below_pow2`].
+//! path. Readers merge the shards on demand: the registry extracts
+//! p50/p99/p999 via [`report_from_counts`] (what `STATS` prints), and
+//! the Prometheus renderer walks exact power-of-two cumulative counts
+//! via [`cumulative_below_pow2`].
 //!
 //! Buckets are logarithmic with four sub-buckets per power-of-two
 //! octave of nanoseconds, so every reported quantile is within ~12% of
@@ -148,21 +147,17 @@ pub fn report_from_counts(acc: &[u64; BUCKETS]) -> LatencyReport {
     }
 }
 
-/// Merge histogram shards and extract the report quantiles.
-pub fn merge_report<'a, I>(histograms: I) -> LatencyReport
-where
-    I: IntoIterator<Item = &'a Histogram>,
-{
-    let mut acc = [0u64; BUCKETS];
-    for h in histograms {
-        h.snapshot_into(&mut acc);
-    }
-    report_from_counts(&acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn merge_report(histograms: &[Histogram]) -> LatencyReport {
+        let mut acc = [0u64; BUCKETS];
+        for h in histograms {
+            h.snapshot_into(&mut acc);
+        }
+        report_from_counts(&acc)
+    }
 
     #[test]
     fn buckets_are_monotone_and_cover_the_range() {

@@ -15,11 +15,14 @@
 //! The query kernels and lifecycle sit *below* any server, and their
 //! hot paths must not thread a registry reference through every
 //! backend call. They instead increment the process-wide relaxed
-//! atomics in [`KERNEL`] / [`LIFECYCLE`] — one `fetch_add` per event,
-//! loop-local accumulation where an event would land inside an inner
-//! loop — and [`register_process_metrics`] surfaces them in a registry
-//! as closure-backed counters. The counters are monotone and
-//! process-global: rates and deltas, not per-engine gauges.
+//! atomics in [`KERNEL`] / [`LIFECYCLE`] / [`CLIENT`] — one `fetch_add`
+//! per event, loop-local accumulation where an event would land inside
+//! an inner loop — and [`register_process_metrics`] surfaces them in a
+//! registry as closure-backed counters. The counters are monotone and
+//! process-global: rates and deltas, not per-engine gauges. Everything
+//! a server counts for itself — requests, connections, event loops, its
+//! traffic-trace recorder — is a handle in that server's own registry
+//! instead, so two servers in one process never share a count.
 //!
 //! Outside tests this layer never unwraps: a scrape must not panic
 //! because an earlier one did, so a poisoned registry or slow-log lock
@@ -31,7 +34,7 @@ pub mod histogram;
 pub mod registry;
 pub mod trace;
 
-pub use histogram::{merge_report, Histogram, LatencyReport};
+pub use histogram::{Histogram, LatencyReport};
 pub use registry::{Counter, MetricsRegistry};
 pub use trace::{QueryTrace, SlowQueryLog, SlowQueryRecord, StageNanos};
 
@@ -149,42 +152,15 @@ impl ClientCounters {
 /// The client-resilience counters (see [`KERNEL`] for the pattern).
 pub static CLIENT: ClientCounters = ClientCounters::new();
 
-/// Process-wide traffic-trace recorder counters (the
-/// [`crate::workload`] capture pipeline in `sling-server`): bumped by
-/// whoever writes trace records, surfaced as `sling_trace_*` and in the
-/// server's `STATS` line.
-#[derive(Debug, Default)]
-pub struct WorkloadCounters {
-    /// Trace records captured (written to the recorder ring).
-    pub trace_records: AtomicU64,
-    /// Trace records dropped (ring overwritten before draining, or
-    /// recorder contention).
-    pub trace_dropped: AtomicU64,
-    /// Trace bytes written to the capture file.
-    pub trace_bytes: AtomicU64,
-}
-
-impl WorkloadCounters {
-    const fn new() -> Self {
-        WorkloadCounters {
-            trace_records: AtomicU64::new(0),
-            trace_dropped: AtomicU64::new(0),
-            trace_bytes: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The workload-capture counters (see [`KERNEL`] for the pattern).
-pub static WORKLOAD: WorkloadCounters = WorkloadCounters::new();
-
 macro_rules! register_static_counters {
     ($reg:expr, $src:expr, { $($name:literal => $field:ident: $help:literal,)+ }) => {
         $($reg.counter_fn($name, $help, || $src.$field.load(Ordering::Relaxed));)+
     };
 }
 
-/// Register the process-wide kernel and lifecycle counters into `reg`
-/// under the `sling_kernel_*` / `sling_lifecycle_*` families.
+/// Register the process-wide kernel, lifecycle, client and
+/// fault-injection counters into `reg` (the `sling_kernel_*`,
+/// `sling_lifecycle_*`, client-retry and `sling_faults_*` families).
 pub fn register_process_metrics(reg: &MetricsRegistry) {
     register_static_counters!(reg, KERNEL, {
         "sling_kernel_block_decodes_total" => block_decodes:
@@ -217,14 +193,6 @@ pub fn register_process_metrics(reg: &MetricsRegistry) {
             "client connections re-established after an IO failure",
         "sling_client_giveups_total" => giveups:
             "client requests abandoned after exhausting retries",
-    });
-    register_static_counters!(reg, WORKLOAD, {
-        "sling_trace_records_total" => trace_records:
-            "traffic-trace records captured",
-        "sling_trace_records_dropped_total" => trace_dropped:
-            "traffic-trace records dropped by the recorder",
-        "sling_trace_bytes_total" => trace_bytes:
-            "traffic-trace bytes written",
     });
     reg.counter_fn(
         "sling_faults_injected_total",

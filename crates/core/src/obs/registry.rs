@@ -206,6 +206,16 @@ impl MetricsRegistry {
         }
     }
 
+    /// Per-shard values of a sharded counter, in registration order (a
+    /// server registers one shard per worker, worker 0 first).
+    pub fn counter_shards(&self, name: &str) -> Option<Vec<u64>> {
+        let metrics = self.lock();
+        match &metrics.get(name)?.kind {
+            Kind::Counter(cells) => Some(cells.iter().map(|c| c.load(Ordering::Relaxed)).collect()),
+            _ => None,
+        }
+    }
+
     /// Merged value of a gauge.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
         let metrics = self.lock();
@@ -328,9 +338,13 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(reg.counter_value("sling_test_ops_total"), Some(5));
+        reg.counter("sling_test_ops_total", "ops").add(2);
+        assert_eq!(reg.counter_shards("sling_test_ops_total"), Some(vec![5, 2]));
+        assert_eq!(reg.counter_value("sling_test_ops_total"), Some(7));
 
         reg.counter_fn("sling_test_derived_total", "derived", || 17);
         assert_eq!(reg.counter_value("sling_test_derived_total"), Some(17));
+        assert_eq!(reg.counter_shards("sling_test_derived_total"), None);
 
         reg.gauge_fn("sling_test_depth", "depth", || 2.5);
         reg.gauge_fn("sling_test_depth", "depth", || 1.5);

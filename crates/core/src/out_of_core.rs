@@ -9,7 +9,9 @@
 //! reside in memory. Only the `O(n)` correction factors and the final
 //! arena are memory-resident, mirroring the paper's description
 //! (Figure 10 sweeps the buffer size). The traversals run on one thread,
-//! so the sorter sees one stream.
+//! so the sorter sees one stream. The sorter spills into a directory of
+//! its own under [`OutOfCoreConfig::temp_dir`] and removes it on every
+//! return path, so concurrent builds never share run files.
 //!
 //! Out-of-core *querying* needs no code of its own: the mapped backends
 //! in [`crate::store`] ([`crate::store::MmapHpArena`],
@@ -34,7 +36,10 @@ use crate::parallel::correction_phase;
 pub struct OutOfCoreConfig {
     /// Memory budget for the triple sort buffer, in bytes.
     pub buffer_bytes: usize,
-    /// Directory for temporary run files.
+    /// Directory (created if missing) under which each build's sorter
+    /// creates a run directory of its own and removes it when done. The
+    /// build adds nothing else here and removes nothing else, so many
+    /// builds may share one `temp_dir`.
     pub temp_dir: PathBuf,
 }
 
@@ -43,7 +48,7 @@ impl OutOfCoreConfig {
     pub fn with_buffer(buffer_bytes: usize) -> Self {
         OutOfCoreConfig {
             buffer_bytes,
-            temp_dir: std::env::temp_dir().join(format!("sling-ooc-{}", std::process::id())),
+            temp_dir: std::env::temp_dir(),
         }
     }
 }
@@ -67,9 +72,7 @@ pub fn build_out_of_core(
     if let Some(e) = push_err {
         return Err(e.into());
     }
-    let index = assemble(graph, config, d, dk_samples, sorter.into_sorted_iter()?);
-    std::fs::remove_dir_all(&occ.temp_dir).ok();
-    index
+    assemble(graph, config, d, dk_samples, sorter.into_sorted_iter()?)
 }
 
 #[cfg(test)]
@@ -89,9 +92,19 @@ mod tests {
         p
     }
 
+    /// The entries of `dir`, sorted.
+    fn listing(dir: &std::path::Path) -> Vec<PathBuf> {
+        let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        entries.sort();
+        entries
+    }
+
     /// Out-of-core builds at 1 and 4 threads equal the in-memory build:
-    /// same `d̃`, arena, §5.2 bitmap, §5.3 marks and stats, and the run
-    /// directory is gone afterwards.
+    /// same `d̃`, arena, §5.2 bitmap, §5.3 marks and stats, and the
+    /// temp dir holds exactly what it held before.
     fn assert_matches_in_memory(g: &DiGraph, buffer_bytes: usize, tag: &str) {
         let mem = SlingIndex::build(g, &cfg()).unwrap();
         assert!(mem.stats().marked_entries > 0, "fixture must mark entries");
@@ -100,13 +113,15 @@ mod tests {
                 buffer_bytes,
                 temp_dir: tmp(&format!("{tag}_{threads}")),
             };
+            let before = listing(&occ.temp_dir);
             let disk = build_out_of_core(g, &cfg().with_threads(threads), &occ).unwrap();
             assert_eq!(mem.d, disk.d, "threads = {threads}");
             assert_eq!(mem.hp, disk.hp, "threads = {threads}");
             assert_eq!(mem.reduced, disk.reduced, "threads = {threads}");
             assert_eq!(mem.marks, disk.marks, "threads = {threads}");
             assert_eq!(mem.stats(), disk.stats(), "threads = {threads}");
-            assert!(!occ.temp_dir.exists(), "threads = {threads}");
+            assert_eq!(listing(&occ.temp_dir), before, "threads = {threads}");
+            std::fs::remove_dir_all(&occ.temp_dir).ok();
         }
     }
 
@@ -119,5 +134,50 @@ mod tests {
     #[test]
     fn large_buffer_single_run_also_matches() {
         assert_matches_in_memory(&barabasi_albert(150, 2, 8).unwrap(), 64 << 20, "big_buf");
+    }
+
+    /// Two builds in one process, both with the default run location,
+    /// overlap: each sorts in a directory of its own, so both succeed
+    /// and each equals its in-memory build byte for byte.
+    #[test]
+    fn concurrent_builds_keep_their_runs_apart() {
+        let config = SlingConfig::from_epsilon(0.6, 0.1).with_seed(11);
+        let graphs = [
+            barabasi_albert(3000, 4, 1).unwrap(),
+            barabasi_albert(3000, 4, 2).unwrap(),
+        ];
+        let start = std::sync::Barrier::new(graphs.len());
+        std::thread::scope(|s| {
+            for g in &graphs {
+                let (config, start) = (&config, &start);
+                s.spawn(move || {
+                    let want = SlingIndex::build(g, config).unwrap().to_bytes();
+                    start.wait();
+                    let occ = OutOfCoreConfig::with_buffer(16 << 10);
+                    let got = build_out_of_core(g, config, &occ).unwrap();
+                    assert!(got.to_bytes() == want, "out-of-core bytes differ");
+                });
+            }
+        });
+    }
+
+    /// A build in a caller's existing directory leaves it as it found
+    /// it: its unrelated file stays and no entry is added.
+    #[test]
+    fn existing_temp_dir_keeps_its_files() {
+        let dir = tmp("keep");
+        std::fs::write(dir.join("unrelated.txt"), b"keep me").unwrap();
+        let before = listing(&dir);
+        let occ = OutOfCoreConfig {
+            buffer_bytes: 4 * 1024,
+            temp_dir: dir.clone(),
+        };
+        build_out_of_core(&barabasi_albert(200, 3, 5).unwrap(), &cfg(), &occ).unwrap();
+        assert_eq!(listing(&dir), before);
+        assert_eq!(
+            std::fs::read(dir.join("unrelated.txt")).unwrap(),
+            b"keep me"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -52,8 +52,7 @@
 //!   `SHUTDOWN` stores a flag and wakes every worker through its
 //!   eventfd (lost-wakeup-safe), connections still owing work are
 //!   drained for a grace period, idle ones are dropped, and
-//!   [`ServerHandle::join`] returns a [`ServerReport`] with per-worker,
-//!   connection, event-loop, and cache statistics.
+//!   [`ServerHandle::join`] returns the final `STATS` body.
 //!
 //! ## Wire protocol
 //!
@@ -69,7 +68,7 @@
 //! | `SOURCE <u>` | `OK <n> <s0> .. <s_{n-1}>` — full single-source vector (Algorithm 6) |
 //! | `TOPK <u> <k>` | `OK <m> <node>:<score> ..` — top-k most similar to `u`, excluding `u` |
 //! | `BATCH <u1>,<v1> <u2>,<v2> ..` | `OK <m> <s1> .. <sm>` — positionally aligned single-pair scores |
-//! | `STATS` | `OK key=value ..` — workers, per-worker served counts, the serving index generation (`index_generation`, `index_epoch`, `swaps`, `last_swap_unix_ms`), connection gauges (`open_connections`, `idle_connections`, `rejected_connections`), per-worker event-loop counters (`evloop_wakeups`, `evloop_turns`, comma-separated like `per_worker`), cache hits/misses/evictions/hit-rate, and query-latency percentiles (`latency_count`, `latency_p50_us`, `latency_p99_us`, `latency_p999_us`, from per-worker log-bucketed histograms: ~12% resolution, lock-free on the hot path) |
+//! | `STATS` | `OK key=value ..` — the server's registry (see *Observability*) read key by key, in a fixed order clients parse by name: workers and served counts (`per_worker`, `evloop_wakeups` and `evloop_turns` comma-separated, worker 0 first), the serving index generation (`index_generation`, `index_epoch`, `swaps`, `last_swap_unix_ms`, rollback state), shed and deadline refusals, `trace=on\|off` then the recorder's counters, query-latency percentiles (`latency_count`, `latency_p50_us`, `latency_p99_us`, `latency_p999_us`, from per-worker log-bucketed histograms: ~12% resolution, lock-free on the hot path), connection gauges (`open_connections`, `idle_connections`, `rejected_connections`), `cache=on\|off` then the cache's size, hits/misses/evictions/hit-rate and admission policy, and `resident_bytes`; see [`stats_field`] |
 //! | `METRICS` | `OK <bytes>` then exactly `<bytes>` payload bytes — the full Prometheus text exposition (see *Observability* below) |
 //! | `SLOWLOG` | `OK <bytes>` then exactly `<bytes>` payload bytes — recent slow-query records, one per line, oldest first |
 //! | `RELOAD` | `OK generation=<name> epoch=<e> swapped=<bool>` — check the generation store's `CURRENT` pointer and hot-swap to a newer promoted generation (`swapped=false` on pinned servers or when already current) |
@@ -91,31 +90,43 @@
 //! > TOPK 3 2
 //! OK 2 41:0.22182040766777856 17:0.1821445210624356
 //! > STATS
-//! OK workers=8 served=1042 per_worker=130,131,... cache=on cache_hits=512 ...
+//! OK workers=8 served=1042 index_generation=static ... per_worker=130,131,... cache=on ...
 //! ```
 //!
 //! ## Observability
 //!
 //! Every server owns a [`sling_core::obs::MetricsRegistry`] holding the
-//! counters, gauges, and log-bucketed latency histograms of all layers:
+//! counters, gauges, and log-bucketed latency histograms of all layers.
+//! It is the one place a server number lives: `METRICS` renders it as
+//! Prometheus text, and `STATS` and [`ServerHandle::join`] render one
+//! fixed table of its series, so no two expositions can disagree. What
+//! the server counts itself is a handle in this registry, never a
+//! process-wide atomic, so two servers in one process keep apart.
 //!
 //! * **Server** — `sling_server_requests_total` (per-worker sharded),
 //!   `sling_server_request_ns` (histogram), connection gauges
 //!   (`sling_server_open_connections`, `sling_server_active_connections`,
-//!   `sling_server_rejected_connections_total`), event-loop counters
-//!   (`sling_evloop_wakeups_total`, `sling_evloop_turns_total`), and
-//!   `sling_slow_queries_total`.
-//! * **Cache** — `sling_cache_{hits,misses,evictions}_total` plus the
-//!   `sling_cache_entries` / `sling_cache_capacity` gauges.
+//!   `sling_server_rejected_connections_total`,
+//!   `sling_accept_errors_total`), per-worker event-loop counters
+//!   (`sling_evloop_wakeups_total`, `sling_evloop_turns_total`), shed
+//!   and deadline refusals, and `sling_slow_queries_total`.
+//! * **Traffic trace** — the recorder's `sling_trace_records_total`,
+//!   `sling_trace_records_dropped_total` and `sling_trace_bytes_total`
+//!   (0 when recording is off).
+//! * **Cache** — `sling_cache_{hits,misses,evictions,admission_rejects}_total`
+//!   plus the `sling_cache_entries` / `sling_cache_capacity` /
+//!   `sling_cache_shards` gauges.
 //! * **Kernel stages** — per-query breakdowns recorded by the traced
 //!   worker workspaces into `sling_query_stage_{entry_fetch,restore,
 //!   merge,propagate}_ns` histograms, alongside the process-wide kernel
 //!   counters (`sling_kernel_*_total`) from [`sling_core::obs::KERNEL`].
 //! * **Lifecycle** — `sling_lifecycle_*_total` (publish / promote / GC /
 //!   warm-up) and the swap-slot family (`sling_index_epoch`,
-//!   `sling_index_swaps_total`, `sling_index_reload_failures_total`), so
-//!   a hot reload is visible in the same scrape as the latency shift it
-//!   caused.
+//!   `sling_index_swaps_total`, `sling_index_reload_failures_total`,
+//!   `sling_index_last_swap_unix_ms`, `sling_rollbacks_total`,
+//!   `sling_index_quarantined`, `sling_index_runtime_errors`,
+//!   `sling_index_resident_bytes`), so a hot reload is visible in the
+//!   same scrape as the latency shift it caused.
 //!
 //! Names follow `sling_<subsystem>_<what>[_total|_ns]`: `_total` marks
 //! monotone counters, `_ns` marks nanosecond histograms rendered on an
@@ -190,17 +201,15 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod client;
-pub mod latency;
 pub mod protocol;
 mod recorder;
 pub mod server;
 
 pub use client::{Client, ClientConfig, RetryingClient, TraceSegment};
-pub use latency::LatencyReport;
-pub use protocol::Request;
+pub use protocol::{stats_field, Request};
 pub use server::{
-    serve, serve_reloadable, EngineGeneration, GenerationInfo, Listener, ReloadableEngine,
-    ServerConfig, ServerHandle, ServerReport,
+    serve, serve_reloadable, EngineGeneration, Listener, ReloadableEngine, ServerConfig,
+    ServerHandle,
 };
 
 /// Type-erased bidirectional connection (TCP or Unix stream) used by

@@ -168,6 +168,15 @@ pub(crate) fn write_scores(out: &mut String, scores: &[f64]) {
     }
 }
 
+/// The value of `key` in a `STATS` reply or body (space-separated
+/// `key=value` pairs), if it has that key. Per-worker keys hold
+/// comma-separated lists.
+pub fn stats_field<'a>(stats: &'a str, key: &str) -> Option<&'a str> {
+    stats
+        .split_ascii_whitespace()
+        .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

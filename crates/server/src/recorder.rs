@@ -10,7 +10,9 @@
 //! ring's retention loses the overwritten records, and the gap is
 //! counted as drops too. The counters never lie: `records + dropped`
 //! equals the number of outcomes offered to the recorder (after
-//! sampling).
+//! sampling). They are handles in the owning server's registry
+//! (`sling_trace_*`), so `STATS` and `METRICS` read the same values and
+//! two recorders in one process never share a count.
 //!
 //! The capture file is published atomically: the writer creates
 //! `FILE.tmp`, writes the header, fsyncs, and renames it to `FILE`
@@ -28,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use sling_core::obs::WORKLOAD;
+use sling_core::obs::{Counter, MetricsRegistry};
 use sling_core::workload::trace::{TraceKey, TraceOutcome, TraceRecord, TraceVerb, TraceWriter};
 
 /// Ring retention (records). Power of two so the seq→slot map is a
@@ -63,6 +65,34 @@ struct Ring {
     next_seq: u64,
 }
 
+/// The recorder's counters, registered in the server's registry (also
+/// when recording is off, so `METRICS` always renders the family).
+pub(crate) struct TraceCounters {
+    /// Records captured into the ring.
+    records: Counter,
+    /// Records dropped: ring contended, or overwritten before draining.
+    dropped: Counter,
+    /// Bytes written to the capture file (stays 0 for ring-only
+    /// recorders).
+    bytes: Counter,
+}
+
+impl TraceCounters {
+    pub(crate) fn register(metrics: &MetricsRegistry) -> TraceCounters {
+        TraceCounters {
+            records: metrics.counter(
+                "sling_trace_records_total",
+                "traffic-trace records captured",
+            ),
+            dropped: metrics.counter(
+                "sling_trace_records_dropped_total",
+                "traffic-trace records dropped by the recorder",
+            ),
+            bytes: metrics.counter("sling_trace_bytes_total", "traffic-trace bytes written"),
+        }
+    }
+}
+
 /// The recorder: sampling gate, drop counters, and the retention ring.
 pub(crate) struct TraceRecorder {
     /// Wall-clock capture origin (unix microseconds), written into the
@@ -73,24 +103,18 @@ pub(crate) struct TraceRecorder {
     /// Keep every Nth outcome (1 = keep all).
     sample: u64,
     sample_counter: AtomicU64,
-    records: AtomicU64,
-    dropped: AtomicU64,
-    /// Bytes written to the capture file (maintained by the writer
-    /// thread; stays 0 for ring-only recorders).
-    bytes: AtomicU64,
+    counters: TraceCounters,
     ring: Mutex<Ring>,
 }
 
 impl TraceRecorder {
-    pub(crate) fn new(base_us: u64, sample: u64) -> TraceRecorder {
+    pub(crate) fn new(base_us: u64, sample: u64, counters: TraceCounters) -> TraceRecorder {
         TraceRecorder {
             base_us,
             start: Instant::now(),
             sample: sample.max(1),
             sample_counter: AtomicU64::new(0),
-            records: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
+            counters,
             ring: Mutex::new(Ring {
                 slots: vec![None; RING_CAPACITY].into_boxed_slice(),
                 next_seq: 0,
@@ -130,16 +154,10 @@ impl TraceRecorder {
                 ring.next_seq += 1;
                 let idx = seq as usize & (RING_CAPACITY - 1);
                 ring.slots[idx] = Some((seq, rec));
-                self.records.fetch_add(1, Ordering::Relaxed);
-                WORKLOAD.trace_records.fetch_add(1, Ordering::Relaxed);
+                self.counters.records.inc();
             }
-            Err(_) => self.note_dropped(1),
+            Err(_) => self.counters.dropped.inc(),
         }
-    }
-
-    fn note_dropped(&self, n: u64) {
-        self.dropped.fetch_add(n, Ordering::Relaxed);
-        WORKLOAD.trace_dropped.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records currently retained with `seq >= from`, up to `max`, in
@@ -170,7 +188,7 @@ impl TraceRecorder {
         TraceChunk {
             base_us: self.base_us,
             next_seq: next,
-            dropped: self.dropped.load(Ordering::Relaxed),
+            dropped: self.counters.dropped.get(),
             records,
         }
     }
@@ -178,15 +196,6 @@ impl TraceRecorder {
     /// Capture origin (unix microseconds).
     pub(crate) fn base_us(&self) -> u64 {
         self.base_us
-    }
-
-    /// `STATS` counters: records captured, dropped, file bytes written.
-    pub(crate) fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.records.load(Ordering::Relaxed),
-            self.dropped.load(Ordering::Relaxed),
-            self.bytes.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -221,8 +230,7 @@ fn write_capture(
     std::fs::rename(&tmp, path)?;
     let mut cursor = 0u64;
     let mut published = writer.bytes_written();
-    recorder.bytes.store(published, Ordering::Relaxed);
-    WORKLOAD.trace_bytes.fetch_add(published, Ordering::Relaxed);
+    recorder.counters.bytes.add(published);
     loop {
         let stopping = is_shutdown();
         let mut wrote = false;
@@ -232,14 +240,14 @@ fn write_capture(
                 // Everything still retained is on disk; anything the
                 // ring already overwrote is unrecoverable — charge it.
                 if chunk.next_seq > cursor {
-                    recorder.note_dropped(chunk.next_seq - cursor);
+                    recorder.counters.dropped.add(chunk.next_seq - cursor);
                     cursor = chunk.next_seq;
                 }
                 break;
             }
             for &(seq, ref rec) in &chunk.records {
                 if seq > cursor {
-                    recorder.note_dropped(seq - cursor);
+                    recorder.counters.dropped.add(seq - cursor);
                 }
                 writer.write(rec)?;
                 cursor = seq + 1;
@@ -250,10 +258,7 @@ fn write_capture(
             writer.flush()?;
             writer.get_ref().get_ref().sync_data()?;
             let total = writer.bytes_written();
-            recorder.bytes.store(total, Ordering::Relaxed);
-            WORKLOAD
-                .trace_bytes
-                .fetch_add(total - published, Ordering::Relaxed);
+            recorder.counters.bytes.add(total - published);
             published = total;
         }
         if stopping {
@@ -282,6 +287,20 @@ mod tests {
         dir
     }
 
+    fn recorder(base_us: u64, sample: u64) -> TraceRecorder {
+        TraceRecorder::new(
+            base_us,
+            sample,
+            TraceCounters::register(&MetricsRegistry::new()),
+        )
+    }
+
+    /// Records captured, dropped, file bytes written.
+    fn counts(rec: &TraceRecorder) -> (u64, u64, u64) {
+        let c = &rec.counters;
+        (c.records.get(), c.dropped.get(), c.bytes.get())
+    }
+
     fn push_n(rec: &TraceRecorder, n: usize) {
         for i in 0..n {
             rec.push(
@@ -296,7 +315,7 @@ mod tests {
 
     #[test]
     fn ring_serves_reads_by_sequence() {
-        let rec = TraceRecorder::new(1_000_000, 1);
+        let rec = recorder(1_000_000, 1);
         push_n(&rec, 10);
         let chunk = rec.read_from(0, 100);
         assert_eq!(chunk.next_seq, 10);
@@ -317,7 +336,7 @@ mod tests {
 
     #[test]
     fn ring_overwrite_drops_oldest_not_newest() {
-        let rec = TraceRecorder::new(0, 1);
+        let rec = recorder(0, 1);
         push_n(&rec, RING_CAPACITY + 50);
         let chunk = rec.read_from(0, RING_CAPACITY + 100);
         assert_eq!(chunk.next_seq, (RING_CAPACITY + 50) as u64);
@@ -327,11 +346,11 @@ mod tests {
 
     #[test]
     fn sampling_keeps_every_nth() {
-        let rec = TraceRecorder::new(0, 4);
+        let rec = recorder(0, 4);
         push_n(&rec, 40);
         let chunk = rec.read_from(0, 100);
         assert_eq!(chunk.records.len(), 10);
-        let (records, dropped, _) = rec.counters();
+        let (records, dropped, _) = counts(&rec);
         assert_eq!(records, 10);
         assert_eq!(dropped, 0, "sampled-out records are not drops");
     }
@@ -340,7 +359,7 @@ mod tests {
     fn writer_publishes_by_rename_and_drains_on_shutdown() {
         let dir = tmp_root("publish");
         let path = dir.join("capture.trace");
-        let rec = TraceRecorder::new(42_000_000, 1);
+        let rec = recorder(42_000_000, 1);
         push_n(&rec, 257);
         let stop = AtomicBool::new(true); // one pass: drain + exit
         writer_loop(&rec, &path, || stop.load(Ordering::Relaxed));
@@ -349,7 +368,7 @@ mod tests {
         assert_eq!(trace.base_us, 42_000_000);
         assert_eq!(trace.records.len(), 257);
         assert_eq!(trace.records[0].key, TraceKey::Pair(0, 1));
-        let (records, dropped, bytes) = rec.counters();
+        let (records, dropped, bytes) = counts(&rec);
         assert_eq!(records, 257);
         assert_eq!(dropped, 0);
         assert!(bytes > 0);
@@ -363,13 +382,13 @@ mod tests {
     fn writer_charges_overwritten_records_as_drops() {
         let dir = tmp_root("lossy");
         let path = dir.join("lossy.trace");
-        let rec = TraceRecorder::new(0, 1);
+        let rec = recorder(0, 1);
         push_n(&rec, RING_CAPACITY + 10);
         let stop = AtomicBool::new(true);
         writer_loop(&rec, &path, || stop.load(Ordering::Relaxed));
         let trace = read_trace_file(&path).unwrap();
         assert_eq!(trace.records.len(), RING_CAPACITY);
-        let (_, dropped, _) = rec.counters();
+        let (_, dropped, _) = counts(&rec);
         assert_eq!(dropped, 10, "the 10 overwritten records are counted");
     }
 }

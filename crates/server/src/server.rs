@@ -57,8 +57,8 @@ use polling::{Event, Events, Poller};
 use sling_core::faults::{self, FaultAction};
 use sling_core::lifecycle::{warm_engine, GenId, GenerationStore};
 use sling_core::obs::{
-    register_process_metrics, Counter, Histogram, MetricsRegistry, SlowQueryLog, SlowQueryRecord,
-    StageNanos,
+    register_process_metrics, Counter, Histogram, LatencyReport, MetricsRegistry, SlowQueryLog,
+    SlowQueryRecord, StageNanos,
 };
 use sling_core::single_source::SingleSourceWorkspace;
 use sling_core::workload::trace::{encode_record, TraceKey, TraceOutcome, TraceVerb};
@@ -67,9 +67,8 @@ use sling_core::{
 };
 use sling_graph::{DiGraph, NodeId};
 
-use crate::latency::{merge_report, LatencyReport};
 use crate::protocol::{write_scores, Request, MAX_LINE_BYTES};
-use crate::recorder::{writer_loop, TraceRecorder, MAX_TRACE_BATCH};
+use crate::recorder::{writer_loop, TraceCounters, TraceRecorder, MAX_TRACE_BATCH};
 
 /// How often the non-blocking acceptor re-checks the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
@@ -337,8 +336,8 @@ pub struct ReloadableEngine<S: HpStore> {
     swaps: AtomicU64,
     last_swap_unix_ms: AtomicU64,
     /// Reload attempts whose opener failed (the old generation kept
-    /// serving). Surfaced through `STATS` so a permanently failing
-    /// promotion is diagnosable even under `--watch`.
+    /// serving). Surfaced through `STATS` and `METRICS` so a permanently
+    /// failing promotion is diagnosable even under `--watch`.
     reload_failures: AtomicU64,
     opener: Option<GenerationOpener<S>>,
     /// Opens the newest verified prior generation on rollback (set by
@@ -354,29 +353,6 @@ pub struct ReloadableEngine<S: HpStore> {
     /// Serializes [`ReloadableEngine::try_reload`] so concurrent callers
     /// (watcher + `RELOAD`) cannot double-open one generation.
     reload_lock: Mutex<()>,
-}
-
-/// Snapshot of a [`ReloadableEngine`]'s swap state, surfaced through
-/// `STATS` and [`ServerReport`].
-#[derive(Clone, Debug)]
-pub struct GenerationInfo {
-    /// Name of the generation being served.
-    pub generation: String,
-    /// Current swap epoch (0 until the first swap).
-    pub epoch: u64,
-    /// Completed generation swaps.
-    pub swaps: u64,
-    /// Reload attempts that failed (old generation kept serving).
-    pub reload_failures: u64,
-    /// Unix timestamp (ms) of the last swap; 0 when none happened.
-    pub last_swap_unix_ms: u64,
-    /// Completed corrupt-generation rollbacks.
-    pub rollbacks: u64,
-    /// Generations currently quarantined (refused until `RELOAD FORCE`).
-    pub quarantined: usize,
-    /// Runtime `CorruptIndex`/IO errors charged to the serving
-    /// generation.
-    pub runtime_errors: u64,
 }
 
 fn unix_ms_now() -> u64 {
@@ -494,25 +470,6 @@ impl<S: HpStore> ReloadableEngine<S> {
     /// cheaply detect a swap and refetch [`ReloadableEngine::current`].
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Swap-state snapshot for reporting.
-    pub fn info(&self) -> GenerationInfo {
-        let current = self.current();
-        GenerationInfo {
-            generation: current.name.clone(),
-            epoch: self.epoch(),
-            swaps: self.swaps.load(Ordering::Relaxed),
-            reload_failures: self.reload_failures.load(Ordering::Relaxed),
-            last_swap_unix_ms: self.last_swap_unix_ms.load(Ordering::Relaxed),
-            rollbacks: self.rollbacks.load(Ordering::Relaxed),
-            quarantined: self
-                .quarantined
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .len(),
-            runtime_errors: current.runtime_errors(),
-        }
     }
 
     /// Publish `next` as the serving generation: bump the epoch, retag
@@ -829,7 +786,7 @@ impl Conn {
 }
 
 /// One worker's shared face: its epoll instance (also the acceptor's
-/// hand-off and shutdown waker) plus event-loop counters for `STATS`.
+/// hand-off and shutdown waker) plus its event-loop counter shards.
 struct WorkerShared {
     poller: Poller,
     /// Connections accepted but not yet adopted by the worker; pushed by
@@ -838,10 +795,12 @@ struct WorkerShared {
     /// Connections on this worker's ready list as of its last dispatch —
     /// the "not idle" gauge.
     active: AtomicU64,
-    /// `epoll_wait` returns (including idle ticks and notifies).
-    wakeups: AtomicU64,
-    /// Readiness turns dispatched to connections.
-    turns: AtomicU64,
+    /// This worker's shard of `sling_evloop_wakeups_total`: `epoll_wait`
+    /// returns (including idle ticks and notifies).
+    wakeups: Counter,
+    /// This worker's shard of `sling_evloop_turns_total`: readiness
+    /// turns dispatched to connections.
+    turns: Counter,
 }
 
 /// Per-worker shards of the four kernel-stage histograms — one set per
@@ -854,20 +813,17 @@ struct StageShards {
     propagate: Arc<Histogram>,
 }
 
-/// Shared, non-generic server state: the per-worker event loops and the
-/// counters the `STATS` command reports.
+/// Shared, non-generic server state: the per-worker event loops, the
+/// live state the registry's gauges read, and the registry handles the
+/// hot path counts into.
 struct Control {
     shutdown: AtomicBool,
-    /// The server's metrics registry (also carrying the process-wide
-    /// kernel/lifecycle counters); rendered by the `METRICS` verb.
-    metrics: Arc<MetricsRegistry>,
     /// Ring-buffered slow-query log, served by the `SLOWLOG` verb.
     slowlog: Arc<SlowQueryLog>,
-    /// Per-worker shards of `sling_server_requests_total`; `STATS`
-    /// reads the same handles, so the two expositions cannot diverge.
+    /// Per-worker shards of `sling_server_requests_total`.
     served: Box<[Counter]>,
-    /// Per-worker query-latency histograms (merged on `STATS`), so
-    /// recording a latency is one relaxed add on worker-private state.
+    /// Per-worker shards of `sling_server_request_ns`, so recording a
+    /// latency is one relaxed add on worker-private state.
     latency: Box<[Arc<Histogram>]>,
     /// Per-worker kernel-stage histogram shards.
     stages: Box<[StageShards]>,
@@ -877,7 +833,7 @@ struct Control {
     /// Currently open client connections (accepted and not yet closed).
     open_connections: AtomicU64,
     /// Connections refused with `ERR busy` by the cap.
-    rejected_connections: AtomicU64,
+    rejected_connections: Counter,
     /// [`ServerConfig::deadline_us`] as a duration (zero = off).
     deadline: Duration,
     /// [`ServerConfig::shed_queue_depth`] (0 = off).
@@ -891,7 +847,7 @@ struct Control {
     /// Query verbs answered `ERR deadline` past their budget.
     requests_deadline: Counter,
     /// Acceptor errors (transient skips and unexpected failures alike).
-    accept_errors: AtomicU64,
+    accept_errors: Counter,
     /// Traffic-trace recorder ([`ServerConfig::record_path`]); feeds
     /// the capture file and the `TRACE` wire verb.
     recorder: Option<Arc<TraceRecorder>>,
@@ -909,189 +865,260 @@ impl Control {
             let _ = worker.poller.notify();
         }
     }
-
-    fn total_served(&self) -> u64 {
-        self.served.iter().map(|c| c.get()).sum()
-    }
-
-    /// Merged server-side latency report across worker shards.
-    fn latency_report(&self) -> LatencyReport {
-        merge_report(self.latency.iter().map(|h| h.as_ref()))
-    }
 }
 
-/// Register the gauges and derived counters that read `Control`'s own
-/// atomics (connection gauges, event-loop counters, cache stats). The
-/// closures hold a `Weak` so the registry living inside `Control` does
-/// not keep it alive in a reference cycle.
-fn register_control_metrics(metrics: &MetricsRegistry, control: &Arc<Control>) {
-    let c = Arc::downgrade(control);
+/// Register the gauges and counters that read live state — the
+/// connection gauges, the shared result cache and the swap slot — as
+/// closures. They hold strong references: `Control` and the slot do not
+/// refer to the registry, so no cycle forms, and a registry kept past
+/// [`ServerHandle::join`] still reads the final values.
+fn register_live_metrics<S>(
+    metrics: &MetricsRegistry,
+    control: &Arc<Control>,
+    reloadable: &Arc<ReloadableEngine<S>>,
+) where
+    S: HpStore + Send + Sync + 'static,
+{
+    let c = Arc::clone(control);
     metrics.gauge_fn(
         "sling_server_open_connections",
         "client connections currently open",
-        move || {
-            c.upgrade()
-                .map(|c| c.open_connections.load(Ordering::Relaxed) as f64)
-                .unwrap_or(0.0)
-        },
+        move || c.open_connections.load(Ordering::Relaxed) as f64,
     );
-    let c = Arc::downgrade(control);
+    let c = Arc::clone(control);
     metrics.gauge_fn(
         "sling_server_active_connections",
         "connections on worker ready queues (not idle)",
         move || {
-            c.upgrade()
-                .map(|c| {
-                    c.workers
-                        .iter()
-                        .map(|w| w.active.load(Ordering::Relaxed))
-                        .sum::<u64>() as f64
-                })
-                .unwrap_or(0.0)
+            c.workers
+                .iter()
+                .map(|w| w.active.load(Ordering::Relaxed))
+                .sum::<u64>() as f64
         },
     );
-    let c = Arc::downgrade(control);
-    metrics.counter_fn(
-        "sling_server_rejected_connections_total",
-        "connections refused with ERR busy by the connection cap",
-        move || {
-            c.upgrade()
-                .map(|c| c.rejected_connections.load(Ordering::Relaxed))
-                .unwrap_or(0)
-        },
-    );
-    let c = Arc::downgrade(control);
-    metrics.counter_fn(
-        "sling_accept_errors_total",
-        "acceptor errors (transient and unexpected accept failures)",
-        move || {
-            c.upgrade()
-                .map(|c| c.accept_errors.load(Ordering::Relaxed))
-                .unwrap_or(0)
-        },
-    );
-    let c = Arc::downgrade(control);
-    metrics.counter_fn(
-        "sling_evloop_wakeups_total",
-        "epoll_wait returns across workers (including idle ticks)",
-        move || {
-            c.upgrade()
-                .map(|c| {
-                    c.workers
-                        .iter()
-                        .map(|w| w.wakeups.load(Ordering::Relaxed))
-                        .sum()
-                })
-                .unwrap_or(0)
-        },
-    );
-    let c = Arc::downgrade(control);
-    metrics.counter_fn(
-        "sling_evloop_turns_total",
-        "readiness turns dispatched to connections across workers",
-        move || {
-            c.upgrade()
-                .map(|c| {
-                    c.workers
-                        .iter()
-                        .map(|w| w.turns.load(Ordering::Relaxed))
-                        .sum()
-                })
-                .unwrap_or(0)
-        },
-    );
-    let c = Arc::downgrade(control);
-    metrics.counter_fn(
-        "sling_cache_hits_total",
-        "shared result-cache hits",
-        move || {
-            c.upgrade()
-                .and_then(|c| c.cache.as_ref().map(|cache| cache.stats().hits))
-                .unwrap_or(0)
-        },
-    );
-    let c = Arc::downgrade(control);
-    metrics.counter_fn(
+    let cache_counter = |name: &str, help: &str, read: fn(&ShardedResultCache) -> u64| {
+        let c = Arc::clone(control);
+        metrics.counter_fn(name, help, move || c.cache.as_ref().map_or(0, read));
+    };
+    cache_counter("sling_cache_hits_total", "shared result-cache hits", |c| {
+        c.stats().hits
+    });
+    cache_counter(
         "sling_cache_misses_total",
         "shared result-cache misses",
-        move || {
-            c.upgrade()
-                .and_then(|c| c.cache.as_ref().map(|cache| cache.stats().misses))
-                .unwrap_or(0)
-        },
+        |c| c.stats().misses,
     );
-    let c = Arc::downgrade(control);
-    metrics.counter_fn(
+    cache_counter(
         "sling_cache_evictions_total",
         "shared result-cache evictions",
-        move || {
-            c.upgrade()
-                .and_then(|c| c.cache.as_ref().map(|cache| cache.stats().evictions))
-                .unwrap_or(0)
-        },
+        |c| c.stats().evictions,
     );
-    let c = Arc::downgrade(control);
-    metrics.gauge_fn(
-        "sling_cache_entries",
-        "entries resident in the shared result cache",
-        move || {
-            c.upgrade()
-                .and_then(|c| c.cache.as_ref().map(|cache| cache.len() as f64))
-                .unwrap_or(0.0)
-        },
-    );
-    let c = Arc::downgrade(control);
-    metrics.gauge_fn(
-        "sling_cache_capacity",
-        "configured capacity of the shared result cache",
-        move || {
-            c.upgrade()
-                .and_then(|c| c.cache.as_ref().map(|cache| cache.capacity() as f64))
-                .unwrap_or(0.0)
-        },
-    );
-    let c = Arc::downgrade(control);
-    metrics.counter_fn(
+    cache_counter(
         "sling_cache_admission_rejects_total",
         "result-cache inserts rejected by TinyLFU admission",
-        move || {
-            c.upgrade()
-                .and_then(|c| c.cache.as_ref().map(|cache| cache.admission_rejects()))
-                .unwrap_or(0)
+        ShardedResultCache::admission_rejects,
+    );
+    let cache_gauge = |name: &str, help: &str, read: fn(&ShardedResultCache) -> usize| {
+        let c = Arc::clone(control);
+        metrics.gauge_fn(name, help, move || c.cache.as_ref().map_or(0, read) as f64);
+    };
+    cache_gauge(
+        "sling_cache_entries",
+        "entries resident in the shared result cache",
+        ShardedResultCache::len,
+    );
+    cache_gauge(
+        "sling_cache_capacity",
+        "configured capacity of the shared result cache",
+        ShardedResultCache::capacity,
+    );
+    cache_gauge(
+        "sling_cache_shards",
+        "shards of the shared result cache",
+        ShardedResultCache::num_shards,
+    );
+    let slot_counter = |name: &str, help: &str, read: fn(&ReloadableEngine<S>) -> u64| {
+        let r = Arc::clone(reloadable);
+        metrics.counter_fn(name, help, move || read(&r));
+    };
+    slot_counter(
+        "sling_index_swaps_total",
+        "completed generation swaps",
+        |r| r.swaps.load(Ordering::Relaxed),
+    );
+    slot_counter(
+        "sling_index_reload_failures_total",
+        "reload attempts whose opener failed",
+        |r| r.reload_failures.load(Ordering::Relaxed),
+    );
+    slot_counter(
+        "sling_rollbacks_total",
+        "corrupt-generation rollbacks completed",
+        |r| r.rollbacks.load(Ordering::Relaxed),
+    );
+    let slot_gauge = |name: &str, help: &str, read: fn(&ReloadableEngine<S>) -> u64| {
+        let r = Arc::clone(reloadable);
+        metrics.gauge_fn(name, help, move || read(&r) as f64);
+    };
+    slot_gauge(
+        "sling_index_epoch",
+        "swap epoch of the serving generation",
+        ReloadableEngine::epoch,
+    );
+    slot_gauge(
+        "sling_index_last_swap_unix_ms",
+        "unix time in ms of the last generation swap (0 before the first)",
+        |r| r.last_swap_unix_ms.load(Ordering::Relaxed),
+    );
+    slot_gauge(
+        "sling_index_quarantined",
+        "generations quarantined until RELOAD FORCE",
+        |r| {
+            r.quarantined
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .len() as u64
         },
+    );
+    slot_gauge(
+        "sling_index_runtime_errors",
+        "runtime CorruptIndex/IO errors charged to the serving generation",
+        |r| r.current().runtime_errors(),
+    );
+    slot_gauge(
+        "sling_index_resident_bytes",
+        "memory-resident bytes of the serving generation's engine",
+        |r| r.current().engine.resident_bytes() as u64,
     );
 }
 
-/// Final accounting returned by [`ServerHandle::join`] /
-/// [`ServerHandle::shutdown`].
-#[derive(Clone, Debug)]
-pub struct ServerReport {
-    /// Queries served per worker (pair/source/top-k count 1, batches
-    /// count their pair count).
-    pub served_per_worker: Vec<u64>,
-    /// Result-cache counters, when a cache was configured.
-    pub cache: Option<CacheStats>,
-    /// Server-side query-latency percentiles (merged across workers).
-    pub latency: LatencyReport,
-    /// Index generation being served at exit, swap count, and the
-    /// last-swap timestamp.
-    pub generation: GenerationInfo,
-    /// Client connections still open at exit (0 after a full drain).
-    pub open_connections: u64,
-    /// Connections refused with `ERR busy` by
-    /// [`ServerConfig::max_connections`].
-    pub rejected_connections: u64,
-    /// Per-worker event-loop wakeups (`epoll_wait` returns, including
-    /// idle ticks).
-    pub evloop_wakeups_per_worker: Vec<u64>,
-    /// Per-worker readiness turns dispatched to connections.
-    pub evloop_turns_per_worker: Vec<u64>,
+/// Where one `STATS` value comes from.
+#[derive(Clone, Copy)]
+enum Stat {
+    /// Label: name of the serving generation.
+    Generation,
+    /// Label: `on`/`off`; `off` omits the `trace_*` keys.
+    Trace,
+    /// Label: `on`/`off`; `off` omits the `cache_*` keys.
+    Cache,
+    /// Label: the result cache's admission policy.
+    Admission,
+    /// A counter, summed over its shards.
+    Counter(&'static str),
+    /// A gauge, printed as an integer.
+    Gauge(&'static str),
+    /// How many shards (one per worker) a counter has.
+    Shards(&'static str),
+    /// A counter's shards, worker 0 first, comma-separated.
+    PerWorker(&'static str),
+    /// A histogram's sample count.
+    Count(&'static str),
+    /// A histogram percentile in µs, to one decimal.
+    Percentile(&'static str, fn(&LatencyReport) -> f64),
+    /// The first gauge minus the second, floored at 0.
+    Excess(&'static str, &'static str),
+    /// Hits over hits plus misses (two counters), to four decimals.
+    HitRate(&'static str, &'static str),
 }
 
-impl ServerReport {
-    /// Total queries served across all workers.
-    pub fn total_served(&self) -> u64 {
-        self.served_per_worker.iter().sum()
+/// The `STATS` reply, key by key in wire order. Clients (`perfbench`,
+/// `sling bench-serve`, CI) parse these keys by name, so their spelling
+/// and order are wire contract. Every value but the four labels reads
+/// the server's registry — the one place a server number lives — so
+/// `STATS`, `METRICS` and the body [`ServerHandle::join`] returns cannot
+/// disagree.
+#[rustfmt::skip]
+const STATS: &[(&str, Stat)] = &[
+    ("workers",                 Stat::Shards("sling_server_requests_total")),
+    ("served",                  Stat::Counter("sling_server_requests_total")),
+    ("index_generation",        Stat::Generation),
+    ("index_epoch",             Stat::Gauge("sling_index_epoch")),
+    ("swaps",                   Stat::Counter("sling_index_swaps_total")),
+    ("reload_failures",         Stat::Counter("sling_index_reload_failures_total")),
+    ("last_swap_unix_ms",       Stat::Gauge("sling_index_last_swap_unix_ms")),
+    ("rollbacks",               Stat::Counter("sling_rollbacks_total")),
+    ("quarantined",             Stat::Gauge("sling_index_quarantined")),
+    ("runtime_errors",          Stat::Gauge("sling_index_runtime_errors")),
+    ("shed",                    Stat::Counter("sling_requests_shed_total")),
+    ("deadline_exceeded",       Stat::Counter("sling_requests_deadline_total")),
+    ("trace",                   Stat::Trace),
+    ("trace_records",           Stat::Counter("sling_trace_records_total")),
+    ("trace_dropped",           Stat::Counter("sling_trace_records_dropped_total")),
+    ("trace_bytes",             Stat::Counter("sling_trace_bytes_total")),
+    ("latency_count",           Stat::Count("sling_server_request_ns")),
+    ("latency_p50_us",          Stat::Percentile("sling_server_request_ns", |r| r.p50_us)),
+    ("latency_p99_us",          Stat::Percentile("sling_server_request_ns", |r| r.p99_us)),
+    ("latency_p999_us",         Stat::Percentile("sling_server_request_ns", |r| r.p999_us)),
+    ("per_worker",              Stat::PerWorker("sling_server_requests_total")),
+    ("open_connections",        Stat::Gauge("sling_server_open_connections")),
+    ("idle_connections",        Stat::Excess("sling_server_open_connections",
+                                             "sling_server_active_connections")),
+    ("rejected_connections",    Stat::Counter("sling_server_rejected_connections_total")),
+    ("evloop_wakeups",          Stat::PerWorker("sling_evloop_wakeups_total")),
+    ("evloop_turns",            Stat::PerWorker("sling_evloop_turns_total")),
+    ("cache",                   Stat::Cache),
+    ("cache_entries",           Stat::Gauge("sling_cache_entries")),
+    ("cache_capacity",          Stat::Gauge("sling_cache_capacity")),
+    ("cache_shards",            Stat::Gauge("sling_cache_shards")),
+    ("cache_hits",              Stat::Counter("sling_cache_hits_total")),
+    ("cache_misses",            Stat::Counter("sling_cache_misses_total")),
+    ("cache_evictions",         Stat::Counter("sling_cache_evictions_total")),
+    ("cache_hit_rate",          Stat::HitRate("sling_cache_hits_total", "sling_cache_misses_total")),
+    ("cache_admission",         Stat::Admission),
+    ("cache_admission_rejects", Stat::Counter("sling_cache_admission_rejects_total")),
+    ("resident_bytes",          Stat::Gauge("sling_index_resident_bytes")),
+];
+
+/// Append the `STATS` body (`workers=.. served=.. ..`) to `out`: the
+/// [`STATS`] table read from `metrics`, with the labels taken from
+/// `control` and `generation`. The `STATS` verb and
+/// [`ServerHandle::join`] both render through here.
+fn render_stats(metrics: &MetricsRegistry, control: &Control, generation: &str, out: &mut String) {
+    let traced = control.recorder.is_some();
+    let cache = control.cache.as_ref();
+    let counter = |name| metrics.counter_value(name).unwrap_or(0);
+    let gauge = |name| metrics.gauge_value(name).unwrap_or(0.0);
+    let shards = |name| metrics.counter_shards(name).unwrap_or_default();
+    let latency = |name| metrics.histogram_report(name).unwrap_or_default();
+    let on_off = |on: bool| if on { "on" } else { "off" };
+    for (i, &(key, stat)) in STATS.iter().enumerate() {
+        if (!traced && key.starts_with("trace_")) || (cache.is_none() && key.starts_with("cache_"))
+        {
+            continue;
+        }
+        if i > 0 {
+            out.push(' ');
+        }
+        let _ = write!(out, "{key}=");
+        let _ = match stat {
+            Stat::Generation => write!(out, "{generation}"),
+            Stat::Trace => write!(out, "{}", on_off(traced)),
+            Stat::Cache => write!(out, "{}", on_off(cache.is_some())),
+            Stat::Admission => write!(out, "{}", cache.map_or("", |c| c.admission().as_str())),
+            Stat::Counter(name) => write!(out, "{}", counter(name)),
+            Stat::Gauge(name) => write!(out, "{}", gauge(name) as u64),
+            Stat::Shards(name) => write!(out, "{}", shards(name).len()),
+            Stat::PerWorker(name) => {
+                for (w, v) in shards(name).into_iter().enumerate() {
+                    if w > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(out, "{v}");
+                }
+                Ok(())
+            }
+            Stat::Count(name) => write!(out, "{}", latency(name).count),
+            Stat::Percentile(name, pick) => write!(out, "{:.1}", pick(&latency(name))),
+            Stat::Excess(a, b) => write!(out, "{}", (gauge(a) - gauge(b)).max(0.0) as u64),
+            Stat::HitRate(hits, misses) => {
+                let stats = CacheStats {
+                    hits: counter(hits),
+                    misses: counter(misses),
+                    evictions: 0,
+                };
+                write!(out, "{:.4}", stats.hit_rate())
+            }
+        };
     }
 }
 
@@ -1100,10 +1127,12 @@ impl ServerReport {
 pub struct ServerHandle {
     addr: Option<SocketAddr>,
     control: Arc<Control>,
+    metrics: Arc<MetricsRegistry>,
     threads: Vec<JoinHandle<()>>,
-    /// Type-erased view of the reloadable slot's swap state (the slot
-    /// itself is generic over the backend; the handle is not).
-    generation_info: Arc<dyn Fn() -> GenerationInfo + Send + Sync>,
+    /// Name of the serving generation, the one `STATS` label `control`
+    /// does not hold (the slot is generic over the backend; the handle
+    /// is not).
+    generation: Box<dyn Fn() -> String + Send + Sync>,
 }
 
 impl ServerHandle {
@@ -1113,50 +1142,35 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Swap-state snapshot of the serving generation (live; callable
-    /// while the server runs).
-    pub fn generation_info(&self) -> GenerationInfo {
-        (self.generation_info)()
-    }
-
     /// The server's metrics registry — render Prometheus text or JSON
     /// snapshots from another thread while the server runs (what the
-    /// CLI's `--metrics-snapshot` exporter does).
+    /// CLI's `--metrics-snapshot` exporter does). It outlives
+    /// [`ServerHandle::join`] and then reads the final values.
     pub fn metrics_registry(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.control.metrics)
+        Arc::clone(&self.metrics)
     }
 
     /// Block until the server exits (a client sends `SHUTDOWN`), then
-    /// report final statistics.
-    pub fn join(mut self) -> ServerReport {
+    /// return its final `STATS` body: the `STATS` reply without its
+    /// `OK `, rendered from the registry by the same function.
+    pub fn join(mut self) -> String {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        ServerReport {
-            served_per_worker: self.control.served.iter().map(|c| c.get()).collect(),
-            cache: self.control.cache.as_ref().map(|c| c.stats()),
-            latency: self.control.latency_report(),
-            generation: (self.generation_info)(),
-            open_connections: self.control.open_connections.load(Ordering::Relaxed),
-            rejected_connections: self.control.rejected_connections.load(Ordering::Relaxed),
-            evloop_wakeups_per_worker: self
-                .control
-                .workers
-                .iter()
-                .map(|w| w.wakeups.load(Ordering::Relaxed))
-                .collect(),
-            evloop_turns_per_worker: self
-                .control
-                .workers
-                .iter()
-                .map(|w| w.turns.load(Ordering::Relaxed))
-                .collect(),
-        }
+        let mut body = String::new();
+        render_stats(
+            &self.metrics,
+            &self.control,
+            &(self.generation)(),
+            &mut body,
+        );
+        body
     }
 
     /// Initiate shutdown from the owning process (equivalent to a client
-    /// `SHUTDOWN`) and join.
-    pub fn shutdown(self) -> ServerReport {
+    /// `SHUTDOWN`) and join: the final `STATS` body, as
+    /// [`ServerHandle::join`].
+    pub fn shutdown(self) -> String {
         self.control.initiate_shutdown();
         self.join()
     }
@@ -1214,19 +1228,25 @@ where
         };
         ShardedResultCache::with_admission(config.cache_capacity, shards, config.cache_admission)
     });
+    let metrics = Arc::new(MetricsRegistry::new());
+    register_process_metrics(&metrics);
     let worker_shared = (0..workers)
         .map(|_| {
             Ok(WorkerShared {
                 poller: Poller::new()?,
                 inbox: Mutex::new(Vec::new()),
                 active: AtomicU64::new(0),
-                wakeups: AtomicU64::new(0),
-                turns: AtomicU64::new(0),
+                wakeups: metrics.counter(
+                    "sling_evloop_wakeups_total",
+                    "epoll_wait returns across workers (including idle ticks)",
+                ),
+                turns: metrics.counter(
+                    "sling_evloop_turns_total",
+                    "readiness turns dispatched to connections across workers",
+                ),
             })
         })
         .collect::<io::Result<Box<[WorkerShared]>>>()?;
-    let metrics = Arc::new(MetricsRegistry::new());
-    register_process_metrics(&metrics);
     let slowlog = Arc::new(SlowQueryLog::new(
         Duration::from_micros(config.slow_query_us),
         SLOW_LOG_CAPACITY,
@@ -1283,15 +1303,16 @@ where
         "sling_requests_deadline_total",
         "query verbs answered ERR deadline past their budget",
     );
+    let trace_counters = TraceCounters::register(&metrics);
     let recorder = config.record_path.as_ref().map(|_| {
         Arc::new(TraceRecorder::new(
             unix_ms_now() * 1000,
             config.record_sample,
+            trace_counters,
         ))
     });
     let control = Arc::new(Control {
         shutdown: AtomicBool::new(false),
-        metrics: Arc::clone(&metrics),
         slowlog,
         served,
         latency,
@@ -1299,65 +1320,34 @@ where
         cache,
         max_connections: config.max_connections,
         open_connections: AtomicU64::new(0),
-        rejected_connections: AtomicU64::new(0),
+        rejected_connections: metrics.counter(
+            "sling_server_rejected_connections_total",
+            "connections refused with ERR busy by the connection cap",
+        ),
         deadline: Duration::from_micros(config.deadline_us),
         shed_queue_depth: config.shed_queue_depth,
         shed_pending_bytes: config.shed_pending_bytes,
         rollback_error_threshold: config.rollback_error_threshold,
         requests_shed,
         requests_deadline,
-        accept_errors: AtomicU64::new(0),
+        accept_errors: metrics.counter(
+            "sling_accept_errors_total",
+            "acceptor errors (transient and unexpected accept failures)",
+        ),
         recorder: recorder.clone(),
         workers: worker_shared,
     });
-    register_control_metrics(&metrics, &control);
-    {
-        let r = Arc::downgrade(&reloadable);
-        metrics.gauge_fn(
-            "sling_index_epoch",
-            "swap epoch of the serving generation",
-            move || r.upgrade().map(|r| r.epoch() as f64).unwrap_or(0.0),
-        );
-        let r = Arc::downgrade(&reloadable);
-        metrics.counter_fn(
-            "sling_index_swaps_total",
-            "completed generation swaps",
-            move || {
-                r.upgrade()
-                    .map(|r| r.swaps.load(Ordering::Relaxed))
-                    .unwrap_or(0)
-            },
-        );
-        let r = Arc::downgrade(&reloadable);
-        metrics.counter_fn(
-            "sling_index_reload_failures_total",
-            "reload attempts whose opener failed",
-            move || {
-                r.upgrade()
-                    .map(|r| r.reload_failures.load(Ordering::Relaxed))
-                    .unwrap_or(0)
-            },
-        );
-        let r = Arc::downgrade(&reloadable);
-        metrics.counter_fn(
-            "sling_rollbacks_total",
-            "corrupt-generation rollbacks completed",
-            move || {
-                r.upgrade()
-                    .map(|r| r.rollbacks.load(Ordering::Relaxed))
-                    .unwrap_or(0)
-            },
-        );
-    }
+    register_live_metrics(&metrics, &control, &reloadable);
     let addr = listener.local_addr();
     let mut threads = Vec::with_capacity(workers + 2);
     for id in 0..workers {
         let control = Arc::clone(&control);
         let reloadable = Arc::clone(&reloadable);
+        let metrics = Arc::clone(&metrics);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("sling-worker-{id}"))
-                .spawn(move || worker_loop(&reloadable, &control, id))?,
+                .spawn(move || worker_loop(&reloadable, &control, metrics, id))?,
         );
     }
     let acceptor_control = Arc::clone(&control);
@@ -1386,12 +1376,12 @@ where
                 .spawn(move || watch_loop(&watched, &control, interval))?,
         );
     }
-    let info_source = Arc::clone(&reloadable);
     Ok(ServerHandle {
         addr,
         control,
+        metrics,
         threads,
-        generation_info: Arc::new(move || info_source.info()),
+        generation: Box::new(move || reloadable.current().name.clone()),
     })
 }
 
@@ -1494,7 +1484,7 @@ fn accept_loop(listener: Listener, control: &Control) {
                     // Over the cap: say why, then close. The socket is
                     // still blocking and its send buffer empty, so this
                     // cannot stall the acceptor.
-                    control.rejected_connections.fetch_add(1, Ordering::Relaxed);
+                    control.rejected_connections.inc();
                     let _ = stream.write_all(b"ERR busy\n");
                     continue;
                 }
@@ -1525,10 +1515,10 @@ fn accept_loop(listener: Listener, control: &Control) {
             {
                 // Transient per-connection failure: skip the connection
                 // but make the event observable.
-                control.accept_errors.fetch_add(1, Ordering::Relaxed);
+                control.accept_errors.inc();
             }
             Err(_) => {
-                control.accept_errors.fetch_add(1, Ordering::Relaxed);
+                control.accept_errors.inc();
                 consecutive_errors += 1;
                 if consecutive_errors >= MAX_ACCEPT_ERRORS {
                     control.initiate_shutdown();
@@ -1569,6 +1559,8 @@ struct WorkerCtx<S: HpStore> {
     scores: Vec<f64>,
     batch: Vec<f64>,
     response: String,
+    /// The server's registry, which `METRICS` and `STATS` render.
+    metrics: Arc<MetricsRegistry>,
     /// The generation currently being served, held only while the
     /// worker is actively serving (`None` while parked on the queue, so
     /// an idle worker never pins a retired generation's engine in
@@ -1605,7 +1597,12 @@ impl<S: HpStore> WorkerCtx<S> {
 /// of the queue ([`YIELD_AFTER`] fairness); one that consumed its
 /// readiness re-arms its oneshot epoll interest and parks costing
 /// nothing until the next event.
-fn worker_loop<S: HpStore>(reloadable: &ReloadableEngine<S>, control: &Control, worker: usize) {
+fn worker_loop<S: HpStore>(
+    reloadable: &ReloadableEngine<S>,
+    control: &Control,
+    metrics: Arc<MetricsRegistry>,
+    worker: usize,
+) {
     let shared = &control.workers[worker];
     let mut ctx = WorkerCtx {
         ws: QueryWorkspace::new(),
@@ -1613,6 +1610,7 @@ fn worker_loop<S: HpStore>(reloadable: &ReloadableEngine<S>, control: &Control, 
         scores: Vec::new(),
         batch: Vec::new(),
         response: String::new(),
+        metrics,
         gen: None,
     };
     // Serving always traces: the stage histograms and slow-query log
@@ -1649,7 +1647,7 @@ fn worker_loop<S: HpStore>(reloadable: &ReloadableEngine<S>, control: &Control, 
             std::thread::sleep(ACCEPT_POLL);
             continue;
         }
-        shared.wakeups.fetch_add(1, Ordering::Relaxed);
+        shared.wakeups.inc();
         adopt_inbox(control, shared, &mut conns, &mut free);
         for ev in events.iter() {
             if let Some(Some(conn)) = conns.get_mut(ev.key) {
@@ -1672,7 +1670,7 @@ fn worker_loop<S: HpStore>(reloadable: &ReloadableEngine<S>, control: &Control, 
                 continue;
             };
             conn.in_ready = false;
-            shared.turns.fetch_add(1, Ordering::Relaxed);
+            shared.turns.inc();
             match serve_turn(reloadable, control, worker, &mut conn, &mut ctx) {
                 Turn::Close => {
                     close_conn(control, shared, conn);
@@ -2315,11 +2313,11 @@ fn handle_request<S: HpStore>(
         Request::Reload { force } => {
             match reloadable.try_reload_with(control.cache.as_ref(), force) {
                 Ok(swapped) => {
-                    let info = reloadable.info();
                     let _ = write!(
                         out,
                         "OK generation={} epoch={} swapped={swapped}",
-                        info.generation, info.epoch
+                        reloadable.current().name,
+                        reloadable.epoch()
                     );
                 }
                 Err(e) => {
@@ -2328,109 +2326,11 @@ fn handle_request<S: HpStore>(
             }
         }
         Request::Stats => {
-            let _ = write!(
-                out,
-                "OK workers={} served={}",
-                control.served.len(),
-                control.total_served()
-            );
-            let info = reloadable.info();
-            let _ = write!(
-                out,
-                " index_generation={} index_epoch={} swaps={} reload_failures={} \
-                 last_swap_unix_ms={} rollbacks={} quarantined={} runtime_errors={}",
-                info.generation,
-                info.epoch,
-                info.swaps,
-                info.reload_failures,
-                info.last_swap_unix_ms,
-                info.rollbacks,
-                info.quarantined,
-                info.runtime_errors
-            );
-            let _ = write!(
-                out,
-                " shed={} deadline_exceeded={}",
-                control.requests_shed.get(),
-                control.requests_deadline.get()
-            );
-            match &control.recorder {
-                None => out.push_str(" trace=off"),
-                Some(rec) => {
-                    let (records, dropped, bytes) = rec.counters();
-                    let _ = write!(
-                        out,
-                        " trace=on trace_records={records} trace_dropped={dropped} \
-                         trace_bytes={bytes}"
-                    );
-                }
-            }
-            let lat = control.latency_report();
-            let _ = write!(
-                out,
-                " latency_count={} latency_p50_us={:.1} latency_p99_us={:.1} \
-                 latency_p999_us={:.1}",
-                lat.count, lat.p50_us, lat.p99_us, lat.p999_us
-            );
-            out.push_str(" per_worker=");
-            for (i, c) in control.served.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", c.get());
-            }
-            let open = control.open_connections.load(Ordering::Relaxed);
-            let active: u64 = control
-                .workers
-                .iter()
-                .map(|w| w.active.load(Ordering::Relaxed))
-                .sum();
-            let _ = write!(
-                out,
-                " open_connections={} idle_connections={} rejected_connections={}",
-                open,
-                open.saturating_sub(active),
-                control.rejected_connections.load(Ordering::Relaxed)
-            );
-            out.push_str(" evloop_wakeups=");
-            for (i, w) in control.workers.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", w.wakeups.load(Ordering::Relaxed));
-            }
-            out.push_str(" evloop_turns=");
-            for (i, w) in control.workers.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", w.turns.load(Ordering::Relaxed));
-            }
-            match &control.cache {
-                None => out.push_str(" cache=off"),
-                Some(cache) => {
-                    let s = cache.stats();
-                    let _ = write!(
-                        out,
-                        " cache=on cache_entries={} cache_capacity={} cache_shards={} \
-                         cache_hits={} cache_misses={} cache_evictions={} cache_hit_rate={:.4} \
-                         cache_admission={} cache_admission_rejects={}",
-                        cache.len(),
-                        cache.capacity(),
-                        cache.num_shards(),
-                        s.hits,
-                        s.misses,
-                        s.evictions,
-                        s.hit_rate(),
-                        cache.admission().as_str(),
-                        cache.admission_rejects()
-                    );
-                }
-            }
-            let _ = write!(out, " resident_bytes={}", gen.engine.resident_bytes());
+            out.push_str("OK ");
+            render_stats(&ctx.metrics, control, &gen.name, out);
         }
         Request::Metrics => {
-            write_framed(out, &control.metrics.render_prometheus());
+            write_framed(out, &ctx.metrics.render_prometheus());
         }
         Request::Slowlog => {
             let mut payload = String::new();

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use sling_core::{SharedEngine, SlingConfig, SlingIndex};
 use sling_graph::generators::barabasi_albert;
 use sling_graph::{DiGraph, NodeId};
-use sling_server::{serve, Client, Listener, ServerConfig};
+use sling_server::{serve, stats_field, Client, Listener, ServerConfig};
 
 const NODES: u32 = 120;
 
@@ -290,5 +290,9 @@ fn connection_cap_rejects_with_err_busy_and_frees_on_close() {
     drop(c2);
     drop(c3);
     let report = handle.shutdown();
-    assert!(report.rejected_connections >= 1);
+    let rejected: u64 = stats_field(&report, "rejected_connections")
+        .unwrap()
+        .parse()
+        .unwrap();
+    assert!(rejected >= 1, "{report}");
 }

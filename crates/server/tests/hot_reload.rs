@@ -15,7 +15,8 @@ use sling_core::{
 use sling_graph::generators::barabasi_albert;
 use sling_graph::{DiGraph, NodeId};
 use sling_server::{
-    serve, serve_reloadable, Client, Listener, ReloadableEngine, ServerConfig, ServerHandle,
+    serve, serve_reloadable, stats_field, Client, Listener, ReloadableEngine, ServerConfig,
+    ServerHandle,
 };
 
 const CLIENT_THREADS: usize = 8;
@@ -192,12 +193,13 @@ fn swap_under_load_answers_from_a_live_generation_only() {
     });
 
     let report = handle.join();
-    assert_eq!(report.generation.swaps, 5);
+    assert_eq!(stats_field(&report, "swaps"), Some("5"), "{report}");
     assert!(
         total.load(Ordering::Relaxed) > 0,
         "traffic threads never ran"
     );
-    assert!(report.total_served() > 0);
+    let served: u64 = stats_field(&report, "served").unwrap().parse().unwrap();
+    assert!(served > 0, "{report}");
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -362,9 +364,17 @@ fn pinned_server_reload_is_a_noop() {
     assert!(stats.contains("swaps=0"), "{stats}");
     client.shutdown().unwrap();
     let report = handle.join();
-    assert_eq!(report.generation.generation, "static");
-    assert_eq!(report.generation.swaps, 0);
-    assert_eq!(report.generation.last_swap_unix_ms, 0);
+    assert_eq!(
+        stats_field(&report, "index_generation"),
+        Some("static"),
+        "{report}"
+    );
+    assert_eq!(stats_field(&report, "swaps"), Some("0"), "{report}");
+    assert_eq!(
+        stats_field(&report, "last_swap_unix_ms"),
+        Some("0"),
+        "{report}"
+    );
 }
 
 /// A store with nothing promoted refuses to start serving (there is no

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use sling_core::{HpStore, SharedEngine, SlingConfig, SlingIndex};
 use sling_graph::generators::barabasi_albert;
 use sling_graph::{DiGraph, NodeId};
-use sling_server::{serve, Client, Listener, ServerConfig};
+use sling_server::{serve, stats_field, Client, Listener, ServerConfig};
 
 const CLIENT_THREADS: usize = 8;
 
@@ -135,11 +135,18 @@ fn concurrent_mixed_traffic_is_bit_identical_to_serial() {
     // Graceful shutdown: join returns the final accounting.
     client.shutdown().unwrap();
     let report = handle.join();
-    assert_eq!(report.served_per_worker.len(), 4);
+    let per_worker = stats_field(&report, "per_worker").unwrap();
+    assert_eq!(per_worker.split(',').count(), 4, "{report}");
     // 8 threads x 40 requests + 20 batch pairs + 1 source + 1 failed pair.
-    assert!(report.total_served() >= 8 * 40 + 21, "{report:?}");
-    let cache = report.cache.unwrap();
-    assert!(cache.hits > 0 && cache.misses > 0);
+    let served: u64 = stats_field(&report, "served").unwrap().parse().unwrap();
+    assert!(served >= 8 * 40 + 21, "{report}");
+    assert_eq!(stats_field(&report, "cache"), Some("on"), "{report}");
+    let hits: u64 = stats_field(&report, "cache_hits").unwrap().parse().unwrap();
+    let misses: u64 = stats_field(&report, "cache_misses")
+        .unwrap()
+        .parse()
+        .unwrap();
+    assert!(hits > 0 && misses > 0, "{report}");
 }
 
 #[test]
@@ -168,8 +175,8 @@ fn unix_socket_serving_and_cacheless_mode() {
     assert!(stats.contains("cache=off"), "{stats}");
     client.shutdown().unwrap();
     let report = handle.join();
-    assert!(report.cache.is_none());
-    assert_eq!(report.total_served(), 1);
+    assert_eq!(stats_field(&report, "cache"), Some("off"), "{report}");
+    assert_eq!(stats_field(&report, "served"), Some("1"), "{report}");
     assert!(!path.exists(), "socket file must be removed on shutdown");
 }
 
@@ -236,7 +243,8 @@ fn shutdown_drains_despite_idle_connections() {
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let shutdown_thread = std::thread::spawn(move || {
         let report = handle.shutdown();
-        done_tx.send(report.served_per_worker.len()).unwrap();
+        let per_worker = stats_field(&report, "per_worker").unwrap();
+        done_tx.send(per_worker.split(',').count()).unwrap();
     });
     let workers = done_rx
         .recv_timeout(std::time::Duration::from_secs(10))
@@ -276,7 +284,7 @@ fn idle_connection_cannot_starve_a_single_worker() {
     assert_eq!(got.to_bits(), want.to_bits());
     client.shutdown().unwrap();
     let report = handle.join();
-    assert_eq!(report.total_served(), 1);
+    assert_eq!(stats_field(&report, "served"), Some("1"), "{report}");
     drop(idle);
 }
 
