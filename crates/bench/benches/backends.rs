@@ -10,7 +10,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sling_bench::{params_for, sample_pairs, sling_config};
 use sling_core::codec::CompressOptions;
-use sling_core::single_source::SingleSourceWorkspace;
 use sling_core::{inspect_file, QueryWorkspace, Residency, SharedEngine, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 use sling_graph::NodeId;
@@ -85,7 +84,7 @@ fn bench_backends(c: &mut Criterion) {
         .map(|i| NodeId((i * 97) % graph.num_nodes() as u32))
         .collect();
     for (label, engine) in &engines {
-        let mut ws = SingleSourceWorkspace::new();
+        let mut ws = QueryWorkspace::new();
         let mut out = Vec::new();
         let mut cursor = 0usize;
         group.bench_with_input(BenchmarkId::from_parameter(label), &(), |b, _| {

@@ -17,7 +17,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sling_bench::{params_for, sample_pairs, sling_config};
-use sling_core::single_source::SingleSourceWorkspace;
 use sling_core::{QueryWorkspace, Residency, SharedEngine, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 use sling_graph::NodeId;
@@ -87,7 +86,7 @@ fn bench_query_kernels(c: &mut Criterion) {
     let sources: Vec<NodeId> = (0..64u32).map(|i| NodeId((i * 97) % n as u32)).collect();
     let mut group = c.benchmark_group("kernels/single_source");
     for (backend, engine) in &engines {
-        let mut ws = SingleSourceWorkspace::new();
+        let mut ws = QueryWorkspace::new();
         let mut out = Vec::new();
         let mut cursor = 0usize;
         group.bench_with_input(
@@ -113,7 +112,7 @@ fn bench_query_kernels(c: &mut Criterion) {
                     let u = sources[cursor % sources.len()];
                     cursor += 1;
                     engine
-                        .single_source_with(&graph, &mut SingleSourceWorkspace::new(), u, &mut out)
+                        .single_source_with(&graph, &mut QueryWorkspace::new(), u, &mut out)
                         .unwrap();
                     std::hint::black_box(out.len())
                 })

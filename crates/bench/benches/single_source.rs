@@ -4,8 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sling_baselines::linearize::Linearize;
 use sling_bench::{params_for, sample_nodes, sling_config};
-use sling_core::single_source::SingleSourceWorkspace;
-use sling_core::SlingIndex;
+use sling_core::{QueryWorkspace, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 
 fn bench_single_source(c: &mut Criterion) {
@@ -18,7 +17,7 @@ fn bench_single_source(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("single_source/as-sim");
     group.sample_size(10);
-    let mut ws = SingleSourceWorkspace::new();
+    let mut ws = QueryWorkspace::new();
     let mut out = Vec::new();
     let mut cursor = 0usize;
     group.bench_function("sling_alg6", |b| {

@@ -9,7 +9,6 @@ use rand::{RngExt, SeedableRng};
 use sling_baselines::linearize::{Linearize, LinearizeConfig};
 use sling_baselines::monte_carlo::{theory_truncation, McIndex};
 use sling_baselines::DenseMatrix;
-use sling_core::single_source::SingleSourceWorkspace;
 use sling_core::{QueryWorkspace, SlingConfig, SlingIndex};
 use sling_graph::datasets::{DatasetSpec, Tier};
 use sling_graph::{DiGraph, NodeId};
@@ -113,7 +112,7 @@ pub fn bench_sling_single_pair(
 
 /// Average per-query seconds of SLING single-source queries (Algorithm 6).
 pub fn bench_sling_single_source(index: &SlingIndex, graph: &DiGraph, sources: &[NodeId]) -> f64 {
-    let mut ws = SingleSourceWorkspace::new();
+    let mut ws = QueryWorkspace::new();
     let mut out = Vec::new();
     let (_, secs) = time(|| {
         let mut acc = 0.0;
@@ -130,7 +129,7 @@ pub fn bench_sling_single_source(index: &SlingIndex, graph: &DiGraph, sources: &
 pub fn all_pairs_sling(index: &SlingIndex, graph: &DiGraph) -> DenseMatrix {
     let n = graph.num_nodes();
     let mut m = DenseMatrix::zeros(n);
-    let mut ws = SingleSourceWorkspace::new();
+    let mut ws = QueryWorkspace::new();
     let mut row = Vec::new();
     for u in graph.nodes() {
         index.single_source_with(graph, &mut ws, u, &mut row);

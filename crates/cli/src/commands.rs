@@ -113,15 +113,16 @@ const COMMANDS: &[Command] = &[
         synopsis: &[
             "GRAPH INDEX [--listen ADDR] [--unix PATH] [--workers N] [--cache CAP] [--shards S] \
              [--max-connections N] [--index-backend B] [--slow-query-us U] [--deadline-us D] \
-             [--shed-queue-depth Q] [--shed-pending-bytes P] [--faults SPEC] \
+             [--shed-pending-bytes P] [--faults SPEC] \
              [--metrics-snapshot FILE [--metrics-snapshot-ms N]] \
              [--record FILE [--record-sample N]] [--cache-admission lru|tinylfu]",
             "--index-root DIR [GRAPH] [--watch] [--watch-ms N] [--rollback-errors E] [..]",
         ],
         about: "long-lived epoll-based query server (wire protocol: see sling-server docs). \
                 Queries at or above U microseconds land in the SLOWLOG ring (default 10000, \
-                0 disables); queries buffered longer than D microseconds answer ERR deadline, \
-                and past Q queued requests or P pending bytes answer ERR overloaded (0 = off). \
+                0 disables); a query whose bytes waited longer than D microseconds answers ERR \
+                deadline, and one arriving while its connection owes P pending bytes answers \
+                ERR overloaded (0 = off). \
                 --faults installs a deterministic fault schedule (see sling-core faults docs; \
                 also read from SLING_FAULTS). --metrics-snapshot dumps the metrics registry to \
                 FILE as JSON every N ms (default 1000). --record streams a SLNGTRACE traffic \
@@ -718,7 +719,6 @@ fn serve_config(args: &Args) -> Result<ServerConfig, String> {
     Ok(ServerConfig {
         watch_interval_ms: args.flag_parse("watch-ms", watch_default)?,
         deadline_us: args.flag_parse("deadline-us", shared.deadline_us)?,
-        shed_queue_depth: args.flag_parse("shed-queue-depth", shared.shed_queue_depth)?,
         shed_pending_bytes: args.flag_parse("shed-pending-bytes", shared.shed_pending_bytes)?,
         rollback_error_threshold: args
             .flag_parse("rollback-errors", shared.rollback_error_threshold)?,
@@ -1167,7 +1167,6 @@ fn replay_records(
     let n = g.num_nodes() as u32;
     let mut run = ReplayRun::default();
     let mut ws = QueryWorkspace::new();
-    let mut ss = sling_core::single_source::SingleSourceWorkspace::new();
     let mut scores: Vec<f64> = Vec::new();
     let t0 = records.first().map(|r| r.t_us).unwrap_or(0);
     let start = std::time::Instant::now();
@@ -1217,7 +1216,7 @@ fn replay_records(
                     continue;
                 }
                 engine
-                    .single_source_with(g, &mut ss, NodeId(u), &mut scores)
+                    .single_source_with(g, &mut ws, NodeId(u), &mut scores)
                     .map_err(|e| e.to_string())?;
                 run.source += 1;
             }
@@ -1227,7 +1226,7 @@ fn replay_records(
                     continue;
                 }
                 engine
-                    .top_k_with(g, &mut ss, &mut scores, NodeId(u), k.max(1) as usize)
+                    .top_k_with(g, &mut ws, &mut scores, NodeId(u), k.max(1) as usize)
                     .map_err(|e| e.to_string())?;
                 run.topk += 1;
             }
@@ -2508,16 +2507,14 @@ fn bench_one_backend(
         lat,
     ));
 
-    let mut ss = sling_core::single_source::SingleSourceWorkspace::new();
-    ss.set_trace_enabled(w.trace);
     let mut out = Vec::new();
     let (total, lat) = time_each(w.sources.len(), |i| {
         engine
-            .single_source_with(g, &mut ss, w.sources[i], &mut out)
+            .single_source_with(g, &mut ws, w.sources[i], &mut out)
             .unwrap_or_default();
         acc += out.first().copied().unwrap_or(0.0);
     });
-    trace_row(traces, "single_source", ss.take_trace());
+    trace_row(traces, "single_source", ws.take_trace());
     results.push(record(
         backend,
         "single_source",
@@ -2531,11 +2528,11 @@ fn bench_one_backend(
     let mut scores = Vec::new();
     let (total, lat) = time_each(w.sources.len(), |i| {
         let top = engine
-            .top_k_with(g, &mut ss, &mut scores, w.sources[i], 10)
+            .top_k_with(g, &mut ws, &mut scores, w.sources[i], 10)
             .unwrap_or_default();
         acc += top.first().map(|&(_, s)| s).unwrap_or(0.0);
     });
-    trace_row(traces, "top_k", ss.take_trace());
+    trace_row(traces, "top_k", ws.take_trace());
     results.push(record(backend, "top_k", w.sources.len(), total, lat));
 
     let (total, lat) = time_each(w.batch_rounds, |_| {
@@ -3610,6 +3607,52 @@ mod tests {
         assert!(json.contains("\"advantage\""), "{json}");
         // Spot-checks ran in every suite row.
         assert!(!json.contains("\"spot_checks\": 0"), "{json}");
+    }
+
+    /// The offline cache simulator counts what the engine-backed replay
+    /// counts on every pinned suite row: the same hits, misses and
+    /// admission rejects on the same trace, capacity and policy. The
+    /// serving path answers identity pairs without a lookup under the
+    /// default `exact_diagonal`, so the simulator must skip them too.
+    #[test]
+    fn cache_simulator_matches_the_engine_replay_on_every_suite_row() {
+        let dir = tmpdir("simreplay");
+        let (g_path, idx_path) = (dir.join("g.bin"), dir.join("idx.slng"));
+        run_str(&format!(
+            "generate --ba 400,3 --seed 6 --out {}",
+            g_path.display()
+        ))
+        .unwrap();
+        run_str(&format!(
+            "build {} --out {} --eps 0.1 --seed 7",
+            g_path.display(),
+            idx_path.display()
+        ))
+        .unwrap();
+        let g = load_graph(g_path.to_str().unwrap()).unwrap();
+        let engine = open_engine(&g, idx_path.to_str().unwrap(), Residency::Mem).unwrap();
+        assert!(engine.config().exact_diagonal);
+        // The suite's defaults: 400 trace nodes, 12,000 records, seed
+        // 41, capacity 192.
+        let opts = SynthOpts {
+            nodes: 400,
+            records: 12_000,
+            seed: 41,
+        };
+        for &(scenario, policy) in REPLAY_SUITE {
+            let trace = synth_trace(scenario, opts).unwrap();
+            let cache = ShardedResultCache::with_admission(192, 1, policy);
+            let run = replay_records(&engine, &g, &trace.records, Some(&cache), 0.0, 0).unwrap();
+            assert_eq!(run.skipped, 0, "{scenario}");
+            let sim = sling_core::workload::simulate_pair_cache(&trace.records, 192, policy);
+            assert_eq!(
+                (run.hits, run.misses, run.rejects),
+                (sim.hits, sim.misses, sim.rejects),
+                "{scenario} {}",
+                policy.as_str()
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::error::SlingError;
 use crate::index::{QueryWorkspace, SlingIndex};
 use crate::parallel::run_batch;
 use crate::single_pair::single_pair_core;
-use crate::single_source::{single_source_core, SingleSourceWorkspace};
+use crate::single_source::single_source_core;
 use crate::store::{EngineRef, HpStore, SharedEngine};
 
 /// Batched Algorithm 3 over any `Sync` storage backend.
@@ -70,7 +70,7 @@ pub(crate) fn batch_single_source_core<S: HpStore + Sync>(
         sources,
         &mut out,
         threads,
-        SingleSourceWorkspace::new,
+        QueryWorkspace::new,
         |ws, block, slots| {
             for (slot, &u) in slots.iter_mut().zip(block) {
                 single_source_core(e, graph, ws, u, slot)?;
@@ -144,13 +144,6 @@ impl SlingIndex {
         batch_single_source_core(self.engine_ref(), graph, sources, threads)
             .expect("in-memory HP store cannot fail")
     }
-
-    /// All-pairs scores as `n` single-source rows (the Figures 5–7
-    /// protocol), parallelized over sources.
-    pub fn all_pairs(&self, graph: &DiGraph, threads: usize) -> Vec<Vec<f64>> {
-        let sources: Vec<NodeId> = graph.nodes().collect();
-        self.batch_single_source(graph, &sources, threads)
-    }
 }
 
 #[cfg(test)]
@@ -190,18 +183,6 @@ mod tests {
         // And each row matches the direct query.
         for (i, &u) in sources.iter().enumerate() {
             assert_eq!(serial[i], idx.single_source(&g, u));
-        }
-    }
-
-    #[test]
-    fn all_pairs_is_square_and_diagonal_one() {
-        let g = two_cliques_bridge(4);
-        let idx = build(&g);
-        let all = idx.all_pairs(&g, 3);
-        assert_eq!(all.len(), 8);
-        for (i, row) in all.iter().enumerate() {
-            assert_eq!(row.len(), 8);
-            assert_eq!(row[i], 1.0);
         }
     }
 

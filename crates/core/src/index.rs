@@ -12,6 +12,7 @@ use crate::hp::{HpArena, HpEntry};
 use crate::local_update::HpTriple;
 use crate::obs::{QueryTrace, StageNanos};
 use crate::parallel::{correction_phase, local_update_phase};
+use crate::single_source::DenseScores;
 use crate::store::{EngineRef, HpStore};
 use crate::two_hop::{two_hop_into, TwoHopScratch};
 
@@ -198,17 +199,21 @@ pub(crate) enum Buf {
     B,
 }
 
-/// Reusable buffers for query processing. One workspace per querying
-/// thread; every query API has a `_with` variant taking `&mut` workspace
-/// so hot loops (the benchmark harness, Algorithm-3-based single-source)
-/// allocate nothing.
+/// Reusable buffers for every query kind. One workspace per querying
+/// thread answers single-pair (Algorithm 3), single-source
+/// (Algorithm 6), top-k, join and batch queries alike: every query API
+/// has a `_with` variant taking `&mut` workspace, so hot loops (server
+/// workers, the benchmark harness) allocate nothing once it is warm.
 ///
-/// Every query writes these buffers: each endpoint's stored run is read
-/// into them and, for a §5.2-reduced or §5.3-marked node, restored to
-/// its effective list there. So one query against a hub node grows a
+/// Every query writes the entry buffers: each endpoint's stored run is
+/// read into them and, for a §5.2-reduced or §5.3-marked node, restored
+/// to its effective list there. So one query against a hub node grows a
 /// buffer to the largest list in the index. Long-lived workers should
 /// call [`QueryWorkspace::trim_excess`] between requests so hub-sized
-/// capacity is not pinned per thread forever.
+/// capacity is not pinned per thread forever. Algorithm 6 also keeps
+/// its dense propagation state here, sized to the graph on the first
+/// single-source query; a workspace that only answers pairs never
+/// allocates it.
 #[derive(Debug, Default)]
 pub struct QueryWorkspace {
     pub(crate) buf_a: Vec<HpEntry>,
@@ -218,6 +223,8 @@ pub struct QueryWorkspace {
     pub(crate) stored: Vec<HpEntry>,
     pub(crate) extras: Vec<HpEntry>,
     pub(crate) merged: Vec<HpEntry>,
+    /// Algorithm 6's score arrays and frontiers.
+    pub(crate) dense: DenseScores,
     /// Per-stage tracer (disabled by default; see [`crate::obs::trace`]).
     pub(crate) trace: QueryTrace,
 }
@@ -245,6 +252,8 @@ impl QueryWorkspace {
     /// call between queries, never mid-query. A capacity check per
     /// buffer — effectively free when nothing outgrew the threshold —
     /// so long-lived server workers can call this after every request.
+    /// Algorithm 6's dense arrays and frontier bitsets are kept: they
+    /// are sized by the graph, not by the largest query seen.
     pub fn trim_excess(&mut self) {
         for buf in [
             &mut self.buf_a,

@@ -36,7 +36,7 @@ use sling_graph::{DiGraph, NodeId};
 
 use crate::error::SlingError;
 use crate::index::{effective_entries_into, Buf, QueryWorkspace, SlingIndex};
-use crate::single_source::{single_source_core, SingleSourceWorkspace};
+use crate::single_source::single_source_core;
 use crate::store::{EngineRef, HpStore};
 
 /// How a join materializes pair scores.
@@ -143,7 +143,7 @@ fn join_per_source<S: HpStore>(
     graph: &DiGraph,
     tau: f64,
 ) -> Result<Vec<JoinPair>, SlingError> {
-    let mut ws = SingleSourceWorkspace::new();
+    let mut ws = QueryWorkspace::new();
     let mut scores = Vec::new();
     let mut out = Vec::new();
     for u in graph.nodes() {

@@ -1,10 +1,11 @@
 //! Per-query stage tracing and the ring-buffered slow-query log.
 //!
 //! A [`QueryTrace`] lives inside every
-//! [`QueryWorkspace`](crate::QueryWorkspace) (and, through it, every
-//! `SingleSourceWorkspace`). Disabled — the default — it is **zero
-//! cost**: every hook is one predictable branch, no clock reads, no
-//! atomics. Enabled, the kernels charge wall time to four stages:
+//! [`QueryWorkspace`](crate::QueryWorkspace), the one workspace that
+//! single-pair, single-source, top-k, join and batch queries all run
+//! in. Disabled — the default — it is **zero cost**: every hook is one
+//! predictable branch, no clock reads, no atomics. Enabled, the kernels
+//! charge wall time to four stages:
 //!
 //! * `entry_fetch` — reading a node's stored run from the backend into
 //!   the workspace (copy, mapped decode, block pass),
@@ -21,12 +22,17 @@
 //!
 //! Callers drain the accumulated [`StageNanos`] per query
 //! ([`QueryTrace::take`]) and feed them to stage histograms, the
-//! slow-query log, or a bench breakdown table.
+//! slow-query log, or a bench breakdown table. A [`SlowQueryRecord`]
+//! names its query by the traffic trace's own verb and key
+//! ([`TraceVerb`], [`TraceKey`]), so a slow-log line and the trace
+//! record of the same query spell it alike.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+use crate::workload::trace::{TraceKey, TraceVerb};
 
 /// Wall time charged to each kernel stage, in nanoseconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -123,14 +129,6 @@ impl QueryTrace {
         self.stages.propagate += self.lap();
     }
 
-    /// Merge an externally measured breakdown (e.g. from a nested
-    /// workspace) into this trace.
-    pub fn absorb(&mut self, stages: &StageNanos) {
-        if self.enabled {
-            self.stages.add(stages);
-        }
-    }
-
     /// Drain the breakdown accumulated since the last `take`.
     pub fn take(&mut self) -> StageNanos {
         std::mem::take(&mut self.stages)
@@ -141,10 +139,12 @@ impl QueryTrace {
 /// attribute a slow request without re-running it.
 #[derive(Clone, Debug)]
 pub struct SlowQueryRecord {
-    /// Protocol verb (`PAIR`, `SOURCE`, `TOPK`, ...).
-    pub verb: &'static str,
-    /// Request key, e.g. `3,77` for a pair or `3` for a source.
-    pub key: String,
+    /// Protocol verb, as the traffic trace records it.
+    pub verb: TraceVerb,
+    /// The query's key, as the traffic trace records it: `3,77` for a
+    /// pair (one line per pair of a `BATCH`), `3` for a source, `3:5`
+    /// for a top-k.
+    pub key: TraceKey,
     /// Index generation serving the query.
     pub generation: String,
     /// Engine epoch at query time.
@@ -157,13 +157,15 @@ pub struct SlowQueryRecord {
 
 impl fmt::Display for SlowQueryRecord {
     /// One line, `key=value` pairs in a fixed order — grep-friendly.
+    /// `verb=` and `key=` use the traffic trace's encoding.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut key = String::new();
+        self.key.encode(&mut key);
         write!(
             f,
-            "slow verb={} key={} generation={} epoch={} total_us={} entry_fetch_us={} \
+            "slow verb={} key={key} generation={} epoch={} total_us={} entry_fetch_us={} \
              restore_us={} merge_us={} propagate_us={}",
-            self.verb,
-            self.key,
+            self.verb.as_str(),
             self.generation,
             self.epoch,
             self.total.as_micros(),
@@ -238,10 +240,16 @@ impl SlowQueryLog {
 mod tests {
     use super::*;
 
-    fn rec(verb: &'static str, total_us: u64) -> SlowQueryRecord {
+    /// A record of `verb` with a key of that verb's shape.
+    fn rec(verb: TraceVerb, total_us: u64) -> SlowQueryRecord {
+        let key = match verb {
+            TraceVerb::Pair | TraceVerb::Batch => TraceKey::Pair(3, 77),
+            TraceVerb::Source => TraceKey::Node(3),
+            TraceVerb::TopK => TraceKey::NodeK(3, 5),
+        };
         SlowQueryRecord {
             verb,
-            key: "3,77".to_string(),
+            key,
             generation: "gen-0001".to_string(),
             epoch: 2,
             total: Duration::from_micros(total_us),
@@ -290,17 +298,17 @@ mod tests {
     #[test]
     fn slow_log_respects_threshold() {
         let log = SlowQueryLog::new(Duration::from_micros(100), 8);
-        log.record(rec("PAIR", 99));
+        log.record(rec(TraceVerb::Pair, 99));
         assert_eq!(log.snapshot().len(), 0);
-        log.record(rec("PAIR", 100));
-        log.record(rec("SOURCE", 5_000));
+        log.record(rec(TraceVerb::Pair, 100));
+        log.record(rec(TraceVerb::Source, 5_000));
         let snap = log.snapshot();
         assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].verb, "PAIR");
+        assert_eq!(snap[0].verb, TraceVerb::Pair);
         assert_eq!(log.admitted(), 2);
         // Zero threshold disables entirely.
         let off = SlowQueryLog::new(Duration::ZERO, 8);
-        off.record(rec("PAIR", u64::MAX >> 20));
+        off.record(rec(TraceVerb::Pair, u64::MAX >> 20));
         assert_eq!(off.snapshot().len(), 0);
     }
 
@@ -308,7 +316,7 @@ mod tests {
     fn slow_log_ring_evicts_oldest() {
         let log = SlowQueryLog::new(Duration::from_micros(1), 3);
         for i in 0..5u64 {
-            let mut r = rec("PAIR", 10 + i);
+            let mut r = rec(TraceVerb::Pair, 10 + i);
             r.epoch = i;
             log.record(r);
         }
@@ -322,25 +330,34 @@ mod tests {
     #[test]
     fn slow_log_survives_a_panic_under_its_lock() {
         let log = SlowQueryLog::new(Duration::from_micros(1), 3);
-        log.record(rec("PAIR", 10));
+        log.record(rec(TraceVerb::Pair, 10));
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _held = log.ring.lock();
             panic!("panic while the ring is locked");
         }));
         assert!(poisoned.is_err() && log.ring.is_poisoned());
-        log.record(rec("SOURCE", 20));
-        let verbs: Vec<&str> = log.snapshot().iter().map(|r| r.verb).collect();
-        assert_eq!(verbs, ["PAIR", "SOURCE"]);
+        log.record(rec(TraceVerb::Source, 20));
+        let verbs: Vec<TraceVerb> = log.snapshot().iter().map(|r| r.verb).collect();
+        assert_eq!(verbs, [TraceVerb::Pair, TraceVerb::Source]);
     }
 
     #[test]
     fn record_renders_one_grepable_line() {
-        let line = rec("TOPK", 1234).to_string();
+        let line = rec(TraceVerb::TopK, 1234).to_string();
         assert_eq!(
             line,
-            "slow verb=TOPK key=3,77 generation=gen-0001 epoch=2 total_us=1234 \
+            "slow verb=TOPK key=3:5 generation=gen-0001 epoch=2 total_us=1234 \
              entry_fetch_us=1 restore_us=2 merge_us=3 propagate_us=0"
         );
         assert!(!line.contains('\n'));
+        // Every key shape is spelled as the traffic trace spells it.
+        for (verb, key) in [
+            (TraceVerb::Pair, "PAIR key=3,77 "),
+            (TraceVerb::Batch, "BATCH key=3,77 "),
+            (TraceVerb::Source, "SOURCE key=3 "),
+        ] {
+            let line = rec(verb, 1).to_string();
+            assert!(line.starts_with(&format!("slow verb={key}")), "{line}");
+        }
     }
 }

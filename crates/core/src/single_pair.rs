@@ -199,7 +199,8 @@ impl SlingIndex {
     /// # Panics
     /// Panics if `u` or `v` is out of range, in release builds too
     /// (an exact-diagonal `u == v` answers 1 before any lookup); use
-    /// [`SlingIndex::try_single_pair`] for checked access.
+    /// [`SharedEngine::single_pair_with`](crate::SharedEngine::single_pair_with)
+    /// for range-checked access.
     pub fn single_pair_with(
         &self,
         graph: &DiGraph,
@@ -210,22 +211,6 @@ impl SlingIndex {
         debug_assert_eq!(graph.num_nodes(), self.num_nodes, "wrong graph for index");
         single_pair_core(self.engine_ref(), graph, ws, u, v)
             .expect("in-memory HP store cannot fail")
-    }
-
-    /// Range-checked single-pair query.
-    pub fn try_single_pair(
-        &self,
-        graph: &DiGraph,
-        u: NodeId,
-        v: NodeId,
-    ) -> Result<f64, SlingError> {
-        let n = self.num_nodes as u32;
-        for node in [u, v] {
-            if node.0 >= n {
-                return Err(SlingError::NodeOutOfRange { node: node.0, n });
-            }
-        }
-        Ok(self.single_pair(graph, u, v))
     }
 }
 
@@ -322,14 +307,6 @@ mod tests {
         let g = cycle_graph(9);
         let idx = build(&g, 0.05);
         assert_eq!(idx.single_pair(&g, NodeId(0), NodeId(4)), 0.0);
-    }
-
-    #[test]
-    fn try_single_pair_checks_range() {
-        let g = cycle_graph(4);
-        let idx = build(&g, 0.1);
-        assert!(idx.try_single_pair(&g, NodeId(0), NodeId(9)).is_err());
-        assert!(idx.try_single_pair(&g, NodeId(0), NodeId(3)).is_ok());
     }
 
     /// Deterministic sorted entry run with roughly every `stride`-th key

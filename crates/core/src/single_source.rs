@@ -9,6 +9,13 @@
 //! pruning scores `≤ (√c)ℓ · θ`. After ℓ rounds, `ρ⁽ℓ⁾(v_j)` is exactly
 //! the step-ℓ term of Eq. (13) for the pair `(v_i, v_j)`, so summing over
 //! ℓ yields every `s̃(v_i, ·)` in `O(m log² 1/ε)` total (Lemma 12).
+//!
+//! The query runs in the same [`QueryWorkspace`] as Algorithm 3: the
+//! effective list `H*(v_i)` is restored into its entry buffer, and the
+//! dense propagation state (`DenseScores`) lives beside it, so one
+//! workspace per thread answers both query kinds.
+//! [`SingleSourceWorkspace`] is only an alias of that workspace, kept
+//! because the `perfbench/` harness still names it.
 
 use sling_graph::{DiGraph, NodeId};
 
@@ -18,50 +25,10 @@ use crate::index::{effective_entries_into, Buf, QueryWorkspace, SlingIndex};
 use crate::obs::{self, KernelCounters};
 use crate::store::{EngineRef, HpStore};
 
-/// Reusable buffers for Algorithm 6. One per querying thread.
-///
-/// Split into the dense propagation state (`DenseScores`) and the
-/// entry-list scratch ([`QueryWorkspace`]) so the kernel can read the
-/// effective list in `query.buf_a` while mutating the propagation
-/// buffers — disjoint fields, disjoint borrows.
-#[derive(Debug, Default)]
-pub struct SingleSourceWorkspace {
-    pub(crate) dense: DenseScores,
-    pub(crate) query: QueryWorkspace,
-}
-
-impl SingleSourceWorkspace {
-    /// Fresh workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cap the retained capacity of the growable scratch buffers (see
-    /// [`QueryWorkspace::trim_excess`]). The `O(n)` dense score arrays
-    /// and frontier bitsets are kept — they are sized by the graph, not
-    /// by the largest query seen — but the entry buffers shrink back to
-    /// the retention threshold after a hub-sized query.
-    pub fn trim_excess(&mut self) {
-        self.query.trim_excess();
-        self.dense.trim_excess();
-    }
-
-    /// Enable or disable per-stage query tracing (see
-    /// [`QueryWorkspace::set_trace_enabled`]).
-    pub fn set_trace_enabled(&mut self, enabled: bool) {
-        self.query.set_trace_enabled(enabled);
-    }
-
-    /// Whether per-stage tracing is enabled.
-    pub fn trace_enabled(&self) -> bool {
-        self.query.trace_enabled()
-    }
-
-    /// Drain the stage breakdown accumulated since the last call.
-    pub fn take_trace(&mut self) -> crate::obs::StageNanos {
-        self.query.take_trace()
-    }
-}
+/// An alias of [`QueryWorkspace`], which answers every query kind. It
+/// stays because the `perfbench/` harness names it; new code should
+/// name [`QueryWorkspace`].
+pub type SingleSourceWorkspace = QueryWorkspace;
 
 /// Upper bound on the degrees covered by the reciprocal table in
 /// [`DenseScores`]: 8 KiB of graph-independent constants.
@@ -446,11 +413,6 @@ impl DenseScores {
     pub(crate) fn touched_count(&self) -> usize {
         self.touched.count()
     }
-
-    fn trim_excess(&mut self) {
-        // The frontier bitsets are graph-sized (`n/64` words), like the
-        // dense arrays they track — nothing query-sized to shrink.
-    }
 }
 
 /// Algorithm 6 over any storage backend: `H*(u)` is read once into the
@@ -460,7 +422,7 @@ impl DenseScores {
 pub(crate) fn single_source_core<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
-    ws: &mut SingleSourceWorkspace,
+    ws: &mut QueryWorkspace,
     u: NodeId,
     out: &mut Vec<f64>,
 ) -> Result<(), SlingError> {
@@ -474,7 +436,7 @@ pub(crate) fn single_source_core<S: HpStore>(
 pub(crate) fn single_source_with_cutoff<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
-    ws: &mut SingleSourceWorkspace,
+    ws: &mut QueryWorkspace,
     u: NodeId,
     cutoff: Option<u16>,
     out: &mut Vec<f64>,
@@ -484,11 +446,16 @@ pub(crate) fn single_source_with_cutoff<S: HpStore>(
     out.resize(n, 0.0);
     ws.dense.ensure(n);
     ws.dense.touched.clear();
-    let SingleSourceWorkspace { dense, query } = ws;
-    query.trace.start();
-    effective_entries_into(e, graph, u, query, Buf::A)?;
-    let truncated = seed_step_runs(e, graph, dense, &query.buf_a, cutoff, out);
-    query.trace.lap_propagate();
+    ws.trace.start();
+    effective_entries_into(e, graph, u, ws, Buf::A)?;
+    let QueryWorkspace {
+        dense,
+        buf_a,
+        trace,
+        ..
+    } = ws;
+    let truncated = seed_step_runs(e, graph, dense, buf_a, cutoff, out);
+    trace.lap_propagate();
     dense.reset();
 
     // Every slot outside the touched set is still `0.0`, which the
@@ -551,7 +518,7 @@ impl SlingIndex {
     /// every node `v`. Allocates a workspace; prefer
     /// [`SlingIndex::single_source_with`] in loops.
     pub fn single_source(&self, graph: &DiGraph, u: NodeId) -> Vec<f64> {
-        let mut ws = SingleSourceWorkspace::new();
+        let mut ws = QueryWorkspace::new();
         let mut out = Vec::new();
         self.single_source_with(graph, &mut ws, u, &mut out);
         out
@@ -561,7 +528,7 @@ impl SlingIndex {
     pub fn single_source_with(
         &self,
         graph: &DiGraph,
-        ws: &mut SingleSourceWorkspace,
+        ws: &mut QueryWorkspace,
         u: NodeId,
         out: &mut Vec<f64>,
     ) {
@@ -579,17 +546,6 @@ impl SlingIndex {
             .nodes()
             .map(|v| self.single_pair_with(graph, &mut ws, u, v))
             .collect()
-    }
-
-    /// Range-checked single-source query.
-    pub fn try_single_source(&self, graph: &DiGraph, u: NodeId) -> Result<Vec<f64>, SlingError> {
-        if u.index() >= self.num_nodes {
-            return Err(SlingError::NodeOutOfRange {
-                node: u.0,
-                n: self.num_nodes as u32,
-            });
-        }
-        Ok(self.single_source(graph, u))
     }
 }
 
@@ -651,7 +607,7 @@ mod tests {
     fn workspace_reuse_keeps_buffers_clean() {
         let g = two_cliques_bridge(4);
         let idx = build(&g, 0.05);
-        let mut ws = SingleSourceWorkspace::new();
+        let mut ws = QueryWorkspace::new();
         let mut first = Vec::new();
         idx.single_source_with(&g, &mut ws, NodeId(0), &mut first);
         // Buffers must be zeroed after a query...
@@ -663,12 +619,7 @@ mod tests {
         assert_eq!(first, second);
         // And a different query is unaffected by the first.
         let mut direct = Vec::new();
-        idx.single_source_with(
-            &g,
-            &mut SingleSourceWorkspace::new(),
-            NodeId(3),
-            &mut direct,
-        );
+        idx.single_source_with(&g, &mut QueryWorkspace::new(), NodeId(3), &mut direct);
         let mut reused = Vec::new();
         idx.single_source_with(&g, &mut ws, NodeId(3), &mut reused);
         assert_eq!(direct, reused);
@@ -682,7 +633,7 @@ mod tests {
         use sling_graph::generators::barabasi_albert;
         let g = barabasi_albert(300, 3, 11).unwrap();
         let idx = build(&g, 0.1);
-        let mut ws = SingleSourceWorkspace::new();
+        let mut ws = QueryWorkspace::new();
         let mut out = Vec::new();
         for (u, cutoff) in [(0u32, None), (144, Some(2)), (7, Some(0)), (299, None)] {
             single_source_with_cutoff(idx.engine_ref(), &g, &mut ws, NodeId(u), cutoff, &mut out)
@@ -720,7 +671,7 @@ mod tests {
             let idx = SlingIndex::build(&g, &config).unwrap();
             assert!(idx.stats.reduced_nodes > 0);
             let engine = crate::store::SharedEngine::from(idx.clone());
-            let mut ws = SingleSourceWorkspace::new();
+            let mut ws = QueryWorkspace::new();
             let (mut served, mut oracle) = (Vec::new(), Vec::new());
             for pass in ["fresh", "reused"] {
                 for u in [0u32, 1, 13, 144, 299] {
@@ -728,12 +679,7 @@ mod tests {
                         .single_source_with(&g, &mut ws, NodeId(u), &mut served)
                         .unwrap();
                     engine
-                        .single_source_with(
-                            &g,
-                            &mut SingleSourceWorkspace::new(),
-                            NodeId(u),
-                            &mut oracle,
-                        )
+                        .single_source_with(&g, &mut QueryWorkspace::new(), NodeId(u), &mut oracle)
                         .unwrap();
                     let bare = idx.single_source(&g, NodeId(u));
                     for (path, got) in [("bare", &bare), ("engine", &served)] {
@@ -756,7 +702,13 @@ mod tests {
         let idx = build(&g, 0.1);
         let scores = idx.single_source(&g, NodeId(0));
         assert_eq!(scores[0], 1.0);
-        assert!(idx.try_single_source(&g, NodeId(99)).is_err());
+        let engine = crate::store::SharedEngine::from(idx);
+        let mut out = Vec::new();
+        let err = engine.single_source_with(&g, &mut QueryWorkspace::new(), NodeId(99), &mut out);
+        assert!(matches!(
+            err,
+            Err(SlingError::NodeOutOfRange { node: 99, .. })
+        ));
     }
 
     #[test]

@@ -63,7 +63,7 @@ use crate::index::{BuildStats, QueryWorkspace, SlingIndex};
 use crate::join::{threshold_join_core, JoinPair, JoinStrategy};
 use crate::obs::{self, KernelCounters};
 use crate::single_pair::single_pair_core;
-use crate::single_source::{single_source_core, SingleSourceWorkspace};
+use crate::single_source::single_source_core;
 use crate::topk::{single_source_truncated_core, top_k_core};
 
 /// Read interface to a packed hitting-probability store.
@@ -676,8 +676,8 @@ impl HpStore for CompressedMmapArena {
 /// A long-lived server opens an index once, wraps the engine in an
 /// [`std::sync::Arc`], and lets every worker thread query it for the
 /// process lifetime: it is `Send + Sync` whenever the store is (all
-/// three backends are), and queries take `&self`. Workers keep their
-/// own [`QueryWorkspace`]/[`SingleSourceWorkspace`], which is where a
+/// three backends are), and queries take `&self`. Each worker keeps its
+/// own [`QueryWorkspace`] for every query kind; that is where a
 /// §5.2-reduced or §5.3-marked node's effective list is restored, so
 /// the hot path shares only immutable state.
 pub struct SharedEngine<S: HpStore> {
@@ -896,7 +896,7 @@ impl<S: HpStore> SharedEngine<S> {
 
     /// Single-source query from `u` (Algorithm 6).
     pub fn single_source(&self, graph: &DiGraph, u: NodeId) -> Result<Vec<f64>, SlingError> {
-        let mut ws = SingleSourceWorkspace::new();
+        let mut ws = QueryWorkspace::new();
         let mut out = Vec::new();
         self.single_source_with(graph, &mut ws, u, &mut out)?;
         Ok(out)
@@ -907,7 +907,7 @@ impl<S: HpStore> SharedEngine<S> {
     pub fn single_source_with(
         &self,
         graph: &DiGraph,
-        ws: &mut SingleSourceWorkspace,
+        ws: &mut QueryWorkspace,
         u: NodeId,
         out: &mut Vec<f64>,
     ) -> Result<(), SlingError> {
@@ -921,7 +921,7 @@ impl<S: HpStore> SharedEngine<S> {
     pub fn single_source_truncated(
         &self,
         graph: &DiGraph,
-        ws: &mut SingleSourceWorkspace,
+        ws: &mut QueryWorkspace,
         u: NodeId,
         slack: f64,
         out: &mut Vec<f64>,
@@ -937,7 +937,7 @@ impl<S: HpStore> SharedEngine<S> {
         u: NodeId,
         k: usize,
     ) -> Result<Vec<(NodeId, f64)>, SlingError> {
-        let mut ws = SingleSourceWorkspace::new();
+        let mut ws = QueryWorkspace::new();
         let mut scores = Vec::new();
         self.top_k_with(graph, &mut ws, &mut scores, u, k)
     }
@@ -951,7 +951,7 @@ impl<S: HpStore> SharedEngine<S> {
     pub fn top_k_with(
         &self,
         graph: &DiGraph,
-        ws: &mut SingleSourceWorkspace,
+        ws: &mut QueryWorkspace,
         scores: &mut Vec<f64>,
         u: NodeId,
         k: usize,
@@ -1473,14 +1473,14 @@ mod tests {
                 "single_pair_with({u:?},{v:?})"
             );
         }
-        let (mut ss, mut scores) = (SingleSourceWorkspace::new(), Vec::new());
+        let mut scores = Vec::new();
         assert!(matches!(
-            engine.top_k_with(&g, &mut ss, &mut scores, bad, 5),
+            engine.top_k_with(&g, &mut ws, &mut scores, bad, 5),
             Err(SlingError::CorruptIndex(_))
         ));
         // The other nodes still answer.
         engine
-            .top_k_with(&g, &mut ss, &mut scores, other, 5)
+            .top_k_with(&g, &mut ws, &mut scores, other, 5)
             .unwrap();
         std::fs::remove_file(&path).ok();
     }
@@ -1515,12 +1515,11 @@ mod tests {
             ws.buf_b.capacity()
         );
 
-        let mut ss = SingleSourceWorkspace::new();
-        let mut scores = Vec::new();
-        let top = engine.top_k_with(&g, &mut ss, &mut scores, u, 5).unwrap();
+        let (mut ws, mut scores) = (QueryWorkspace::new(), Vec::new());
+        let top = engine.top_k_with(&g, &mut ws, &mut scores, u, 5).unwrap();
         assert_eq!(top, idx.top_k(&g, u, 5));
-        let cap = ss.query.buf_a.capacity();
-        assert!(cap >= len_u, "query.buf_a {cap}");
+        let cap = ws.buf_a.capacity();
+        assert!(cap >= len_u, "buf_a {cap}");
     }
 
     #[test]

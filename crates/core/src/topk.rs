@@ -23,8 +23,8 @@ use std::collections::BinaryHeap;
 use sling_graph::{DiGraph, NodeId};
 
 use crate::error::SlingError;
-use crate::index::SlingIndex;
-use crate::single_source::{single_source_with_cutoff, SingleSourceWorkspace};
+use crate::index::{QueryWorkspace, SlingIndex};
+use crate::single_source::single_source_with_cutoff;
 use crate::store::{EngineRef, HpStore};
 
 /// A `(score, node)` pair ordered by descending score with ascending
@@ -113,7 +113,7 @@ fn select_ranked(
 pub(crate) fn top_k_core<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
-    ws: &mut SingleSourceWorkspace,
+    ws: &mut QueryWorkspace,
     scores: &mut Vec<f64>,
     u: NodeId,
     k: usize,
@@ -160,7 +160,7 @@ impl SlingIndex {
         slack: f64,
     ) -> Vec<(NodeId, f64)> {
         debug_assert_eq!(graph.num_nodes(), self.num_nodes, "wrong graph for index");
-        let mut ws = SingleSourceWorkspace::new();
+        let mut ws = QueryWorkspace::new();
         let mut scores = Vec::new();
         top_k_core(self.engine_ref(), graph, &mut ws, &mut scores, u, k, slack)
             .expect("in-memory HP store cannot fail")
@@ -173,7 +173,7 @@ impl SlingIndex {
     pub fn single_source_truncated(
         &self,
         graph: &DiGraph,
-        ws: &mut SingleSourceWorkspace,
+        ws: &mut QueryWorkspace,
         u: NodeId,
         slack: f64,
         out: &mut Vec<f64>,
@@ -191,7 +191,7 @@ impl SlingIndex {
 pub(crate) fn single_source_truncated_core<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
-    ws: &mut SingleSourceWorkspace,
+    ws: &mut QueryWorkspace,
     u: NodeId,
     slack: f64,
     out: &mut Vec<f64>,
@@ -290,7 +290,7 @@ mod tests {
     fn truncated_query_then_top_k_matches_fresh_workspace() {
         let g = barabasi_albert(300, 3, 5).unwrap();
         let engine = crate::store::SharedEngine::from(build(&g, 0.1));
-        let mut ws = SingleSourceWorkspace::new();
+        let mut ws = QueryWorkspace::new();
         let (mut scores, mut fresh_scores) = (Vec::new(), Vec::new());
         for (cut, full) in [(0u32, 7u32), (123, 123), (7, 299)] {
             let residual = engine
@@ -304,7 +304,7 @@ mod tests {
                 let want = engine
                     .top_k_with(
                         &g,
-                        &mut SingleSourceWorkspace::new(),
+                        &mut QueryWorkspace::new(),
                         &mut fresh_scores,
                         NodeId(full),
                         k,
@@ -333,7 +333,7 @@ mod tests {
         let slack = 0.02;
         for u in [NodeId(1), NodeId(50), NodeId(150)] {
             let full = idx.single_source(&g, u);
-            let mut ws = SingleSourceWorkspace::new();
+            let mut ws = QueryWorkspace::new();
             let mut truncated = Vec::new();
             let residual = idx.single_source_truncated(&g, &mut ws, u, slack, &mut truncated);
             assert!(residual <= slack + 1e-12);
@@ -358,7 +358,7 @@ mod tests {
         let top = idx.top_k_approx(&g, NodeId(0), 3, C / (1.0 - C) + 0.01);
         // With only step 0 processed, off-diagonal scores vanish.
         assert!(top.iter().all(|&(_, s)| s >= 0.0));
-        let mut ws = SingleSourceWorkspace::new();
+        let mut ws = QueryWorkspace::new();
         let mut scores = Vec::new();
         let residual =
             idx.single_source_truncated(&g, &mut ws, NodeId(0), C / (1.0 - C) + 0.01, &mut scores);
@@ -370,7 +370,7 @@ mod tests {
     fn truncated_respects_exact_diagonal_flag() {
         let g = two_cliques_bridge(4);
         let idx = build(&g, 0.1);
-        let mut ws = SingleSourceWorkspace::new();
+        let mut ws = QueryWorkspace::new();
         let mut scores = Vec::new();
         idx.single_source_truncated(&g, &mut ws, NodeId(2), 0.01, &mut scores);
         assert_eq!(scores[2], 1.0);
@@ -380,7 +380,7 @@ mod tests {
     fn workspace_clean_after_truncated_query() {
         let g = two_cliques_bridge(4);
         let idx = build(&g, 0.05);
-        let mut ws = SingleSourceWorkspace::new();
+        let mut ws = QueryWorkspace::new();
         let mut a = Vec::new();
         idx.single_source_truncated(&g, &mut ws, NodeId(0), 0.05, &mut a);
         let mut b = Vec::new();

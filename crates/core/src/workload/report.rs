@@ -224,11 +224,9 @@ fn fit_zipf_exponent(freqs_desc: &[u64]) -> f64 {
 }
 
 fn key_label(key: &TraceKey) -> String {
-    match key {
-        TraceKey::Pair(u, v) => format!("{u},{v}"),
-        TraceKey::Node(u) => format!("{u}"),
-        TraceKey::NodeK(u, k) => format!("{u}:{k}"),
-    }
+    let mut label = String::new();
+    key.encode(&mut label);
+    label
 }
 
 impl fmt::Display for TrafficReport {

@@ -4,8 +4,12 @@
 //!
 //! The simulator replays a trace's pair-keyed queries through a live
 //! one-shard [`ShardedResultCache`] — the cache the server runs, not a
-//! model of it — so a simulated hit rate is what the real cache would
-//! see at that capacity and policy.
+//! model of it — and skips the identity pairs that the serving path
+//! (`SharedEngine::single_pair_cached_tagged`) answers without a lookup
+//! under the default `exact_diagonal`. Its counts are therefore those
+//! of a one-shard engine-backed replay at that capacity and policy
+//! (`sling replay --suite` pins the two together); a sharded server
+//! splits the capacity across shards and can differ.
 
 use sling_graph::NodeId;
 
@@ -43,9 +47,11 @@ impl SimResult {
 /// the verbs the result cache serves) through a single-shard cache of
 /// `capacity` entries under `policy`, and report the hit rate.
 ///
-/// Each record is one lookup; a miss inserts the pair, which the
-/// admission policy may refuse. Keys are canonicalized symmetric pairs,
-/// as in every use of the cache.
+/// Each record but an identity pair is one lookup; a miss inserts the
+/// pair, which the admission policy may refuse. Identity pairs are
+/// skipped: under the default `exact_diagonal` the engine answers them
+/// 1.0 without touching the cache. Keys are canonicalized symmetric
+/// pairs, as in every use of the cache.
 pub fn simulate_pair_cache(
     records: &[TraceRecord],
     capacity: usize,
@@ -55,7 +61,9 @@ pub fn simulate_pair_cache(
     let cache = ShardedResultCache::with_admission(capacity, 1, policy);
     for rec in records {
         let (u, v) = match (rec.verb, rec.key) {
-            (TraceVerb::Pair | TraceVerb::Batch, TraceKey::Pair(u, v)) => (NodeId(u), NodeId(v)),
+            (TraceVerb::Pair | TraceVerb::Batch, TraceKey::Pair(u, v)) if u != v => {
+                (NodeId(u), NodeId(v))
+            }
             _ => continue,
         };
         if cache.lookup(u, v).is_none() {
@@ -120,6 +128,20 @@ mod tests {
     }
 
     #[test]
+    fn identity_pairs_never_reach_the_cache() {
+        let mk = |u, v| TraceRecord {
+            t_us: 0,
+            verb: TraceVerb::Batch,
+            key: TraceKey::Pair(u, v),
+            outcome: TraceOutcome::Ok,
+            latency_us: 0,
+            epoch: 0,
+        };
+        let r = simulate_pair_cache(&[mk(4, 4), mk(4, 4), mk(2, 5)], 8, Admission::Lru);
+        assert_eq!((r.hits, r.misses), (0, 1));
+    }
+
+    #[test]
     fn bigger_caches_hit_more() {
         let trace = zipf_sweep(OPTS);
         let small = simulate_pair_cache(&trace.records, 64, Admission::Lru);
@@ -143,7 +165,9 @@ mod tests {
     }
 
     /// Exact counts on the adversarial scan, pinned so any change to the
-    /// lookup-then-admit rule the simulation runs shows up here.
+    /// lookup-then-admit rule the simulation runs shows up here. They
+    /// equal the engine-backed `sling replay --suite` counts of
+    /// `BENCH_replay.json` on the same trace.
     #[test]
     fn adversarial_scan_counts_are_pinned() {
         let trace = adversarial_cold_scan(OPTS);
@@ -151,6 +175,6 @@ mod tests {
             let r = simulate_pair_cache(&trace.records, 192, policy);
             (r.hits, r.misses, r.rejects)
         });
-        assert_eq!(counts, [(2888, 9112, 0), (3479, 8521, 7411)]);
+        assert_eq!(counts, [(2888, 9092, 0), (3487, 8493, 7382)]);
     }
 }

@@ -66,10 +66,14 @@ pub enum TraceKey {
 }
 
 impl TraceKey {
-    /// The canonicalized `(min, max)` pair this key warms in the
-    /// single-pair result cache: pair keys canonicalize directly,
-    /// node-addressed verbs degrade to the identity pair (which still
-    /// prefetches and primes the node's entry list).
+    /// The canonicalized `(min, max)` pair this key contributes to the
+    /// hot-key log that [`crate::lifecycle::warm_engine`] replays: pair
+    /// keys canonicalize directly, node-addressed verbs degrade to the
+    /// identity pair. Warm-up advises each pair's entry ranges to the
+    /// backend and replays the pair uncached; it never touches the
+    /// result cache. Under the default `exact_diagonal` an identity
+    /// pair answers 1.0 before any read, so a node-addressed key warms
+    /// only through the prefetch of its node's entry range.
     pub fn warm_pair(self) -> (u32, u32) {
         match self {
             TraceKey::Pair(u, v) => (u.min(v), u.max(v)),
@@ -77,7 +81,9 @@ impl TraceKey {
         }
     }
 
-    fn encode(self, out: &mut String) {
+    /// Append the key's one spelling (`u,v`, `u`, `u:k`): the trace
+    /// line's key field, the slow log's `key=` and the report's labels.
+    pub(crate) fn encode(self, out: &mut String) {
         match self {
             TraceKey::Pair(u, v) => {
                 let _ = write!(out, "{u},{v}");

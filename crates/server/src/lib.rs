@@ -13,10 +13,10 @@
 //!   [`sling_core::Residency::Mapped`], so the entry payload lives in the
 //!   page cache — and spawns a *thread-per-core* worker pool. Each worker owns
 //!   one epoll instance (via the vendored `polling` stub: oneshot
-//!   `epoll_ctl` interest plus a level-triggered eventfd waker) and its
-//!   [`sling_core::QueryWorkspace`] /
-//!   [`sling_core::single_source::SingleSourceWorkspace`], so the hot
-//!   path shares only immutable state plus the sharded cache.
+//!   `epoll_ctl` interest plus a level-triggered eventfd waker) and one
+//!   [`sling_core::QueryWorkspace`], in which it answers every query
+//!   kind, so the hot path shares only immutable state plus the sharded
+//!   cache.
 //! * **Sharded result cache.** Single-pair answers are memoized in a
 //!   [`sling_core::ShardedResultCache`] shared by all workers; pairs are
 //!   canonicalized before computing, so responses are bit-identical
@@ -103,6 +103,22 @@
 //! the server counts itself is a handle in this registry, never a
 //! process-wide atomic, so two servers in one process keep apart.
 //!
+//! Every query takes one path. A `PAIR`, `SOURCE` or `TOPK` request is
+//! one query key and a `BATCH` one key per pair, each spelled as the
+//! traffic trace spells it ([`sling_core::workload::TraceVerb`],
+//! [`sling_core::workload::TraceKey`]). Admission admits or refuses a
+//! request whole; `sling_server_requests_total` counts every admitted
+//! key up front. One function then records how each key ended:
+//!
+//! * **served** — `sling_server_request_ns`, the stage histograms, the
+//!   trace (`ok`) and, at or above the threshold, the slow log;
+//! * **failed** — the runtime-error charge that drives rollback, and
+//!   the trace (`err`);
+//! * **refused by admission** — the trace (`shed` or `deadline`).
+//!
+//! So a slow-log line and the trace record of the same query carry the
+//! same verb and key.
+//!
 //! * **Server** — `sling_server_requests_total` (per-worker sharded),
 //!   `sling_server_request_ns` (histogram), connection gauges
 //!   (`sling_server_open_connections`, `sling_server_active_connections`,
@@ -138,7 +154,9 @@
 //! [`ServerConfig::slow_query_us`] are admitted to a fixed-capacity ring
 //! ([`sling_core::obs::SlowQueryLog`]) as structured one-line records:
 //! `slow verb=.. key=.. generation=.. epoch=.. total_us=..
-//! entry_fetch_us=.. restore_us=.. merge_us=.. propagate_us=..`.
+//! entry_fetch_us=.. restore_us=.. merge_us=.. propagate_us=..`, with
+//! `verb` and `key` in the trace's encoding (`slow verb=TOPK key=3:5
+//! ..`; a `BATCH` logs one line per slow pair).
 //!
 //! ## Error taxonomy and the client retry contract
 //!
@@ -149,9 +167,8 @@
 //!   ran, so retrying cannot double-apply anything and the answer,
 //!   once admitted, is bit-identical to an unrefused run:
 //!   * `ERR overloaded` — admission control shed the request because
-//!     the worker's ready queue crossed
-//!     [`ServerConfig::shed_queue_depth`] or the connection's pending
-//!     bytes crossed [`ServerConfig::shed_pending_bytes`]. The
+//!     the connection's pending bytes (unserved input plus unflushed
+//!     output) reached [`ServerConfig::shed_pending_bytes`]. The
 //!     connection stays open; back off and retry on it.
 //!   * `ERR deadline` — the request sat in server buffers longer than
 //!     [`ServerConfig::deadline_us`] before dispatch; the server

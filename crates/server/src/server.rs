@@ -60,7 +60,6 @@ use sling_core::obs::{
     register_process_metrics, Counter, Histogram, LatencyReport, MetricsRegistry, SlowQueryLog,
     SlowQueryRecord, StageNanos,
 };
-use sling_core::single_source::SingleSourceWorkspace;
 use sling_core::workload::trace::{encode_record, TraceKey, TraceOutcome, TraceVerb};
 use sling_core::{
     Admission, CacheStats, HpStore, QueryWorkspace, ShardedResultCache, SharedEngine, SlingError,
@@ -148,11 +147,6 @@ pub struct ServerConfig {
     /// dispatched past its budget answers `ERR deadline` instead of
     /// computing a score nobody is waiting for. `0` disables deadlines.
     pub deadline_us: u64,
-    /// Overload shedding by ready-queue depth: when this many
-    /// connections are already waiting on the worker's ready queue, new
-    /// query verbs answer `ERR overloaded` (fast-fail) instead of
-    /// queueing behind them. `0` disables the depth trigger.
-    pub shed_queue_depth: usize,
     /// Overload shedding by per-connection pending bytes: a query verb
     /// arriving while the connection already owes this many unserved
     /// input + unflushed output bytes answers `ERR overloaded`. `0`
@@ -186,7 +180,6 @@ impl Default for ServerConfig {
             max_connections: 0,
             slow_query_us: 10_000,
             deadline_us: 0,
-            shed_queue_depth: 0,
             shed_pending_bytes: 0,
             rollback_error_threshold: 8,
             record_path: None,
@@ -836,8 +829,6 @@ struct Control {
     rejected_connections: Counter,
     /// [`ServerConfig::deadline_us`] as a duration (zero = off).
     deadline: Duration,
-    /// [`ServerConfig::shed_queue_depth`] (0 = off).
-    shed_queue_depth: usize,
     /// [`ServerConfig::shed_pending_bytes`] (0 = off).
     shed_pending_bytes: usize,
     /// [`ServerConfig::rollback_error_threshold`] (0 = off).
@@ -1197,7 +1188,7 @@ where
 /// Start serving the generation held by `reloadable` over `listener`.
 ///
 /// Spawns `config.workers` worker threads (thread-per-core by default),
-/// each owning its query workspaces, plus one acceptor thread — and,
+/// each owning one query workspace, plus one acceptor thread — and,
 /// when the slot has a generation opener and
 /// [`ServerConfig::watch_interval_ms`] is nonzero, a watcher thread that
 /// periodically checks for a newer promoted generation and hot-swaps it
@@ -1325,7 +1316,6 @@ where
             "connections refused with ERR busy by the connection cap",
         ),
         deadline: Duration::from_micros(config.deadline_us),
-        shed_queue_depth: config.shed_queue_depth,
         shed_pending_bytes: config.shed_pending_bytes,
         rollback_error_threshold: config.rollback_error_threshold,
         requests_shed,
@@ -1554,10 +1544,10 @@ fn accept_backoff(consecutive_errors: u32, rng: &mut u64) -> Duration {
 /// generation `Arc` it is serving, refreshed with one atomic epoch
 /// compare per request ([`WorkerCtx::generation`]).
 struct WorkerCtx<S: HpStore> {
+    /// The one workspace every query kind runs in.
     ws: QueryWorkspace,
-    ss: SingleSourceWorkspace,
+    /// The last `SOURCE`/`TOPK` score vector.
     scores: Vec<f64>,
-    batch: Vec<f64>,
     response: String,
     /// The server's registry, which `METRICS` and `STATS` render.
     metrics: Arc<MetricsRegistry>,
@@ -1606,9 +1596,7 @@ fn worker_loop<S: HpStore>(
     let shared = &control.workers[worker];
     let mut ctx = WorkerCtx {
         ws: QueryWorkspace::new(),
-        ss: SingleSourceWorkspace::new(),
         scores: Vec::new(),
-        batch: Vec::new(),
         response: String::new(),
         metrics,
         gen: None,
@@ -1617,7 +1605,6 @@ fn worker_loop<S: HpStore>(
     // need per-request breakdowns, and the cost is a handful of clock
     // reads per query.
     ctx.ws.set_trace_enabled(true);
-    ctx.ss.set_trace_enabled(true);
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut ready: VecDeque<usize> = VecDeque::new();
@@ -1633,7 +1620,6 @@ fn worker_loop<S: HpStore>(
             // Capacity checks only, so idle ticks stay cheap.
             ctx.gen = None;
             ctx.ws.trim_excess();
-            ctx.ss.trim_excess();
         }
         let timeout = if ready.is_empty() {
             SHUTDOWN_POLL
@@ -1997,14 +1983,7 @@ fn serve_turn<S: HpStore>(
                         let _ = write!(ctx.response, "ERR {msg}");
                         Action::Continue
                     }
-                    Ok(req) => match admission_error(control, worker, conn, &req) {
-                        Some(msg) => {
-                            record_admission_outcome(reloadable, control, &req, msg);
-                            ctx.response.push_str(msg);
-                            Action::Continue
-                        }
-                        None => handle_request(reloadable, control, worker, req, ctx),
-                    },
+                    Ok(req) => handle_request(reloadable, control, worker, conn, req, ctx),
                 },
             }
         };
@@ -2051,228 +2030,204 @@ fn serve_turn<S: HpStore>(
     Turn::Wait
 }
 
-/// Canonicalize and score one symmetric pair, through the shared cache
-/// when one is configured (the cached path prefetches internally, on
-/// misses only — a hit never touches the store, so advising it would
-/// waste syscalls on the hottest path). Both the `PAIR` and `BATCH`
-/// handlers route here so the two cannot diverge. Cache inserts are
-/// tagged with the generation's epoch (captured before computing), so a
-/// swap landing mid-query can never get a retired-generation score
-/// admitted as fresh.
-fn score_pair<S: HpStore>(
-    gen: &EngineGeneration<S>,
-    control: &Control,
-    ws: &mut QueryWorkspace,
-    u: u32,
-    v: u32,
-) -> Result<f64, SlingError> {
-    let (a, b) = (NodeId(u.min(v)), NodeId(u.max(v)));
-    match &control.cache {
-        Some(cache) => gen
-            .engine
-            .single_pair_cached_tagged(&gen.graph, ws, cache, a, b, gen.epoch),
-        None => {
-            gen.engine.store().prefetch(a);
-            if a != b {
-                gen.engine.store().prefetch(b);
-            }
-            gen.engine.single_pair_with(&gen.graph, ws, a, b)
+/// A query request's trace verb and the keys it is answered by, in
+/// order: one key for `PAIR`, `SOURCE` and `TOPK`, one per pair for
+/// `BATCH`. `None` for the admin verbs (PING/STATS/METRICS/SLOWLOG/
+/// TRACE/RELOAD/QUIT/SHUTDOWN), which admission always passes: an
+/// operator must be able to inspect — and stop — an overloaded server.
+/// A `TOPK` `k` above `u32::MAX` is clamped, as the trace encodes it;
+/// no graph has that many nodes, so the answer is the same.
+fn query_keys(req: &Request) -> Option<(TraceVerb, impl Iterator<Item = TraceKey> + Clone + '_)> {
+    let (verb, one, pairs) = match *req {
+        Request::Pair { u, v } => (TraceVerb::Pair, Some(TraceKey::Pair(u, v)), &[][..]),
+        Request::Source { u } => (TraceVerb::Source, Some(TraceKey::Node(u)), &[][..]),
+        Request::TopK { u, k } => {
+            let k = k.min(u32::MAX as usize) as u32;
+            (TraceVerb::TopK, Some(TraceKey::NodeK(u, k)), &[][..])
         }
-    }
+        Request::Batch { ref pairs } => (TraceVerb::Batch, None, &pairs[..]),
+        _ => return None,
+    };
+    let pairs = pairs.iter().map(|&(u, v)| TraceKey::Pair(u, v));
+    Some((verb, one.into_iter().chain(pairs)))
 }
 
-/// `true` for the verbs the deadline/shed admission gate applies to.
-/// Admin verbs (PING/STATS/METRICS/SLOWLOG/RELOAD/QUIT/SHUTDOWN) always
-/// pass: an operator must be able to inspect — and stop — an overloaded
-/// server.
-fn is_query_verb(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Pair { .. }
-            | Request::Source { .. }
-            | Request::TopK { .. }
-            | Request::Batch { .. }
-    )
-}
-
-/// Fast-fail admission control, checked before a query verb touches the
-/// engine. Shedding (`ERR overloaded`) fires when the worker's ready
-/// queue or this connection's pending bytes cross their high-water
-/// marks; the deadline (`ERR deadline`) fires when the request's bytes
-/// have already waited longer than the budget. Both answers are
-/// retryable by contract (see the crate-level error taxonomy) — the
-/// client backs off and re-sends, which is cheaper for everyone than
-/// queue collapse.
-fn admission_error(
-    control: &Control,
-    worker: usize,
-    conn: &Conn,
-    req: &Request,
-) -> Option<&'static str> {
-    if !is_query_verb(req) {
-        return None;
-    }
-    let depth = control.workers[worker].active.load(Ordering::Relaxed) as usize;
+/// Fast-fail admission control, checked once per query request before
+/// any key touches the engine: [`TraceOutcome::Shed`] (`ERR
+/// overloaded`) when this connection already owes
+/// [`ServerConfig::shed_pending_bytes`] unserved input plus unflushed
+/// output bytes, [`TraceOutcome::Deadline`] (`ERR deadline`) when the
+/// request's bytes have already waited longer than the budget. Both
+/// answers are retryable by contract (see the crate-level error
+/// taxonomy) — the client backs off and re-sends, which is cheaper for
+/// everyone than queue collapse.
+fn admission(control: &Control, conn: &Conn) -> Option<TraceOutcome> {
     let pending = conn.pending_out() + conn.inbuf.len();
-    if (control.shed_queue_depth > 0 && depth >= control.shed_queue_depth)
-        || (control.shed_pending_bytes > 0 && pending >= control.shed_pending_bytes)
-    {
+    if control.shed_pending_bytes > 0 && pending >= control.shed_pending_bytes {
         control.requests_shed.inc();
-        return Some("ERR overloaded");
+        return Some(TraceOutcome::Shed);
     }
-    if !control.deadline.is_zero() {
-        if let Some(at) = conn.read_at {
-            if at.elapsed() > control.deadline {
-                control.requests_deadline.inc();
-                return Some("ERR deadline");
-            }
-        }
+    if !control.deadline.is_zero()
+        && conn
+            .read_at
+            .is_some_and(|at| at.elapsed() > control.deadline)
+    {
+        control.requests_deadline.inc();
+        return Some(TraceOutcome::Deadline);
     }
     None
 }
 
-/// The trace verb for the `&'static str` labels `observe_query` and the
-/// slow-query log already carry.
-fn trace_verb(verb: &'static str) -> TraceVerb {
-    match verb {
-        "SOURCE" => TraceVerb::Source,
-        "TOPK" => TraceVerb::TopK,
-        "BATCH" => TraceVerb::Batch,
-        _ => TraceVerb::Pair,
-    }
+/// What one answered key adds to the reply.
+enum Answer {
+    /// A `PAIR` or `BATCH` pair's score.
+    Score(f64),
+    /// A `SOURCE` vector, left in the worker's `scores`.
+    Scores,
+    /// A `TOPK` selection.
+    Top(Vec<(NodeId, f64)>),
 }
 
-/// Record requests rejected by the admission gate into the traffic
-/// trace (a batch records one line per pair, mirroring served batches),
-/// so a capture shows *offered* load, not just served load — the whole
-/// point of replaying an overload incident.
-fn record_admission_outcome<S: HpStore>(
-    reloadable: &ReloadableEngine<S>,
-    control: &Control,
-    req: &Request,
-    answer: &str,
-) {
-    let Some(rec) = &control.recorder else { return };
-    let outcome = if answer == "ERR deadline" {
-        TraceOutcome::Deadline
-    } else {
-        TraceOutcome::Shed
-    };
-    let epoch = reloadable.epoch();
-    match req {
-        Request::Pair { u, v } => rec.push(
-            TraceVerb::Pair,
-            TraceKey::Pair(*u, *v),
-            outcome,
-            Duration::ZERO,
-            epoch,
-        ),
-        Request::Source { u } => rec.push(
-            TraceVerb::Source,
-            TraceKey::Node(*u),
-            outcome,
-            Duration::ZERO,
-            epoch,
-        ),
-        Request::TopK { u, k } => rec.push(
-            TraceVerb::TopK,
-            TraceKey::NodeK(*u, (*k).min(u32::MAX as usize) as u32),
-            outcome,
-            Duration::ZERO,
-            epoch,
-        ),
-        Request::Batch { pairs } => {
-            for &(u, v) in pairs {
-                rec.push(
-                    TraceVerb::Batch,
-                    TraceKey::Pair(u, v),
-                    outcome,
-                    Duration::ZERO,
-                    epoch,
-                );
+impl Answer {
+    /// Append ` <answer>` to the reply; `scores` is the worker's
+    /// `SOURCE` vector.
+    fn write_to(self, out: &mut String, scores: &[f64]) {
+        match self {
+            Answer::Score(score) => {
+                let _ = write!(out, " {score}");
+            }
+            Answer::Scores => {
+                out.push(' ');
+                write_scores(out, scores);
+            }
+            Answer::Top(top) => {
+                let _ = write!(out, " {}", top.len());
+                for (node, score) in top {
+                    let _ = write!(out, " {}:{score}", node.0);
+                }
             }
         }
-        _ => {}
     }
 }
 
-/// Answer a failed query and charge storage-layer errors
-/// (`CorruptIndex`/IO — the signatures of an index rotting *after*
-/// promotion) to the generation that produced them; crossing the
-/// configured threshold quarantines the generation and rolls back (see
-/// [`ReloadableEngine::note_runtime_error`]). The failure is also
-/// recorded into the traffic trace with outcome `err`.
-#[allow(clippy::too_many_arguments)]
-fn write_query_error<S: HpStore>(
-    reloadable: &ReloadableEngine<S>,
-    control: &Control,
+/// Answer one query key in the worker's one workspace. A pair is
+/// canonicalized and scored through the shared cache when one is
+/// configured (the cached path prefetches internally, on misses only —
+/// a hit never touches the store, so advising it would waste syscalls
+/// on the hottest path). Cache inserts are tagged with the generation's
+/// epoch, so a swap landing mid-query can never get a
+/// retired-generation score admitted as fresh.
+fn answer_key<S: HpStore>(
     gen: &EngineGeneration<S>,
-    out: &mut String,
-    err: SlingError,
-    verb: &'static str,
-    tkey: TraceKey,
-    elapsed: Duration,
-) {
-    if matches!(err, SlingError::CorruptIndex(_) | SlingError::Io(_)) {
-        reloadable.note_runtime_error(
-            gen,
-            control.rollback_error_threshold,
-            control.cache.as_ref(),
-        );
+    control: &Control,
+    ws: &mut QueryWorkspace,
+    scores: &mut Vec<f64>,
+    key: TraceKey,
+) -> Result<Answer, SlingError> {
+    let (engine, graph) = (&gen.engine, &*gen.graph);
+    match key {
+        TraceKey::Pair(u, v) => {
+            let (a, b) = (NodeId(u.min(v)), NodeId(u.max(v)));
+            match &control.cache {
+                Some(cache) => engine.single_pair_cached_tagged(graph, ws, cache, a, b, gen.epoch),
+                None => {
+                    engine.store().prefetch(a);
+                    if a != b {
+                        engine.store().prefetch(b);
+                    }
+                    engine.single_pair_with(graph, ws, a, b)
+                }
+            }
+            .map(Answer::Score)
+        }
+        TraceKey::Node(u) => {
+            engine.store().prefetch(NodeId(u));
+            engine
+                .single_source_with(graph, ws, NodeId(u), scores)
+                .map(|()| Answer::Scores)
+        }
+        TraceKey::NodeK(u, k) => {
+            engine.store().prefetch(NodeId(u));
+            engine
+                .top_k_with(graph, ws, scores, NodeId(u), k as usize)
+                .map(Answer::Top)
+        }
     }
-    if let Some(rec) = &control.recorder {
-        rec.push(
-            trace_verb(verb),
-            tkey,
-            TraceOutcome::Err,
-            elapsed,
-            gen.epoch,
-        );
-    }
-    let _ = write!(out, "ERR {err}");
 }
 
-/// Record one served query everywhere it is observed: the merged
-/// latency histogram, the per-stage kernel histograms (zero stages are
-/// skipped, so each stage family's `_count` counts the queries that
-/// actually exercised it), the traffic-trace recorder when one is
-/// running, and — at or above the threshold — the slow-query log. The
-/// slowlog key is built lazily so the fast path never allocates.
-fn observe_query<S: HpStore>(
+/// How one query key ended.
+enum Outcome<'a> {
+    /// Answered in the given time, with the kernel's stage breakdown.
+    Served(Duration, StageNanos),
+    /// The engine failed after the given time.
+    Failed(Duration, &'a SlingError),
+    /// Refused by admission, `Shed` or `Deadline`, before any work.
+    Refused(TraceOutcome),
+}
+
+/// Record how one query key ended, everywhere it is observed. Every
+/// outcome goes to the traffic trace when one is recording, so a
+/// capture shows offered load, not just served load. A served key also
+/// feeds the latency histogram, the per-stage kernel histograms (zero
+/// stages are skipped, so each stage family's `_count` counts the
+/// queries that actually exercised it) and — at or above the threshold
+/// — the slow-query log. A failed key charges storage-layer errors
+/// (`CorruptIndex`/IO — the signatures of an index rotting *after*
+/// promotion) to its generation; crossing the configured threshold
+/// quarantines the generation and rolls back (see
+/// [`ReloadableEngine::note_runtime_error`]).
+fn record_key<S: HpStore>(
+    reloadable: &ReloadableEngine<S>,
     control: &Control,
     worker: usize,
     gen: &EngineGeneration<S>,
-    verb: &'static str,
-    tkey: TraceKey,
-    elapsed: Duration,
-    stages: StageNanos,
-    key: impl FnOnce() -> String,
+    (verb, key): (TraceVerb, TraceKey),
+    outcome: Outcome<'_>,
 ) {
+    let (traced, elapsed) = match outcome {
+        Outcome::Served(elapsed, _) => (TraceOutcome::Ok, elapsed),
+        Outcome::Failed(elapsed, _) => (TraceOutcome::Err, elapsed),
+        Outcome::Refused(refused) => (refused, Duration::ZERO),
+    };
     if let Some(rec) = &control.recorder {
-        rec.push(trace_verb(verb), tkey, TraceOutcome::Ok, elapsed, gen.epoch);
+        rec.push(verb, key, traced, elapsed, gen.epoch);
     }
-    control.latency[worker].record(elapsed);
-    let shard = &control.stages[worker];
-    for (hist, ns) in [
-        (&shard.entry_fetch, stages.entry_fetch),
-        (&shard.restore, stages.restore),
-        (&shard.merge, stages.merge),
-        (&shard.propagate, stages.propagate),
-    ] {
-        if ns > 0 {
-            hist.record_ns(ns);
+    match outcome {
+        Outcome::Served(_, stages) => {
+            control.latency[worker].record(elapsed);
+            let shard = &control.stages[worker];
+            for (hist, ns) in [
+                (&shard.entry_fetch, stages.entry_fetch),
+                (&shard.restore, stages.restore),
+                (&shard.merge, stages.merge),
+                (&shard.propagate, stages.propagate),
+            ] {
+                if ns > 0 {
+                    hist.record_ns(ns);
+                }
+            }
+            let threshold = control.slowlog.threshold();
+            if !threshold.is_zero() && elapsed >= threshold {
+                control.slowlog.record(SlowQueryRecord {
+                    verb,
+                    key,
+                    generation: gen.name.clone(),
+                    epoch: gen.epoch,
+                    total: elapsed,
+                    stages,
+                });
+            }
         }
-    }
-    let threshold = control.slowlog.threshold();
-    if !threshold.is_zero() && elapsed >= threshold {
-        control.slowlog.record(SlowQueryRecord {
-            verb,
-            key: key(),
-            generation: gen.name.clone(),
-            epoch: gen.epoch,
-            total: elapsed,
-            stages,
-        });
+        Outcome::Failed(_, err) => {
+            if matches!(err, SlingError::CorruptIndex(_) | SlingError::Io(_)) {
+                reloadable.note_runtime_error(
+                    gen,
+                    control.rollback_error_threshold,
+                    control.cache.as_ref(),
+                );
+            }
+        }
+        Outcome::Refused(_) => {}
     }
 }
 
@@ -2288,10 +2243,17 @@ fn write_framed(out: &mut String, payload: &str) {
     out.push_str(body);
 }
 
+/// Answer one request. A query request is mapped once to its verb and
+/// keys ([`query_keys`]) and admitted or refused whole ([`admission`]);
+/// each admitted key is timed, answered in the worker's one workspace
+/// ([`answer_key`]) and recorded ([`record_key`]). `served` counts
+/// every admitted key up front, a `BATCH`'s pairs included; a `BATCH`
+/// stops at its first failed pair and answers only that error.
 fn handle_request<S: HpStore>(
     reloadable: &ReloadableEngine<S>,
     control: &Control,
     worker: usize,
+    conn: &Conn,
     req: Request,
     ctx: &mut WorkerCtx<S>,
 ) -> Action {
@@ -2299,6 +2261,56 @@ fn handle_request<S: HpStore>(
     // compare); the Arc clone keeps this request on one consistent
     // generation even if another swap lands mid-request.
     let gen = ctx.generation(reloadable);
+    let Some((verb, keys)) = query_keys(&req) else {
+        return handle_admin(reloadable, control, &gen, req, ctx);
+    };
+    let record = |key, outcome| record_key(reloadable, control, worker, &gen, (verb, key), outcome);
+    let out = &mut ctx.response;
+    if let Some(refused) = admission(control, conn) {
+        for key in keys {
+            record(key, Outcome::Refused(refused));
+        }
+        out.push_str(match refused {
+            TraceOutcome::Deadline => "ERR deadline",
+            _ => "ERR overloaded",
+        });
+        return Action::Continue;
+    }
+    let admitted = keys.clone().count();
+    control.served[worker].add(admitted as u64);
+    out.push_str("OK");
+    if verb == TraceVerb::Batch {
+        let _ = write!(out, " {admitted}");
+    }
+    for key in keys {
+        let t0 = Instant::now();
+        let answer = answer_key(&gen, control, &mut ctx.ws, &mut ctx.scores, key);
+        let elapsed = t0.elapsed();
+        let stages = ctx.ws.take_trace();
+        match answer {
+            Ok(answer) => {
+                record(key, Outcome::Served(elapsed, stages));
+                answer.write_to(out, &ctx.scores);
+            }
+            Err(e) => {
+                record(key, Outcome::Failed(elapsed, &e));
+                out.clear();
+                let _ = write!(out, "ERR {e}");
+                break;
+            }
+        }
+    }
+    Action::Continue
+}
+
+/// Answer one admin request (every verb [`query_keys`] maps to `None`).
+fn handle_admin<S: HpStore>(
+    reloadable: &ReloadableEngine<S>,
+    control: &Control,
+    gen: &EngineGeneration<S>,
+    req: Request,
+    ctx: &mut WorkerCtx<S>,
+) -> Action {
     let out = &mut ctx.response;
     match req {
         Request::Ping => out.push_str("OK pong"),
@@ -2357,146 +2369,65 @@ fn handle_request<S: HpStore>(
                 write_framed(out, &payload);
             }
         },
-        Request::Pair { u, v } => {
-            control.served[worker].inc();
-            let t0 = std::time::Instant::now();
-            match score_pair(&gen, control, &mut ctx.ws, u, v) {
-                Ok(s) => {
-                    let stages = ctx.ws.take_trace();
-                    observe_query(
-                        control,
-                        worker,
-                        &gen,
-                        "PAIR",
-                        TraceKey::Pair(u, v),
-                        t0.elapsed(),
-                        stages,
-                        || format!("{u},{v}"),
-                    );
-                    let _ = write!(out, "OK {s}");
-                }
-                Err(e) => write_query_error(
-                    reloadable,
-                    control,
-                    &gen,
-                    out,
-                    e,
-                    "PAIR",
-                    TraceKey::Pair(u, v),
-                    t0.elapsed(),
-                ),
-            }
-        }
-        Request::Source { u } => {
-            control.served[worker].inc();
-            gen.engine.store().prefetch(NodeId(u));
-            let t0 = std::time::Instant::now();
-            match gen
-                .engine
-                .single_source_with(&gen.graph, &mut ctx.ss, NodeId(u), &mut ctx.scores)
-            {
-                Ok(()) => {
-                    let stages = ctx.ss.take_trace();
-                    observe_query(
-                        control,
-                        worker,
-                        &gen,
-                        "SOURCE",
-                        TraceKey::Node(u),
-                        t0.elapsed(),
-                        stages,
-                        || u.to_string(),
-                    );
-                    out.push_str("OK ");
-                    write_scores(out, &ctx.scores);
-                }
-                Err(e) => write_query_error(
-                    reloadable,
-                    control,
-                    &gen,
-                    out,
-                    e,
-                    "SOURCE",
-                    TraceKey::Node(u),
-                    t0.elapsed(),
-                ),
-            }
-        }
-        Request::TopK { u, k } => {
-            control.served[worker].inc();
-            gen.engine.store().prefetch(NodeId(u));
-            let t0 = std::time::Instant::now();
-            match gen
-                .engine
-                .top_k_with(&gen.graph, &mut ctx.ss, &mut ctx.scores, NodeId(u), k)
-            {
-                Ok(top) => {
-                    let stages = ctx.ss.take_trace();
-                    observe_query(
-                        control,
-                        worker,
-                        &gen,
-                        "TOPK",
-                        TraceKey::NodeK(u, k.min(u32::MAX as usize) as u32),
-                        t0.elapsed(),
-                        stages,
-                        || format!("{u}:{k}"),
-                    );
-                    let _ = write!(out, "OK {}", top.len());
-                    for (node, score) in top {
-                        let _ = write!(out, " {}:{score}", node.0);
-                    }
-                }
-                Err(e) => write_query_error(
-                    reloadable,
-                    control,
-                    &gen,
-                    out,
-                    e,
-                    "TOPK",
-                    TraceKey::NodeK(u, k.min(u32::MAX as usize) as u32),
-                    t0.elapsed(),
-                ),
-            }
-        }
-        Request::Batch { pairs } => {
-            control.served[worker].add(pairs.len() as u64);
-            ctx.batch.clear();
-            for &(u, v) in &pairs {
-                let t0 = std::time::Instant::now();
-                match score_pair(&gen, control, &mut ctx.ws, u, v) {
-                    Ok(s) => {
-                        let stages = ctx.ws.take_trace();
-                        observe_query(
-                            control,
-                            worker,
-                            &gen,
-                            "BATCH",
-                            TraceKey::Pair(u, v),
-                            t0.elapsed(),
-                            stages,
-                            || format!("{u},{v}"),
-                        );
-                        ctx.batch.push(s);
-                    }
-                    Err(e) => {
-                        write_query_error(
-                            reloadable,
-                            control,
-                            &gen,
-                            out,
-                            e,
-                            "BATCH",
-                            TraceKey::Pair(u, v),
-                            t0.elapsed(),
-                        );
-                        return Action::Continue;
-                    }
-                }
-            }
-            out.push_str("OK ");
-            write_scores(out, &ctx.batch);
-        }
+        // Query verbs: answered by `handle_request`.
+        Request::Pair { .. }
+        | Request::Source { .. }
+        | Request::TopK { .. }
+        | Request::Batch { .. } => {}
     }
     Action::Continue
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each query verb maps to its trace verb and keys once; admin verbs
+    /// map to none, so admission never refuses them.
+    #[test]
+    fn query_keys_map_each_query_verb_and_no_admin_verb() {
+        let keys = |line: &str| {
+            let req = Request::parse(line).unwrap();
+            query_keys(&req).map(|(verb, keys)| (verb, keys.collect::<Vec<_>>()))
+        };
+        let one = |verb, key| Some((verb, vec![key]));
+        assert_eq!(
+            keys("PAIR 3 77"),
+            one(TraceVerb::Pair, TraceKey::Pair(3, 77))
+        );
+        assert_eq!(keys("SOURCE 3"), one(TraceVerb::Source, TraceKey::Node(3)));
+        assert_eq!(
+            keys("TOPK 3 5"),
+            one(TraceVerb::TopK, TraceKey::NodeK(3, 5))
+        );
+        // A k past u32::MAX is clamped as the trace encodes it.
+        assert_eq!(
+            keys("TOPK 3 99999999999"),
+            one(TraceVerb::TopK, TraceKey::NodeK(3, u32::MAX))
+        );
+        assert_eq!(
+            keys("BATCH 1,2 2,1 4,4"),
+            Some((
+                TraceVerb::Batch,
+                vec![
+                    TraceKey::Pair(1, 2),
+                    TraceKey::Pair(2, 1),
+                    TraceKey::Pair(4, 4)
+                ]
+            ))
+        );
+        for admin in [
+            "PING",
+            "STATS",
+            "METRICS",
+            "SLOWLOG",
+            "TRACE 0 16",
+            "RELOAD",
+            "RELOAD FORCE",
+            "QUIT",
+            "SHUTDOWN",
+        ] {
+            assert_eq!(keys(admin), None, "{admin}");
+        }
+    }
 }

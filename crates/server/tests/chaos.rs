@@ -20,12 +20,13 @@ use std::time::{Duration, Instant};
 
 use sling_core::lifecycle::GenerationStore;
 use sling_core::obs::CLIENT;
+use sling_core::workload::{TraceKey, TraceOutcome, TraceVerb};
 use sling_core::{faults, MmapHpArena, SharedEngine, SlingConfig, SlingError, SlingIndex};
 use sling_graph::generators::barabasi_albert;
 use sling_graph::{DiGraph, NodeId};
 use sling_server::{
     serve, serve_reloadable, stats_field, Client, ClientConfig, Listener, ReloadableEngine,
-    RetryingClient, ServerConfig, ServerHandle,
+    Request, RetryingClient, ServerConfig, ServerHandle,
 };
 
 /// Serializes fault-arming tests: the registry is process-global.
@@ -531,4 +532,229 @@ fn slow_writer_is_served_or_closed_within_drain_grace() {
             &got[..8.min(got.len())]
         );
     }
+}
+
+/// How the test sends one request line.
+#[derive(Clone, Copy)]
+enum Send {
+    /// The whole line in one write.
+    Whole,
+    /// The line followed by 20 KB of an unfinished second line, so the
+    /// connection owes more than the shed threshold when the request is
+    /// parsed; the padding line is finished afterwards and answers a
+    /// parse error.
+    Padded,
+    /// The line minus its newline, a pause longer than the deadline
+    /// budget, then the newline.
+    Stale,
+}
+
+/// The trace spelling of a key, as the slow log renders it.
+fn key_text(key: TraceKey) -> String {
+    match key {
+        TraceKey::Pair(u, v) => format!("{u},{v}"),
+        TraceKey::Node(u) => format!("{u}"),
+        TraceKey::NodeK(u, k) => format!("{u}:{k}"),
+    }
+}
+
+/// Every `PAIR`, `SOURCE` and `TOPK` and every `BATCH` pair leaves one
+/// trace record whose verb, key and outcome match the answer it got —
+/// served, failed on an injected read error, shed, or past its
+/// deadline — and every slow-log line names its query exactly as that
+/// query's trace record does.
+#[test]
+fn every_query_key_is_traced_once_and_slow_lines_match_the_trace() {
+    let _lock = chaos_lock();
+    let g = fixture();
+    let idx = build(&g, 7);
+    let root = tmp_root("one_path");
+    std::fs::create_dir_all(&root).unwrap();
+    let index_path = root.join("idx.slng");
+    idx.save(&index_path).unwrap();
+    let engine = SharedEngine::open_mmap(&g, &index_path).unwrap();
+    let handle = serve(
+        Arc::new(engine),
+        Arc::new(g),
+        Listener::bind_tcp("127.0.0.1:0").unwrap(),
+        ServerConfig {
+            workers: 1,
+            cache_capacity: 64,
+            cache_shards: 1,
+            slow_query_us: 1,
+            shed_pending_bytes: 16 * 1024,
+            deadline_us: 50_000,
+            record_path: Some(root.join("capture.trace")),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = handle.local_addr().unwrap();
+
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let read_reply = |reader: &mut BufReader<TcpStream>| {
+        let mut line = String::new();
+        assert!(
+            reader.read_line(&mut line).unwrap() > 0,
+            "connection closed"
+        );
+        line.trim_end().to_string()
+    };
+    let mut sent: Vec<(Request, String)> = Vec::new();
+    let mut ask = |line: &str, how: Send| {
+        match how {
+            Send::Whole => raw.write_all(format!("{line}\n").as_bytes()).unwrap(),
+            Send::Padded => {
+                let padding = " ".repeat(20_000);
+                raw.write_all(format!("{line}\n{padding}").as_bytes())
+                    .unwrap();
+            }
+            Send::Stale => {
+                raw.write_all(line.as_bytes()).unwrap();
+                std::thread::sleep(Duration::from_millis(150));
+                raw.write_all(b"\n").unwrap();
+            }
+        }
+        let reply = read_reply(&mut reader);
+        if let Send::Padded = how {
+            raw.write_all(b"\n").unwrap();
+            let junk = read_reply(&mut reader);
+            assert!(junk.starts_with("ERR "), "padding line answered {junk:?}");
+        }
+        sent.push((Request::parse(line).unwrap(), reply));
+    };
+
+    let served = [
+        "PAIR 3 17",
+        "PAIR 17 3",
+        "PAIR 5 5",
+        "SOURCE 3",
+        "TOPK 3 5",
+        "BATCH 1,2 2,1 4,9",
+    ];
+    for line in served {
+        ask(line, Send::Whole);
+    }
+    // Two store reads fail: the PAIR's first endpoint and the BATCH's
+    // first pair, which ends the BATCH before its second pair.
+    let guard = FaultGuard::install("mmap.validate:error:times=2");
+    ask("PAIR 10 20", Send::Whole);
+    ask("BATCH 21,22 23,24", Send::Whole);
+    drop(guard);
+    for line in ["TOPK 4 3", "BATCH 5,6 7,8", "PAIR 30 31"] {
+        ask(line, Send::Padded);
+    }
+    for line in ["SOURCE 7", "BATCH 8,9 10,11", "TOPK 9 4"] {
+        ask(line, Send::Stale);
+    }
+    for line in ["PAIR 40 41", "TOPK 3 5", "BATCH 3,17 50,60"] {
+        ask(line, Send::Whole);
+    }
+
+    // What each request's answer says its keys' trace records must be.
+    let mut expected: Vec<(TraceVerb, TraceKey, TraceOutcome)> = Vec::new();
+    let mut admitted_keys = 0u64;
+    let mut outcomes = std::collections::HashSet::new();
+    for (req, reply) in &sent {
+        let (verb, keys) = match req {
+            Request::Pair { u, v } => (TraceVerb::Pair, vec![TraceKey::Pair(*u, *v)]),
+            Request::Source { u } => (TraceVerb::Source, vec![TraceKey::Node(*u)]),
+            Request::TopK { u, k } => (TraceVerb::TopK, vec![TraceKey::NodeK(*u, *k as u32)]),
+            Request::Batch { pairs } => (
+                TraceVerb::Batch,
+                pairs.iter().map(|&(u, v)| TraceKey::Pair(u, v)).collect(),
+            ),
+            other => panic!("not a query: {other:?}"),
+        };
+        let (outcome, traced) = if reply.starts_with("OK ") {
+            (TraceOutcome::Ok, keys.len())
+        } else if reply == "ERR overloaded" {
+            (TraceOutcome::Shed, keys.len())
+        } else if reply == "ERR deadline" {
+            (TraceOutcome::Deadline, keys.len())
+        } else {
+            assert!(reply.contains("injected"), "{reply}");
+            (TraceOutcome::Err, 1)
+        };
+        if matches!(outcome, TraceOutcome::Ok | TraceOutcome::Err) {
+            admitted_keys += keys.len() as u64;
+        }
+        outcomes.insert((verb, outcome));
+        expected.extend(keys[..traced].iter().map(|&key| (verb, key, outcome)));
+    }
+    for want in [
+        (TraceVerb::Pair, TraceOutcome::Ok),
+        (TraceVerb::Source, TraceOutcome::Ok),
+        (TraceVerb::TopK, TraceOutcome::Ok),
+        (TraceVerb::Batch, TraceOutcome::Ok),
+        (TraceVerb::Pair, TraceOutcome::Err),
+        (TraceVerb::Batch, TraceOutcome::Err),
+        (TraceVerb::Batch, TraceOutcome::Shed),
+        (TraceVerb::TopK, TraceOutcome::Shed),
+        (TraceVerb::Batch, TraceOutcome::Deadline),
+        (TraceVerb::Source, TraceOutcome::Deadline),
+    ] {
+        assert!(outcomes.contains(&want), "no {want:?} in {sent:?}");
+    }
+
+    let mut control = Client::connect_tcp(addr).unwrap();
+    let segment = control.trace_from(0, 4096).unwrap();
+    let slow = control.slow_queries().unwrap();
+    let stats = control.stats_line().unwrap();
+    control.shutdown().unwrap();
+    handle.join();
+
+    // One record per key, in the order the keys were answered. A record
+    // the recorder dropped under ring contention is counted, never
+    // invented, so the records are `expected` minus `dropped` entries.
+    let records: Vec<_> = segment.records.iter().map(|(_, r)| *r).collect();
+    assert_eq!(
+        records.len() as u64 + segment.dropped,
+        expected.len() as u64,
+        "records {records:?}\nexpected {expected:?}"
+    );
+    let mut rest = expected.iter();
+    for r in &records {
+        assert_eq!(r.epoch, 0);
+        assert!(
+            rest.any(|&(verb, key, outcome)| (verb, key, outcome) == (r.verb, r.key, r.outcome)),
+            "trace record {r:?} out of order or unexpected\nexpected {expected:?}"
+        );
+    }
+    assert_eq!(stat_value(&stats, "served"), Some(admitted_keys), "{stats}");
+    assert_eq!(stat_value(&stats, "shed"), Some(3), "{stats}");
+    assert_eq!(stat_value(&stats, "deadline_exceeded"), Some(3), "{stats}");
+
+    // Every slow line is a served key's trace record, in order, with the
+    // same verb, key and latency.
+    let served_records: Vec<_> = records
+        .iter()
+        .filter(|r| r.outcome == TraceOutcome::Ok)
+        .collect();
+    let mut rest = served_records.iter();
+    let mut slow_verbs = std::collections::HashSet::new();
+    for line in slow.lines() {
+        let field = |name: &str| {
+            line.split_ascii_whitespace()
+                .find_map(|kv| kv.strip_prefix(name)?.strip_prefix('='))
+                .unwrap_or_else(|| panic!("no {name}= in {line:?}"))
+        };
+        assert!(line.starts_with("slow verb="), "{line}");
+        assert_eq!(field("generation"), "static", "{line}");
+        assert_eq!(field("epoch"), "0", "{line}");
+        let (verb, key, total_us) = (field("verb"), field("key"), field("total_us"));
+        assert!(
+            rest.any(|r| r.verb.as_str() == verb
+                && key_text(r.key) == key
+                && r.latency_us.to_string() == total_us),
+            "slow line {line:?} matches no served trace record in order\n{served_records:?}"
+        );
+        slow_verbs.insert(verb.to_string());
+    }
+    // Algorithm 6 runs far above the 1 µs threshold.
+    assert!(slow_verbs.contains("SOURCE"), "{slow}");
+    assert!(slow_verbs.contains("TOPK"), "{slow}");
+    std::fs::remove_dir_all(&root).ok();
 }

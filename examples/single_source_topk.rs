@@ -6,8 +6,7 @@
 //! cargo run --release --example single_source_topk
 //! ```
 
-use sling_simrank::core::single_source::SingleSourceWorkspace;
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::{QueryWorkspace, SlingConfig, SlingIndex};
 use sling_simrank::graph::generators::{rmat, RmatConfig};
 use sling_simrank::graph::NodeId;
 
@@ -35,7 +34,7 @@ fn main() {
         .expect("non-empty graph");
 
     // Algorithm 6.
-    let mut ws = SingleSourceWorkspace::new();
+    let mut ws = QueryWorkspace::new();
     let mut scores = Vec::new();
     let start = std::time::Instant::now();
     index.single_source_with(&graph, &mut ws, user, &mut scores);

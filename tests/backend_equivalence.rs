@@ -12,7 +12,6 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use sling_simrank::core::codec::CompressOptions;
 use sling_simrank::core::join::{JoinPair, JoinStrategy};
-use sling_simrank::core::single_source::SingleSourceWorkspace;
 use sling_simrank::core::topk::select_top_k;
 use sling_simrank::core::{
     FormatVersion, HpStore, IndexStore, QueryWorkspace, Residency, SharedEngine, SlingConfig,
@@ -96,9 +95,12 @@ fn assert_engine_matches_index<S: HpStore + Sync>(
 /// Assert the served kernels answer **bit-identically** to their
 /// references on one engine, for every query type: single-pair (skew
 /// dispatch, galloping merge) to the linear-merge oracle, and every
-/// Algorithm 6 query on a reused workspace to `single_source_with` on a
-/// fresh one. Two rounds over the same workspaces, so the second starts
-/// from buffers the first has filled.
+/// Algorithm 6 query to `single_source_with`, each reference on a fresh
+/// workspace. The served calls share one workspace and one score
+/// buffer, as a server worker does: each step runs a pair, a source, a
+/// top-k and a zero-slack truncated query, interleaved, so every call
+/// starts from whatever the previous query kind left behind. Two
+/// rounds, so the second starts from buffers the first has filled.
 fn assert_streaming_matches_materialized<S: HpStore + Sync>(
     label: &str,
     engine: &SharedEngine<S>,
@@ -107,82 +109,80 @@ fn assert_streaming_matches_materialized<S: HpStore + Sync>(
     sources: &[NodeId],
 ) {
     let mut ws = QueryWorkspace::new();
-    let mut ws_ref = QueryWorkspace::new();
-    let mut ssw = SingleSourceWorkspace::new();
-    let (mut scores, mut scores_ref) = (Vec::new(), Vec::new());
-    // The served top-k path on one workspace and one score buffer reused
-    // across every source and k, so each call starts from the previous
-    // source's vector and touched set.
-    let mut ssw_top = SingleSourceWorkspace::new();
-    let mut top_scores = Vec::new();
+    let mut scores = Vec::new();
+    let fresh_pair = |u, v| {
+        engine
+            .single_pair_materialized_with(g, &mut QueryWorkspace::new(), u, v)
+            .unwrap()
+    };
+    let ks = [0, 1, 10, g.num_nodes(), usize::MAX];
+    let tops: Vec<(usize, usize)> = (0..sources.len())
+        .flat_map(|s| ks.iter().map(move |&k| (s, k)))
+        .collect();
     for round in 0..2 {
         let refs: Vec<Vec<f64>> = sources
             .iter()
             .map(|&u| {
+                let mut want = Vec::new();
                 engine
-                    .single_source_with(g, &mut SingleSourceWorkspace::new(), u, &mut scores_ref)
+                    .single_source_with(g, &mut QueryWorkspace::new(), u, &mut want)
                     .unwrap();
-                scores_ref.clone()
-            })
-            .collect();
-        for k in [0, 1, 10, g.num_nodes(), usize::MAX] {
-            for (&u, want) in sources.iter().zip(&refs) {
-                let top = engine
-                    .top_k_with(g, &mut ssw_top, &mut top_scores, u, k)
-                    .unwrap();
+                // The allocating top-k runs on a fresh workspace too.
+                let top = engine.top_k(g, u, 5).unwrap();
                 assert_eq!(
                     top,
-                    select_top_k(want, Some(u), k),
-                    "{label} round {round}: top_k_with({u:?}, {k})"
+                    select_top_k(&want, Some(u), 5),
+                    "{label}: top_k({u:?})"
                 );
-                assert_eq!(
-                    bits(&top_scores),
-                    bits(want),
-                    "{label} round {round}: top_k_with({u:?}, {k}) scores"
-                );
-            }
-        }
-        for &(u, v) in pairs {
+                want
+            })
+            .collect();
+        for step in 0..pairs.len().max(tops.len()) {
+            let (u, v) = pairs[step % pairs.len()];
             let streamed = engine.single_pair_with(g, &mut ws, u, v).unwrap();
-            let reference = engine
-                .single_pair_materialized_with(g, &mut ws_ref, u, v)
-                .unwrap();
+            let reference = fresh_pair(u, v);
             assert_eq!(
                 streamed.to_bits(),
                 reference.to_bits(),
                 "{label} round {round}: single_pair({u:?},{v:?}) {streamed} vs {reference}"
             );
-        }
-        for &u in sources {
+
+            let (s, k) = tops[step % tops.len()];
+            let (src, want) = (sources[s], &refs[s]);
             engine
-                .single_source_with(g, &mut ssw, u, &mut scores)
-                .unwrap();
-            engine
-                .single_source_with(g, &mut SingleSourceWorkspace::new(), u, &mut scores_ref)
+                .single_source_with(g, &mut ws, src, &mut scores)
                 .unwrap();
             assert_eq!(
-                &scores, &scores_ref,
-                "{label} round {round}: single_source({u:?})"
+                bits(&scores),
+                bits(want),
+                "{label} round {round}: single_source({src:?})"
             );
-            // Top-k and the zero-slack truncated variant build on the
-            // same streamed vector.
-            let top = engine.top_k(g, u, 5).unwrap();
-            assert_eq!(&top, &select_top_k(&scores_ref, Some(u), 5));
-            let mut truncated = Vec::new();
+            let top = engine.top_k_with(g, &mut ws, &mut scores, src, k).unwrap();
+            assert_eq!(
+                top,
+                select_top_k(want, Some(src), k),
+                "{label} round {round}: top_k_with({src:?}, {k})"
+            );
+            assert_eq!(
+                bits(&scores),
+                bits(want),
+                "{label} round {round}: top_k_with({src:?}, {k}) scores"
+            );
             let residual = engine
-                .single_source_truncated(g, &mut ssw, u, 0.0, &mut truncated)
+                .single_source_truncated(g, &mut ws, src, 0.0, &mut scores)
                 .unwrap();
             assert_eq!(residual, 0.0);
-            assert_eq!(&truncated, &scores_ref);
+            assert_eq!(
+                bits(&scores),
+                bits(want),
+                "{label} round {round}: single_source_truncated({src:?})"
+            );
         }
     }
     // Batches route through the same cores.
     let batch = engine.batch_single_pair(g, pairs, 3).unwrap();
     for (i, &(u, v)) in pairs.iter().enumerate() {
-        let reference = engine
-            .single_pair_materialized_with(g, &mut ws_ref, u, v)
-            .unwrap();
-        assert_eq!(batch[i].to_bits(), reference.to_bits());
+        assert_eq!(batch[i].to_bits(), fresh_pair(u, v).to_bits());
     }
 }
 
