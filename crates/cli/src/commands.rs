@@ -250,10 +250,11 @@ const NOTES: &str = "\
 --index-backend B picks how an index file is read:
   mem   decode the whole index into memory (default)
   mmap  map the file and read entries out of the page cache, keeping only
-        O(n) metadata resident; the format is read from the file header
-        (SLNGIDX1 is read in place, SLNGIDX2/3 run by run, one pass over
-        each block the run touches)
-Any index format works with either backend, and both return identical
+        O(n) metadata resident; each query reads and checks the runs it
+        needs (SLNGIDX1 in place, SLNGIDX2/3 one pass over each block
+        the run touches)
+Any index format works with either backend: both read it through the
+same validating reader, accept the same files, and return identical
 scores (bit-identical for lossless files).
 
 Graph files may be SNAP-style text edge lists or the binary format
@@ -479,8 +480,10 @@ pub fn cmd_build(args: &Args) -> Result<String, String> {
 }
 
 fn load_index(graph: &DiGraph, path: &str) -> Result<SlingIndex, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    SlingIndex::from_bytes(graph, &bytes).map_err(|e| e.to_string())
+    SlingIndex::load(graph, path).map_err(|e| match e {
+        sling_core::SlingError::Io(e) => format!("{path}: {e}"),
+        e => e.to_string(),
+    })
 }
 
 /// Residency selected by `--index-backend` (`mem` by default).
@@ -2152,8 +2155,14 @@ fn format_breakdown(bd: &sling_core::PayloadBreakdown) -> String {
 /// compression ratio of a persisted index (any format generation).
 pub fn cmd_inspect(args: &Args) -> Result<String, String> {
     let path = args.positional(0, "index")?;
-    let info = sling_core::inspect_file(path).map_err(|e| format!("{path}: {e}"))?;
-    let breakdown = sling_core::payload_breakdown_file(path).map_err(|e| format!("{path}: {e}"))?;
+    let read = || -> Result<_, sling_core::SlingError> {
+        let bytes = std::fs::read(path)?;
+        Ok((
+            sling_core::inspect_bytes(&bytes)?,
+            sling_core::payload_breakdown(&bytes)?,
+        ))
+    };
+    let (info, breakdown) = read().map_err(|e| format!("{path}: {e}"))?;
     let mut out = format_index_info(path, &info);
     out.push_str(&format_breakdown(&breakdown));
     Ok(out)

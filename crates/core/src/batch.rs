@@ -14,7 +14,7 @@
 //! written by exactly one worker and results are deterministic and
 //! identical to the serial path. The cores are generic over
 //! [`HpStore`]`: Sync`, so batches run against the in-memory arena and
-//! the mapped backends alike; a failing store read aborts the batch
+//! the mapped backend alike; a failing store read aborts the batch
 //! with the first error observed.
 
 use sling_graph::{DiGraph, NodeId};

@@ -164,15 +164,6 @@ impl<K: Copy + Eq + Hash, V: Default> LruList<K, V> {
         self.map.is_empty()
     }
 
-    /// Drop all entries (slab capacity is kept).
-    fn clear(&mut self) {
-        self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
     fn detach(&mut self, idx: u32) {
         let (prev, next) = {
             let s = &self.slots[idx as usize];
@@ -575,15 +566,6 @@ impl ShardedResultCache {
         self.reset_sketches();
     }
 
-    /// Bump the generation epoch by one, invalidating all resident
-    /// entries (and resetting the admission sketches); returns the new
-    /// epoch.
-    pub fn advance_epoch(&self) -> u64 {
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        self.reset_sketches();
-        epoch
-    }
-
     fn reset_sketches(&self) {
         if self.admission == Admission::TinyLfu {
             for shard in self.shards.iter() {
@@ -708,13 +690,6 @@ impl ShardedResultCache {
     /// Whether no shard holds an entry.
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(|s| s.lock().list.is_empty())
-    }
-
-    /// Drop all cached entries (counters and sketches are kept).
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().list.clear();
-        }
     }
 }
 
@@ -871,9 +846,6 @@ mod tests {
         // Double insert of a live key is a no-op.
         cache.insert(NodeId(1), NodeId(2), 0.99);
         assert_eq!(cache.lookup(NodeId(1), NodeId(2)), Some(0.25));
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.lookup(NodeId(1), NodeId(2)), None);
     }
 
     #[test]
@@ -973,9 +945,9 @@ mod tests {
         cache.insert(NodeId(0), NodeId(99), 0.125);
         assert_eq!(cache.lookup(NodeId(0), NodeId(1)), Some(0.25));
         assert_eq!(cache.lookup(NodeId(0), NodeId(99)), Some(0.125));
-        // A generation swap advances the epoch: both entries must now
+        // A generation swap sets the next epoch: both entries must now
         // read as misses (and be dropped on touch).
-        assert_eq!(cache.advance_epoch(), 1);
+        cache.set_epoch(1);
         assert_eq!(cache.epoch(), 1);
         assert_eq!(cache.lookup(NodeId(0), NodeId(1)), None);
         assert_eq!(cache.lookup(NodeId(0), NodeId(99)), None);
@@ -1238,7 +1210,7 @@ mod tests {
         // Swap generations: resident entries invalidate lazily, the
         // sketch resets eagerly, and new traffic is admitted freely
         // (candidate 0 >= victim 0).
-        cache.advance_epoch();
+        cache.set_epoch(1);
         for i in 0..16u32 {
             cache.insert(NodeId(500 + i), NodeId(600 + i), 0.75);
         }

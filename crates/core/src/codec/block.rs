@@ -31,9 +31,9 @@
 //! validates all of it — counts against the directory, run-length sums,
 //! node-id overflow and bound, value-section length, value range, and
 //! that the block's bytes are consumed exactly — and keeps only the
-//! entries of the run a query asked for. The eager [`decode_block`]
-//! calls it over the whole block. Any violation is
-//! [`SlingError::CorruptIndex`]; no input may panic.
+//! entries of the run a query asked for; the eager decode asks for every
+//! entry of the block. Any violation is [`SlingError::CorruptIndex`]; no
+//! input may panic.
 
 use std::ops::Range;
 
@@ -60,13 +60,13 @@ fn corrupt(what: impl Into<String>) -> SlingError {
     SlingError::CorruptIndex(what.into())
 }
 
-/// Upper probability bound the validators accept: the exact tolerance of
-/// `crate::store::check_value`, shared so the wide sweeps and the
-/// per-entry checks can never disagree on what passes.
+/// Upper probability bound the validators accept.
 pub(crate) const MAX_PROBABILITY: f64 = 1.0 + 1e-9;
 
 /// Whether `v` is a finite probability in `0.0..=`[`MAX_PROBABILITY`]
-/// (NaN and ±∞ fall outside the range).
+/// (NaN and ±∞ fall outside the range): the one value check of every
+/// reader, the block value codecs, the raw `SLNGIDX1` sections and the
+/// `SLNGIDX3` global dictionary alike.
 #[inline]
 pub(crate) fn is_probability(v: f64) -> bool {
     (0.0..=MAX_PROBABILITY).contains(&v)
@@ -151,47 +151,6 @@ pub fn encode_block_with(
         ValueMode::Lossless => encode_values_lossless(values, out),
         ValueMode::Global(dict) => encode_values_v3(values, dict, out),
     }
-}
-
-/// Decode one whole block into `out` (cleared first), validating it
-/// holds exactly `expected_entries` entries and consumes `bytes`
-/// exactly: [`read_block_run`] over every entry, with no node-id bound.
-/// v1/v2 context: a [`TAG_GLOBAL_DICT`] value section is rejected.
-pub fn decode_block(
-    bytes: &[u8],
-    expected_entries: usize,
-    out: &mut Vec<HpEntry>,
-) -> Result<(), SlingError> {
-    out.clear();
-    read_block_run(
-        bytes,
-        expected_entries,
-        None,
-        usize::MAX,
-        0..expected_entries,
-        out,
-    )
-}
-
-/// Decode one whole block of an `SLNGIDX3` payload: like
-/// [`decode_block`], additionally resolving [`TAG_GLOBAL_DICT`] value
-/// sections against the file's global dictionary, which must hold only
-/// probabilities.
-pub fn decode_block_with_dict(
-    bytes: &[u8],
-    expected_entries: usize,
-    global_dict: &[f64],
-    out: &mut Vec<HpEntry>,
-) -> Result<(), SlingError> {
-    out.clear();
-    read_block_run(
-        bytes,
-        expected_entries,
-        Some(global_dict),
-        usize::MAX,
-        0..expected_entries,
-        out,
-    )
 }
 
 /// Read the entries `run` (block-local indices) of one encoded block,
@@ -432,12 +391,18 @@ pub fn run_starts(owners: &[u32], steps: &[u16]) -> Vec<usize> {
 mod tests {
     use super::*;
 
+    /// Read every entry of a block (no node-id bound, no dictionary).
+    fn read_whole(bytes: &[u8], count: usize) -> Result<Vec<HpEntry>, SlingError> {
+        let mut out = Vec::new();
+        read_block_run(bytes, count, None, usize::MAX, 0..count, &mut out)?;
+        Ok(out)
+    }
+
     fn round_trip(steps: &[u16], nodes: &[u32], values: &[f64], owners: &[u32], quantize: bool) {
         let starts = run_starts(owners, steps);
         let mut bytes = Vec::new();
         encode_block(steps, nodes, values, &starts, quantize, &mut bytes);
-        let mut block = Vec::new();
-        decode_block(&bytes, steps.len(), &mut block).unwrap();
+        let block = read_whole(&bytes, steps.len()).unwrap();
         assert_eq!(block.iter().map(|e| e.step).collect::<Vec<_>>(), steps);
         assert_eq!(block.iter().map(|e| e.node.0).collect::<Vec<_>>(), nodes);
         if quantize {
@@ -568,30 +533,25 @@ mod tests {
     fn rejects_count_mismatch_and_zero_expectation() {
         let mut bytes = Vec::new();
         encode_block(&[0, 0], &[1, 2], &[0.5, 0.5], &[0], false, &mut bytes);
-        let mut block = Vec::new();
-        assert!(decode_block(&bytes, 3, &mut block).is_err());
-        assert!(decode_block(&bytes, 0, &mut block).is_err());
-        assert!(decode_block(&bytes, MAX_BLOCK_ENTRIES + 1, &mut block).is_err());
-        assert!(decode_block(&bytes, 2, &mut block).is_ok());
+        assert!(read_whole(&bytes, 3).is_err());
+        assert!(read_whole(&bytes, 0).is_err());
+        assert!(read_whole(&bytes, MAX_BLOCK_ENTRIES + 1).is_err());
+        assert!(read_whole(&bytes, 2).is_ok());
     }
 
     #[test]
     fn rejects_trailing_garbage_and_truncation() {
         let mut bytes = Vec::new();
         encode_block(&[0, 1], &[4, 4], &[1.0, 0.5], &[0, 1], false, &mut bytes);
-        let mut block = Vec::new();
-        decode_block(&bytes, 2, &mut block).unwrap();
+        read_whole(&bytes, 2).unwrap();
         // Every truncation errors.
         for cut in 0..bytes.len() {
-            assert!(
-                decode_block(&bytes[..cut], 2, &mut block).is_err(),
-                "cut {cut} accepted"
-            );
+            assert!(read_whole(&bytes[..cut], 2).is_err(), "cut {cut} accepted");
         }
         // Trailing garbage errors.
         let mut extended = bytes.clone();
         extended.push(0);
-        assert!(decode_block(&extended, 2, &mut block).is_err());
+        assert!(read_whole(&extended, 2).is_err());
     }
 
     #[test]
@@ -607,32 +567,30 @@ mod tests {
         bytes.push(super::super::value::TAG_RAW_F64);
         bytes.extend_from_slice(&0.5f64.to_le_bytes());
         bytes.extend_from_slice(&0.5f64.to_le_bytes());
-        let mut block = Vec::new();
-        let err = decode_block(&bytes, 2, &mut block).unwrap_err();
+        let err = read_whole(&bytes, 2).unwrap_err();
         assert!(err.to_string().contains("overflow"), "{err}");
     }
 
     #[test]
     fn rejects_bad_run_shapes() {
-        let mut block = Vec::new();
         // Zero runs for a non-empty block.
         let mut bytes = Vec::new();
         varint::write_u64(&mut bytes, 1);
         varint::write_u64(&mut bytes, 0);
-        assert!(decode_block(&bytes, 1, &mut block).is_err());
+        assert!(read_whole(&bytes, 1).is_err());
         // Zero-length run.
         let mut bytes = Vec::new();
         varint::write_u64(&mut bytes, 1);
         varint::write_u64(&mut bytes, 1);
         varint::write_u64(&mut bytes, 0); // step
         varint::write_u64(&mut bytes, 0); // len 0
-        assert!(decode_block(&bytes, 1, &mut block).is_err());
+        assert!(read_whole(&bytes, 1).is_err());
         // Run lengths overshooting the count.
         let mut bytes = Vec::new();
         varint::write_u64(&mut bytes, 2);
         varint::write_u64(&mut bytes, 1);
         varint::write_u64(&mut bytes, 0);
         varint::write_u64(&mut bytes, 5);
-        assert!(decode_block(&bytes, 2, &mut block).is_err());
+        assert!(read_whole(&bytes, 2).is_err());
     }
 }

@@ -18,12 +18,12 @@
 //! * [`value`] — the [`value::SectionCodec`] trait and its three value
 //!   codecs (raw `f64`, per-block dictionary, lossy fixed-point `u32`).
 //!
-//! [`encode_payload`] / [`decode_payload`] turn a whole
-//! [`HpArena`](crate::hp::HpArena) payload into blocks and back; the
-//! `SLNGIDX2` container around them (header, directory) lives in
-//! [`crate::format`], and the query-time reader in
-//! [`crate::store::CompressedMmapArena`], which reads each run it
-//! serves through [`read_block_run`].
+//! [`encode_payload`] / [`encode_payload_v3`] turn a whole
+//! [`HpArena`](crate::hp::HpArena) payload into blocks. The `SLNGIDX2`
+//! and `SLNGIDX3` containers around them (header, directory, global
+//! dictionary) live in [`crate::format`], whose one payload reader walks
+//! the blocks of an entry range with [`read_block_run`], for the eager
+//! decode and the mapped backend alike.
 //!
 //! Lossless mode (the default) is **bit-exact**: every backend serving a
 //! compressed index returns scores bit-identical to the uncompressed
@@ -38,10 +38,7 @@ pub mod block;
 pub mod value;
 pub mod varint;
 
-pub use block::{
-    decode_block, decode_block_with_dict, encode_block, read_block_run, ValueMode,
-    DEFAULT_BLOCK_ENTRIES,
-};
+pub use block::{encode_block, read_block_run, ValueMode, DEFAULT_BLOCK_ENTRIES};
 pub use value::{GlobalDict, SectionCodec};
 
 use crate::error::SlingError;
@@ -205,74 +202,6 @@ fn encode_payload_with(
     }
 }
 
-/// Decode a whole blocked payload back into the three entry columns
-/// (the eager path used by [`crate::SlingIndex::from_bytes`] and the
-/// v2 → v1 direction of `sling compact`).
-pub fn decode_payload(
-    payload: &[u8],
-    block_offsets: &[u64],
-    block_entries: usize,
-    entries: usize,
-) -> Result<(Vec<u16>, Vec<u32>, Vec<f64>), SlingError> {
-    decode_payload_ctx(payload, block_offsets, block_entries, entries, None)
-}
-
-/// Decode a whole `SLNGIDX3` payload back into the three entry columns,
-/// resolving global-dictionary value sections against `global_dict`.
-pub fn decode_payload_v3(
-    payload: &[u8],
-    block_offsets: &[u64],
-    block_entries: usize,
-    entries: usize,
-    global_dict: &[f64],
-) -> Result<(Vec<u16>, Vec<u32>, Vec<f64>), SlingError> {
-    decode_payload_ctx(
-        payload,
-        block_offsets,
-        block_entries,
-        entries,
-        Some(global_dict),
-    )
-}
-
-fn decode_payload_ctx(
-    payload: &[u8],
-    block_offsets: &[u64],
-    block_entries: usize,
-    entries: usize,
-    global_dict: Option<&[f64]>,
-) -> Result<(Vec<u16>, Vec<u32>, Vec<f64>), SlingError> {
-    let num_blocks = block_offsets.len().saturating_sub(1);
-    let mut steps = Vec::with_capacity(entries);
-    let mut nodes = Vec::with_capacity(entries);
-    let mut values = Vec::with_capacity(entries);
-    let mut block = Vec::new();
-    for b in 0..num_blocks {
-        let (lo, hi) = (block_offsets[b] as usize, block_offsets[b + 1] as usize);
-        if lo > hi || hi > payload.len() {
-            return Err(SlingError::CorruptIndex(format!(
-                "block {b} byte range {lo}..{hi} escapes the payload ({} bytes)",
-                payload.len()
-            )));
-        }
-        let expected = expected_block_len(b, num_blocks, block_entries, entries)?;
-        match global_dict {
-            Some(dict) => decode_block_with_dict(&payload[lo..hi], expected, dict, &mut block)?,
-            None => decode_block(&payload[lo..hi], expected, &mut block)?,
-        }
-        steps.extend(block.iter().map(|e| e.step));
-        nodes.extend(block.iter().map(|e| e.node.0));
-        values.extend(block.iter().map(|e| e.value));
-    }
-    if steps.len() != entries {
-        return Err(SlingError::CorruptIndex(format!(
-            "blocks decode to {} entries, header says {entries}",
-            steps.len()
-        )));
-    }
-    Ok((steps, nodes, values))
-}
-
 /// Entry count block `b` must hold given the file geometry.
 pub(crate) fn expected_block_len(
     b: usize,
@@ -298,6 +227,44 @@ pub(crate) fn expected_block_len(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::{BlockedGeometry, PayloadGeometry, PayloadLayout};
+    use crate::hp::HpEntry;
+
+    /// Read a whole encoded payload back through the one payload reader
+    /// (`PayloadGeometry::read_entries`), as the eager decode does, under
+    /// the given directory, block size, entry count and dictionary.
+    fn read_payload(
+        bytes: &[u8],
+        block_offsets: &[u64],
+        block_entries: usize,
+        entries: usize,
+        global_dict: Option<&[f64]>,
+    ) -> Result<Vec<HpEntry>, SlingError> {
+        let geometry = PayloadGeometry {
+            num_nodes: usize::MAX,
+            entries,
+            layout: PayloadLayout::Blocked(BlockedGeometry {
+                block_entries,
+                blocks_base: 0,
+                block_offsets: block_offsets.to_vec(),
+                values_exact: true,
+                global_dict: global_dict.map(<[f64]>::to_vec),
+                aux_bytes: 0,
+            }),
+        };
+        let mut out = Vec::new();
+        geometry.read_entries(bytes, 0..entries, &mut out)?;
+        Ok(out)
+    }
+
+    /// The three columns of a read-back payload.
+    fn columns(entries: &[HpEntry]) -> (Vec<u16>, Vec<u32>, Vec<u64>) {
+        (
+            entries.iter().map(|e| e.step).collect(),
+            entries.iter().map(|e| e.node.0).collect(),
+            entries.iter().map(|e| e.value.to_bits()).collect(),
+        )
+    }
 
     /// A payload shaped like real index data: several owners, step runs,
     /// repeated values.
@@ -350,19 +317,18 @@ mod tests {
                 enc.block_offsets.len(),
                 steps.len().div_ceil(enc.block_entries) + 1
             );
-            let (s2, n2, v2) = decode_payload(
+            let back = read_payload(
                 &enc.bytes,
                 &enc.block_offsets,
                 enc.block_entries,
                 steps.len(),
+                None,
             )
             .unwrap();
+            let (s2, n2, v2) = columns(&back);
             assert_eq!(s2, steps, "block_entries = {be}");
             assert_eq!(n2, nodes);
-            assert_eq!(
-                v2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                values.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
+            assert_eq!(v2, values.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
         }
     }
 
@@ -371,8 +337,8 @@ mod tests {
         let enc = encode_payload(&[], &[], &[], &[0, 0, 0], &CompressOptions::default());
         assert_eq!(enc.block_offsets, vec![0]);
         assert!(enc.bytes.is_empty());
-        let (s, n, v) = decode_payload(&[], &enc.block_offsets, enc.block_entries, 0).unwrap();
-        assert!(s.is_empty() && n.is_empty() && v.is_empty());
+        let back = read_payload(&[], &enc.block_offsets, enc.block_entries, 0, None).unwrap();
+        assert!(back.is_empty());
     }
 
     #[test]
@@ -409,20 +375,18 @@ mod tests {
             v2.bytes.len()
         );
         assert!(!v3.global_dict.is_empty());
-        let (s, n, v) = decode_payload_v3(
+        let back = read_payload(
             &v3.bytes,
             &v3.block_offsets,
             v3.block_entries,
             steps.len(),
-            &v3.global_dict,
+            Some(&v3.global_dict),
         )
         .unwrap();
+        let (s, n, v) = columns(&back);
         assert_eq!(s, steps);
         assert_eq!(n, nodes);
-        assert_eq!(
-            v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            values.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
+        assert_eq!(v, values.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
         // At least one block leans on the shared dictionary, and a v2
         // decoder (no dictionary in scope) refuses that block.
         let num_blocks = v3.block_offsets.len() - 1;
@@ -438,7 +402,15 @@ mod tests {
             if sections.value_tag == value::TAG_GLOBAL_DICT {
                 saw_global = true;
                 let mut block = Vec::new();
-                let err = decode_block(&v3.bytes[lo..hi], expected, &mut block).unwrap_err();
+                let err = read_block_run(
+                    &v3.bytes[lo..hi],
+                    expected,
+                    None,
+                    usize::MAX,
+                    0..expected,
+                    &mut block,
+                )
+                .unwrap_err();
                 assert!(err.to_string().contains("SLNGIDX3"), "{err}");
             }
         }
@@ -469,10 +441,12 @@ mod tests {
         // Directory escaping the payload.
         let mut bad = enc.block_offsets.clone();
         *bad.last_mut().unwrap() = enc.bytes.len() as u64 + 40;
-        assert!(decode_payload(&enc.bytes, &bad, 16, steps.len()).is_err());
+        assert!(read_payload(&enc.bytes, &bad, 16, steps.len(), None).is_err());
         // Wrong total entry count.
-        assert!(decode_payload(&enc.bytes, &enc.block_offsets, 16, steps.len() + 1).is_err());
+        assert!(read_payload(&enc.bytes, &enc.block_offsets, 16, steps.len() + 1, None).is_err());
         // Wrong block size.
-        assert!(decode_payload(&enc.bytes, &enc.block_offsets, 15, steps.len()).is_err());
+        assert!(read_payload(&enc.bytes, &enc.block_offsets, 15, steps.len(), None).is_err());
+        // The intact geometry reads.
+        assert!(read_payload(&enc.bytes, &enc.block_offsets, 16, steps.len(), None).is_ok());
     }
 }

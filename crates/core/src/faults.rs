@@ -14,7 +14,8 @@
 //!
 //! The instrumented sites are named like metrics, `layer.operation`
 //! (see [`point`]; [`point::ALL`] lists them): `mmap.validate` (reading
-//! and validating one entry run in `MmapHpArena`), `lifecycle.publish` /
+//! and validating one entry run in `MmapHpArena`, the mapped backend of
+//! every format, so it covers every mapped read), `lifecycle.publish` /
 //! `lifecycle.promote` (the rename and `CURRENT` swap in
 //! `GenerationStore`), and `server.accept` / `server.read` /
 //! `server.write` (the acceptor and per-connection IO in
@@ -57,7 +58,8 @@ use std::time::Duration;
 /// Canonical fault-point names. Sites pass these to [`check`]; specs
 /// name them on the left of each rule.
 pub mod point {
-    /// Reading and validating one entry run in `MmapHpArena`.
+    /// Reading and validating one entry run in `MmapHpArena`, for every
+    /// format (`SLNGIDX1`, `SLNGIDX2` and `SLNGIDX3`).
     pub const MMAP_VALIDATE: &str = "mmap.validate";
     /// The staging→final rename in `GenerationStore::publish_bytes`.
     pub const LIFECYCLE_PUBLISH: &str = "lifecycle.publish";

@@ -33,8 +33,8 @@
 //! ```
 //!
 //! The three entry arrays are stored as contiguous *sections* (not
-//! interleaved records) so the out-of-core backends can address them
-//! directly with per-entry arithmetic — 14 bytes per entry, no decode.
+//! interleaved records) so the mapped backend can address them directly
+//! with per-entry arithmetic — 14 bytes per entry, no decode.
 //!
 //! ## `SLNGIDX2` payload: compressed blocks
 //!
@@ -80,12 +80,16 @@
 //! to v2's.
 //!
 //! Each block is independently decodable (given the resident global
-//! dictionary for v3), so the compressed mmap backend
-//! ([`crate::store::CompressedMmapArena`]) decodes only the blocks a
-//! query's entry range touches. `decode_meta` validates everything **up to**
-//! the entry payload — including the block directory and the v3 global
-//! dictionary — and reports the payload geometry, which is all the
-//! mapped backends need; none ever decodes the full payload at open.
+//! dictionary for v3), so a read touches only the blocks its entry range
+//! covers. `decode_meta` validates everything **up to** the entry payload
+//! — including the block directory and the v3 global dictionary — and
+//! reports the payload geometry. The geometry's `read_entries` is the one
+//! reader of every format's entries: it appends a global entry range to
+//! a buffer and checks each entry it reads. [`SlingIndex::decode`] calls
+//! it on the file image one block-sized chunk at a time, and the mapped
+//! backend ([`crate::store::MmapHpArena`]) calls it on its mapping, one
+//! node's run per read, so both residencies accept the same files. No
+//! mapped open ever reads the payload.
 //!
 //! Every malformed input — truncation, bad magic, non-monotone offsets,
 //! out-of-range ids, overflowing section sizes, inconsistent block
@@ -98,19 +102,20 @@
 
 use std::fs::File;
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use bytes::{Buf, BufMut};
-use sling_graph::DiGraph;
+use sling_graph::{DiGraph, NodeId};
 
-use crate::codec::block::MAX_BLOCK_ENTRIES;
+use crate::codec::block::{is_probability, DEFAULT_BLOCK_ENTRIES, MAX_BLOCK_ENTRIES};
 use crate::codec::{
-    decode_payload, decode_payload_v3, encode_payload, encode_payload_v3, varint, CompressOptions,
+    encode_payload, encode_payload_v3, expected_block_len, read_block_run, varint, CompressOptions,
 };
 use crate::config::SlingConfig;
 use crate::enhance::MarkArena;
 use crate::error::SlingError;
-use crate::hp::HpArena;
+use crate::hp::{HpArena, HpEntry};
 use crate::index::{BuildStats, SlingIndex};
 
 /// Bit 0 of the v2 payload flags: values decode bit-identical to the
@@ -166,16 +171,19 @@ pub fn detect_version(bytes: &[u8]) -> Result<FormatVersion, SlingError> {
     FormatVersion::from_magic(magic).ok_or_else(|| corrupt("bad magic"))
 }
 
-/// True when any HP value is non-finite or wildly out of the unit range
-/// (corruption detector; legitimate values are probabilities).
-fn values_corrupt(values: &[f64]) -> bool {
-    values
-        .iter()
-        .any(|v| !v.is_finite() || *v < 0.0 || *v > 1.0 + 1e-9)
+/// A file's entry payload: where it lives, how it is laid out, and the
+/// bounds its entries obey. [`PayloadGeometry::read_entries`] is the one
+/// reader of every format's entries, for both residencies.
+pub(crate) struct PayloadGeometry {
+    /// Node count of the header: every entry's node id lies below it.
+    pub num_nodes: usize,
+    /// Total stored entries.
+    pub entries: usize,
+    pub layout: PayloadLayout,
 }
 
-/// Where a file's entry payload lives and how it is laid out.
-pub(crate) enum PayloadGeometry {
+/// How a file's entry payload is laid out.
+pub(crate) enum PayloadLayout {
     /// `SLNGIDX1`: three raw fixed-width sections.
     Raw {
         steps_base: usize,
@@ -184,6 +192,177 @@ pub(crate) enum PayloadGeometry {
     },
     /// `SLNGIDX2` / `SLNGIDX3`: a validated block directory.
     Blocked(BlockedGeometry),
+}
+
+/// What one [`PayloadGeometry::read_entries`] call walked: the encoded
+/// blocks it passed over and their bytes (both 0 for `SLNGIDX1`).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct BlockReads {
+    pub blocks: u64,
+    pub bytes: u64,
+}
+
+impl PayloadGeometry {
+    /// Append the entries `range` (global entry indices) of the payload
+    /// to `out`, in stored order. `bytes` is the whole file image this
+    /// geometry was decoded from.
+    ///
+    /// Every entry is checked as it is read: its node id lies below
+    /// `num_nodes` and its value is a probability ([`is_probability`]).
+    /// A blocked layout also validates each block it touches whole
+    /// ([`read_block_run`]). The `(step, node)` order of a node's run is
+    /// the caller's to check ([`crate::hp::in_run_order`]), since a range
+    /// may span nodes. On error `out` is left as it was.
+    pub(crate) fn read_entries(
+        &self,
+        bytes: &[u8],
+        range: Range<usize>,
+        out: &mut Vec<HpEntry>,
+    ) -> Result<BlockReads, SlingError> {
+        if range.start > range.end || range.end > self.entries {
+            return Err(corrupt(format!(
+                "entries {range:?} requested from a payload of {}",
+                self.entries
+            )));
+        }
+        let base = out.len();
+        let read = match &self.layout {
+            &PayloadLayout::Raw {
+                steps_base,
+                nodes_base,
+                values_base,
+            } => self.read_raw([steps_base, nodes_base, values_base], bytes, range, out),
+            PayloadLayout::Blocked(geo) => self.read_blocks(geo, bytes, range, out),
+        };
+        if read.is_err() {
+            out.truncate(base);
+        }
+        read
+    }
+
+    fn read_raw(
+        &self,
+        [steps_base, nodes_base, values_base]: [usize; 3],
+        bytes: &[u8],
+        range: Range<usize>,
+        out: &mut Vec<HpEntry>,
+    ) -> Result<BlockReads, SlingError> {
+        let section = |base: usize, width: usize| {
+            bytes
+                .get(base + range.start * width..base + range.end * width)
+                .ok_or_else(|| corrupt(format!("entries {range:?} escape the file")))
+        };
+        let mut steps = section(steps_base, 2)?;
+        let mut nodes = section(nodes_base, 4)?;
+        let mut values = section(values_base, 8)?;
+        out.reserve(range.len());
+        for i in range {
+            let (step, node, value) = (steps.get_u16_le(), nodes.get_u32_le(), values.get_f64_le());
+            if node as usize >= self.num_nodes {
+                return Err(corrupt(format!(
+                    "entry {i} references node {node} past n = {}",
+                    self.num_nodes
+                )));
+            }
+            if !is_probability(value) {
+                return Err(corrupt(format!(
+                    "entry {i} holds a non-probability HP value {value}"
+                )));
+            }
+            out.push(HpEntry::new(step, NodeId(node), value));
+        }
+        Ok(BlockReads::default())
+    }
+
+    fn read_blocks(
+        &self,
+        geo: &BlockedGeometry,
+        bytes: &[u8],
+        range: Range<usize>,
+        out: &mut Vec<HpEntry>,
+    ) -> Result<BlockReads, SlingError> {
+        let mut reads = BlockReads::default();
+        if range.is_empty() {
+            return Ok(reads);
+        }
+        let be = geo.block_entries;
+        out.reserve(range.len());
+        for b in range.start / be..=(range.end - 1) / be {
+            let first = b * be;
+            let run = range.start.max(first) - first..range.end.min(first + be) - first;
+            let expected = expected_block_len(b, geo.num_blocks(), be, self.entries)?;
+            let block = bytes
+                .get(geo.block_bytes(b))
+                .ok_or_else(|| corrupt(format!("block {b} escapes the file")))?;
+            reads.blocks += 1;
+            reads.bytes += block.len() as u64;
+            read_block_run(
+                block,
+                expected,
+                geo.global_dict.as_deref(),
+                self.num_nodes,
+                run,
+                out,
+            )?;
+        }
+        Ok(reads)
+    }
+
+    /// Entries per chunk of an eager decode: one block, so each block is
+    /// walked once.
+    fn chunk_entries(&self) -> usize {
+        match &self.layout {
+            PayloadLayout::Raw { .. } => DEFAULT_BLOCK_ENTRIES,
+            PayloadLayout::Blocked(geo) => geo.block_entries,
+        }
+    }
+
+    /// Hand `visit` the byte ranges of the file that hold entries
+    /// `range`: one per raw section, or the span of the blocks the range
+    /// touches. Nothing for an empty range or one past the payload.
+    pub(crate) fn byte_ranges(&self, range: Range<usize>, mut visit: impl FnMut(Range<usize>)) {
+        if range.is_empty() || range.end > self.entries {
+            return;
+        }
+        match &self.layout {
+            &PayloadLayout::Raw {
+                steps_base,
+                nodes_base,
+                values_base,
+            } => {
+                for (base, width) in [(steps_base, 2), (nodes_base, 4), (values_base, 8)] {
+                    visit(base + range.start * width..base + range.end * width);
+                }
+            }
+            PayloadLayout::Blocked(geo) => {
+                let be = geo.block_entries;
+                let (first, last) = (
+                    geo.block_bytes(range.start / be),
+                    geo.block_bytes((range.end - 1) / be),
+                );
+                visit(first.start..last.end);
+            }
+        }
+    }
+
+    /// Blocks in the payload (0 for `SLNGIDX1`).
+    pub(crate) fn num_blocks(&self) -> usize {
+        match &self.layout {
+            PayloadLayout::Raw { .. } => 0,
+            PayloadLayout::Blocked(geo) => geo.num_blocks(),
+        }
+    }
+
+    /// Heap bytes of the geometry: the block directory and the v3 global
+    /// dictionary (nothing for `SLNGIDX1`).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match &self.layout {
+            PayloadLayout::Raw { .. } => 0,
+            PayloadLayout::Blocked(geo) => {
+                geo.block_offsets.len() * 8 + geo.global_dict.as_ref().map_or(0, |d| d.len() * 8)
+            }
+        }
+    }
 }
 
 /// Validated v2/v3 payload geometry (see the module docs for the
@@ -220,6 +399,12 @@ impl BlockedGeometry {
     pub fn payload_len(&self) -> usize {
         self.block_offsets.last().map_or(0, |&end| end as usize)
     }
+
+    /// File byte range of block `b < num_blocks()`.
+    fn block_bytes(&self, b: usize) -> Range<usize> {
+        self.blocks_base + self.block_offsets[b] as usize
+            ..self.blocks_base + self.block_offsets[b + 1] as usize
+    }
 }
 
 /// Everything in a persisted index *except* the entry payload: the
@@ -246,6 +431,20 @@ pub(crate) struct DecodedMeta {
     pub payload: PayloadGeometry,
     /// Expected total file size; validated `<=` the available bytes.
     pub total_len: usize,
+}
+
+impl DecodedMeta {
+    /// The graph fingerprint check every opener makes: the header's
+    /// `(n, m)` must be `graph`'s.
+    pub(crate) fn check_graph(&self, graph: &DiGraph) -> Result<(), SlingError> {
+        if self.num_nodes != graph.num_nodes() || self.num_edges != graph.num_edges() {
+            return Err(SlingError::GraphMismatch {
+                expected_nodes: self.num_nodes,
+                found_nodes: graph.num_nodes(),
+            });
+        }
+        Ok(())
+    }
 }
 
 fn corrupt(what: impl Into<String>) -> SlingError {
@@ -371,7 +570,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, SlingError> {
     }
     config.validate()?;
 
-    let (payload, total_len) = match version {
+    let (layout, total_len) = match version {
         FormatVersion::V1 => {
             // Payload section geometry, overflow-checked against the
             // image size.
@@ -386,7 +585,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, SlingError> {
             let values_base = section(nodes_base, 4)?;
             let total_len = section(values_base, 8)?;
             (
-                PayloadGeometry::Raw {
+                PayloadLayout::Raw {
                     steps_base,
                     nodes_base,
                     values_base,
@@ -445,7 +644,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, SlingError> {
                     for _ in 0..dict_len {
                         dict.push(buf.get_f64_le());
                     }
-                    if values_corrupt(&dict) {
+                    if !dict.iter().all(|&v| is_probability(v)) {
                         return Err(corrupt("non-probability value in the global dictionary"));
                     }
                     // Varint-delta directory: per-block byte lengths,
@@ -492,7 +691,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, SlingError> {
                 .checked_add(payload_len)
                 .ok_or_else(|| corrupt("block payload size overflows"))?;
             (
-                PayloadGeometry::Blocked(BlockedGeometry {
+                PayloadLayout::Blocked(BlockedGeometry {
                     block_entries,
                     blocks_base,
                     block_offsets,
@@ -520,7 +719,11 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, SlingError> {
         hp_offsets,
         entries,
         offsets_base,
-        payload,
+        payload: PayloadGeometry {
+            num_nodes: n,
+            entries,
+            layout,
+        },
         total_len,
     })
 }
@@ -584,9 +787,9 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<IndexFileInfo, SlingError> {
         num_blocks,
         block_entries,
         values_exact,
-    ) = match &meta.payload {
-        PayloadGeometry::Raw { steps_base, .. } => (meta.total_len - steps_base, 0, 0, 0, 0, true),
-        PayloadGeometry::Blocked(geo) => {
+    ) = match &meta.payload.layout {
+        PayloadLayout::Raw { steps_base, .. } => (meta.total_len - steps_base, 0, 0, 0, 0, true),
+        PayloadLayout::Blocked(geo) => {
             let dict_bytes = geo
                 .global_dict
                 .as_ref()
@@ -659,17 +862,16 @@ pub struct PayloadBreakdown {
 /// Compute the per-section byte attribution of an index image's payload.
 pub fn payload_breakdown(bytes: &[u8]) -> Result<PayloadBreakdown, SlingError> {
     use crate::codec::block::block_section_sizes;
-    use crate::codec::expected_block_len;
 
     let meta = decode_meta(bytes)?;
-    match &meta.payload {
-        PayloadGeometry::Raw { .. } => Ok(PayloadBreakdown {
+    match &meta.payload.layout {
+        PayloadLayout::Raw { .. } => Ok(PayloadBreakdown {
             step_bytes: meta.entries * 2,
             node_bytes: meta.entries * 4,
             value_bytes: meta.entries * 8,
             ..PayloadBreakdown::default()
         }),
-        PayloadGeometry::Blocked(geo) => {
+        PayloadLayout::Blocked(geo) => {
             let dict_bytes = geo
                 .global_dict
                 .as_ref()
@@ -683,12 +885,8 @@ pub fn payload_breakdown(bytes: &[u8]) -> Result<PayloadBreakdown, SlingError> {
             let mut by_tag: std::collections::BTreeMap<u8, (usize, usize)> =
                 std::collections::BTreeMap::new();
             for b in 0..num_blocks {
-                let (lo, hi) = (
-                    geo.blocks_base + geo.block_offsets[b] as usize,
-                    geo.blocks_base + geo.block_offsets[b + 1] as usize,
-                );
                 let expected = expected_block_len(b, num_blocks, geo.block_entries, meta.entries)?;
-                let s = block_section_sizes(&bytes[lo..hi], expected)?;
+                let s = block_section_sizes(&bytes[geo.block_bytes(b)], expected)?;
                 out.step_bytes += s.header_bytes;
                 out.node_bytes += s.node_bytes;
                 out.value_bytes += s.value_bytes;
@@ -703,13 +901,6 @@ pub fn payload_breakdown(bytes: &[u8]) -> Result<PayloadBreakdown, SlingError> {
             Ok(out)
         }
     }
-}
-
-/// Compute the per-section byte attribution of a persisted index file.
-pub fn payload_breakdown_file(path: impl AsRef<Path>) -> Result<PayloadBreakdown, SlingError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    payload_breakdown(&bytes)
 }
 
 impl SlingIndex {
@@ -854,50 +1045,38 @@ impl SlingIndex {
     /// retained). Used by format-conversion tools; queries should go
     /// through [`SlingIndex::from_bytes`], which verifies the graph.
     pub fn decode(bytes: &[u8]) -> Result<Self, SlingError> {
+        Self::from_meta(decode_meta(bytes)?, bytes)
+    }
+
+    /// Deserialize an index previously produced by
+    /// [`SlingIndex::to_bytes`], [`SlingIndex::to_bytes_v2`] or
+    /// [`SlingIndex::to_bytes_v3`], verifying it matches `graph`. The
+    /// fingerprint is checked against the `O(n)` metadata *before* the
+    /// entry payload is decoded, so a wrong-graph load fails fast without
+    /// touching the payload.
+    pub fn from_bytes(graph: &DiGraph, bytes: &[u8]) -> Result<Self, SlingError> {
         let meta = decode_meta(bytes)?;
-        debug_assert!(meta.total_len <= bytes.len());
-        let entries = meta.entries;
+        meta.check_graph(graph)?;
+        Self::from_meta(meta, bytes)
+    }
 
-        let (steps, nodes, values) = match &meta.payload {
-            PayloadGeometry::Raw {
-                steps_base,
-                nodes_base,
-                values_base,
-            } => {
-                let mut steps = Vec::with_capacity(entries);
-                let mut buf = &bytes[*steps_base..];
-                for _ in 0..entries {
-                    steps.push(buf.get_u16_le());
-                }
-                let mut nodes = Vec::with_capacity(entries);
-                let mut buf = &bytes[*nodes_base..];
-                for _ in 0..entries {
-                    nodes.push(buf.get_u32_le());
-                }
-                let mut values = Vec::with_capacity(entries);
-                let mut buf = &bytes[*values_base..];
-                for _ in 0..entries {
-                    values.push(buf.get_f64_le());
-                }
-                (steps, nodes, values)
-            }
-            PayloadGeometry::Blocked(geo) => match &geo.global_dict {
-                Some(dict) => decode_payload_v3(
-                    &bytes[geo.blocks_base..meta.total_len],
-                    &geo.block_offsets,
-                    geo.block_entries,
-                    entries,
-                    dict,
-                )?,
-                None => decode_payload(
-                    &bytes[geo.blocks_base..meta.total_len],
-                    &geo.block_offsets,
-                    geo.block_entries,
-                    entries,
-                )?,
-            },
-        };
-
+    /// Read the whole entry payload described by `meta` through the one
+    /// reader, one block-sized chunk at a time into a reused buffer, and
+    /// check the run order of every node ([`HpArena::validate`]).
+    fn from_meta(meta: DecodedMeta, bytes: &[u8]) -> Result<Self, SlingError> {
+        let (payload, entries) = (&meta.payload, meta.entries);
+        let chunk = payload.chunk_entries();
+        let mut steps = Vec::with_capacity(entries);
+        let mut nodes = Vec::with_capacity(entries);
+        let mut values = Vec::with_capacity(entries);
+        let mut buf = Vec::with_capacity(chunk.min(entries));
+        for lo in (0..entries).step_by(chunk) {
+            buf.clear();
+            payload.read_entries(bytes, lo..entries.min(lo + chunk), &mut buf)?;
+            steps.extend(buf.iter().map(|e| e.step));
+            nodes.extend(buf.iter().map(|e| e.node.0));
+            values.extend(buf.iter().map(|e| e.value));
+        }
         let hp = HpArena {
             offsets: meta.hp_offsets,
             steps,
@@ -906,12 +1085,6 @@ impl SlingIndex {
         };
         if !hp.validate() {
             return Err(corrupt("hp arena fails validation"));
-        }
-        if hp.nodes.iter().any(|&k| k as usize >= meta.num_nodes) {
-            return Err(corrupt("hp entry references a node past n"));
-        }
-        if values_corrupt(&hp.values) {
-            return Err(corrupt("non-finite payload in HP values"));
         }
         Ok(SlingIndex {
             config: meta.config,
@@ -923,22 +1096,6 @@ impl SlingIndex {
             marks: meta.marks,
             stats: meta.stats,
         })
-    }
-
-    /// Deserialize an index previously produced by
-    /// [`SlingIndex::to_bytes`] or [`SlingIndex::to_bytes_v2`],
-    /// verifying it matches `graph`. The fingerprint is checked against
-    /// the `O(n)` metadata *before* the entry payload is decoded, so a
-    /// wrong-graph load fails fast without touching the payload.
-    pub fn from_bytes(graph: &DiGraph, bytes: &[u8]) -> Result<Self, SlingError> {
-        let meta = decode_meta(bytes)?;
-        if meta.num_nodes != graph.num_nodes() || meta.num_edges != graph.num_edges() {
-            return Err(SlingError::GraphMismatch {
-                expected_nodes: meta.num_nodes,
-                found_nodes: graph.num_nodes(),
-            });
-        }
-        Self::decode(bytes)
     }
 
     /// Persist to a file (`SLNGIDX1`).
@@ -1107,7 +1264,7 @@ mod tests {
         let meta = decode_meta(&bytes).unwrap();
         assert_eq!(meta.version, FormatVersion::V3);
         assert_eq!(meta.total_len, bytes.len());
-        let PayloadGeometry::Blocked(geo) = meta.payload else {
+        let PayloadLayout::Blocked(geo) = meta.payload.layout else {
             panic!("v3 image decoded to a raw geometry");
         };
         assert_eq!(geo.block_entries, 64);
@@ -1203,11 +1360,11 @@ mod tests {
         assert_eq!(meta.entries, idx.hp.total_entries());
         assert_eq!(meta.hp_offsets, idx.hp.offsets);
         assert_eq!(meta.total_len, bytes.len());
-        let PayloadGeometry::Raw {
+        let PayloadLayout::Raw {
             steps_base,
             nodes_base,
             values_base,
-        } = meta.payload
+        } = meta.payload.layout
         else {
             panic!("v1 image decoded to a blocked geometry");
         };
@@ -1236,7 +1393,7 @@ mod tests {
         let meta = decode_meta(&bytes).unwrap();
         assert_eq!(meta.version, FormatVersion::V2);
         assert_eq!(meta.total_len, bytes.len());
-        let PayloadGeometry::Blocked(geo) = meta.payload else {
+        let PayloadLayout::Blocked(geo) = meta.payload.layout else {
             panic!("v2 image decoded to a raw geometry");
         };
         assert_eq!(geo.block_entries, 32);

@@ -32,12 +32,21 @@ impl HpEntry {
     }
 }
 
+/// The run-order rule: inside one node's run, `(step, node)` keys
+/// strictly ascend, so `next` may follow `prev`. The decoder applies it
+/// to the whole arena ([`HpArena::validate`]) and the mapped backend to
+/// every run it reads, so both residencies accept the same files.
+#[inline]
+pub(crate) fn in_run_order(prev: (u16, u32), next: (u16, u32)) -> bool {
+    prev < next
+}
+
 /// Packed per-node HP sets: a CSR-style arena over all nodes.
 ///
 /// `offsets` has `n + 1` entries; node `v`'s set occupies index range
 /// `offsets[v] .. offsets[v+1]` of the three parallel arrays. Parallel
 /// arrays (instead of an array of structs) avoid padding: 14 bytes per
-/// entry instead of 24.
+/// entry instead of the 16 of an [`HpEntry`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HpArena {
     pub(crate) offsets: Vec<u64>,
@@ -173,7 +182,10 @@ impl HpArena {
         for v in 0..self.num_nodes() {
             let r = self.range(NodeId::from_index(v));
             for i in r.clone().skip(1) {
-                if (self.steps[i - 1], self.nodes[i - 1]) >= (self.steps[i], self.nodes[i]) {
+                if !in_run_order(
+                    (self.steps[i - 1], self.nodes[i - 1]),
+                    (self.steps[i], self.nodes[i]),
+                ) {
                     return false;
                 }
             }

@@ -277,11 +277,6 @@ impl QueryWorkspace {
         self.trace.set_enabled(enabled);
     }
 
-    /// Whether per-stage tracing is enabled.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_enabled()
-    }
-
     /// Drain the stage breakdown accumulated since the last call (all
     /// zeros unless tracing is enabled).
     pub fn take_trace(&mut self) -> StageNanos {

@@ -69,23 +69,23 @@
 //!
 //! The crate is layered like a small DBMS. At the bottom sits the
 //! [`store::HpStore`] trait — the read interface to the packed per-node
-//! hitting-probability sets — with three backends serving the *same*
-//! persisted index with **identical scores**:
+//! hitting-probability sets — with one backend per residency, serving
+//! the *same* persisted index with **identical scores**:
 //!
 //! | backend | residency | open cost | format |
 //! |---|---|---|---|
 //! | [`hp::HpArena`] | full decode in RAM | `O(n/ε)` decode | v1 + v2 + v3 |
-//! | [`store::MmapHpArena`] | page cache, each entry decoded and checked per read | header + offsets only | v1 |
-//! | [`store::CompressedMmapArena`] | page cache, one validating pass per block read | header + offsets + directory | v2 + v3 |
+//! | [`store::MmapHpArena`] | page cache, each run read and checked per query | metadata (+ block directory) | v1 + v2 + v3 |
 //!
-//! The two mapped backends are the one out-of-core path (§5.4): only
-//! the `O(n)` metadata is resident, and the OS page cache is the buffer
-//! pool. Callers that pick the backend at run time open every index
-//! through [`store::SharedEngine::open`]: [`store::Residency::Mem`]
-//! decodes any format into an arena, [`store::Residency::Mapped`]
-//! sniffs the header and maps the file with the backend for its
-//! format, and both return an engine over the enum-dispatched
-//! [`store::IndexStore`].
+//! Both read a file's entries through one validating reader in
+//! [`mod@format`]: the eager decode one block-sized chunk at a time, the
+//! mapped backend one node's run at a time, so the two accept exactly
+//! the same files. The mapped backend is the one out-of-core path
+//! (§5.4): only the `O(n)` metadata is resident, and the OS page cache
+//! is the buffer pool. Callers that pick the residency at run time open
+//! every index through [`store::SharedEngine::open`]
+//! ([`store::Residency::Mem`] or [`store::Residency::Mapped`]), which
+//! returns an engine over the enum-dispatched [`store::IndexStore`].
 //!
 //! Persistence is versioned ([`mod@format`]): `SLNGIDX1` stores the entry
 //! payload as raw fixed-width sections (14 bytes/entry, decode-free);
@@ -270,8 +270,7 @@ pub use codec::CompressOptions;
 pub use config::SlingConfig;
 pub use error::SlingError;
 pub use format::{
-    inspect_bytes, inspect_file, payload_breakdown, payload_breakdown_file, FormatVersion,
-    IndexFileInfo, PayloadBreakdown,
+    inspect_bytes, inspect_file, payload_breakdown, FormatVersion, IndexFileInfo, PayloadBreakdown,
 };
 pub use hp::HpEntry;
 pub use index::{QueryWorkspace, SlingIndex};

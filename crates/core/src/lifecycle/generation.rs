@@ -286,12 +286,7 @@ impl GenerationStore {
         if let Some(gb) = graph_bytes {
             let graph = binfmt::from_bytes(gb)
                 .map_err(|e| corrupt(format!("graph snapshot does not decode: {e}")))?;
-            if graph.num_nodes() != meta.num_nodes || graph.num_edges() != meta.num_edges {
-                return Err(SlingError::GraphMismatch {
-                    expected_nodes: meta.num_nodes,
-                    found_nodes: graph.num_nodes(),
-                });
-            }
+            meta.check_graph(&graph)?;
         }
         let manifest = Manifest {
             format: meta.version,

@@ -40,11 +40,6 @@ const LE_EXPONENTS: [u32; 13] = [10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32,
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A counter not attached to any registry (for tests / disabled paths).
-    pub fn detached() -> Self {
-        Counter(Arc::new(AtomicU64::new(0)))
-    }
-
     #[inline]
     pub fn inc(&self) {
         self.0.fetch_add(1, Ordering::Relaxed);

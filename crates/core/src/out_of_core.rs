@@ -13,12 +13,12 @@
 //! its own under [`OutOfCoreConfig::temp_dir`] and removes it on every
 //! return path, so concurrent builds never share run files.
 //!
-//! Out-of-core *querying* needs no code of its own: the mapped backends
-//! in [`crate::store`] ([`crate::store::MmapHpArena`],
-//! [`crate::store::CompressedMmapArena`], opened by
+//! Out-of-core *querying* needs no code of its own: the mapped backend
+//! in [`crate::store`] ([`crate::store::MmapHpArena`], opened by
 //! [`crate::store::SharedEngine::open`] with
-//! [`crate::store::Residency::Mapped`]) keep only the `O(n)` metadata
-//! resident and read each query's `O(1/ε)` entries out of the page cache.
+//! [`crate::store::Residency::Mapped`]) serves every format, keeps only
+//! the `O(n)` metadata resident and reads each query's `O(1/ε)` entries
+//! out of the page cache.
 
 use std::path::PathBuf;
 

@@ -8,29 +8,28 @@
 //! DBMS-style layering. The query algorithms (Algorithms 3, 5, 6 and the
 //! §5.2/§5.3 effective-entry materialization) are written once, generic
 //! over an [`HpStore`] — the read interface to the packed per-node HP
-//! sets — and three backends implement it:
+//! sets — and two backends implement it, one per [`Residency`]:
 //!
-//! * [`crate::hp::HpArena`] — the in-memory parallel-array arena;
-//! * [`MmapHpArena`] — a memory-mapped view of a persisted `SLNGIDX1`
-//!   index file: opening validates the header and the offset table but
-//!   never decodes the entry payload, so open cost is independent of
-//!   index size and a query decodes and checks its runs straight out of
-//!   the page cache;
-//! * [`CompressedMmapArena`] — the same mapped view over the
-//!   block-compressed `SLNGIDX2`/`SLNGIDX3` files, reading each run out
-//!   of the blocks it touches in one validating pass per block.
+//! * [`crate::hp::HpArena`] — the in-memory parallel-array arena, which
+//!   [`SlingIndex::decode`] fills from a file of any format;
+//! * [`MmapHpArena`] — a memory-mapped view of a persisted index file of
+//!   any format: opening validates the metadata but never reads the
+//!   entry payload, so open cost is independent of index size, and a
+//!   query reads and checks its runs straight out of the page cache.
 //!
-//! Every backend answers a read the same way: [`HpStore::entries_into`]
-//! copies one node's validated run into a caller-owned buffer, and the
-//! query kernels consume that `&[HpEntry]`.
+//! Neither backend knows a payload layout: both read entries through the
+//! file's payload geometry (in [`crate::format`]), the eager decode
+//! one block-sized chunk at a time and the mapped backend one node's run
+//! at a time, and both apply the same run-order rule, so they accept the
+//! same files. Every backend answers a read the same way:
+//! [`HpStore::entries_into`] copies one node's validated run into a
+//! caller-owned buffer, and the query kernels consume that `&[HpEntry]`.
 //!
-//! The two mapped backends are the one out-of-core path: the OS page
-//! cache is the buffer pool, and only the `O(n)` metadata is resident.
-//! [`SharedEngine::open`] is the one opener that picks a backend at run
-//! time: [`Residency::Mem`] decodes any format into an arena, and
-//! [`Residency::Mapped`] sniffs the file header and maps it with the
-//! backend for its format. Either way the result is an engine over the
-//! enum-dispatched [`IndexStore`].
+//! The mapped backend is the one out-of-core path: the OS page cache is
+//! the buffer pool, and only the `O(n)` metadata is resident.
+//! [`SharedEngine::open`] is the one opener that picks the residency at
+//! run time, and returns an engine over the enum-dispatched
+//! [`IndexStore`].
 //!
 //! [`SharedEngine`] is the one query engine. It bundles a store with the
 //! query-side metadata (config, correction factors, §5.2 reduction
@@ -41,24 +40,21 @@
 //! caller's [`QueryWorkspace`], restoring a §5.2-reduced or §5.3-marked
 //! node there, the same path the bare [`SlingIndex`] takes.
 
-// The mapped backends read untrusted bytes at query time: a corrupt or
+// The mapped backend reads untrusted bytes at query time: a corrupt or
 // truncated file must be a `SlingError`, never a panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::io::Read;
 use std::ops::Range;
 use std::path::Path;
 
 use memmap2::{Advice, Mmap};
 use sling_graph::{DiGraph, NodeId};
 
-use crate::codec::block::is_probability;
-use crate::codec::{expected_block_len, read_block_run};
 use crate::config::SlingConfig;
 use crate::enhance::MarkArena;
 use crate::error::SlingError;
-use crate::format::{decode_meta, BlockedGeometry, FormatVersion, PayloadGeometry};
-use crate::hp::{HpArena, HpEntry};
+use crate::format::{decode_meta, PayloadGeometry};
+use crate::hp::{in_run_order, HpArena, HpEntry};
 use crate::index::{BuildStats, QueryWorkspace, SlingIndex};
 use crate::join::{threshold_join_core, JoinPair, JoinStrategy};
 use crate::obs::{self, KernelCounters};
@@ -71,9 +67,9 @@ use crate::topk::{single_source_truncated_core, top_k_core};
 /// Entry indices are *global*: node `v`'s run occupies `range(v)` of a
 /// conceptual array of `total_entries()` entries sorted by
 /// `(owner, step, node)`. [`HpStore::entries_into`] is the one way a
-/// query reads a run. Backends that read from untrusted bytes (the
-/// mapped ones) must bound-check every decoded entry
-/// (`node < num_nodes`, a finite probability value), so it returns
+/// query reads a run. A backend that reads from untrusted bytes (the
+/// mapped one) must check every entry it reads (`node < num_nodes`, a
+/// finite probability value, `(step, node)` order), so it returns
 /// [`SlingError`] rather than panicking on a corrupt or truncated file.
 pub trait HpStore {
     /// Number of nodes covered by the store.
@@ -152,30 +148,14 @@ impl HpStore for HpArena {
     }
 }
 
-/// Reject payload values that cannot be hitting probabilities. The
-/// out-of-core backends decode entries from untrusted bytes at query
-/// time; letting a non-finite value through would poison downstream
-/// score sorts (which rightly assume finite scores) with a panic instead
-/// of an error.
-fn check_value(i: usize, value: f64) -> Result<(), SlingError> {
-    if !is_probability(value) {
-        return Err(SlingError::CorruptIndex(format!(
-            "entry {i} holds a non-probability HP value {value}"
-        )));
-    }
-    Ok(())
-}
-
-/// The store of an engine opened by [`SharedEngine::open`]: one of the
-/// three backends, chosen at open time and dispatched once per store
-/// call. Every variant answers bit-identically for a lossless file.
+/// The store of an engine opened by [`SharedEngine::open`], one per
+/// [`Residency`], dispatched once per store call. Both variants answer
+/// bit-identically for a lossless file.
 pub enum IndexStore {
     /// The decoded in-memory arena ([`Residency::Mem`]).
     Mem(HpArena),
-    /// A mapped raw `SLNGIDX1` file.
-    Mmap(MmapHpArena),
-    /// A mapped block-compressed `SLNGIDX2`/`SLNGIDX3` file.
-    Compressed(CompressedMmapArena),
+    /// The mapped file, in any format ([`Residency::Mapped`]).
+    Mapped(MmapHpArena),
 }
 
 /// Run `$body` with `$s` bound to the concrete store of an
@@ -184,8 +164,7 @@ macro_rules! on_store {
     ($store:expr, |$s:ident| $body:expr) => {
         match $store {
             IndexStore::Mem($s) => $body,
-            IndexStore::Mmap($s) => $body,
-            IndexStore::Compressed($s) => $body,
+            IndexStore::Mapped($s) => $body,
         }
     };
 }
@@ -257,149 +236,61 @@ impl<S: HpStore> EngineRef<'_, S> {
     }
 }
 
-/// Memory-mapped view of a persisted `SLNGIDX1` index file.
+/// Memory-mapped view of a persisted index file in any format: the one
+/// out-of-core backend.
 ///
-/// `open` maps the file and validates the header, metadata, and offset
-/// table — it never decodes the entry payload, so the cost is independent
-/// of the number of stored entries and no `HpArena` is materialized.
-/// Entries are decoded on demand, one `(step, node, value)` at a time,
-/// straight from the mapping; repeated queries hit the page cache. Every
-/// decoded entry is bound-checked so a file corrupted *after* open still
-/// surfaces as [`SlingError::CorruptIndex`], never a panic.
+/// Opening maps the file and validates the header, the metadata and the
+/// offset table, and for `SLNGIDX2`/`SLNGIDX3` the block directory and
+/// global dictionary; it never reads the entry payload, so the cost is
+/// independent of the number of stored entries and no `HpArena` is
+/// materialized. Each read hands one node's entry range to the file's
+/// payload geometry, the same reader [`SlingIndex::decode`] uses, and
+/// checks the run's `(step, node)` order with the rule
+/// [`HpArena::validate`] applies. A file corrupted *after* open, or one
+/// whose damage only a read reaches, therefore surfaces as
+/// [`SlingError::CorruptIndex`] exactly where the eager decode would
+/// have refused the file, never as a panic or a silently wrong answer.
+/// Repeated queries hit the page cache; nothing decoded is kept between
+/// reads.
 pub struct MmapHpArena {
     map: Mmap,
-    num_nodes: usize,
-    entries: usize,
     /// Byte offset of the `(n + 1)`-entry `u64` HP offset table.
     offsets_base: usize,
-    steps_base: usize,
-    nodes_base: usize,
-    values_base: usize,
+    payload: PayloadGeometry,
 }
 
+/// The mapped backend under the name of the block-compressed one it
+/// replaced. Kept only because `perfbench/` names it.
+pub type CompressedMmapArena = MmapHpArena;
+
 impl MmapHpArena {
-    /// Map `path` and validate its structure (header + offset table
-    /// only). Returns the arena plus the decoded query-side metadata.
-    pub(crate) fn open_with_meta(
-        path: impl AsRef<Path>,
-    ) -> Result<(MmapHpArena, crate::format::DecodedMeta), SlingError> {
-        let file = std::fs::File::open(path)?;
-        // SAFETY: the standard memmap contract — the caller must not
-        // truncate the index file while the arena is alive. Concurrent
-        // *content* corruption is tolerated: reads are bound-checked and
-        // decode errors surface as SlingError.
-        let map = unsafe { Mmap::map(&file) }?;
-        let meta = decode_meta(&map)?;
-        let &PayloadGeometry::Raw {
-            steps_base,
-            nodes_base,
-            values_base,
-        } = &meta.payload
-        else {
-            return Err(SlingError::CorruptIndex(
-                "block-compressed index: MmapHpArena maps SLNGIDX1 files only; open it \
-                 with CompressedMmapArena, or with SharedEngine::open, which picks the \
-                 backend from the header"
-                    .to_string(),
-            ));
-        };
-        let arena = MmapHpArena {
-            num_nodes: meta.num_nodes,
-            entries: meta.entries,
-            offsets_base: meta.offsets_base,
-            steps_base,
-            nodes_base,
-            values_base,
-            map,
-        };
-        Ok((arena, meta))
+    /// Number of payload blocks (0 for `SLNGIDX1`). Kept only because
+    /// `perfbench/` reports it.
+    pub fn num_blocks(&self) -> usize {
+        self.payload.num_blocks()
     }
 
-    /// Map and validate `path` without retaining the metadata. Prefer
-    /// [`SharedEngine::open_mmap`], which keeps the correction factors and
-    /// reduction bitmap needed to answer queries.
-    pub fn open(path: impl AsRef<Path>) -> Result<MmapHpArena, SlingError> {
-        Ok(Self::open_with_meta(path)?.0)
-    }
-
-    #[inline]
-    fn read_u64(&self, at: usize) -> u64 {
-        // In bounds by construction: decode_meta validated that every
-        // section lies inside the mapping.
-        u64::from_le_bytes(le_bytes(&self.map, at))
-    }
-
+    /// The HP offset table's entry `i`, read from the mapping.
     #[inline]
     fn offset(&self, i: usize) -> usize {
-        self.read_u64(self.offsets_base + i * 8) as usize
-    }
-
-    /// Decode entry `i`, bound-checking the node id against `n`.
-    #[inline]
-    fn decode_entry(&self, i: usize) -> Result<HpEntry, SlingError> {
-        // Hard bound, not a debug_assert: the offset table lives in the
-        // mapping and can mutate after open, and an index past `entries`
-        // must surface as CorruptIndex rather than a slice panic.
-        if i >= self.entries {
-            return Err(SlingError::CorruptIndex(format!(
-                "mmap entry index {i} past the {} stored entries",
-                self.entries
-            )));
-        }
-        let step = u16::from_le_bytes(le_bytes(&self.map, self.steps_base + i * 2));
-        let node = u32::from_le_bytes(le_bytes(&self.map, self.nodes_base + i * 4));
-        if node as usize >= self.num_nodes {
-            return Err(SlingError::CorruptIndex(format!(
-                "mmap entry {i} references node {node} past n = {}",
-                self.num_nodes
-            )));
-        }
-        let value = f64::from_bits(self.read_u64(self.values_base + i * 8));
-        check_value(i, value)?;
-        Ok(HpEntry::new(step, NodeId(node), value))
-    }
-
-    /// Bytes of the underlying mapping (for space reports).
-    pub fn mapped_bytes(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `madvise(WILLNEED)` the byte ranges holding `H(v)`'s three payload
-    /// sections, so a cold query faults its entries in with batched
-    /// readahead instead of one major fault per section. Advisory only:
-    /// alignment is handled inside the mapping and failures (or a range
-    /// the offset table has corrupted) are ignored — the bound-checked
-    /// decode path still governs correctness.
-    pub fn prefetch_entries(&self, v: NodeId) {
-        if v.index() >= self.num_nodes {
-            return;
-        }
-        let range = self.range(v);
-        if range.start > range.end || range.end > self.entries || range.is_empty() {
-            return;
-        }
-        let count = range.len();
-        for (base, width) in [
-            (self.steps_base, 2usize),
-            (self.nodes_base, 4),
-            (self.values_base, 8),
-        ] {
-            let _ =
-                self.map
-                    .advise_range(Advice::WillNeed, base + range.start * width, count * width);
-        }
+        // In bounds by construction: decode_meta validated the table
+        // against the mapping.
+        let at = self.offsets_base + i * 8;
+        let mut raw = [0u8; 8];
+        raw.copy_from_slice(&self.map[at..at + 8]);
+        u64::from_le_bytes(raw) as usize
     }
 }
 
 impl HpStore for MmapHpArena {
     #[inline]
     fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.payload.num_nodes
     }
 
     #[inline]
     fn total_entries(&self) -> usize {
-        self.entries
+        self.payload.entries
     }
 
     #[inline]
@@ -430,236 +321,43 @@ impl HpStore for MmapHpArena {
                 )))
             }
         }
-        out.reserve(range.len());
-        for i in range {
-            out.push(self.decode_entry(i)?);
+        let reads = self.payload.read_entries(&self.map, range, out)?;
+        if reads.blocks > 0 {
+            KernelCounters::bump_by(&obs::KERNEL.block_decodes, reads.blocks);
+            KernelCounters::bump_by(&obs::KERNEL.backend_bytes_read, reads.bytes);
+        }
+        if !out
+            .windows(2)
+            .all(|w| in_run_order((w[0].step, w[0].node.0), (w[1].step, w[1].node.0)))
+        {
+            out.clear();
+            return Err(SlingError::CorruptIndex(format!(
+                "the run of node {} is not in (step, node) order",
+                v.index()
+            )));
         }
         Ok(())
     }
 
     /// The entry payload lives in the page cache, not on this struct's
-    /// heap: only the handle itself counts.
+    /// heap: only the handle and the payload geometry (the block
+    /// directory and the v3 global dictionary) count.
     fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        std::mem::size_of::<Self>() + self.payload.heap_bytes()
     }
 
+    /// `madvise(WILLNEED)` the byte ranges holding `H(v)`, so a cold
+    /// query faults its pages in with batched readahead instead of one
+    /// major fault per range. Advisory only: failures and out-of-range
+    /// ids are ignored, and the read path still governs correctness.
     fn prefetch(&self, v: NodeId) {
-        self.prefetch_entries(v);
-    }
-}
-
-/// The `N` bytes of `bytes` at `at`, for a fixed-width little-endian
-/// read. Callers pass offsets that `decode_meta` validated against the
-/// mapping, so the slice is in bounds.
-#[inline(always)]
-fn le_bytes<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
-    let mut out = [0u8; N];
-    out.copy_from_slice(&bytes[at..at + N]);
-    out
-}
-
-/// Memory-mapped view of a block-compressed `SLNGIDX2`/`SLNGIDX3` index
-/// file.
-///
-/// The compressed sibling of [`MmapHpArena`]: `open` maps the file and
-/// validates the header, offset table, and block directory — never the
-/// payload — so open cost is independent of the number of stored
-/// entries. A query reads a run straight from the page cache with one
-/// [`read_block_run`] pass over each block the run touches: the pass
-/// validates the whole block (counts, run shapes, node bounds, value
-/// range) and keeps only the run's entries, so a file corrupted *after*
-/// open still surfaces as [`SlingError::CorruptIndex`], never a panic.
-/// Nothing decoded is kept between queries.
-///
-/// In lossless mode (the default for `sling compact`) queries return
-/// scores **bit-identical** to every other backend serving the same
-/// index; quantized files answer with ≤ 2⁻³³ value error and report
-/// [`CompressedMmapArena::values_exact`]` == false`.
-pub struct CompressedMmapArena {
-    map: Mmap,
-    num_nodes: usize,
-    entries: usize,
-    /// Byte offset of the `(n + 1)`-entry `u64` HP offset table.
-    offsets_base: usize,
-    /// Entries per block.
-    block_entries: usize,
-    /// Byte offset of the first block.
-    blocks_base: usize,
-    /// Validated block directory (resident, so it cannot be corrupted
-    /// under us after open).
-    block_offsets: Vec<u64>,
-    values_exact: bool,
-    /// The resident v3 global value dictionary (`None` for v2 files).
-    global_dict: Option<Vec<f64>>,
-}
-
-impl CompressedMmapArena {
-    /// Map `path` and validate its structure (header + offset table +
-    /// block directory only). Returns the arena plus the decoded
-    /// query-side metadata.
-    pub(crate) fn open_with_meta(
-        path: impl AsRef<Path>,
-    ) -> Result<(CompressedMmapArena, crate::format::DecodedMeta), SlingError> {
-        let file = std::fs::File::open(path)?;
-        // SAFETY: the standard memmap contract — the caller must not
-        // truncate the index file while the arena is alive. Concurrent
-        // *content* corruption is tolerated: every block read is fully
-        // validated and errors surface as SlingError.
-        let map = unsafe { Mmap::map(&file) }?;
-        let mut meta = decode_meta(&map)?;
-        let geo = match &mut meta.payload {
-            PayloadGeometry::Blocked(geo) => BlockedGeometry {
-                block_entries: geo.block_entries,
-                blocks_base: geo.blocks_base,
-                block_offsets: std::mem::take(&mut geo.block_offsets),
-                values_exact: geo.values_exact,
-                global_dict: std::mem::take(&mut geo.global_dict),
-                aux_bytes: geo.aux_bytes,
-            },
-            PayloadGeometry::Raw { .. } => {
-                return Err(SlingError::CorruptIndex(
-                    "SLNGIDX1 index: CompressedMmapArena maps block-compressed files only; \
-                     open it with MmapHpArena or SharedEngine::open, or convert it with \
-                     `sling compact`"
-                        .to_string(),
-                ))
-            }
-        };
-        let arena = CompressedMmapArena {
-            num_nodes: meta.num_nodes,
-            entries: meta.entries,
-            offsets_base: meta.offsets_base,
-            block_entries: geo.block_entries,
-            blocks_base: geo.blocks_base,
-            block_offsets: geo.block_offsets,
-            values_exact: geo.values_exact,
-            global_dict: geo.global_dict,
-            map,
-        };
-        Ok((arena, meta))
-    }
-
-    /// Map and validate `path` without retaining the metadata. Prefer
-    /// [`SharedEngine::open_mmap_compressed`], which keeps the
-    /// correction factors and reduction bitmap needed to answer queries.
-    pub fn open(path: impl AsRef<Path>) -> Result<CompressedMmapArena, SlingError> {
-        Ok(Self::open_with_meta(path)?.0)
-    }
-
-    /// Whether decoded values are bit-identical to the index that was
-    /// compacted (false for quantized files).
-    pub fn values_exact(&self) -> bool {
-        self.values_exact
-    }
-
-    /// Number of payload blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.block_offsets.len() - 1
-    }
-
-    /// Bytes of the underlying mapping (for space reports).
-    pub fn mapped_bytes(&self) -> usize {
-        self.map.len()
-    }
-
-    #[inline]
-    fn offset(&self, i: usize) -> usize {
-        u64::from_le_bytes(le_bytes(&self.map, self.offsets_base + i * 8)) as usize
-    }
-
-    /// Append the entries `run` (block-local) of block `b` to `out`,
-    /// validating the whole block.
-    fn read_block(
-        &self,
-        b: usize,
-        run: Range<usize>,
-        out: &mut Vec<HpEntry>,
-    ) -> Result<(), SlingError> {
-        let expected = expected_block_len(b, self.num_blocks(), self.block_entries, self.entries)?;
-        // In bounds by construction: decode_meta validated the directory
-        // against the mapping length, and the directory is resident.
-        let raw = &self.map[self.blocks_base + self.block_offsets[b] as usize
-            ..self.blocks_base + self.block_offsets[b + 1] as usize];
-        KernelCounters::bump(&obs::KERNEL.block_decodes);
-        KernelCounters::bump_by(&obs::KERNEL.backend_bytes_read, raw.len() as u64);
-        read_block_run(
-            raw,
-            expected,
-            self.global_dict.as_deref(),
-            self.num_nodes,
-            run,
-            out,
-        )
-    }
-
-    /// `madvise(WILLNEED)` the encoded byte range of the blocks holding
-    /// `H(v)`, so a cold query faults its pages in with batched
-    /// readahead. Advisory only; failures and out-of-range ids are
-    /// ignored.
-    pub fn prefetch_entries(&self, v: NodeId) {
-        if v.index() >= self.num_nodes {
-            return;
+        if let Ok(range) = checked_range(self, v) {
+            self.payload.byte_ranges(range, |bytes| {
+                let _ = self
+                    .map
+                    .advise_range(Advice::WillNeed, bytes.start, bytes.len());
+            });
         }
-        let range = self.range(v);
-        if range.start > range.end || range.end > self.entries || range.is_empty() {
-            return;
-        }
-        let (b0, b1) = (
-            range.start / self.block_entries,
-            (range.end - 1) / self.block_entries,
-        );
-        if b1 >= self.num_blocks() {
-            return;
-        }
-        let lo = self.blocks_base + self.block_offsets[b0] as usize;
-        let hi = self.blocks_base + self.block_offsets[b1 + 1] as usize;
-        let _ = self.map.advise_range(Advice::WillNeed, lo, hi - lo);
-    }
-}
-
-impl HpStore for CompressedMmapArena {
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    #[inline]
-    fn total_entries(&self) -> usize {
-        self.entries
-    }
-
-    #[inline]
-    fn range(&self, v: NodeId) -> Range<usize> {
-        let i = v.index();
-        self.offset(i)..self.offset(i + 1)
-    }
-
-    fn entries_into(&self, v: NodeId, out: &mut Vec<HpEntry>) -> Result<(), SlingError> {
-        out.clear();
-        let range = checked_range(self, v)?;
-        if range.is_empty() {
-            return Ok(());
-        }
-        out.reserve(range.len());
-        let be = self.block_entries;
-        for b in range.start / be..=(range.end - 1) / be {
-            let first = b * be;
-            let run = range.start.max(first) - first..range.end.min(first + be) - first;
-            self.read_block(b, run, out)?;
-        }
-        Ok(())
-    }
-
-    /// The encoded payload lives in the page cache; resident heap is the
-    /// block directory plus the v3 global value dictionary.
-    fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.block_offsets.len() * 8
-            + self.global_dict.as_ref().map_or(0, |d| d.len() * 8)
-    }
-
-    fn prefetch(&self, v: NodeId) {
-        self.prefetch_entries(v);
     }
 }
 
@@ -675,8 +373,8 @@ impl HpStore for CompressedMmapArena {
 ///
 /// A long-lived server opens an index once, wraps the engine in an
 /// [`std::sync::Arc`], and lets every worker thread query it for the
-/// process lifetime: it is `Send + Sync` whenever the store is (all
-/// three backends are), and queries take `&self`. Each worker keeps its
+/// process lifetime: it is `Send + Sync` whenever the store is (both
+/// backends are), and queries take `&self`. Each worker keeps its
 /// own [`QueryWorkspace`] for every query kind; that is where a
 /// §5.2-reduced or §5.3-marked node's effective list is restored, so
 /// the hot path shares only immutable state.
@@ -690,23 +388,29 @@ pub struct SharedEngine<S: HpStore> {
 }
 
 impl SharedEngine<MmapHpArena> {
-    /// Open a persisted index as an owned mmap engine, verifying
-    /// it matches `graph`. Open cost is header + offset-table validation
-    /// plus the `O(n)` query-side metadata — the entry payload stays in
-    /// the page cache and is decoded on demand, bound-checked.
+    /// Open a persisted index in any format as an owned mapped engine,
+    /// verifying it matches `graph`. Open cost is the header, offset
+    /// table and (for `SLNGIDX2`/`SLNGIDX3`) block directory validation
+    /// plus the `O(n)` query-side metadata; the entry payload stays in
+    /// the page cache and is read on demand, one checked run at a time.
     pub fn open_mmap(
         graph: &DiGraph,
         path: impl AsRef<Path>,
     ) -> Result<SharedEngine<MmapHpArena>, SlingError> {
-        let (arena, meta) = MmapHpArena::open_with_meta(path)?;
-        if meta.num_nodes != graph.num_nodes() || meta.num_edges != graph.num_edges() {
-            return Err(SlingError::GraphMismatch {
-                expected_nodes: meta.num_nodes,
-                found_nodes: graph.num_nodes(),
-            });
-        }
+        let file = std::fs::File::open(path)?;
+        // SAFETY: the standard memmap contract — the caller must not
+        // truncate the index file while the arena is alive. Concurrent
+        // *content* corruption is tolerated: every read is checked and
+        // errors surface as SlingError.
+        let map = unsafe { Mmap::map(&file) }?;
+        let meta = decode_meta(&map)?;
+        meta.check_graph(graph)?;
         Ok(SharedEngine {
-            store: arena,
+            store: MmapHpArena {
+                offsets_base: meta.offsets_base,
+                payload: meta.payload,
+                map,
+            },
             config: meta.config,
             d: meta.d,
             reduced: meta.reduced,
@@ -714,33 +418,14 @@ impl SharedEngine<MmapHpArena> {
             stats: meta.stats,
         })
     }
-}
 
-impl SharedEngine<CompressedMmapArena> {
-    /// Open a block-compressed `SLNGIDX2` index as an owned mmap engine,
-    /// verifying it matches `graph`. Open cost is header, offset-table,
-    /// and block-directory validation plus the `O(n)` query-side
-    /// metadata; each run is read on demand from the blocks it touches.
-    /// A lossless file answers bit-identically to every other backend.
+    /// [`SharedEngine::open_mmap`], which opens every format. Kept only
+    /// because `perfbench/` names it.
     pub fn open_mmap_compressed(
         graph: &DiGraph,
         path: impl AsRef<Path>,
-    ) -> Result<SharedEngine<CompressedMmapArena>, SlingError> {
-        let (arena, meta) = CompressedMmapArena::open_with_meta(path)?;
-        if meta.num_nodes != graph.num_nodes() || meta.num_edges != graph.num_edges() {
-            return Err(SlingError::GraphMismatch {
-                expected_nodes: meta.num_nodes,
-                found_nodes: graph.num_nodes(),
-            });
-        }
-        Ok(SharedEngine {
-            store: arena,
-            config: meta.config,
-            d: meta.d,
-            reduced: meta.reduced,
-            marks: meta.marks,
-            stats: meta.stats,
-        })
+    ) -> Result<SharedEngine<MmapHpArena>, SlingError> {
+        Self::open_mmap(graph, path)
     }
 }
 
@@ -749,40 +434,27 @@ impl SharedEngine<CompressedMmapArena> {
 pub enum Residency {
     /// Decode the whole payload, in any format, into an [`HpArena`].
     Mem,
-    /// Map the file and read entries out of the page cache: `SLNGIDX1`
-    /// through [`MmapHpArena`], `SLNGIDX2`/`SLNGIDX3` through
-    /// [`CompressedMmapArena`]. Only the `O(n)` metadata is resident.
+    /// Map the file, in any format, and read entries out of the page
+    /// cache ([`MmapHpArena`]). Only the `O(n)` metadata is resident.
     Mapped,
 }
 
 impl SharedEngine<IndexStore> {
     /// Open a persisted index in any format, verifying it matches
     /// `graph` — the one opener for callers that choose the residency
-    /// at run time. [`Residency::Mapped`] reads the file's magic and
-    /// maps it with the backend for that format, so no caller pairs a
-    /// file with a backend by hand.
+    /// at run time. Both residencies read the payload through the same
+    /// reader, so they accept the same files and answer alike.
     pub fn open(
         graph: &DiGraph,
         path: impl AsRef<Path>,
         residency: Residency,
     ) -> Result<SharedEngine<IndexStore>, SlingError> {
-        let path = path.as_ref();
         Ok(match residency {
             Residency::Mem => SlingIndex::load(graph, path)?
                 .into_shared_engine()
                 .map_store(IndexStore::Mem),
             Residency::Mapped => {
-                let mut magic = Vec::with_capacity(8);
-                std::fs::File::open(path)?.take(8).read_to_end(&mut magic)?;
-                match crate::format::detect_version(&magic)? {
-                    FormatVersion::V1 => {
-                        SharedEngine::open_mmap(graph, path)?.map_store(IndexStore::Mmap)
-                    }
-                    FormatVersion::V2 | FormatVersion::V3 => {
-                        SharedEngine::open_mmap_compressed(graph, path)?
-                            .map_store(IndexStore::Compressed)
-                    }
-                }
+                SharedEngine::open_mmap(graph, path)?.map_store(IndexStore::Mapped)
             }
         })
     }
@@ -1050,12 +722,9 @@ mod tests {
         };
         idx.save_v2(&v2, &opts).unwrap();
         idx.save_v3(&v3, &opts).unwrap();
-        let mmap = MmapHpArena::open(&v1).unwrap();
-        let (c2, c3) = (
-            CompressedMmapArena::open(&v2).unwrap(),
-            CompressedMmapArena::open(&v3).unwrap(),
-        );
-        let stores: [(&str, &dyn HpStore); 3] = [("v1", &mmap), ("v2", &c2), ("v3", &c3)];
+        let [mmap, c2, c3] = [&v1, &v2, &v3].map(|p| SharedEngine::open_mmap(&g, p).unwrap());
+        let stores: [(&str, &dyn HpStore); 3] =
+            [("v1", mmap.store()), ("v2", c2.store()), ("v3", c3.store())];
         let (mut want, mut got) = (Vec::new(), Vec::new());
         let (mut saw_inside, mut saw_straddle) = (false, false);
         for (label, store) in stores {
@@ -1101,11 +770,7 @@ mod tests {
         let opts = crate::codec::CompressOptions::default();
         idx.save_v2(&v2, &opts).unwrap();
         idx.save_v3(&v3, &opts).unwrap();
-        let mmap = MmapHpArena::open(&v1).unwrap();
-        let (c2, c3) = (
-            CompressedMmapArena::open(&v2).unwrap(),
-            CompressedMmapArena::open(&v3).unwrap(),
-        );
+        let [mmap, c2, c3] = [&v1, &v2, &v3].map(|p| SharedEngine::open_mmap(&g, p).unwrap());
         let engines = [
             SharedEngine::open(&g, &v1, Residency::Mapped).unwrap(),
             SharedEngine::open(&g, &v3, Residency::Mapped).unwrap(),
@@ -1113,11 +778,11 @@ mod tests {
         ];
         let stores: [(&str, &dyn HpStore); 7] = [
             ("arena", &idx.hp),
-            ("mapped v1", &mmap),
-            ("mapped v2", &c2),
-            ("mapped v3", &c3),
-            ("IndexStore::Mmap", engines[0].store()),
-            ("IndexStore::Compressed", engines[1].store()),
+            ("mapped v1", mmap.store()),
+            ("mapped v2", c2.store()),
+            ("mapped v3", c3.store()),
+            ("IndexStore::Mapped v1", engines[0].store()),
+            ("IndexStore::Mapped v3", engines[1].store()),
             ("IndexStore::Mem", engines[2].store()),
         ];
         let n = g.num_nodes() as u32;
@@ -1299,8 +964,8 @@ mod tests {
             quantize_values: false,
         };
         idx.save_v2(&path, &opts).unwrap();
-        let engine = SharedEngine::open_mmap_compressed(&g, &path).unwrap();
-        assert!(engine.store().values_exact());
+        let engine = SharedEngine::open_mmap(&g, &path).unwrap();
+        assert!(crate::format::inspect_file(&path).unwrap().values_exact);
         assert_eq!(
             engine.store().num_blocks(),
             idx.hp.total_entries().div_ceil(16)
@@ -1339,8 +1004,8 @@ mod tests {
             ..Default::default()
         };
         idx.save_v2(&path, &opts).unwrap();
-        let engine = SharedEngine::open_mmap_compressed(&g, &path).unwrap();
-        assert!(!engine.store().values_exact());
+        let engine = SharedEngine::open_mmap(&g, &path).unwrap();
+        assert!(!crate::format::inspect_file(&path).unwrap().values_exact);
         for (u, v) in [(0u32, 1u32), (5, 80), (119, 3)] {
             let want = idx.single_pair(&g, NodeId(u), NodeId(v));
             let got = engine.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
@@ -1351,39 +1016,13 @@ mod tests {
     }
 
     #[test]
-    fn backends_refuse_the_other_generation() {
-        let g = two_cliques_bridge(4);
-        let idx = SlingIndex::build(&g, &cfg()).unwrap();
-        let v1_path = tmp("gen_v1");
-        let v2_path = tmp("gen_v2");
-        idx.save(&v1_path).unwrap();
-        idx.save_v2(&v2_path, &crate::codec::CompressOptions::default())
-            .unwrap();
-        // Plain mmap on a v2 file: structured error naming the fix.
-        let Err(err) = MmapHpArena::open(&v2_path) else {
-            panic!("plain mmap opened a v2 file");
-        };
-        assert!(err.to_string().contains("CompressedMmapArena"), "{err}");
-        // Compressed arena on a v1 file: structured error too.
-        let Err(err) = CompressedMmapArena::open(&v1_path) else {
-            panic!("compressed arena opened a v1 file");
-        };
-        assert!(err.to_string().contains("compact"), "{err}");
-        // But the eager loader reads both.
-        assert!(SlingIndex::load(&g, &v1_path).is_ok());
-        assert!(SlingIndex::load(&g, &v2_path).is_ok());
-        std::fs::remove_file(&v1_path).ok();
-        std::fs::remove_file(&v2_path).ok();
-    }
-
-    #[test]
     fn compressed_mmap_answers_concurrent_queries_bit_identically() {
         let g = barabasi_albert(100, 3, 11).unwrap();
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
         let path = tmp("concurrent_compressed");
         idx.save_v2(&path, &crate::codec::CompressOptions::default())
             .unwrap();
-        let engine = std::sync::Arc::new(SharedEngine::open_mmap_compressed(&g, &path).unwrap());
+        let engine = std::sync::Arc::new(SharedEngine::open_mmap(&g, &path).unwrap());
         std::thread::scope(|s| {
             for t in 0..4u32 {
                 let engine = std::sync::Arc::clone(&engine);
@@ -1406,9 +1045,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A compressed arena's resident figure is exactly its handle, its
-    /// block directory and, for `SLNGIDX3`, its global dictionary, each
-    /// sized from the file's own header.
+    /// A mapped arena's resident figure is exactly its handle, its block
+    /// directory and, for `SLNGIDX3`, its global dictionary, each sized
+    /// from the file's own header.
     #[test]
     fn compressed_resident_bytes_sum_their_parts() {
         let g = barabasi_albert(150, 3, 17).unwrap();
@@ -1423,15 +1062,17 @@ mod tests {
         ] {
             let path = tmp(&format!("resident_{tag}"));
             std::fs::write(&path, &bytes).unwrap();
-            let PayloadGeometry::Blocked(geo) = decode_meta(&bytes).unwrap().payload else {
+            let crate::format::PayloadLayout::Blocked(geo) =
+                decode_meta(&bytes).unwrap().payload.layout
+            else {
                 panic!("{tag} is not blocked");
             };
             let dict = geo.global_dict.map_or(0, |d| d.len());
             assert_eq!(dict > 0, tag == "v3", "{tag} dictionary of {dict}");
-            let arena = CompressedMmapArena::open(&path).unwrap();
+            let engine = SharedEngine::open_mmap(&g, &path).unwrap();
             assert_eq!(
-                HpStore::resident_bytes(&arena),
-                std::mem::size_of::<CompressedMmapArena>() + geo.block_offsets.len() * 8 + dict * 8,
+                HpStore::resident_bytes(engine.store()),
+                std::mem::size_of::<MmapHpArena>() + geo.block_offsets.len() * 8 + dict * 8,
                 "{tag}"
             );
             std::fs::remove_file(&path).ok();
@@ -1449,11 +1090,11 @@ mod tests {
         let len = bytes.len();
         bytes[len - 8..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let mmap = MmapHpArena::open(&path).unwrap();
+        let engine = SharedEngine::open_mmap(&g, &path).unwrap();
         let mut scratch = Vec::new();
         let rejected: Vec<NodeId> = g
             .nodes()
-            .filter(|&v| mmap.entries_into(v, &mut scratch).is_err())
+            .filter(|&v| engine.store().entries_into(v, &mut scratch).is_err())
             .collect();
         assert_eq!(
             rejected.len(),
@@ -1462,7 +1103,6 @@ mod tests {
         );
         let bad = rejected[0];
         let other = NodeId((bad.0 + 1) % g.num_nodes() as u32);
-        let engine = SharedEngine::open_mmap(&g, &path).unwrap();
         let mut ws = QueryWorkspace::new();
         for (u, v) in [(bad, other), (other, bad)] {
             assert!(
@@ -1483,6 +1123,91 @@ mod tests {
             .top_k_with(&g, &mut ws, &mut scores, other, 5)
             .unwrap();
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Two same-step entries of one node's run swapped (node ids and
+    /// values), in a v1 image and in a one-entry-per-block v3 image: the
+    /// eager decode refuses both files, and the mapped engine opens them
+    /// but refuses every query that reads that node, while every other
+    /// node answers bit-identically to the intact file.
+    #[test]
+    fn a_run_out_of_order_is_refused_by_both_residencies() {
+        let g = barabasi_albert(120, 3, 8).unwrap();
+        let idx = SlingIndex::build(&g, &cfg()).unwrap();
+        let (bad, i) = g
+            .nodes()
+            .find_map(|v| {
+                let run = idx.hp.range(v);
+                (run.start + 1..run.end)
+                    .find(|&i| idx.hp.steps[i - 1] == idx.hp.steps[i])
+                    .map(|i| (v, i))
+            })
+            .expect("a run with two entries at one step");
+        let mut swapped = idx.clone();
+        swapped.hp.nodes.swap(i - 1, i);
+        swapped.hp.values.swap(i - 1, i);
+        let one_per_block = crate::codec::CompressOptions {
+            block_entries: 1,
+            quantize_values: false,
+        };
+        let images = [
+            ("v1", swapped.to_bytes(), idx.to_bytes()),
+            (
+                "v3",
+                swapped.to_bytes_v3(&one_per_block),
+                idx.to_bytes_v3(&one_per_block),
+            ),
+        ];
+        let refused = |r: Result<(), SlingError>| matches!(r, Err(SlingError::CorruptIndex(_)));
+        for (label, bytes, intact) in images {
+            let (path, intact_path) = (
+                tmp(&format!("swap_{label}")),
+                tmp(&format!("intact_{label}")),
+            );
+            std::fs::write(&path, &bytes).unwrap();
+            std::fs::write(&intact_path, &intact).unwrap();
+            assert!(
+                refused(SlingIndex::from_bytes(&g, &bytes).map(drop)),
+                "{label}"
+            );
+            assert!(
+                refused(SharedEngine::open(&g, &path, Residency::Mem).map(drop)),
+                "{label}"
+            );
+            let mapped = SharedEngine::open(&g, &path, Residency::Mapped).unwrap();
+            let want = SharedEngine::open(&g, &intact_path, Residency::Mapped).unwrap();
+            assert!(refused(mapped.single_source(&g, bad).map(drop)), "{label}");
+            assert!(refused(mapped.top_k(&g, bad, 5).map(drop)), "{label}");
+            for v in g.nodes().filter(|&v| v != bad) {
+                for (x, y) in [(bad, v), (v, bad)] {
+                    assert!(
+                        refused(mapped.single_pair(&g, x, y).map(drop)),
+                        "{label} ({x:?}, {y:?})"
+                    );
+                }
+                let other = NodeId((v.0 + 7) % 120);
+                if other != bad {
+                    assert_eq!(
+                        mapped.single_pair(&g, v, other).unwrap().to_bits(),
+                        want.single_pair(&g, v, other).unwrap().to_bits(),
+                        "{label} ({v:?}, {other:?})"
+                    );
+                }
+                let bits = |s: Vec<f64>| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(mapped.single_source(&g, v).unwrap()),
+                    bits(want.single_source(&g, v).unwrap()),
+                    "{label} {v:?}"
+                );
+                assert_eq!(
+                    mapped.top_k(&g, v, 5).unwrap(),
+                    want.top_k(&g, v, 5).unwrap(),
+                    "{label} {v:?}"
+                );
+            }
+            std::fs::remove_file(&path).ok();
+            std::fs::remove_file(&intact_path).ok();
+        }
     }
 
     /// An engine restores a §5.2-reduced node into the caller's

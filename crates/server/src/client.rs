@@ -93,12 +93,6 @@ impl Client {
         Ok(Self::from_conn(Box::new(stream)))
     }
 
-    /// Connect over TCP with the config's connect/read/write timeouts.
-    pub fn connect_tcp_with(addr: impl ToSocketAddrs, config: &ClientConfig) -> io::Result<Client> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        Self::connect_addrs(&addrs, config)
-    }
-
     fn connect_addrs(addrs: &[SocketAddr], config: &ClientConfig) -> io::Result<Client> {
         let mut last = None;
         for addr in addrs {

@@ -3,9 +3,10 @@
 //! memory, or mapped from a `SLNGIDX1`, `SLNGIDX2` or `SLNGIDX3` file —
 //! including with §5.2 space reduction and §5.3 accuracy enhancement
 //! enabled. Plus hardening properties for the mmap path: metadata-only
-//! open, and no panic on mutated bytes.
+//! open, no panic on mutated bytes, and the same files accepted as the
+//! eager decode accepts.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -14,8 +15,8 @@ use sling_simrank::core::codec::CompressOptions;
 use sling_simrank::core::join::{JoinPair, JoinStrategy};
 use sling_simrank::core::topk::select_top_k;
 use sling_simrank::core::{
-    FormatVersion, HpStore, IndexStore, QueryWorkspace, Residency, SharedEngine, SlingConfig,
-    SlingError, SlingIndex,
+    FormatVersion, HpEntry, HpStore, IndexStore, QueryWorkspace, Residency, SharedEngine,
+    SlingConfig, SlingError, SlingIndex,
 };
 use sling_simrank::graph::generators::{barabasi_albert, erdos_renyi_directed, star_graph};
 use sling_simrank::graph::{DiGraph, NodeId};
@@ -245,9 +246,9 @@ proptest! {
         .into_iter()
         .map(|(label, p, residency)| (label, SharedEngine::open(&g, p, residency).unwrap()))
         .collect();
-        prop_assert!(matches!(opened[0].1.store(), IndexStore::Mmap(_)));
-        prop_assert!(matches!(opened[1].1.store(), IndexStore::Compressed(_)));
-        prop_assert!(matches!(opened[2].1.store(), IndexStore::Compressed(_)));
+        prop_assert!(matches!(opened[0].1.store(), IndexStore::Mapped(_)));
+        prop_assert!(matches!(opened[1].1.store(), IndexStore::Mapped(_)));
+        prop_assert!(matches!(opened[2].1.store(), IndexStore::Mapped(_)));
         prop_assert!(matches!(opened[3].1.store(), IndexStore::Mem(_)));
 
         let n = g.num_nodes() as u32;
@@ -336,6 +337,38 @@ fn star_graph_extreme_skew_is_bit_identical() {
     assert_streaming_matches_materialized("star-mem", &mem, &g, &pairs, &[NodeId(0), NodeId(7)]);
 }
 
+/// The two residencies accept exactly the same images:
+/// `SlingIndex::from_bytes` accepts `bytes` iff the mapped engine opens
+/// `path` (the same bytes) and reads every node's run, and when both
+/// accept, every run is bit-identical.
+fn assert_residency_parity(g: &DiGraph, bytes: &[u8], path: &Path) {
+    let eager = SlingIndex::from_bytes(g, bytes);
+    let mapped: Option<Vec<Vec<HpEntry>>> = SharedEngine::open(g, path, Residency::Mapped)
+        .ok()
+        .and_then(|engine| {
+            g.nodes()
+                .map(|v| {
+                    let mut run = Vec::new();
+                    engine.store().entries_into(v, &mut run).ok().map(|()| run)
+                })
+                .collect()
+        });
+    assert_eq!(
+        eager.is_ok(),
+        mapped.is_some(),
+        "eager decode {:?}",
+        eager.as_ref().err()
+    );
+    if let (Ok(idx), Some(runs)) = (&eager, &mapped) {
+        let bits = |e: HpEntry| (e.step, e.node.0, e.value.to_bits());
+        for (v, run) in g.nodes().zip(runs) {
+            let want: Vec<_> = idx.stored_entries(v).map(bits).collect();
+            let got: Vec<_> = run.iter().copied().map(bits).collect();
+            assert_eq!(want, got, "run of {v:?}");
+        }
+    }
+}
+
 /// Shared corpus for the mutation property: one valid persisted index.
 fn mutation_corpus() -> &'static (DiGraph, Vec<u8>) {
     static CORPUS: OnceLock<(DiGraph, Vec<u8>)> = OnceLock::new();
@@ -358,8 +391,10 @@ proptest! {
 
     /// Bit-flip any byte of a persisted index: the mapped open either
     /// surfaces a `SlingError` or yields an engine whose answers are
-    /// still finite probabilities. Nothing panics — including a flip in
-    /// the magic that makes the header name another format.
+    /// still finite probabilities, and the eager decoder accepts the
+    /// image exactly when the mapped engine reads every run. Nothing
+    /// panics — including a flip in the magic that makes the header
+    /// name another format.
     #[test]
     fn mmap_mutation_errors_or_stays_sane(flip in 0usize..1 << 20, bit in 0u8..8) {
         let (g, bytes) = mutation_corpus();
@@ -395,6 +430,7 @@ proptest! {
                 }
             }
         }
+        assert_residency_parity(g, &corrupt, &path);
         std::fs::remove_file(&path).ok();
     }
 

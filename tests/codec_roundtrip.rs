@@ -1,23 +1,24 @@
 //! Codec and `SLNGIDX2` round-trip properties: v1 ↔ v2 conversion is
 //! lossless, per-block encode/decode survives adversarial run shapes
 //! (max-delta ids, single-entry runs, owner boundaries), reading one run
-//! of a block keeps every check a whole-block decode makes, and mutated
-//! or truncated v2 images are rejected or answered sanely — mirroring
-//! the v1 corruption properties in `backend_equivalence.rs`.
+//! of a block keeps every check a whole-block read makes, and mutated or
+//! truncated v2/v3 images are rejected or answered sanely, with both
+//! residencies accepting exactly the same images — mirroring the v1
+//! corruption properties in `backend_equivalence.rs`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sling_simrank::core::codec::block::{
-    decode_block, decode_block_with_dict, encode_block, encode_block_with, read_block_run,
-    run_starts, ValueMode,
+    encode_block, encode_block_with, read_block_run, run_starts, ValueMode,
 };
 use sling_simrank::core::codec::{CompressOptions, GlobalDict};
 use sling_simrank::core::{
-    inspect_bytes, FormatVersion, HpEntry, SharedEngine, SlingConfig, SlingError, SlingIndex,
+    inspect_bytes, FormatVersion, HpEntry, HpStore, Residency, SharedEngine, SlingConfig,
+    SlingError, SlingIndex,
 };
 use sling_simrank::graph::generators::{barabasi_albert, erdos_renyi_directed};
 use sling_simrank::graph::{DiGraph, NodeId};
@@ -33,6 +34,50 @@ fn tmpfile(tag: &str) -> PathBuf {
         "{tag}_{}.slng",
         FILE_COUNTER.fetch_add(1, Ordering::Relaxed)
     ))
+}
+
+/// Every entry of one encoded block (`read_block_run` over the whole
+/// block, with no node-id bound): the eager decode's read of a block.
+fn read_whole(
+    bytes: &[u8],
+    count: usize,
+    global_dict: Option<&[f64]>,
+) -> Result<Vec<HpEntry>, SlingError> {
+    let mut block = Vec::new();
+    read_block_run(bytes, count, global_dict, usize::MAX, 0..count, &mut block)?;
+    Ok(block)
+}
+
+/// The two residencies accept exactly the same images:
+/// `SlingIndex::from_bytes` accepts `bytes` iff the mapped engine opens
+/// `path` (the same bytes) and reads every node's run, and when both
+/// accept, every run is bit-identical.
+fn assert_residency_parity(g: &DiGraph, bytes: &[u8], path: &Path) {
+    let eager = SlingIndex::from_bytes(g, bytes);
+    let mapped: Option<Vec<Vec<HpEntry>>> = SharedEngine::open(g, path, Residency::Mapped)
+        .ok()
+        .and_then(|engine| {
+            g.nodes()
+                .map(|v| {
+                    let mut run = Vec::new();
+                    engine.store().entries_into(v, &mut run).ok().map(|()| run)
+                })
+                .collect()
+        });
+    assert_eq!(
+        eager.is_ok(),
+        mapped.is_some(),
+        "eager decode {:?}",
+        eager.as_ref().err()
+    );
+    if let (Ok(idx), Some(runs)) = (&eager, &mapped) {
+        let bits = |e: HpEntry| (e.step, e.node.0, e.value.to_bits());
+        for (v, run) in g.nodes().zip(runs) {
+            let want: Vec<_> = idx.stored_entries(v).map(bits).collect();
+            let got: Vec<_> = run.iter().copied().map(bits).collect();
+            assert_eq!(want, got, "run of {v:?}");
+        }
+    }
 }
 
 fn arb_graph() -> impl Strategy<Value = DiGraph> {
@@ -110,8 +155,7 @@ proptest! {
         for quantize in [false, true] {
             let mut bytes = Vec::new();
             encode_block(&steps, &nodes, &values, &starts, quantize, &mut bytes);
-            let mut block = Vec::new();
-            decode_block(&bytes, steps.len(), &mut block).unwrap();
+            let block = read_whole(&bytes, steps.len(), None).unwrap();
             prop_assert_eq!(block.iter().map(|e| e.step).collect::<Vec<_>>(), steps.clone());
             prop_assert_eq!(block.iter().map(|e| e.node.0).collect::<Vec<_>>(), nodes.clone());
             if quantize {
@@ -126,9 +170,9 @@ proptest! {
         }
     }
 
-    /// Mutating any single byte of an encoded block makes decode either
-    /// error or produce a same-length entry list — never panic, never a
-    /// silent length change.
+    /// Mutating any single byte of an encoded block makes a whole-block
+    /// read either error or produce a same-length entry list — never
+    /// panic, never a silent length change.
     #[test]
     fn mutated_blocks_never_panic(
         (steps, nodes, values, owners) in arb_block(),
@@ -140,17 +184,16 @@ proptest! {
         encode_block(&steps, &nodes, &values, &starts, false, &mut bytes);
         let pos = flip % bytes.len();
         bytes[pos] ^= 1 << bit;
-        let mut block = Vec::new();
-        if decode_block(&bytes, steps.len(), &mut block).is_ok() {
+        if let Ok(block) = read_whole(&bytes, steps.len(), None) {
             prop_assert_eq!(block.len(), steps.len());
         }
     }
 
     /// Reading entries `lo..hi` of a block — v2 lossless (`arb_block`)
-    /// or v3 global-dictionary — emits exactly the whole-block decode's
+    /// or v3 global-dictionary — emits exactly the whole-block read's
     /// entries `lo..hi`, bit for bit; and after any single-byte mutation
-    /// the run read fails exactly when the whole-block decode fails or
-    /// that decode holds a node id `≥ n` or a non-probability value
+    /// the run read fails exactly when the whole-block read fails or
+    /// that read holds a node id `≥ n` or a non-probability value
     /// anywhere in the block.
     #[test]
     fn run_reads_keep_every_whole_block_check(
@@ -173,14 +216,7 @@ proptest! {
         let lo = lo_seed % (count + 1);
         let hi = lo + len_seed % (count - lo + 1);
 
-        let whole = |bytes: &[u8]| -> Result<Vec<HpEntry>, SlingError> {
-            let mut block = Vec::new();
-            match global {
-                Some(d) => decode_block_with_dict(bytes, count, d, &mut block)?,
-                None => decode_block(bytes, count, &mut block)?,
-            }
-            Ok(block)
-        };
+        let whole = |bytes: &[u8]| read_whole(bytes, count, global);
         let checked = |block: &[HpEntry]| {
             block.iter().all(|e| {
                 (e.node.0 as usize) < n && e.value.is_finite() && (0.0..=1.0 + 1e-9).contains(&e.value)
@@ -329,10 +365,12 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Bit-flip any byte of a compressed index: the compressed mmap open
-    /// either surfaces a `SlingError` or yields an engine whose answers
-    /// are still finite probabilities. Nothing panics — the v2 mirror of
-    /// the v1 property in `backend_equivalence.rs`.
+    /// Bit-flip any byte of a compressed index: the mapped open either
+    /// surfaces a `SlingError` or yields an engine whose answers are
+    /// still finite probabilities, and the eager decoder accepts the
+    /// image exactly when the mapped engine reads every run. Nothing
+    /// panics — the v2 mirror of the v1 property in
+    /// `backend_equivalence.rs`.
     #[test]
     fn v2_mutation_errors_or_stays_sane(flip in 0usize..1 << 20, bit in 0u8..8) {
         let (g, bytes) = mutation_corpus();
@@ -342,7 +380,7 @@ proptest! {
         let path = tmpfile("mut");
         std::fs::write(&path, &corrupt).unwrap();
 
-        match SharedEngine::open_mmap_compressed(g, &path) {
+        match SharedEngine::open(g, &path, Residency::Mapped) {
             Err(e) => {
                 let _ = e.to_string();
             }
@@ -372,6 +410,7 @@ proptest! {
                 let _ = e.to_string();
             }
         }
+        assert_residency_parity(g, &corrupt, &path);
         std::fs::remove_file(&path).ok();
     }
 
@@ -383,7 +422,7 @@ proptest! {
         let path = tmpfile("trunc");
         std::fs::write(&path, &bytes[..cut]).unwrap();
         prop_assert!(
-            SharedEngine::open_mmap_compressed(g, &path).is_err(),
+            SharedEngine::open(g, &path, Residency::Mapped).is_err(),
             "cut at {cut} accepted"
         );
         prop_assert!(SlingIndex::from_bytes(g, &bytes[..cut]).is_err());
@@ -393,7 +432,8 @@ proptest! {
     /// Bit-flip any byte of a `SLNGIDX3` image — value planes, the
     /// shared global dictionary, and the varint offset directory
     /// included: open errors or the engine keeps answering finite
-    /// probabilities; nothing panics.
+    /// probabilities, and both residencies accept the same images;
+    /// nothing panics.
     #[test]
     fn v3_mutation_errors_or_stays_sane(flip in 0usize..1 << 20, bit in 0u8..8) {
         let (g, bytes) = mutation_corpus_v3();
@@ -403,7 +443,7 @@ proptest! {
         let path = tmpfile("mut3");
         std::fs::write(&path, &corrupt).unwrap();
 
-        match SharedEngine::open_mmap_compressed(g, &path) {
+        match SharedEngine::open(g, &path, Residency::Mapped) {
             Err(e) => {
                 let _ = e.to_string();
             }
@@ -431,6 +471,7 @@ proptest! {
                 let _ = e.to_string();
             }
         }
+        assert_residency_parity(g, &corrupt, &path);
         std::fs::remove_file(&path).ok();
     }
 
@@ -442,7 +483,7 @@ proptest! {
         let path = tmpfile("trunc3");
         std::fs::write(&path, &bytes[..cut]).unwrap();
         prop_assert!(
-            SharedEngine::open_mmap_compressed(g, &path).is_err(),
+            SharedEngine::open(g, &path, Residency::Mapped).is_err(),
             "cut at {cut} accepted"
         );
         prop_assert!(SlingIndex::from_bytes(g, &bytes[..cut]).is_err());
