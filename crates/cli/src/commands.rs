@@ -154,8 +154,8 @@ const COMMANDS: &[Command] = &[
         name: "client",
         synopsis: &["MODE [..] --connect HOST:PORT | --unix PATH [--force]"],
         about: "one request to a running server. MODE is pair U V | source U | topk U K | \
-                stats | metrics | slowlog | reload | ping | shutdown; reload --force lifts a \
-                rollback quarantine",
+                stats | reload | ping | shutdown; reload --force lifts a rollback quarantine \
+                (scrape METRICS and SLOWLOG with `sling metrics`)",
         run: cmd_client,
     },
     Command {
@@ -504,7 +504,15 @@ fn open_engine(
     index_path: &str,
     residency: Residency,
 ) -> Result<SharedEngine<IndexStore>, String> {
-    SharedEngine::open(graph, index_path, residency).map_err(|e| format!("{index_path}: {e}"))
+    SharedEngine::open(graph, index_path, residency).map_err(in_index(index_path))
+}
+
+/// Put the index path in front of an engine error. The mapped backend
+/// reads (and checks) entries only when a query needs them, so a query
+/// can fail on the file long after it opened; open and query errors of
+/// one file read alike.
+fn in_index(index_path: &str) -> impl Fn(sling_core::SlingError) -> String + '_ {
+    move |e| format!("{index_path}: {e}")
 }
 
 fn parse_node(raw: &str, n: usize) -> Result<NodeId, String> {
@@ -529,7 +537,7 @@ pub fn cmd_query(args: &Args) -> Result<String, String> {
             let v = parse_node(args.positional(4, "v")?, g.num_nodes())?;
             let engine = open_engine(&g, index_path, backend)?;
             let start = std::time::Instant::now();
-            let s = engine.single_pair(&g, u, v).map_err(|e| e.to_string())?;
+            let s = engine.single_pair(&g, u, v).map_err(in_index(index_path))?;
             Ok(format!(
                 "s({}, {}) = {s:.6}   [{:.1?}, {backend:?} backend]",
                 u.0,
@@ -542,7 +550,7 @@ pub fn cmd_query(args: &Args) -> Result<String, String> {
             let k: usize = args.flag_parse("top", 10usize)?;
             let engine = open_engine(&g, index_path, backend)?;
             let start = std::time::Instant::now();
-            let top = engine.top_k(&g, u, k).map_err(|e| e.to_string())?;
+            let top = engine.top_k(&g, u, k).map_err(in_index(index_path))?;
             let elapsed = start.elapsed();
             let mut out = String::new();
             writeln!(
@@ -571,7 +579,7 @@ pub fn cmd_join(args: &Args) -> Result<String, String> {
     let engine = open_engine(&g, index_path, backend)?;
     let pairs = engine
         .threshold_join(&g, tau, sling_core::join::JoinStrategy::InvertedLists)
-        .map_err(|e| e.to_string())?;
+        .map_err(in_index(index_path))?;
     let mut out = String::new();
     writeln!(out, "{} pairs with s >= {tau}", pairs.len()).unwrap();
     for p in pairs.iter().take(limit) {
@@ -670,12 +678,12 @@ pub fn cmd_batch(args: &Args) -> Result<String, String> {
         let cache = ShardedResultCache::with_capacity(cache_cap);
         let scores = engine
             .batch_single_pair_cached(&g, &pairs, threads, &cache)
-            .map_err(|e| e.to_string())?;
+            .map_err(in_index(index_path))?;
         (scores, format_cache_stats(cache.stats()))
     } else {
         let scores = engine
             .batch_single_pair(&g, &pairs, threads)
-            .map_err(|e| e.to_string())?;
+            .map_err(in_index(index_path))?;
         (scores, "cache: off".to_string())
     };
     let elapsed = start.elapsed();
@@ -962,18 +970,9 @@ pub fn cmd_client(args: &Args) -> Result<String, String> {
             Ok(out)
         }
         "stats" => client.stats_line().map_err(err),
-        "metrics" => client.metrics().map_err(err),
-        "slowlog" => {
-            let log = client.slow_queries().map_err(err)?;
-            Ok(if log.is_empty() {
-                "(no slow queries recorded)".to_string()
-            } else {
-                log
-            })
-        }
         "reload" => {
             let force = args.switch("force");
-            let (generation, swapped) = client.reload_with(force).map_err(err)?;
+            let (generation, swapped) = client.reload(force).map_err(err)?;
             Ok(if swapped {
                 format!("swapped to {generation}")
             } else if force {
@@ -995,7 +994,7 @@ pub fn cmd_client(args: &Args) -> Result<String, String> {
         }
         other => Err(format!(
             "unknown client mode {other:?} \
-             (pair|source|topk|stats|metrics|slowlog|reload|ping|shutdown)"
+             (pair|source|topk|stats|reload|ping|shutdown)"
         )),
     }
 }
@@ -3066,6 +3065,62 @@ mod tests {
         }
     }
 
+    /// A query that trips over a corrupt run names the index file, as
+    /// an open error does: a v1 file whose last value is NaN opens under
+    /// `mmap`, and every command that reads the poisoned node fails with
+    /// the index path in front; `mem` refuses the file at open alike.
+    #[test]
+    fn query_time_index_errors_name_the_index_file() {
+        let dir = tmpdir("poisoned");
+        let g = dir.join("g.bin");
+        let idx = dir.join("idx.slng");
+        run_str(&format!(
+            "generate --ba 80,3 --seed 3 --out {}",
+            g.display()
+        ))
+        .unwrap();
+        run_str(&format!(
+            "build {} --out {} --eps 0.1 --seed 2",
+            g.display(),
+            idx.display()
+        ))
+        .unwrap();
+        let mut bytes = std::fs::read(&idx).unwrap();
+        let len = bytes.len();
+        bytes[len - 8..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        std::fs::write(&idx, &bytes).unwrap();
+        let graph = load_graph(g.to_str().unwrap()).unwrap();
+        let engine = open_engine(&graph, idx.to_str().unwrap(), Residency::Mapped).unwrap();
+        let mut scratch = Vec::new();
+        let bad = graph
+            .nodes()
+            .find(|&v| sling_core::HpStore::entries_into(engine.store(), v, &mut scratch).is_err())
+            .expect("the NaN poisons one run")
+            .0;
+        let other = (bad + 1) % graph.num_nodes() as u32;
+        let pairs = dir.join("pairs.txt");
+        std::fs::write(&pairs, format!("{bad} {other}\n")).unwrap();
+        let prefix = format!("{}: corrupt index data:", idx.display());
+        let (g, idx) = (g.display(), idx.display());
+        for cmd in [
+            format!("query {g} {idx} pair {bad} {other} --index-backend mmap"),
+            format!("query {g} {idx} source {bad} --index-backend mmap"),
+            format!("join {g} {idx} --tau 0.2 --index-backend mmap"),
+            format!(
+                "batch {g} {idx} --pairs {} --index-backend mmap",
+                pairs.display()
+            ),
+            format!(
+                "batch {g} {idx} --pairs {} --cache 0 --index-backend mmap",
+                pairs.display()
+            ),
+            format!("query {g} {idx} pair {bad} {other}"),
+        ] {
+            let err = run_str(&cmd).unwrap_err();
+            assert!(err.starts_with(&prefix), "{cmd}: {err}");
+        }
+    }
+
     #[test]
     fn compact_inspect_and_compressed_backend_roundtrip() {
         let dir = tmpdir("compact");
@@ -3392,25 +3447,20 @@ mod tests {
         assert!(topk.contains("top 3 similar to node 0"), "{topk}");
         let stats = client("stats").unwrap();
         assert!(stats.contains("cache_hit_rate="), "{stats}");
-        // Observability surface: the Prometheus exposition through both
-        // the client mode and the dedicated `metrics` command, the
-        // slow-query ring (threshold 1 µs admits everything), and the
-        // periodic JSON snapshot file.
-        let prom = client("metrics").unwrap();
+        // Observability surface: the Prometheus exposition and the
+        // slow-query ring (threshold 1 µs admits everything) through the
+        // `metrics` command, and the periodic JSON snapshot file.
+        let prom = run_str(&format!("metrics --unix {}", sock.display())).unwrap();
         assert!(
             prom.contains("# TYPE sling_server_requests_total counter"),
             "{prom}"
         );
         assert!(prom.contains("sling_query_stage_merge_ns_count"), "{prom}");
-        // A second scrape through the dedicated command (counters move
-        // between scrapes, so compare families, not bytes).
-        let prom2 = run_str(&format!("metrics --unix {}", sock.display())).unwrap();
-        assert!(prom2.contains("sling_cache_hits_total"), "{prom2}");
-        assert!(prom2.contains("sling_index_epoch"), "{prom2}");
+        assert!(prom.contains("sling_cache_hits_total"), "{prom}");
+        assert!(prom.contains("sling_index_epoch"), "{prom}");
         let slow = run_str(&format!("metrics --slow --unix {}", sock.display())).unwrap();
         assert!(slow.lines().all(|l| l.starts_with("slow verb=")), "{slow}");
         assert!(slow.contains("total_us="), "{slow}");
-        assert_eq!(client("slowlog").unwrap(), slow);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while !snapshot.exists() && std::time::Instant::now() < deadline {
             std::thread::sleep(std::time::Duration::from_millis(10));

@@ -15,8 +15,9 @@
 //!   run-length coded, node ids delta-coded per run, plus a tagged value
 //!   section — and [`read_block_run`], the one block decoder, which
 //!   validates a whole block and keeps one run of it;
-//! * [`value`] — the [`value::SectionCodec`] trait and its three value
-//!   codecs (raw `f64`, per-block dictionary, lossy fixed-point `u32`).
+//! * [`value`] — the tagged value-section encodings (raw `f64`,
+//!   per-block dictionary, lossy fixed-point `u32`, and the `SLNGIDX3`
+//!   global dictionary).
 //!
 //! [`encode_payload`] / [`encode_payload_v3`] turn a whole
 //! [`HpArena`](crate::hp::HpArena) payload into blocks. The `SLNGIDX2`
@@ -39,7 +40,7 @@ pub mod value;
 pub mod varint;
 
 pub use block::{encode_block, read_block_run, ValueMode, DEFAULT_BLOCK_ENTRIES};
-pub use value::{GlobalDict, SectionCodec};
+pub use value::GlobalDict;
 
 use crate::error::SlingError;
 

@@ -3,17 +3,17 @@
 //!
 //! The step and node columns compress with fixed schemes (run-length and
 //! delta-varint — see [`crate::codec::block`]); the value column is where
-//! the encodings genuinely compete, so it is behind the
-//! [`SectionCodec`] trait with three implementations:
+//! the encodings genuinely compete, so each block's value section starts
+//! with a one-byte tag naming its encoding:
 //!
-//! * [`RawF64Codec`] — 8 bytes per value, bit-exact. The fallback that
+//! * [`TAG_RAW_F64`] — 8 bytes per value, bit-exact. The fallback that
 //!   can never lose.
-//! * [`DictF64Codec`] — per-block dictionary of distinct bit patterns
+//! * [`TAG_DICT_F64`] — per-block dictionary of distinct bit patterns
 //!   plus a varint index per entry, bit-exact. Algorithm 2's local
 //!   updates give every step-1 entry of a node the value `√c / |I(v)|`
 //!   and step-2 entries repeat across shared in-neighborhoods, so real
 //!   blocks hold far fewer distinct values than entries.
-//! * [`FixedPointCodec`] — values quantized to `round(v · (2³² − 1))`,
+//! * [`TAG_FIXED_U32`] — values quantized to `round(v · (2³² − 1))`,
 //!   4 bytes each. Lossy (≤ 2⁻³³ absolute error — three orders of
 //!   magnitude below any ε the index is built with), flagged in the file
 //!   header so readers know scores are no longer bit-identical to the
@@ -35,6 +35,9 @@
 //! `u16` dictionary, plus the raw low 48 mantissa bits. Bit-exact, and
 //! the v3 encoder still falls back to raw/per-block-dict per block, so
 //! no block can regress past one tag byte.
+//!
+//! Every malformed section surfaces as [`SlingError::CorruptIndex`],
+//! never a panic.
 
 use std::ops::Range;
 
@@ -47,44 +50,15 @@ fn corrupt(what: impl Into<String>) -> SlingError {
     SlingError::CorruptIndex(what.into())
 }
 
-/// A codec for one value section of a block: encodes a `f64` column to
-/// bytes and decodes it back, identified by a stable one-byte tag stored
-/// in the block header.
-pub trait SectionCodec {
-    /// Stable on-disk tag identifying this codec.
-    fn tag(&self) -> u8;
-
-    /// Whether decoded values are bit-identical to the encoded input.
-    fn exact(&self) -> bool;
-
-    /// Append the encoding of `values` to `out`.
-    fn encode(&self, values: &[f64], out: &mut Vec<u8>);
-
-    /// Decode exactly `count` values from the front of `buf` (advancing
-    /// it) into `out`. Every malformed input must surface as
-    /// [`SlingError::CorruptIndex`], never a panic.
-    fn decode(&self, buf: &mut &[u8], count: usize, out: &mut Vec<f64>) -> Result<(), SlingError>;
-}
-
-/// Tag of [`RawF64Codec`].
+/// Tag of the raw `f64` value section.
 pub const TAG_RAW_F64: u8 = 0;
-/// Tag of [`DictF64Codec`].
+/// Tag of the per-block dictionary value section.
 pub const TAG_DICT_F64: u8 = 1;
-/// Tag of [`FixedPointCodec`].
+/// Tag of the fixed-point `u32` value section.
 pub const TAG_FIXED_U32: u8 = 2;
 /// Tag of the `SLNGIDX3` cross-block global-dictionary section (only
 /// valid inside a v3 payload, which carries the [`GlobalDict`]).
 pub const TAG_GLOBAL_DICT: u8 = 3;
-
-/// Resolve a block's value codec from its on-disk tag.
-pub fn codec_for_tag(tag: u8) -> Result<&'static dyn SectionCodec, SlingError> {
-    match tag {
-        TAG_RAW_F64 => Ok(&RawF64Codec),
-        TAG_DICT_F64 => Ok(&DictF64Codec),
-        TAG_FIXED_U32 => Ok(&FixedPointCodec),
-        other => Err(corrupt(format!("unknown value codec tag {other}"))),
-    }
-}
 
 /// Pick the smaller lossless encoding for `values` and append it
 /// (tag byte included) to `out`.
@@ -92,17 +66,17 @@ pub fn encode_values_lossless(values: &[f64], out: &mut Vec<u8>) {
     let dict_len = dict_cost(values);
     if dict_len < values.len() * 8 {
         out.push(TAG_DICT_F64);
-        DictF64Codec.encode(values, out);
+        encode_dict(values, out);
     } else {
         out.push(TAG_RAW_F64);
-        RawF64Codec.encode(values, out);
+        encode_raw(values, out);
     }
 }
 
 /// Append the quantized encoding of `values` (tag byte included).
 pub fn encode_values_quantized(values: &[f64], out: &mut Vec<u8>) {
     out.push(TAG_FIXED_U32);
-    FixedPointCodec.encode(values, out);
+    encode_fixed(values, out);
 }
 
 /// Exact byte cost of the dictionary encoding of `values` (without
@@ -118,111 +92,92 @@ fn dict_cost(values: &[f64]) -> usize {
     varint::len_u64(dict.len() as u64) + dict.len() * 8 + index_bytes
 }
 
-/// 8-byte little-endian `f64` per value; bit-exact.
-pub struct RawF64Codec;
-
-impl SectionCodec for RawF64Codec {
-    fn tag(&self) -> u8 {
-        TAG_RAW_F64
-    }
-
-    fn exact(&self) -> bool {
-        true
-    }
-
-    fn encode(&self, values: &[f64], out: &mut Vec<u8>) {
-        for v in values {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    fn decode(&self, buf: &mut &[u8], count: usize, out: &mut Vec<f64>) -> Result<(), SlingError> {
-        let need = count
-            .checked_mul(8)
-            .ok_or_else(|| corrupt("value count overflows"))?;
-        if buf.len() < need {
-            return Err(corrupt("truncated raw value section"));
-        }
-        out.extend(
-            buf[..need]
-                .as_chunks::<8>()
-                .0
-                .iter()
-                .map(|c| f64::from_le_bytes(*c)),
-        );
-        *buf = &buf[need..];
-        Ok(())
+/// [`TAG_RAW_F64`]: 8-byte little-endian `f64` per value; bit-exact.
+fn encode_raw(values: &[f64], out: &mut Vec<u8>) {
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
     }
 }
 
-/// Per-block dictionary of distinct bit patterns (in first-occurrence
-/// order) plus a varint dictionary index per value; bit-exact.
+/// Decode exactly `count` [`TAG_RAW_F64`] values from the front of `buf`
+/// (advancing it) into `out`.
+fn decode_raw(buf: &mut &[u8], count: usize, out: &mut Vec<f64>) -> Result<(), SlingError> {
+    let need = count
+        .checked_mul(8)
+        .ok_or_else(|| corrupt("value count overflows"))?;
+    if buf.len() < need {
+        return Err(corrupt("truncated raw value section"));
+    }
+    out.extend(
+        buf[..need]
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(|c| f64::from_le_bytes(*c)),
+    );
+    *buf = &buf[need..];
+    Ok(())
+}
+
+/// [`TAG_DICT_F64`]: per-block dictionary of distinct bit patterns (in
+/// first-occurrence order) plus a varint dictionary index per value;
+/// bit-exact.
 ///
 /// Layout: `dict_len varint | dict_len × f64 | count × varint index`.
-pub struct DictF64Codec;
-
-impl SectionCodec for DictF64Codec {
-    fn tag(&self) -> u8 {
-        TAG_DICT_F64
+fn encode_dict(values: &[f64], out: &mut Vec<u8>) {
+    let mut dict: sling_graph::FxHashMap<u64, u32> = sling_graph::FxHashMap::default();
+    let mut order: Vec<u64> = Vec::new();
+    let mut indices: Vec<u32> = Vec::with_capacity(values.len());
+    for v in values {
+        let bits = v.to_bits();
+        let next = order.len() as u32;
+        let idx = *dict.entry(bits).or_insert_with(|| {
+            order.push(bits);
+            next
+        });
+        indices.push(idx);
     }
-
-    fn exact(&self) -> bool {
-        true
+    varint::write_u64(out, order.len() as u64);
+    for bits in order {
+        out.extend_from_slice(&bits.to_le_bytes());
     }
-
-    fn encode(&self, values: &[f64], out: &mut Vec<u8>) {
-        let mut dict: sling_graph::FxHashMap<u64, u32> = sling_graph::FxHashMap::default();
-        let mut order: Vec<u64> = Vec::new();
-        let mut indices: Vec<u32> = Vec::with_capacity(values.len());
-        for v in values {
-            let bits = v.to_bits();
-            let next = order.len() as u32;
-            let idx = *dict.entry(bits).or_insert_with(|| {
-                order.push(bits);
-                next
-            });
-            indices.push(idx);
-        }
-        varint::write_u64(out, order.len() as u64);
-        for bits in order {
-            out.extend_from_slice(&bits.to_le_bytes());
-        }
-        for idx in indices {
-            varint::write_u64(out, idx as u64);
-        }
-    }
-
-    fn decode(&self, buf: &mut &[u8], count: usize, out: &mut Vec<f64>) -> Result<(), SlingError> {
-        let dict_len = varint::read_u32(buf)? as usize;
-        // A dictionary cannot be larger than the values it describes.
-        if dict_len > count {
-            return Err(corrupt(format!(
-                "value dictionary of {dict_len} entries for {count} values"
-            )));
-        }
-        if count > 0 && dict_len == 0 {
-            return Err(corrupt("empty value dictionary for a non-empty block"));
-        }
-        let bytes: &[u8] = buf;
-        let Some((dict, rest)) = bytes.split_at_checked(dict_len * 8) else {
-            return Err(corrupt("truncated value dictionary"));
-        };
-        let (dict, _) = dict.as_chunks::<8>();
-        *buf = rest;
-        out.reserve(count);
-        for _ in 0..count {
-            let idx = varint::read_u32(buf)? as usize;
-            let v = dict.get(idx).ok_or_else(|| {
-                corrupt(format!("value index {idx} past dictionary ({dict_len})"))
-            })?;
-            out.push(f64::from_le_bytes(*v));
-        }
-        Ok(())
+    for idx in indices {
+        varint::write_u64(out, idx as u64);
     }
 }
 
-/// Quantization scale of [`FixedPointCodec`]: the full `u32` range maps
-/// the unit interval.
+/// Decode exactly `count` [`TAG_DICT_F64`] values from the front of
+/// `buf` (advancing it) into `out`.
+fn decode_dict(buf: &mut &[u8], count: usize, out: &mut Vec<f64>) -> Result<(), SlingError> {
+    let dict_len = varint::read_u32(buf)? as usize;
+    // A dictionary cannot be larger than the values it describes.
+    if dict_len > count {
+        return Err(corrupt(format!(
+            "value dictionary of {dict_len} entries for {count} values"
+        )));
+    }
+    if count > 0 && dict_len == 0 {
+        return Err(corrupt("empty value dictionary for a non-empty block"));
+    }
+    let bytes: &[u8] = buf;
+    let Some((dict, rest)) = bytes.split_at_checked(dict_len * 8) else {
+        return Err(corrupt("truncated value dictionary"));
+    };
+    let (dict, _) = dict.as_chunks::<8>();
+    *buf = rest;
+    out.reserve(count);
+    for _ in 0..count {
+        let idx = varint::read_u32(buf)? as usize;
+        let v = dict
+            .get(idx)
+            .ok_or_else(|| corrupt(format!("value index {idx} past dictionary ({dict_len})")))?;
+        out.push(f64::from_le_bytes(*v));
+    }
+    Ok(())
+}
+
+/// Quantization scale of [`TAG_FIXED_U32`] sections: the full `u32`
+/// range maps the unit interval.
 const FIXED_SCALE: f64 = u32::MAX as f64;
 
 /// Quantize a probability to fixed-point `u32` (clamped to the unit
@@ -238,41 +193,32 @@ pub fn dequantize(q: u32) -> f64 {
     q as f64 / FIXED_SCALE
 }
 
-/// 4-byte fixed-point values; lossy within `2⁻³³`, flagged file-wide.
-pub struct FixedPointCodec;
-
-impl SectionCodec for FixedPointCodec {
-    fn tag(&self) -> u8 {
-        TAG_FIXED_U32
+/// [`TAG_FIXED_U32`]: 4-byte fixed-point values; lossy within `2⁻³³`,
+/// flagged file-wide.
+fn encode_fixed(values: &[f64], out: &mut Vec<u8>) {
+    for v in values {
+        out.extend_from_slice(&quantize(*v).to_le_bytes());
     }
+}
 
-    fn exact(&self) -> bool {
-        false
+/// Decode exactly `count` [`TAG_FIXED_U32`] values from the front of
+/// `buf` (advancing it) into `out`.
+fn decode_fixed(buf: &mut &[u8], count: usize, out: &mut Vec<f64>) -> Result<(), SlingError> {
+    let need = count
+        .checked_mul(4)
+        .ok_or_else(|| corrupt("value count overflows"))?;
+    if buf.len() < need {
+        return Err(corrupt("truncated fixed-point value section"));
     }
-
-    fn encode(&self, values: &[f64], out: &mut Vec<u8>) {
-        for v in values {
-            out.extend_from_slice(&quantize(*v).to_le_bytes());
-        }
-    }
-
-    fn decode(&self, buf: &mut &[u8], count: usize, out: &mut Vec<f64>) -> Result<(), SlingError> {
-        let need = count
-            .checked_mul(4)
-            .ok_or_else(|| corrupt("value count overflows"))?;
-        if buf.len() < need {
-            return Err(corrupt("truncated fixed-point value section"));
-        }
-        out.extend(
-            buf[..need]
-                .as_chunks::<4>()
-                .0
-                .iter()
-                .map(|c| dequantize(u32::from_le_bytes(*c))),
-        );
-        *buf = &buf[need..];
-        Ok(())
-    }
+    out.extend(
+        buf[..need]
+            .as_chunks::<4>()
+            .0
+            .iter()
+            .map(|c| dequantize(u32::from_le_bytes(*c))),
+    );
+    *buf = &buf[need..];
+    Ok(())
 }
 
 /// Cross-block value dictionary of an `SLNGIDX3` payload: the bit
@@ -362,10 +308,10 @@ pub fn encode_values_v3(values: &[f64], dict: &GlobalDict, out: &mut Vec<u8>) {
         encode_values_global(values, dict, out);
     } else if per_block < raw {
         out.push(TAG_DICT_F64);
-        DictF64Codec.encode(values, out);
+        encode_dict(values, out);
     } else {
         out.push(TAG_RAW_F64);
-        RawF64Codec.encode(values, out);
+        encode_raw(values, out);
     }
 }
 
@@ -408,7 +354,7 @@ fn global_cost(values: &[f64], dict: &GlobalDict) -> usize {
 /// into a sign/exponent plane (the high 16 bits, drawn from a handful of
 /// distinct patterns since HP values are probabilities) and a raw
 /// mantissa plane keeps an escape at ~8 bytes while dictionary hits cost
-/// 1–2 — and unlike [`DictF64Codec`], no per-block dictionary bytes are
+/// 1–2 — and unlike [`TAG_DICT_F64`], no per-block dictionary bytes are
 /// paid for values the whole file shares.
 pub(crate) fn encode_values_global(values: &[f64], dict: &GlobalDict, out: &mut Vec<u8>) {
     let mut escaped: Vec<u64> = Vec::new();
@@ -555,10 +501,10 @@ pub(crate) fn read_values_global(
 
 /// Read one block's raw, per-block-dictionary or fixed-point value
 /// section of `count` values (tag byte `tag` already consumed; `section`
-/// runs to the end of the block) through its [`SectionCodec`], writing
-/// the values of the block entries `run` into `kept`. Every value of the
-/// section must be a probability, and the section must end exactly at
-/// the end of the block.
+/// runs to the end of the block), writing the values of the block
+/// entries `run` into `kept`. An unknown tag, a value that is not a
+/// probability, and a section that does not end exactly at the end of
+/// the block are all corrupt.
 pub(crate) fn read_values_column(
     tag: u8,
     section: &[u8],
@@ -568,7 +514,12 @@ pub(crate) fn read_values_column(
 ) -> Result<(), SlingError> {
     let mut buf = section;
     let mut values = Vec::new();
-    codec_for_tag(tag)?.decode(&mut buf, count, &mut values)?;
+    match tag {
+        TAG_RAW_F64 => decode_raw(&mut buf, count, &mut values),
+        TAG_DICT_F64 => decode_dict(&mut buf, count, &mut values),
+        TAG_FIXED_U32 => decode_fixed(&mut buf, count, &mut values),
+        other => Err(corrupt(format!("unknown value codec tag {other}"))),
+    }?;
     if !buf.is_empty() {
         return Err(trailing(buf.len()));
     }
@@ -598,12 +549,14 @@ fn trailing(bytes: usize) -> SlingError {
 mod tests {
     use super::*;
 
-    fn round_trip(codec: &dyn SectionCodec, values: &[f64]) -> Vec<f64> {
+    type Decode = fn(&mut &[u8], usize, &mut Vec<f64>) -> Result<(), SlingError>;
+
+    fn round_trip(encode: fn(&[f64], &mut Vec<u8>), decode: Decode, values: &[f64]) -> Vec<f64> {
         let mut bytes = Vec::new();
-        codec.encode(values, &mut bytes);
+        encode(values, &mut bytes);
         let mut buf = bytes.as_slice();
         let mut out = Vec::new();
-        codec.decode(&mut buf, values.len(), &mut out).unwrap();
+        decode(&mut buf, values.len(), &mut out).unwrap();
         assert!(buf.is_empty(), "decoder left bytes behind");
         out
     }
@@ -611,9 +564,11 @@ mod tests {
     #[test]
     fn raw_and_dict_are_bit_exact() {
         let values = [1.0, 1.0 / 3.0, 0.25, 1.0 / 3.0, 1e-300, 0.0, 1.0];
-        for codec in [&RawF64Codec as &dyn SectionCodec, &DictF64Codec] {
-            let back = round_trip(codec, &values);
-            assert!(codec.exact());
+        for (encode, decode) in [
+            (encode_raw as fn(&[f64], &mut Vec<u8>), decode_raw as Decode),
+            (encode_dict, decode_dict),
+        ] {
+            let back = round_trip(encode, decode, &values);
             assert_eq!(
                 values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 back.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -643,8 +598,7 @@ mod tests {
     #[test]
     fn fixed_point_error_is_negligible_and_flagged() {
         let values = [0.0, 1.0, 1.0 / 3.0, 0.999_999_9, 1e-12];
-        let back = round_trip(&FixedPointCodec, &values);
-        assert!(!FixedPointCodec.exact());
+        let back = round_trip(encode_fixed, decode_fixed, &values);
         for (a, b) in values.iter().zip(&back) {
             assert!((a - b).abs() <= 0.5 / (u32::MAX as f64), "{a} vs {b}");
             assert!((0.0..=1.0).contains(b));
@@ -796,23 +750,27 @@ mod tests {
     fn decoders_reject_malformed_input() {
         // Truncated raw section.
         let mut buf: &[u8] = &[0u8; 15];
-        assert!(RawF64Codec.decode(&mut buf, 2, &mut Vec::new()).is_err());
+        assert!(decode_raw(&mut buf, 2, &mut Vec::new()).is_err());
+        // Truncated fixed-point section.
+        let mut buf: &[u8] = &[0u8; 7];
+        assert!(decode_fixed(&mut buf, 2, &mut Vec::new()).is_err());
         // Dict larger than the block.
         let mut bytes = Vec::new();
         varint::write_u64(&mut bytes, 100);
         let mut buf = bytes.as_slice();
-        assert!(DictF64Codec.decode(&mut buf, 3, &mut Vec::new()).is_err());
+        assert!(decode_dict(&mut buf, 3, &mut Vec::new()).is_err());
         // Empty dict for a non-empty block.
         let mut buf: &[u8] = &[0u8];
-        assert!(DictF64Codec.decode(&mut buf, 3, &mut Vec::new()).is_err());
+        assert!(decode_dict(&mut buf, 3, &mut Vec::new()).is_err());
         // Index past the dictionary.
         let mut bytes = Vec::new();
         varint::write_u64(&mut bytes, 1);
         bytes.extend_from_slice(&0.5f64.to_le_bytes());
         varint::write_u64(&mut bytes, 7); // index 7 into a 1-entry dict
         let mut buf = bytes.as_slice();
-        assert!(DictF64Codec.decode(&mut buf, 1, &mut Vec::new()).is_err());
+        assert!(decode_dict(&mut buf, 1, &mut Vec::new()).is_err());
         // Unknown tag.
-        assert!(codec_for_tag(200).is_err());
+        let mut kept = [HpEntry::new(0, sling_graph::NodeId(0), 0.0)];
+        assert!(read_values_column(200, &[], 0, 0..0, &mut kept[..0]).is_err());
     }
 }

@@ -48,7 +48,7 @@
 //! blocks:        concatenated [`crate::codec::block`] encodings — steps
 //!                run-length coded, node ids delta-varint coded per
 //!                (owner, step) run, values behind a per-block
-//!                [`crate::codec::value::SectionCodec`] tag (raw f64 /
+//!                [`crate::codec::value`] section tag (raw f64 /
 //!                dictionary, both bit-exact; or fixed-point u32 when
 //!                the exactness flag is clear)
 //! ```
@@ -1083,9 +1083,7 @@ impl SlingIndex {
             nodes,
             values,
         };
-        if !hp.validate() {
-            return Err(corrupt("hp arena fails validation"));
-        }
+        hp.validate()?;
         Ok(SlingIndex {
             config: meta.config,
             num_nodes: meta.num_nodes,

@@ -2,6 +2,8 @@
 
 use sling_graph::NodeId;
 
+use crate::error::SlingError;
+
 /// One approximate hitting probability `h̃⁽ˢᵗᵉᵖ⁾(owner, node) = value`,
 /// stored in the owner's `H(owner)` set.
 ///
@@ -39,6 +41,14 @@ impl HpEntry {
 #[inline]
 pub(crate) fn in_run_order(prev: (u16, u32), next: (u16, u32)) -> bool {
     prev < next
+}
+
+/// The error for a run of `node` that breaks [`in_run_order`], worded
+/// once so both residencies name the node and the rule alike.
+pub(crate) fn run_out_of_order(node: usize) -> SlingError {
+    SlingError::CorruptIndex(format!(
+        "the run of node {node} is not in (step, node) order"
+    ))
 }
 
 /// Packed per-node HP sets: a CSR-style arena over all nodes.
@@ -160,24 +170,23 @@ impl HpArena {
 
     /// Full structural check: parallel-array lengths agree, offsets are
     /// monotone and in bounds, and every per-node run is strictly
-    /// `(step, node)`-ordered. Used by tests and by the binary-format
-    /// decoder (a corrupted file must never yield an arena that panics
-    /// at query time).
-    pub fn validate(&self) -> bool {
+    /// `(step, node)`-ordered; the error names the first violation (for
+    /// a run, its node, in the words the mapped backend uses). Used by
+    /// tests and by the binary-format decoder (a corrupted file must
+    /// never yield an arena that panics at query time).
+    pub fn validate(&self) -> Result<(), SlingError> {
+        let corrupt = |what: &str| Err(SlingError::CorruptIndex(format!("hp arena {what}")));
         if self.steps.len() != self.nodes.len() || self.steps.len() != self.values.len() {
-            return false;
+            return corrupt("columns differ in length");
         }
         if self.offsets.first() != Some(&0)
             || *self.offsets.last().unwrap_or(&0) as usize != self.steps.len()
+            || self
+                .offsets
+                .windows(2)
+                .any(|w| w[0] > w[1] || w[1] as usize > self.steps.len())
         {
-            return false;
-        }
-        if self
-            .offsets
-            .windows(2)
-            .any(|w| w[0] > w[1] || w[1] as usize > self.steps.len())
-        {
-            return false;
+            return corrupt("offsets do not partition its entries");
         }
         for v in 0..self.num_nodes() {
             let r = self.range(NodeId::from_index(v));
@@ -186,11 +195,11 @@ impl HpArena {
                     (self.steps[i - 1], self.nodes[i - 1]),
                     (self.steps[i], self.nodes[i]),
                 ) {
-                    return false;
+                    return Err(run_out_of_order(v));
                 }
             }
         }
-        true
+        Ok(())
     }
 }
 
@@ -219,7 +228,7 @@ mod tests {
         assert_eq!(a.len_of(NodeId(0)), 2);
         assert_eq!(a.len_of(NodeId(1)), 0);
         assert_eq!(a.len_of(NodeId(2)), 1);
-        assert!(a.validate());
+        a.validate().unwrap();
     }
 
     #[test]
@@ -260,7 +269,7 @@ mod tests {
         assert_eq!(a.num_nodes(), 4);
         assert_eq!(a.len_of(NodeId(0)), 0);
         assert_eq!(a.len_of(NodeId(3)), 0);
-        assert!(a.validate());
+        a.validate().unwrap();
     }
 
     #[test]
@@ -268,7 +277,10 @@ mod tests {
         let mut a = arena();
         a.nodes.swap(0, 1); // break (step,node) order within node 0
         a.steps.swap(0, 1);
-        assert!(!a.validate());
+        assert_eq!(
+            a.validate().unwrap_err().to_string(),
+            "corrupt index data: the run of node 0 is not in (step, node) order"
+        );
     }
 
     #[test]

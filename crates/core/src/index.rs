@@ -371,7 +371,7 @@ mod tests {
             let idx = SlingIndex::build(&g, &cfg(0.05)).unwrap();
             assert_eq!(idx.num_nodes(), g.num_nodes());
             assert_eq!(idx.correction_factors().len(), g.num_nodes());
-            assert!(idx.hp.validate());
+            idx.hp.validate().unwrap();
         }
     }
 

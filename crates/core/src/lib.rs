@@ -92,7 +92,7 @@
 //! `SLNGIDX2` stores it as independently decodable compressed blocks
 //! (the [`codec`] subsystem — delta-varint node ids per `(owner, step)`
 //! run, run-length-coded steps, dictionary or fixed-point values behind
-//! the [`codec::value::SectionCodec`] trait). `SLNGIDX3` extends the
+//! a per-block [`codec::value`] section tag). `SLNGIDX3` extends the
 //! block format with cross-block value compression: a file-global hub
 //! dictionary for the values repeated across many owners, split
 //! sign/exponent/mantissa planes for the residual f64s, and a

@@ -501,35 +501,21 @@ impl GenerationStore {
         ranked.into_iter().map(|(pair, _)| pair).collect()
     }
 
-    /// Load a generation's co-located graph snapshot, verifying it
-    /// against the manifest fingerprint.
+    /// Decode a generation's co-located graph snapshot, if one was
+    /// published. The snapshot's size and checksum are the manifest's
+    /// to check ([`GenerationStore::manifest`],
+    /// [`GenerationStore::verify`]); whether it is the graph the index
+    /// was built for is checked once, by whatever opens the index
+    /// against it (every `SharedEngine` and `SlingIndex` opener compares
+    /// the index header's `(n, m)` with the graph).
     pub fn load_graph(&self, gen: GenId) -> Result<Option<DiGraph>, SlingError> {
-        let manifest = self.manifest(gen)?;
-        self.load_graph_with(gen, &manifest)
-    }
-
-    /// [`GenerationStore::load_graph`] against an already-validated
-    /// manifest, so callers holding one (the serving reload path, which
-    /// validates the manifest first anyway) do not re-read and
-    /// re-checksum it.
-    pub fn load_graph_with(
-        &self,
-        gen: GenId,
-        manifest: &Manifest,
-    ) -> Result<Option<DiGraph>, SlingError> {
         let Some(path) = self.graph_path(gen) else {
             return Ok(None);
         };
         let bytes = fs::read(path)?;
-        let graph = binfmt::from_bytes(&bytes)
-            .map_err(|e| corrupt(format!("{gen}: graph snapshot does not decode: {e}")))?;
-        if graph.num_nodes() != manifest.num_nodes || graph.num_edges() != manifest.num_edges {
-            return Err(SlingError::GraphMismatch {
-                expected_nodes: manifest.num_nodes,
-                found_nodes: graph.num_nodes(),
-            });
-        }
-        Ok(Some(graph))
+        binfmt::from_bytes(&bytes)
+            .map(Some)
+            .map_err(|e| corrupt(format!("{gen}: graph snapshot does not decode: {e}")))
     }
 }
 

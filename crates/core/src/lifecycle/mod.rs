@@ -91,7 +91,16 @@
 //! new requests pick up the promoted one, and the shared result cache's
 //! epoch advances with the swap so a hit computed against a retired
 //! index can never be served (see `ReloadableEngine` there and the
-//! epoch-tagged [`crate::ShardedResultCache`] here).
+//! epoch-tagged [`crate::ShardedResultCache`] here). A slot watching a
+//! [`GenerationStore`] opens every generation it serves — the promoted
+//! successor, or the newest verified older generation when a
+//! generation is rolled back after runtime errors — one way: check the
+//! manifest's payload sizes ([`GenerationStore::manifest`]), take the
+//! graph from the snapshot ([`GenerationStore::load_graph`]) or else
+//! the server's fallback graph, open the index (the opener checks it
+//! against the graph), and [`warm_engine`] it. A server pinned to one
+//! index file has no store, so it never reloads, quarantines or rolls
+//! back.
 //! [`crate::dynamic::DynamicSling`] closes the loop: its rebuilds can
 //! publish into a [`GenerationStore`] (and promote) instead of replacing
 //! the engine in place.

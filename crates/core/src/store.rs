@@ -54,7 +54,7 @@ use crate::config::SlingConfig;
 use crate::enhance::MarkArena;
 use crate::error::SlingError;
 use crate::format::{decode_meta, PayloadGeometry};
-use crate::hp::{in_run_order, HpArena, HpEntry};
+use crate::hp::{in_run_order, run_out_of_order, HpArena, HpEntry};
 use crate::index::{BuildStats, QueryWorkspace, SlingIndex};
 use crate::join::{threshold_join_core, JoinPair, JoinStrategy};
 use crate::obs::{self, KernelCounters};
@@ -331,10 +331,7 @@ impl HpStore for MmapHpArena {
             .all(|w| in_run_order((w[0].step, w[0].node.0), (w[1].step, w[1].node.0)))
         {
             out.clear();
-            return Err(SlingError::CorruptIndex(format!(
-                "the run of node {} is not in (step, node) order",
-                v.index()
-            )));
+            return Err(run_out_of_order(v.index()));
         }
         Ok(())
     }
@@ -1128,8 +1125,9 @@ mod tests {
     /// Two same-step entries of one node's run swapped (node ids and
     /// values), in a v1 image and in a one-entry-per-block v3 image: the
     /// eager decode refuses both files, and the mapped engine opens them
-    /// but refuses every query that reads that node, while every other
-    /// node answers bit-identically to the intact file.
+    /// but refuses every query that reads that node — both naming the
+    /// node and the rule — while every other node answers
+    /// bit-identically to the intact file.
     #[test]
     fn a_run_out_of_order_is_refused_by_both_residencies() {
         let g = barabasi_albert(120, 3, 8).unwrap();
@@ -1158,7 +1156,10 @@ mod tests {
                 idx.to_bytes_v3(&one_per_block),
             ),
         ];
-        let refused = |r: Result<(), SlingError>| matches!(r, Err(SlingError::CorruptIndex(_)));
+        // Both residencies name the node, in the same words.
+        let named = format!("the run of node {} is not in (step, node) order", bad.0);
+        let refused =
+            |r: Result<(), SlingError>| matches!(r, Err(SlingError::CorruptIndex(m)) if m == named);
         for (label, bytes, intact) in images {
             let (path, intact_path) = (
                 tmp(&format!("swap_{label}")),

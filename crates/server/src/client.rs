@@ -303,16 +303,11 @@ impl Client {
     }
 
     /// Ask the server to check for (and hot-swap to) a newer promoted
-    /// index generation. Returns the generation now being served and
-    /// whether this call swapped it in.
-    pub fn reload(&mut self) -> io::Result<(String, bool)> {
-        self.reload_with(false)
-    }
-
-    /// [`Client::reload`] with an optional `FORCE`: lifting a corrupt
-    /// generation's quarantine before swapping (see the crate docs on
-    /// rollback).
-    pub fn reload_with(&mut self, force: bool) -> io::Result<(String, bool)> {
+    /// index generation; `force` (`RELOAD FORCE`) swaps to it even when
+    /// it is quarantined, lifting the quarantine (see the crate docs on
+    /// rollback). Returns the generation now being served and whether
+    /// this call swapped it in.
+    pub fn reload(&mut self, force: bool) -> io::Result<(String, bool)> {
         let payload = self.roundtrip(&Request::Reload { force }.encode())?;
         let mut generation = None;
         let mut swapped = None;

@@ -27,7 +27,8 @@
 //!   backend that issues `madvise(WILLNEED)` for the entry byte ranges,
 //!   so cold out-of-core queries fault their pages in one batch.
 //! * **Hot generation reload.** The engine lives in an epoch-tagged
-//!   [`ReloadableEngine`] slot wired (optionally) to a
+//!   [`ReloadableEngine`] slot. A slot built by
+//!   [`ReloadableEngine::watching_store`] is driven by its
 //!   [`sling_core::lifecycle::GenerationStore`]: promoting a new index
 //!   generation (`sling promote`) and issuing `RELOAD` — or running the
 //!   server with a watch interval — hot-swaps engines under live
@@ -35,8 +36,10 @@
 //!   on, the next request per worker picks up the new one (one atomic
 //!   compare on the hot path), and the result cache's epoch advances
 //!   with the swap so a hit computed against a retired index is never
-//!   served. Freshly opened generations are warmed from the store's
-//!   hot-key log before taking traffic.
+//!   served. Every generation the slot opens — promoted or rolled back
+//!   to — is opened the same way and warmed from the store's hot-key
+//!   log before taking traffic. The slot [`serve`] pins one engine in
+//!   has no store: `RELOAD` answers `swapped=false`.
 //! * **Nonblocking readiness loops, not blocking sessions.** The
 //!   acceptor distributes incoming connections round-robin across the
 //!   worker event loops (past [`ServerConfig::max_connections`] it
@@ -209,11 +212,13 @@
 //! (`SLING_FAULTS` or `sling serve --faults`) drives the chaos suite in
 //! `tests/chaos.rs`; with no schedule installed every checkpoint is a
 //! single relaxed atomic load. Runtime `CorruptIndex` / IO errors
-//! observed while serving count against the live generation; at
-//! [`ServerConfig::rollback_error_threshold`] the generation is
-//! quarantined and the server rolls back to the newest verified prior
-//! generation (`sling_rollbacks_total`), refusing to re-promote the
-//! quarantined one until `RELOAD FORCE`.
+//! observed while serving count against the live generation
+//! (`runtime_errors`); at [`ServerConfig::rollback_error_threshold`] a
+//! server watching a generation store quarantines the generation and
+//! rolls back to the newest verified prior generation
+//! (`sling_rollbacks_total`), refusing to re-promote the quarantined one
+//! until `RELOAD FORCE`. A pinned server only counts: with no store it
+//! has nothing to quarantine, reload or roll back to.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

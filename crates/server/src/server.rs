@@ -34,11 +34,16 @@
 //! shared result cache's epoch *in the same critical section*, and every
 //! insert is tagged with the epoch of the generation that computed it,
 //! so a hit computed against a retired index can never be served (see
-//! [`ShardedResultCache`]). Swaps are driven by the `RELOAD` protocol
-//! verb or the periodic `CURRENT`-staleness watcher
-//! ([`ServerConfig::watch_interval_ms`]), both of which consult the
-//! [`ReloadableEngine`]'s generation opener (typically wired to a
-//! [`sling_core::lifecycle::GenerationStore`]).
+//! [`ShardedResultCache`]). A slot built by
+//! [`ReloadableEngine::watching_store`] drives hot reload from its
+//! [`GenerationStore`]: the `RELOAD` protocol verb and the periodic
+//! `CURRENT`-staleness watcher ([`ServerConfig::watch_interval_ms`])
+//! swap in the promoted generation, and a generation whose runtime
+//! errors reach [`ServerConfig::rollback_error_threshold`] is
+//! quarantined and rolled back to the newest verified older one — each
+//! opened, fingerprint-checked and warmed the same way. A pinned server
+//! ([`serve`]) has no store: it charges runtime errors to its one
+//! generation but never quarantines it.
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
@@ -48,7 +53,7 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -130,8 +135,9 @@ pub struct ServerConfig {
     /// [`ShardedResultCache::DEFAULT_SHARDS`].
     pub cache_shards: usize,
     /// Period of the `CURRENT`-staleness watcher in milliseconds; `0`
-    /// disables it. Only meaningful for [`serve_reloadable`] with a
-    /// generation opener — swaps can still be driven explicitly with the
+    /// disables it. Only meaningful for a slot built by
+    /// [`ReloadableEngine::watching_store`] — a pinned server has no
+    /// store to watch. Swaps can still be driven explicitly with the
     /// `RELOAD` verb either way.
     pub watch_interval_ms: u64,
     /// Maximum simultaneously open client connections; past the cap the
@@ -153,8 +159,10 @@ pub struct ServerConfig {
     /// disables the byte trigger.
     pub shed_pending_bytes: usize,
     /// Runtime `CorruptIndex`/IO errors tolerated per generation before
-    /// the [`ReloadableEngine`] quarantines it and auto-rolls back to
-    /// the newest verified prior generation. `0` disables rollback.
+    /// a slot built by [`ReloadableEngine::watching_store`] quarantines
+    /// it and rolls back to the newest verified prior generation. `0`
+    /// disables rollback. A pinned server counts the errors
+    /// (`runtime_errors`) but never quarantines.
     pub rollback_error_threshold: u64,
     /// Capture served traffic to this `SLNGTRACE` file (the CLI's
     /// `serve --record FILE`). Enables the recorder ring, the writer
@@ -258,7 +266,7 @@ pub struct EngineGeneration<S: HpStore> {
 
 impl<S: HpStore> EngineGeneration<S> {
     /// Package an engine + graph as a generation named `name`.
-    pub fn new(engine: Arc<SharedEngine<S>>, graph: Arc<DiGraph>, name: impl Into<String>) -> Self {
+    fn new(engine: Arc<SharedEngine<S>>, graph: Arc<DiGraph>, name: impl Into<String>) -> Self {
         EngineGeneration {
             engine,
             graph,
@@ -295,21 +303,72 @@ impl<S: HpStore> EngineGeneration<S> {
     }
 }
 
-/// Produces the next generation when the promoted one changes: given the
-/// name of the generation currently being served, return `Ok(Some(..))`
-/// with a fully opened (and warmed) successor, `Ok(None)` when nothing
-/// newer is promoted. Runs on watcher or `RELOAD`-handling threads, so
-/// it may block on IO.
-pub type GenerationOpener<S> =
-    Box<dyn Fn(&str) -> io::Result<Option<EngineGeneration<S>>> + Send + Sync>;
+/// Opens an index file against a graph — one line per storage backend.
+type IndexOpener<S> = dyn Fn(&DiGraph, &Path) -> Result<SharedEngine<S>, SlingError> + Send + Sync;
 
-/// Produces the rollback target when a serving generation is
-/// quarantined: given the quarantined generation's name and the full
-/// quarantine set, open the newest verified *prior* generation that is
-/// not itself quarantined. `Ok(None)` means there is nowhere to roll
-/// back to (the old generation keeps serving, errors and all).
-type RollbackOpener<S> =
-    Box<dyn Fn(&str, &HashSet<String>) -> io::Result<Option<EngineGeneration<S>>> + Send + Sync>;
+/// Where a watching slot's generations come from: the store, the graph
+/// for generations published without a snapshot, and the caller's
+/// opener. [`GenerationSource::open`] serves the promoted successor and
+/// the rollback target alike.
+struct GenerationSource<S: HpStore> {
+    store: GenerationStore,
+    fallback_graph: Option<Arc<DiGraph>>,
+    open: Box<IndexOpener<S>>,
+}
+
+impl<S: HpStore> GenerationSource<S> {
+    /// Open one generation: check the manifest's payload sizes, take the
+    /// graph from the generation's snapshot or else the fallback, open
+    /// the index through the caller's opener — whose
+    /// `DecodedMeta::check_graph` is the one graph fingerprint check —
+    /// and warm the engine from the hot-key log before it takes traffic.
+    fn open(&self, gen: GenId) -> io::Result<EngineGeneration<S>> {
+        self.store.manifest(gen).map_err(io::Error::other)?;
+        let graph = match self.store.load_graph(gen).map_err(io::Error::other)? {
+            Some(snapshot) => Arc::new(snapshot),
+            None => self.fallback_graph.clone().ok_or_else(|| {
+                io::Error::other(format!(
+                    "{gen} has no graph snapshot and no fallback graph was provided"
+                ))
+            })?,
+        };
+        let engine = (self.open)(&graph, &self.store.index_path(gen))
+            .map_err(|e| io::Error::other(format!("{gen}: {e}")))?;
+        // Warm-up failures must never block a promotion, so an empty or
+        // stale key list is fine.
+        warm_engine(&engine, &graph, &self.store.read_hot_keys());
+        Ok(EngineGeneration::new(
+            Arc::new(engine),
+            graph,
+            gen.dir_name(),
+        ))
+    }
+
+    /// The promoted generation, unless it is `serving` (or the `CURRENT`
+    /// pointer vanished — keep serving then).
+    fn promoted(&self, serving: &str) -> io::Result<Option<GenId>> {
+        let promoted = self.store.current().map_err(io::Error::other)?;
+        Ok(promoted.filter(|gen| gen.dir_name() != serving))
+    }
+
+    /// The rollback target for `bad`: the newest generation strictly
+    /// older than it that is not quarantined and passes full payload
+    /// verification — never trade one corrupt index for another.
+    fn rollback_target(
+        &self,
+        bad: &str,
+        quarantined: &HashSet<String>,
+    ) -> io::Result<Option<GenId>> {
+        let bad_id = GenId::parse(bad);
+        let mut gens = self.store.list().map_err(io::Error::other)?;
+        gens.sort_unstable();
+        Ok(gens.into_iter().rev().find(|&gen| {
+            bad_id.is_none_or(|b| gen < b)
+                && !quarantined.contains(&gen.dir_name())
+                && self.store.verify(gen).is_ok()
+        }))
+    }
+}
 
 /// Epoch-tagged hot-swap slot for the serving engine.
 ///
@@ -317,34 +376,38 @@ type RollbackOpener<S> =
 /// `RwLock` read just long enough to clone the generation `Arc`; the
 /// worker hot path avoids even that by caching the `Arc` and comparing
 /// one relaxed-cost atomic epoch load per request. Swapping
-/// ([`ReloadableEngine::try_reload`]) verifies-and-opens the new
-/// generation *outside* any lock, then publishes it and advances the
-/// shared result cache's epoch inside the write critical section — the
-/// ordering that makes "a swap can never serve a hit computed against a
-/// retired index" hold (see [`ShardedResultCache`]).
+/// ([`ReloadableEngine::try_reload`]) opens the new generation *outside*
+/// the slot lock, then publishes it and advances the shared result
+/// cache's epoch inside the write critical section — the ordering that
+/// makes "a swap can never serve a hit computed against a retired index"
+/// hold (see [`ShardedResultCache`]).
+///
+/// A slot built by [`ReloadableEngine::watching_store`] opens every
+/// generation — the promoted successor and the rollback target — from
+/// its generation store. The pinned slot [`serve`] wraps an engine in
+/// has no store: it charges runtime errors to its one generation but
+/// never quarantines it, reloads or rolls back.
 pub struct ReloadableEngine<S: HpStore> {
     slot: RwLock<Arc<EngineGeneration<S>>>,
     /// Epoch of the generation currently in `slot` (bumped on swap).
     epoch: AtomicU64,
     swaps: AtomicU64,
     last_swap_unix_ms: AtomicU64,
-    /// Reload attempts whose opener failed (the old generation kept
+    /// Reloads and rollbacks that failed (the old generation kept
     /// serving). Surfaced through `STATS` and `METRICS` so a permanently
     /// failing promotion is diagnosable even under `--watch`.
     reload_failures: AtomicU64,
-    opener: Option<GenerationOpener<S>>,
-    /// Opens the newest verified prior generation on rollback (set by
-    /// [`ReloadableEngine::watching_store`]; `None` for pinned slots,
-    /// which have nowhere to roll back to).
-    rollback_opener: Option<RollbackOpener<S>>,
+    /// Where generations open from; `None` for a pinned slot.
+    source: Option<GenerationSource<S>>,
     /// Generations quarantined after crossing the runtime-error
     /// threshold. A quarantined generation is refused by
     /// [`ReloadableEngine::try_reload`] until `RELOAD FORCE` lifts it.
     quarantined: Mutex<HashSet<String>>,
     /// Completed corrupt-generation rollbacks.
     rollbacks: AtomicU64,
-    /// Serializes [`ReloadableEngine::try_reload`] so concurrent callers
-    /// (watcher + `RELOAD`) cannot double-open one generation.
+    /// Serializes reloads and rollbacks, so concurrent callers (watcher,
+    /// `RELOAD`, a worker crossing the error threshold) cannot
+    /// double-open one generation.
     reload_lock: Mutex<()>,
 }
 
@@ -359,24 +422,18 @@ impl<S: HpStore> ReloadableEngine<S> {
     /// A slot pinned to one generation forever — what [`serve`] wraps a
     /// plain engine in. `RELOAD` reports `swapped=false` and the watcher
     /// never starts.
-    pub fn pinned(engine: Arc<SharedEngine<S>>, graph: Arc<DiGraph>) -> Self {
-        Self::with_opener(EngineGeneration::new(engine, graph, "static"), None)
+    fn pinned(engine: Arc<SharedEngine<S>>, graph: Arc<DiGraph>) -> Self {
+        Self::with_source(EngineGeneration::new(engine, graph, "static"), None)
     }
 
-    /// A slot starting at `initial` whose successors come from `opener`.
-    pub fn new(initial: EngineGeneration<S>, opener: GenerationOpener<S>) -> Self {
-        Self::with_opener(initial, Some(opener))
-    }
-
-    fn with_opener(initial: EngineGeneration<S>, opener: Option<GenerationOpener<S>>) -> Self {
+    fn with_source(initial: EngineGeneration<S>, source: Option<GenerationSource<S>>) -> Self {
         ReloadableEngine {
             epoch: AtomicU64::new(initial.epoch),
             slot: RwLock::new(Arc::new(initial)),
             swaps: AtomicU64::new(0),
             last_swap_unix_ms: AtomicU64::new(0),
             reload_failures: AtomicU64::new(0),
-            opener,
-            rollback_opener: None,
+            source,
             quarantined: Mutex::new(HashSet::new()),
             rollbacks: AtomicU64::new(0),
             reload_lock: Mutex::new(()),
@@ -386,11 +443,11 @@ impl<S: HpStore> ReloadableEngine<S> {
     /// Watch a [`GenerationStore`]: open its promoted generation now
     /// (erroring when nothing is promoted) and reload whenever `CURRENT`
     /// moves. `open` maps a graph + index path to an engine — one line
-    /// per storage backend. Each generation's graph comes from its
-    /// co-located snapshot when present, else from `fallback_graph`
-    /// (fingerprint-checked against the manifest either way), and each
-    /// freshly opened engine is warmed from the store's hot-key log
-    /// before it starts serving.
+    /// per storage backend — and checks the index against the graph.
+    /// Each generation's graph comes from its co-located snapshot when
+    /// present, else from `fallback_graph`, and each freshly opened
+    /// engine is warmed from the store's hot-key log before it starts
+    /// serving.
     pub fn watching_store<F>(
         store: GenerationStore,
         fallback_graph: Option<Arc<DiGraph>>,
@@ -406,52 +463,13 @@ impl<S: HpStore> ReloadableEngine<S> {
                 store.root().display()
             ))
         })?;
-        let initial = open_store_generation(&store, &fallback_graph, &open, current)?;
-        // The store and the open closure feed both the forward opener
-        // (promotion watching) and the rollback opener, so share them.
-        let store = Arc::new(store);
-        let fallback_graph = Arc::new(fallback_graph);
-        let open = Arc::new(open);
-        let opener: GenerationOpener<S> = {
-            let (store, fallback_graph, open) = (
-                Arc::clone(&store),
-                Arc::clone(&fallback_graph),
-                Arc::clone(&open),
-            );
-            Box::new(move |serving: &str| {
-                let Some(promoted) = store.current().map_err(io::Error::other)? else {
-                    return Ok(None); // pointer vanished: keep serving
-                };
-                if promoted.dir_name() == serving {
-                    return Ok(None);
-                }
-                open_store_generation(&store, &fallback_graph, open.as_ref(), promoted).map(Some)
-            })
+        let source = GenerationSource {
+            store,
+            fallback_graph,
+            open: Box::new(open),
         };
-        // Rollback target: the newest generation strictly older than the
-        // quarantined one that is not itself quarantined and passes full
-        // payload verification — never trade one corrupt index for
-        // another.
-        let rollback: RollbackOpener<S> =
-            Box::new(move |bad: &str, quarantined: &HashSet<String>| {
-                let bad_id = GenId::parse(bad);
-                let mut gens = store.list().map_err(io::Error::other)?;
-                gens.sort_unstable();
-                for gen in gens.into_iter().rev() {
-                    if bad_id.is_some_and(|b| gen >= b) || quarantined.contains(&gen.dir_name()) {
-                        continue;
-                    }
-                    if store.verify(gen).is_err() {
-                        continue;
-                    }
-                    return open_store_generation(&store, &fallback_graph, open.as_ref(), gen)
-                        .map(Some);
-                }
-                Ok(None)
-            });
-        let mut slot = Self::new(initial, opener);
-        slot.rollback_opener = Some(rollback);
-        Ok(slot)
+        let initial = source.open(current)?;
+        Ok(Self::with_source(initial, Some(source)))
     }
 
     /// The generation currently being served.
@@ -470,7 +488,7 @@ impl<S: HpStore> ReloadableEngine<S> {
     /// section, and record swap accounting. In-flight requests finish on
     /// the generation `Arc` they hold; the old generation is dropped
     /// when its last request completes.
-    pub fn swap(&self, next: EngineGeneration<S>, cache: Option<&ShardedResultCache>) {
+    fn swap(&self, next: EngineGeneration<S>, cache: Option<&ShardedResultCache>) {
         let mut slot = self.slot.write().unwrap_or_else(|e| e.into_inner());
         let epoch = self.epoch.load(Ordering::Acquire) + 1;
         let mut next = next;
@@ -487,10 +505,18 @@ impl<S: HpStore> ReloadableEngine<S> {
             .store(unix_ms_now(), Ordering::Relaxed);
     }
 
-    /// Consult the generation opener and swap if a newer generation is
-    /// promoted. Returns whether a swap happened; `Ok(false)` for pinned
-    /// slots. Serialized internally — concurrent callers (watcher +
-    /// `RELOAD`) cannot double-open one generation.
+    fn quarantined(&self) -> MutexGuard<'_, HashSet<String>> {
+        self.quarantined.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Swap to the store's promoted generation if it is not the one
+    /// being served. Returns whether a swap happened; `Ok(false)` for
+    /// pinned slots. A quarantined promotion is refused (`Ok(false)`,
+    /// the rolled-back-to generation keeps serving) unless `force`
+    /// (`RELOAD FORCE`) lifts its quarantine, so the watcher cannot
+    /// re-promote an index that was quarantined at runtime. A failed
+    /// open counts in `reload_failures` and leaves the old generation
+    /// serving.
     ///
     /// **Synchronous by design**: the open, verification, and warm-up
     /// run on the calling thread, so a `RELOAD` verb answers with the
@@ -500,39 +526,23 @@ impl<S: HpStore> ReloadableEngine<S> {
     /// performs the same load on its own thread while every worker
     /// keeps serving; workers then pick the new generation up with one
     /// atomic compare.
-    pub fn try_reload(&self, cache: Option<&ShardedResultCache>) -> io::Result<bool> {
-        self.try_reload_with(cache, false)
-    }
-
-    /// [`ReloadableEngine::try_reload`], optionally lifting the opened
-    /// generation's quarantine first (`RELOAD FORCE`). Without `force`,
-    /// a promoted-but-quarantined generation is refused — `Ok(false)`,
-    /// the rolled-back-to generation keeps serving — so the watcher
-    /// cannot re-promote an index that was quarantined at runtime.
-    pub fn try_reload_with(
-        &self,
-        cache: Option<&ShardedResultCache>,
-        force: bool,
-    ) -> io::Result<bool> {
-        let Some(opener) = &self.opener else {
+    pub fn try_reload(&self, cache: Option<&ShardedResultCache>, force: bool) -> io::Result<bool> {
+        let Some(source) = &self.source else {
             return Ok(false);
         };
-        // The slot read is brief; the open runs outside the slot lock. A
-        // racing second reload would re-open the same generation and
-        // swap it in twice — harmless but wasteful, so serialize opens.
         let _serialized = self.reload_lock.lock().unwrap_or_else(|e| e.into_inner());
         let serving = self.current().name.clone();
-        match opener(&serving) {
-            Ok(Some(next)) => {
-                {
-                    let mut quarantined =
-                        self.quarantined.lock().unwrap_or_else(|e| e.into_inner());
-                    if force {
-                        quarantined.remove(next.name());
-                    } else if quarantined.contains(next.name()) {
-                        return Ok(false);
-                    }
+        let next = source
+            .promoted(&serving)
+            .and_then(|promoted| match promoted {
+                Some(gen) if force || !self.quarantined().contains(&gen.dir_name()) => {
+                    source.open(gen).map(Some)
                 }
+                _ => Ok(None),
+            });
+        match next {
+            Ok(Some(next)) => {
+                self.quarantined().remove(next.name());
                 self.swap(next, cache);
                 Ok(true)
             }
@@ -544,125 +554,68 @@ impl<S: HpStore> ReloadableEngine<S> {
         }
     }
 
-    /// Charge one runtime `CorruptIndex`/IO error to `gen`. Crossing
-    /// `threshold` (exactly once per generation — the thread whose
-    /// increment lands on the threshold wins) quarantines the
-    /// generation and rolls back to the newest verified prior
-    /// generation. Returns `true` when this call performed a rollback.
-    pub fn note_runtime_error(
+    /// Charge one runtime `CorruptIndex`/IO error to `gen`. On a slot
+    /// with a store, crossing `threshold` (exactly once per generation —
+    /// the thread whose increment lands on the threshold wins)
+    /// quarantines the generation and rolls back to the newest verified
+    /// prior generation; a failed rollback counts in `reload_failures`.
+    /// A pinned slot only counts: it has nothing to roll back to.
+    fn note_runtime_error(
         &self,
         gen: &EngineGeneration<S>,
         threshold: u64,
         cache: Option<&ShardedResultCache>,
-    ) -> bool {
+    ) {
         let count = gen.runtime_errors.fetch_add(1, Ordering::Relaxed) + 1;
+        let Some(source) = &self.source else {
+            return;
+        };
         if threshold == 0 || count != threshold {
-            return false;
+            return;
         }
-        match self.quarantine_and_rollback(&gen.name, cache) {
-            Ok(rolled) => rolled,
-            Err(e) => {
-                eprintln!("sling-server: rollback from {} failed: {e}", gen.name);
-                self.reload_failures.fetch_add(1, Ordering::Relaxed);
-                false
-            }
+        if let Err(e) = self.quarantine_and_rollback(source, &gen.name, cache) {
+            eprintln!("sling-server: rollback from {} failed: {e}", gen.name);
+            self.reload_failures.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Quarantine generation `bad` and, when it is still the one being
-    /// served and a verified prior generation exists, swap that prior
-    /// generation in. Runs synchronously on the calling worker (like
-    /// `RELOAD`); the quarantine is deliberately serving-side only —
-    /// the on-disk `CURRENT` pointer is left untouched, and
-    /// [`ReloadableEngine::try_reload`] refuses the quarantined name
-    /// until `RELOAD FORCE`.
+    /// served, swap in the rollback target. Runs synchronously on the
+    /// calling worker (like `RELOAD`); the quarantine is deliberately
+    /// serving-side only — the on-disk `CURRENT` pointer is left
+    /// untouched, and [`ReloadableEngine::try_reload`] refuses the
+    /// quarantined name until `RELOAD FORCE`.
     fn quarantine_and_rollback(
         &self,
+        source: &GenerationSource<S>,
         bad: &str,
         cache: Option<&ShardedResultCache>,
-    ) -> io::Result<bool> {
+    ) -> io::Result<()> {
         let _serialized = self.reload_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let quarantine_snapshot = {
-            let mut quarantined = self.quarantined.lock().unwrap_or_else(|e| e.into_inner());
+        let quarantined = {
+            let mut quarantined = self.quarantined();
             quarantined.insert(bad.to_string());
             quarantined.clone()
         };
         if self.current().name != bad {
             // A swap already replaced the bad generation (watcher race);
             // the quarantine above still blocks its re-promotion.
-            return Ok(false);
+            return Ok(());
         }
-        let Some(rollback) = &self.rollback_opener else {
+        let Some(target) = source.rollback_target(bad, &quarantined)? else {
             return Err(io::Error::other(format!(
-                "{bad} quarantined but this slot has no rollback opener"
+                "{bad} quarantined but no verified prior generation exists"
             )));
         };
-        match rollback(bad, &quarantine_snapshot)? {
-            Some(prior) => {
-                eprintln!(
-                    "sling-server: quarantined {bad} after runtime errors; rolling back to {}",
-                    prior.name
-                );
-                self.swap(prior, cache);
-                self.rollbacks.fetch_add(1, Ordering::Relaxed);
-                Ok(true)
-            }
-            None => Err(io::Error::other(format!(
-                "{bad} quarantined but no verified prior generation exists"
-            ))),
-        }
+        let prior = source.open(target)?;
+        eprintln!(
+            "sling-server: quarantined {bad} after runtime errors; rolling back to {}",
+            prior.name
+        );
+        self.swap(prior, cache);
+        self.rollbacks.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
-}
-
-/// Open, fingerprint-check, and warm one generation from a store.
-fn open_store_generation<S, F>(
-    store: &GenerationStore,
-    fallback_graph: &Option<Arc<DiGraph>>,
-    open: &F,
-    gen: sling_core::lifecycle::GenId,
-) -> io::Result<EngineGeneration<S>>
-where
-    S: HpStore,
-    F: Fn(&DiGraph, &Path) -> Result<SharedEngine<S>, SlingError>,
-{
-    let manifest = store.manifest(gen).map_err(io::Error::other)?;
-    let graph: Arc<DiGraph> = match store
-        .load_graph_with(gen, &manifest)
-        .map_err(io::Error::other)?
-    {
-        Some(snapshot) => Arc::new(snapshot),
-        None => {
-            let fallback = fallback_graph.clone().ok_or_else(|| {
-                io::Error::other(format!(
-                    "{gen} has no graph snapshot and no fallback graph was provided"
-                ))
-            })?;
-            if fallback.num_nodes() != manifest.num_nodes
-                || fallback.num_edges() != manifest.num_edges
-            {
-                return Err(io::Error::other(format!(
-                    "{gen} was built for a graph with {} nodes / {} edges; the fallback \
-                     graph has {} / {}",
-                    manifest.num_nodes,
-                    manifest.num_edges,
-                    fallback.num_nodes(),
-                    fallback.num_edges()
-                )));
-            }
-            fallback
-        }
-    };
-    let engine = open(&graph, &store.index_path(gen)).map_err(io::Error::other)?;
-    // Prime the caches from the replayable hot-key log before the
-    // generation takes traffic; warm-up failures must never block a
-    // promotion, so the key list being empty or stale is fine.
-    let hot = store.read_hot_keys();
-    warm_engine(&engine, &graph, &hot);
-    Ok(EngineGeneration::new(
-        Arc::new(engine),
-        graph,
-        gen.dir_name(),
-    ))
 }
 
 /// An accepted client socket, TCP or Unix-domain, in nonblocking mode.
@@ -939,7 +892,7 @@ fn register_live_metrics<S>(
     );
     slot_counter(
         "sling_index_reload_failures_total",
-        "reload attempts whose opener failed",
+        "reloads and rollbacks that failed (the old generation kept serving)",
         |r| r.reload_failures.load(Ordering::Relaxed),
     );
     slot_counter(
@@ -964,12 +917,7 @@ fn register_live_metrics<S>(
     slot_gauge(
         "sling_index_quarantined",
         "generations quarantined until RELOAD FORCE",
-        |r| {
-            r.quarantined
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .len() as u64
-        },
+        |r| r.quarantined().len() as u64,
     );
     slot_gauge(
         "sling_index_runtime_errors",
@@ -1189,7 +1137,7 @@ where
 ///
 /// Spawns `config.workers` worker threads (thread-per-core by default),
 /// each owning one query workspace, plus one acceptor thread — and,
-/// when the slot has a generation opener and
+/// when the slot watches a generation store and
 /// [`ServerConfig::watch_interval_ms`] is nonzero, a watcher thread that
 /// periodically checks for a newer promoted generation and hot-swaps it
 /// under live traffic. The engine and graph are shared immutably; the
@@ -1356,7 +1304,7 @@ where
                 })?,
         );
     }
-    if config.watch_interval_ms > 0 && reloadable.opener.is_some() {
+    if config.watch_interval_ms > 0 && reloadable.source.is_some() {
         let control = Arc::clone(&control);
         let watched = Arc::clone(&reloadable);
         let interval = Duration::from_millis(config.watch_interval_ms);
@@ -1392,7 +1340,7 @@ fn watch_loop<S: HpStore>(reloadable: &ReloadableEngine<S>, control: &Control, i
         since_check += slice;
         if since_check >= interval {
             since_check = Duration::ZERO;
-            match reloadable.try_reload(control.cache.as_ref()) {
+            match reloadable.try_reload(control.cache.as_ref(), false) {
                 Ok(_) => failing = false,
                 Err(e) => {
                     // One stderr line per failure streak (not per tick):
@@ -2173,9 +2121,9 @@ enum Outcome<'a> {
 /// queries that actually exercised it) and — at or above the threshold
 /// — the slow-query log. A failed key charges storage-layer errors
 /// (`CorruptIndex`/IO — the signatures of an index rotting *after*
-/// promotion) to its generation; crossing the configured threshold
-/// quarantines the generation and rolls back (see
-/// [`ReloadableEngine::note_runtime_error`]).
+/// promotion) to its generation; on a slot with a generation store,
+/// crossing the configured threshold quarantines the generation and
+/// rolls back (see [`ReloadableEngine::note_runtime_error`]).
 fn record_key<S: HpStore>(
     reloadable: &ReloadableEngine<S>,
     control: &Control,
@@ -2322,21 +2270,19 @@ fn handle_admin<S: HpStore>(
             out.push_str("OK shutting-down");
             return Action::Shutdown;
         }
-        Request::Reload { force } => {
-            match reloadable.try_reload_with(control.cache.as_ref(), force) {
-                Ok(swapped) => {
-                    let _ = write!(
-                        out,
-                        "OK generation={} epoch={} swapped={swapped}",
-                        reloadable.current().name,
-                        reloadable.epoch()
-                    );
-                }
-                Err(e) => {
-                    let _ = write!(out, "ERR reload failed: {e}");
-                }
+        Request::Reload { force } => match reloadable.try_reload(control.cache.as_ref(), force) {
+            Ok(swapped) => {
+                let _ = write!(
+                    out,
+                    "OK generation={} epoch={} swapped={swapped}",
+                    reloadable.current().name,
+                    reloadable.epoch()
+                );
             }
-        }
+            Err(e) => {
+                let _ = write!(out, "ERR reload failed: {e}");
+            }
+        },
         Request::Stats => {
             out.push_str("OK ");
             render_stats(&ctx.metrics, control, &gen.name, out);

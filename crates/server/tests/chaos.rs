@@ -394,7 +394,7 @@ fn corrupt_generation_rolls_back_and_quarantines() {
 
     // CURRENT still points at the quarantined generation; a plain
     // RELOAD must refuse to walk back into it.
-    let (serving, swapped) = client.reload().unwrap();
+    let (serving, swapped) = client.reload(false).unwrap();
     assert!(
         !swapped,
         "plain RELOAD re-promoted a quarantined generation"
@@ -404,7 +404,7 @@ fn corrupt_generation_rolls_back_and_quarantines() {
     // RELOAD FORCE lifts the quarantine; the re-verified on-disk bytes
     // are pristine (the corruption was injected at validation), so the
     // server swaps forward again and serves gen-0002 cleanly.
-    let (serving, swapped) = client.reload_with(true).unwrap();
+    let (serving, swapped) = client.reload(true).unwrap();
     assert!(swapped, "RELOAD FORCE did not lift the quarantine");
     assert_eq!(serving, gen2.dir_name());
     assert_eq!(client.pair(u, v).unwrap().to_bits(), score_b.to_bits());
@@ -414,6 +414,59 @@ fn corrupt_generation_rolls_back_and_quarantines() {
     let served: u64 = stats_field(&report, "served").unwrap().parse().unwrap();
     assert!(served > 0, "{report}");
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// A pinned server has no generation store: runtime errors past the
+/// rollback threshold are charged to `runtime_errors`, but there is
+/// nothing to quarantine, reload or roll back to, so none of those
+/// counts move and the generation keeps serving once the faults stop.
+#[test]
+fn pinned_server_charges_runtime_errors_but_never_quarantines() {
+    let _lock = chaos_lock();
+    let g = fixture();
+    let idx = build(&g, 7);
+    let want = idx.single_pair(&g, NodeId(0), NodeId(1));
+    let path = tmp_root("pinned_mmap").with_extension("slng");
+    idx.save(&path).unwrap();
+    let handle = serve(
+        Arc::new(mmap_opener(&g, &path).unwrap()),
+        Arc::new(g),
+        Listener::bind_tcp("127.0.0.1:0").unwrap(),
+        ServerConfig {
+            workers: 1,
+            cache_capacity: 64,
+            cache_shards: 1,
+            rollback_error_threshold: 3,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect_tcp(handle.local_addr().unwrap()).unwrap();
+
+    // Ten distinct uncached pairs, every mapped read failing: more than
+    // three times the threshold.
+    let guard = FaultGuard::install("mmap.validate:error");
+    let errors = 10u32;
+    for i in 0..errors {
+        let err = client.pair(2 * i + 2, 2 * i + 3).unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+    }
+    drop(guard);
+
+    let stats = client.stats_line().unwrap();
+    assert!(stats.contains("index_generation=static"), "{stats}");
+    assert_eq!(
+        stat_value(&stats, "runtime_errors"),
+        Some(errors as u64),
+        "{stats}"
+    );
+    for key in ["quarantined", "reload_failures", "rollbacks", "swaps"] {
+        assert_eq!(stat_value(&stats, key), Some(0), "{key}: {stats}");
+    }
+    assert_eq!(client.pair(0, 1).unwrap().to_bits(), want.to_bits());
+    client.shutdown().unwrap();
+    handle.join();
+    std::fs::remove_file(&path).ok();
 }
 
 /// Transient acceptor faults: connects keep succeeding (the pending

@@ -44,9 +44,12 @@ fn mem_opener(g: &DiGraph, p: &Path) -> Result<SharedEngine<sling_core::hp::HpAr
 
 fn start_reloadable(
     store: &GenerationStore,
+    fallback_graph: Option<DiGraph>,
     config: ServerConfig,
 ) -> (ServerHandle, std::net::SocketAddr) {
-    let reloadable = ReloadableEngine::watching_store(store.clone(), None, mem_opener).unwrap();
+    let fallback_graph = fallback_graph.map(Arc::new);
+    let reloadable =
+        ReloadableEngine::watching_store(store.clone(), fallback_graph, mem_opener).unwrap();
     let handle = serve_reloadable(
         Arc::new(reloadable),
         Listener::bind_tcp("127.0.0.1:0").unwrap(),
@@ -101,6 +104,7 @@ fn swap_under_load_answers_from_a_live_generation_only() {
 
     let (handle, addr) = start_reloadable(
         &store,
+        None,
         ServerConfig {
             workers: 4,
             cache_capacity: 4096,
@@ -156,7 +160,7 @@ fn swap_under_load_answers_from_a_live_generation_only() {
             let next = if round % 2 == 0 { &idx_b } else { &idx_a };
             let gen = store.publish_index(next, Some(&g)).unwrap();
             store.promote(gen).unwrap();
-            let (serving, swapped) = control.reload().unwrap();
+            let (serving, swapped) = control.reload(false).unwrap();
             assert!(swapped, "promotion of {} did not swap", gen.dir_name());
             assert_eq!(serving, gen.dir_name());
             last_gen = serving;
@@ -224,6 +228,7 @@ fn watcher_swaps_without_an_explicit_reload() {
         .unwrap();
     let (handle, addr) = start_reloadable(
         &store,
+        None,
         ServerConfig {
             workers: 2,
             cache_capacity: 256,
@@ -307,7 +312,7 @@ fn mapped_server_swaps_from_a_v1_to_a_v3_generation() {
         .unwrap();
     assert_eq!(store.manifest(gen2).unwrap().format, FormatVersion::V3);
     store.promote(gen2).unwrap();
-    let (serving, swapped) = client.reload().unwrap();
+    let (serving, swapped) = client.reload(false).unwrap();
     assert!(swapped, "promotion of the v3 generation did not swap");
     assert_eq!(serving, gen2.dir_name());
 
@@ -356,7 +361,7 @@ fn pinned_server_reload_is_a_noop() {
     )
     .unwrap();
     let mut client = Client::connect_tcp(handle.local_addr().unwrap()).unwrap();
-    let (generation, swapped) = client.reload().unwrap();
+    let (generation, swapped) = client.reload(false).unwrap();
     assert_eq!(generation, "static");
     assert!(!swapped);
     let stats = client.stats_line().unwrap();
@@ -403,6 +408,7 @@ fn reload_failures_keep_the_old_generation_serving() {
         .unwrap();
     let (handle, addr) = start_reloadable(
         &store,
+        None,
         ServerConfig {
             workers: 2,
             cache_capacity: 64,
@@ -420,7 +426,7 @@ fn reload_failures_keep_the_old_generation_serving() {
     let path = store.index_path(gen2);
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-    let err = client.reload().unwrap_err();
+    let err = client.reload(false).unwrap_err();
     assert!(err.to_string().contains("reload failed"), "{err}");
     // Old generation still serves, bit-identically.
     assert_eq!(client.pair(0, 1).unwrap().to_bits(), want.to_bits());
@@ -429,4 +435,96 @@ fn reload_failures_keep_the_old_generation_serving() {
     client.shutdown().unwrap();
     handle.join();
     std::fs::remove_dir_all(&empty_root).ok();
+}
+
+/// A generation published without a graph snapshot opens through the
+/// server's fallback graph: gen-0002 swaps in on `RELOAD` and answers
+/// bit-identically to the in-memory index.
+#[test]
+fn a_generation_without_a_snapshot_opens_through_the_fallback_graph() {
+    let g = fixture();
+    let n = g.num_nodes() as u32;
+    let idx_a = build(&g, 7);
+    let idx_b = build(&g, 8);
+    let root = tmp_root("fallback");
+    let store = GenerationStore::open(&root).unwrap();
+    store
+        .promote(store.publish_index(&idx_a, Some(&g)).unwrap())
+        .unwrap();
+    let (handle, addr) = start_reloadable(
+        &store,
+        Some(fixture()),
+        ServerConfig {
+            workers: 2,
+            cache_capacity: 64,
+            cache_shards: 2,
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = Client::connect_tcp(addr).unwrap();
+    let gen2 = store.publish_index(&idx_b, None).unwrap();
+    assert!(store.graph_path(gen2).is_none());
+    store.promote(gen2).unwrap();
+    let (serving, swapped) = client.reload(false).unwrap();
+    assert!(swapped, "the snapshot-less generation did not swap");
+    assert_eq!(serving, gen2.dir_name());
+    for i in 0..40u32 {
+        let (u, v) = (i % n, (i * 7 + 1) % n);
+        let (u, v) = (u.min(v), u.max(v));
+        let want = idx_b.single_pair(&g, NodeId(u), NodeId(v));
+        assert_eq!(
+            client.pair(u, v).unwrap().to_bits(),
+            want.to_bits(),
+            "pair ({u},{v})"
+        );
+    }
+    client.shutdown().unwrap();
+    let report = handle.join();
+    assert_eq!(
+        stats_field(&report, "reload_failures"),
+        Some("0"),
+        "{report}"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A fallback graph of another shape than the index: the opener's graph
+/// check refuses gen-0002, `RELOAD` answers `ERR reload failed`, the
+/// failure is counted, and gen-0001 (opened from its own snapshot)
+/// keeps serving.
+#[test]
+fn a_fallback_graph_of_another_shape_fails_the_reload() {
+    let g = fixture();
+    let idx = build(&g, 7);
+    let want = idx.single_pair(&g, NodeId(0), NodeId(1));
+    let root = tmp_root("fallback_mismatch");
+    let store = GenerationStore::open(&root).unwrap();
+    store
+        .promote(store.publish_index(&idx, Some(&g)).unwrap())
+        .unwrap();
+    let other = barabasi_albert(90, 3, 41).unwrap();
+    let (handle, addr) = start_reloadable(
+        &store,
+        Some(other),
+        ServerConfig {
+            workers: 2,
+            cache_capacity: 64,
+            cache_shards: 2,
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = Client::connect_tcp(addr).unwrap();
+    store
+        .promote(store.publish_index(&idx, None).unwrap())
+        .unwrap();
+    let err = client.reload(false).unwrap_err().to_string();
+    assert!(err.contains("reload failed"), "{err}");
+    assert!(err.contains("built for a graph with"), "{err}");
+    assert_eq!(client.pair(0, 1).unwrap().to_bits(), want.to_bits());
+    let stats = client.stats_line().unwrap();
+    assert!(stats.contains("index_generation=gen-0001"), "{stats}");
+    assert_eq!(stats_field(&stats, "reload_failures"), Some("1"), "{stats}");
+    client.shutdown().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&root).ok();
 }
